@@ -202,12 +202,3 @@ class Matrix:
             "cols": self.cols,
             "entries": [[F.format(x) for x in r] for r in self.data],
         }
-
-
-def kernel_basis(m: Matrix) -> list[list]:
-    """Right-kernel basis of m; len(result) + rank(m) == m.cols."""
-    return m.kernel_basis()
-
-
-def rank(m: Matrix) -> int:
-    return m.rank()

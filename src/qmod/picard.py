@@ -13,15 +13,16 @@ rational is a fatal internal error, never a silent sign flip.
 Symmetric classes index boundary slots by (i, s) = (component genus,
 number of marked points on it) with the representative i <= g-i (ties by
 smaller s).  A single pullback along a forgetful map is NOT symmetric -
-the new point is special - so pullbacks live in an expanded per-subset
-representation and only symmetrized sums collapse back to (i, s) storage.
+the new point is special - but the sum of the pullbacks along all n+1
+forgetful maps is, and it has a closed form in (i, s) storage built from
+the Arbarello-Cornalba pullback rules (Publ. IHES 88, 1998); see
+symmetrized_pullback_sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import DomainError, InternalCheckError
 from .invariants import _q_formula, binom, harris_tu_degree
@@ -228,153 +229,6 @@ class DivisorClass:
         }
 
 
-class ExpandedClass:
-    """Per-subset boundary storage for non-symmetric intermediates.
-
-    Keys are (i, frozenset S) with the same (i, S) ~ (g-i, S^c)
-    identification as the symmetric storage.  Only pullbacks and their
-    sums need this; results are collapsed back with to_symmetric().
-    """
-
-    __slots__ = ("g", "n", "lam", "psi", "b_irr", "b")
-
-    def __init__(self, g: int, n: int, lam: Coefficient, psi, b_irr: Coefficient, b: dict):
-        self.g = g
-        self.n = n
-        self.lam = lam
-        self.psi = tuple(psi)
-        self.b_irr = b_irr
-        self.b = dict(b)
-
-    @classmethod
-    def from_symmetric(cls, c: DivisorClass) -> "ExpandedClass":
-        labels = range(1, c.n + 1)
-        b = {}
-        for (i, s), coeff in c.b.items():
-            for S in combinations(labels, s):
-                b[_canon_subset(c.g, c.n, i, frozenset(S))] = coeff
-        return cls(c.g, c.n, c.lam, c.psi, c.b_irr, b)
-
-    def coeff(self, i: int, S: frozenset) -> Coefficient:
-        return self.b.get(_canon_subset(self.g, self.n, i, S), ZERO)
-
-    def _bump(self, b: dict, i: int, S: frozenset, coeff: Coefficient):
-        key = _canon_subset(self.g, self.n + 1, i, S)
-        b[key] = b.get(key, ZERO) + coeff
-
-    def pullback_forget_last(self) -> "ExpandedClass":
-        """Pullback along the map (g, n+1) -> (g, n) forgetting point n+1.
-
-        lambda and delta_irr are unchanged; psi_i picks up the correction
-        -delta_{0:{i, n+1}}; each delta_{i:S} pulls back to the two slots
-        with and without the new point.  Lower bounds propagate as lower
-        bounds to both slots.
-        """
-        g, n1 = self.g, self.n + 1
-        new = ExpandedClass(g, n1, self.lam, tuple(self.psi) + (ZERO,), self.b_irr, {})
-        b: dict = {}
-        for idx, p in enumerate(self.psi, start=1):
-            if p.value != 0 or not p.is_exact:
-                # class has +p psi_idx; pullback adds -p delta_{0:{idx, n+1}}
-                # i.e. +p in negated-boundary storage.
-                new._bump(b, 0, frozenset({idx, n1}), p)
-        for (i, S), coeff in self.b.items():
-            new._bump(b, i, S, coeff)
-            new._bump(b, i, S | {n1}, coeff)
-        new.b = b
-        return new
-
-    def relabel(self, perm: dict[int, int]) -> "ExpandedClass":
-        """Apply a marked-point relabeling (a bijection on 1..n)."""
-        psi = [None] * self.n
-        for idx, p in enumerate(self.psi, start=1):
-            psi[perm[idx] - 1] = p
-        b = {}
-        for (i, S), coeff in self.b.items():
-            key = _canon_subset(self.g, self.n, i, frozenset(perm[x] for x in S))
-            b[key] = b.get(key, ZERO) + coeff
-        return ExpandedClass(self.g, self.n, self.lam, tuple(psi), self.b_irr, b)
-
-    def add(self, other: "ExpandedClass") -> "ExpandedClass":
-        if (self.g, self.n) != (other.g, other.n):
-            raise DomainError("expanded classes on different (g, n)")
-        b = dict(self.b)
-        for key, coeff in other.b.items():
-            b[key] = b.get(key, ZERO) + coeff
-        return ExpandedClass(
-            self.g, self.n,
-            self.lam + other.lam,
-            tuple(a + c for a, c in zip(self.psi, other.psi)),
-            self.b_irr + other.b_irr,
-            b,
-        )
-
-    def scale(self, a) -> "ExpandedClass":
-        return ExpandedClass(
-            self.g, self.n,
-            self.lam.scale(a),
-            tuple(p.scale(a) for p in self.psi),
-            self.b_irr.scale(a),
-            {k: v.scale(a) for k, v in self.b.items()},
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, ExpandedClass):
-            return NotImplemented
-        drop = {ZERO}
-        mine = {k: v for k, v in self.b.items() if v not in drop}
-        theirs = {k: v for k, v in other.b.items() if v not in drop}
-        return ((self.g, self.n, self.lam, self.psi, self.b_irr, mine)
-                == (other.g, other.n, other.lam, other.psi, other.b_irr, theirs))
-
-    def to_symmetric(self) -> DivisorClass:
-        """Collapse to (i, s) storage; fails if any orbit is not constant."""
-        psi0 = self.psi[0] if self.psi else None
-        if any(p != psi0 for p in self.psi):
-            raise DomainError("psi coefficients are not symmetric")
-        by_slot: dict[tuple[int, int], Coefficient] = {}
-        for (i, S), coeff in self.b.items():
-            slot = canonical_pair(self.g, self.n, i, len(S))
-            prev = by_slot.get(slot)
-            if prev is None:
-                by_slot[slot] = coeff
-            elif prev != coeff:
-                raise DomainError(f"boundary coefficients not symmetric at {slot}")
-        for slot in boundary_indices(self.g, self.n):
-            i, s = slot
-            count = _orbit_size(self.g, self.n, i, s)
-            present = sum(
-                1 for (j, S) in self.b if canonical_pair(self.g, self.n, j, len(S)) == slot
-            )
-            if present not in (0, count):
-                raise DomainError(f"boundary orbit at {slot} only partially filled")
-        return DivisorClass(self.g, self.n, self.lam, self.psi, self.b_irr, by_slot)
-
-
-def _canon_subset(g: int, n: int, i: int, S: frozenset) -> tuple[int, frozenset]:
-    s = len(S)
-    if not (0 <= i <= g and S <= set(range(1, n + 1))):
-        raise DomainError(f"bad boundary key ({i}, {sorted(S)})")
-    if i == 0 and s < 2:
-        raise DomainError(f"slot (0, {sorted(S)}) does not index a boundary divisor")
-    if i == g and n - s < 2:
-        raise DomainError(f"slot ({i}, {sorted(S)}) does not index a boundary divisor")
-    comp = frozenset(range(1, n + 1)) - S
-    if 2 * i > g:
-        return g - i, comp
-    if 2 * i == g:
-        if len(comp) < s or (len(comp) == s and tuple(sorted(comp)) < tuple(sorted(S))):
-            return i, comp
-    return i, S
-
-
-def _orbit_size(g: int, n: int, i: int, s: int) -> int:
-    if 2 * i == g and 2 * s == n:
-        # self-conjugate middle slots pair up subsets with their complements
-        return binom(n, s) // 2 if n else 1
-    return binom(n, s)
-
-
 @dataclass(frozen=True)
 class ChernPair:
     """First Chern data of the two tautological bundles on (g, n):
@@ -501,29 +355,35 @@ def _require_family_member(g: int, n: int, k: int):
         )
 
 
-def pullback_forgetful(c: DivisorClass | ExpandedClass) -> ExpandedClass:
-    """Pullback along the forgetful map dropping the last marked point.
-
-    The result is genuinely non-symmetric (the new point is special), so
-    it is returned in expanded per-subset storage; symmetrized sums
-    collapse back via symmetrized_pullback_sum.
-    """
-    if isinstance(c, DivisorClass):
-        c = ExpandedClass.from_symmetric(c)
-    return c.pullback_forget_last()
-
-
 def symmetrized_pullback_sum(c: DivisorClass) -> DivisorClass:
-    """Sum of the pullbacks of c along all n+1 forgetful maps (g, n+1) -> (g, n)."""
-    base = pullback_forgetful(c)
-    n1 = c.n + 1
-    total = base
-    for j in range(1, n1):
-        # conjugate the forget-last pullback by the transposition (j, n+1)
-        perm = {x: x for x in range(1, n1 + 1)}
-        perm[j], perm[n1] = n1, j
-        total = total.add(base.relabel(perm))
-    return total.to_symmetric()
+    """Sum of the pullbacks of c along all n+1 forgetful maps (g, n+1) -> (g, n).
+
+    Closed form in (i, s) storage, from the pullback rules of
+    Arbarello-Cornalba (Publ. IHES 88, 1998): pi_j^* lambda = lambda,
+    pi_j^* delta_irr = delta_irr, pi_j^* psi_k = psi_k - delta_{0:{k,j}} and
+    pi_j^* delta_{i:S} = delta_{i:S} + delta_{i:S+j}.  Summed over j:
+
+        lambda -> (n+1) lambda,  psi -> n psi,  delta_irr -> (n+1) delta_irr,
+        b'(i, t) = t b(i, t-1) + (n+1-t) b(i, t)   (+ 2 psi at (0, 2)),
+
+    where b(i, x) is the slot of c representing (i, x) and is absent (not
+    zero-scaled) when no such divisor exists on (g, n).  Requires equal psi
+    coefficients.
+    """
+    g, n = c.g, c.n
+    if any(p != c.psi[0] for p in c.psi):
+        raise DomainError("psi coefficients are not symmetric")
+    psi = c.psi[0] if c.psi else ZERO
+    b = {}
+    for i, t in boundary_indices(g, n + 1):
+        coeff = psi.scale(2) if (i, t) == (0, 2) else ZERO
+        for mult, s in ((t, t - 1), (n + 1 - t, t)):
+            # (0, s < 2) names no divisor; i <= g/2 never meets the i = g rule
+            if 0 <= s <= n and (i > 0 or s >= 2):
+                coeff = coeff + c.b[canonical_pair(g, n, i, s)].scale(mult)
+        b[(i, t)] = coeff
+    return DivisorClass(g, n + 1, c.lam.scale(n + 1), (psi.scale(n),) * (n + 1),
+                        c.b_irr.scale(n + 1), b)
 
 
 def z_class_15_9() -> DivisorClass:

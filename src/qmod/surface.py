@@ -22,7 +22,7 @@ from .errors import (ConfigurationError, DomainError, GenericityError,
 from .fields import DEFAULT_PRIME, PrimeField, derived_rng, require_sampling_prime
 from .linalg import Matrix
 from .quadlab import QuadricSystem, SymQuadric, form_matrix_det, upper_pairs
-from .ternary import TernaryForm, monomial_count, monomials
+from .ternary import TernaryForm, _powers, monomial_count, monomials
 
 
 def _normalize_point(field, p):
@@ -300,13 +300,6 @@ def _interpolation_kernel(cfg: PointConfig, cls: NSClass) -> PlaneSystem:
                 rows.append(row)
     kern = Matrix(field, len(rows), len(mons), rows, _skip_check=True).kernel_basis()
     return PlaneSystem(field, cls, kern, cfg)
-
-
-def _powers(field, x, n: int) -> list:
-    out = [field.one]
-    for _ in range(n):
-        out.append(field.mul(out[-1], x))
-    return out
 
 
 def interpolation_basis(cfg: PointConfig, cls: NSClass) -> PlaneSystem:

@@ -1,0 +1,28 @@
+"""Byte-for-byte pins of the divisor-class commands' JSON output.
+
+The files under tests/data were written by the command named in GOLDEN;
+any change to a coefficient, a slot kind or the serialization shows here.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from qmod.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+GOLDEN = {
+    "z_class.json": ["z-class"],
+    "dp_class.json": ["dp-class"],
+    "certificate.json": ["certificate"],
+    "certificate_solve.json": ["certificate", "--solve", "--z", "13/66"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_json_output_matches_golden_file(capsys, name):
+    rc = main(GOLDEN[name] + ["--format", "json"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.encode() == (DATA / name).read_bytes()

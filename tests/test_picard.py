@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -9,12 +10,13 @@ from qmod.invariants import binom, harris_tu_degree
 from qmod.picard import (
     AT_LEAST,
     EXACT,
+    ZERO,
     Coefficient,
     DivisorClass,
-    ExpandedClass,
     bn_class_15,
     boundary_indices,
     canonical_class,
+    canonical_pair,
     chern_pair,
     dp_tilde_b,
     fr_dp_class,
@@ -184,28 +186,108 @@ small_class = st.builds(
 
 @given(small_class, small_class)
 def test_pullback_is_additive(a, b):
-    pa = ExpandedClass.from_symmetric(a).pullback_forget_last()
-    pb = ExpandedClass.from_symmetric(b).pullback_forget_last()
-    pab = ExpandedClass.from_symmetric(a.add(b)).pullback_forget_last()
-    assert pab == pa.add(pb)
+    assert (symmetrized_pullback_sum(a.add(b))
+            == symmetrized_pullback_sum(a).add(symmetrized_pullback_sum(b)))
 
 
 @given(small_class, st.integers(-5, 5))
 def test_pullback_commutes_with_scaling(a, c):
-    pa = ExpandedClass.from_symmetric(a).pullback_forget_last()
-    assert pa.scale(c) == ExpandedClass.from_symmetric(a.scale(c)).pullback_forget_last()
+    assert symmetrized_pullback_sum(a).scale(c) == symmetrized_pullback_sum(a.scale(c))
 
 
-def test_expanded_round_trip():
-    d = DivisorClass.build(9, 3, lam=2, psi=6, b_irr=5, b={(0, 2): 7})
-    assert ExpandedClass.from_symmetric(d).to_symmetric() == d
+def _canon(g, pts, i, S):
+    """Representative (i, S) of delta_{i:S} on the marked points pts."""
+    C = pts - S
+    if 2 * i > g or (2 * i == g and (len(C), sorted(C)) < (len(S), sorted(S))):
+        return g - i, C
+    return i, S
+
+
+def _divisors(g, pts):
+    """Every boundary divisor delta_{i:S} on pts, once, as canonical keys."""
+    n = len(pts)
+    return {_canon(g, pts, i, frozenset(S))
+            for i in range(g + 1) for s in range(n + 1)
+            for S in combinations(sorted(pts), s)
+            if not (i == 0 and s < 2) and not (i == g and n - s < 2)}
+
+
+def brute_pullback_sum(c):
+    """Per-subset reference for symmetrized_pullback_sum: pull back along
+    each forgetful map pi_j subset by subset, then read off (i, s) slots."""
+    g, n = c.g, c.n
+    pts = frozenset(range(1, n + 2))
+    b = {key: ZERO for key in _divisors(g, pts)}
+    psi = {k: ZERO for k in pts}
+    for j in pts:
+        base = pts - {j}
+        for i, S in _divisors(g, base):
+            coeff = c.b[canonical_pair(g, n, i, len(S))]
+            # S and S+j name one divisor only for n = 0, 2i = g: count it once
+            for key in {_canon(g, pts, i, S), _canon(g, pts, i, S | {j})}:
+                b[key] = b[key] + coeff
+        for k in base:
+            psi[k] = psi[k] + c.psi[0]
+            key = _canon(g, pts, 0, frozenset({k, j}))
+            b[key] = b[key] + c.psi[0]
+    slots = {}
+    for (i, S), coeff in b.items():
+        slots.setdefault(canonical_pair(g, n + 1, i, len(S)), set()).add(coeff)
+    assert all(len(v) == 1 for v in slots.values()), "orbit not constant"
+    return DivisorClass(g, n + 1, c.lam.scale(n + 1), [psi[k] for k in sorted(pts)],
+                        c.b_irr.scale(n + 1), {k: v.pop() for k, v in slots.items()})
+
+
+slot_coeff = st.one_of(
+    st.just(ZERO),
+    st.integers(-9, 9).map(Coefficient.exact),
+    st.integers(-9, 9).map(Coefficient.at_least))
+
+
+@st.composite
+def symmetric_class(draw):
+    g = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 5))
+    b = {key: draw(slot_coeff) for key in boundary_indices(g, n)}
+    return DivisorClass.build(g, n, lam=draw(st.integers(-9, 9)),
+                              psi=draw(st.integers(-9, 9)),
+                              b_irr=draw(slot_coeff), b=b)
+
+
+@given(symmetric_class())
+def test_pullback_sum_matches_per_subset_oracle(c):
+    assert symmetrized_pullback_sum(c) == brute_pullback_sum(c)
+
+
+@pytest.mark.parametrize("g, n", [(4, 1), (4, 2), (6, 3), (2, 1)])
+def test_pullback_sum_even_genus(g, n):
+    b = {key: Coefficient.at_least(k + 1) if k % 2 else k + 2
+         for k, key in enumerate(boundary_indices(g, n))}
+    c = DivisorClass.build(g, n, lam=1, psi=3, b_irr=2, b=b)
+    assert symmetrized_pullback_sum(c) == brute_pullback_sum(c)
+
+
+@pytest.mark.parametrize("g", [2, 4, 6])
+def test_pullback_sum_counts_the_middle_divisor_once(g):
+    # On (g, 1) delta_{g/2:{}} and delta_{g/2:{1}} are one divisor.
+    c = DivisorClass.build(g, 0, b={(g // 2, 0): Coefficient.at_least(5)})
+    out = symmetrized_pullback_sum(c)
+    assert out.b[(g // 2, 0)] == Coefficient.at_least(5)
+    assert out == brute_pullback_sum(c)
+
+
+def test_pullback_sum_even_genus_values():
+    b = {(0, 2): 2, (1, 0): 3, (1, 1): 5, (1, 2): 7, (2, 0): 11, (2, 1): 13}
+    out = symmetrized_pullback_sum(DivisorClass.build(4, 2, lam=1, psi=1, b_irr=1, b=b))
+    want = {(0, 2): 4, (0, 3): 6, (1, 0): 9, (1, 1): 13, (1, 2): 17, (1, 3): 21,
+            (2, 0): 33, (2, 1): 37}
+    assert out == DivisorClass.build(4, 3, lam=3, psi=2, b_irr=3, b=want)
+
+
+def test_pullback_sum_rejects_unequal_psi():
     skew = DivisorClass.build(9, 3, lam=2, psi=[1, 4, 4], b_irr=5, b={(0, 2): 7})
-    ex = ExpandedClass.from_symmetric(skew)
-    # Marking-dependent psi survives the subset expansion but blocks the
-    # symmetric collapse.
-    assert ex.psi == (Coefficient.exact(1), Coefficient.exact(4), Coefficient.exact(4))
     with pytest.raises(DomainError):
-        ex.to_symmetric()
+        symmetrized_pullback_sum(skew)
 
 
 def test_symmetrized_pullback_sum_stays_symmetric():
