@@ -143,11 +143,6 @@ class BinaryForm:
         return unipoly.squarefree_test(self.field, affine)
 
 
-def multiply_forms(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Convolution product; declared degrees add even when leaders vanish."""
-    return f.mul(g)
-
-
 def binary_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """Gcd as projective forms: affine gcd plus the shared infinity factor."""
     if f.field != g.field:

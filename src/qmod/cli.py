@@ -22,6 +22,7 @@ from .invariants import (
     harris_tu_degree,
 )
 from .picard import (
+    _fmt,
     boundary_indices,
     canonical_class,
     chern_pair,
@@ -78,15 +79,8 @@ def _emit(cfg: RunConfig, payload: dict, lines) -> int:
     return 0
 
 
-def _q(x) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _coeff_str(c) -> str:
-    return ("" if c.is_exact else ">= ") + _q(c.value)
+    return ("" if c.is_exact else ">= ") + _fmt(c.value)
 
 
 def _class_lines(d) -> list:
@@ -173,15 +167,15 @@ def _cmd_certificate(cfg, args):
     rep = general_type_certificate(x, y, z)
     bound_slots = sum(1 for s in rep.boundary if s.required_bound is not None)
     lines = [
-        f"multipliers: x={_q(rep.x)} y={_q(rep.y)} z={_q(rep.z)}",
-        f"lambda residual: {_q(rep.lambda_residual)}",
-        f"psi residual: {_q(rep.psi_residual)}",
-        f"E_irr: {_q(rep.e_irr)}",
+        f"multipliers: x={_fmt(rep.x)} y={_fmt(rep.y)} z={_fmt(rep.z)}",
+        f"lambda residual: {_fmt(rep.lambda_residual)}",
+        f"psi residual: {_fmt(rep.psi_residual)}",
+        f"E_irr: {_fmt(rep.e_irr)}",
         f"boundary slots needing a bound: {bound_slots}/{len(rep.boundary)}",
     ]
     for slot in rep.boundary:
         if slot.required_bound is not None:
-            lines.append(f"  b[{slot.i},{slot.s}] needs >= {_q(slot.required_bound)}")
+            lines.append(f"  b[{slot.i},{slot.s}] needs >= {_fmt(slot.required_bound)}")
     lines.append(f"passed: {rep.passed}")
     _emit(cfg, rep.to_json_dict(), lines)
     return 0 if rep.passed else 1

@@ -119,9 +119,6 @@ class RationalField:
         x = Fraction(x)
         return f"{x.numerator}/{x.denominator}"
 
-    def parse(self, s: str):
-        return Fraction(s)
-
     def random_element(self, rng: random.Random):
         # Small-height rationals; plenty for property tests.
         return Fraction(rng.randrange(-20, 21), rng.randrange(1, 11))
@@ -213,9 +210,6 @@ class PrimeField:
 
     def format(self, x) -> str:
         return str(x % self.p)
-
-    def parse(self, s: str):
-        return int(s) % self.p
 
     def random_element(self, rng: random.Random):
         return rng.randrange(self.p)

@@ -68,25 +68,6 @@ class Matrix:
     def column(self, j: int) -> list:
         return [r[j] for r in self.data]
 
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field, self.cols, self.rows,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            _skip_check=True,
-        )
-
-    def matvec(self, v: list) -> list:
-        if len(v) != self.cols:
-            raise DomainError("vector length does not match column count")
-        F = self.field
-        out = []
-        for r in self.data:
-            acc = F.zero
-            for a, b in zip(r, v):
-                acc = F.add(acc, F.mul(a, b))
-            out.append(acc)
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)

@@ -387,13 +387,36 @@ def _pencil_quadric(field, a, b, c, d) -> SymQuadric:
     return SymQuadric(field, rows, _skip_check=True)
 
 
-def rank3_from_decomposition(pd: PencilDecomposition, c: ParamCurve) -> SymQuadric:
-    """The quadric l(f*f*h) l(g*g*h) - l(f*g*h)^2 on the monomial curve.
+# Both bounded-rank shapes are Q = l(A) l(B) - l(C) l(D), each product
+# spelled by the decomposition members it multiplies.  Rank 3 is the rank-4
+# word list with (u, v) = (f, g).
+_PRODUCTS = {3: ("ffh", "ggh", "fgh", "fgh"), 4: ("fuh", "gvh", "fvh", "guh")}
 
-    It vanishes on the curve because the three products satisfy the same
-    multiplicative identity as the linear forms pulled back, and its
-    matrix has rank at most 3 by construction.
-    """
+
+def _product(pd: PencilDecomposition, word: str) -> BinaryForm:
+    acc = getattr(pd, word[0])
+    for name in word[1:]:
+        acc = acc.mul(getattr(pd, name))
+    return acc
+
+
+def _bounded_rank_quadric(pd: PencilDecomposition, c: ParamCurve) -> SymQuadric:
+    # It vanishes on the curve because AB = CD as binary forms, the same
+    # multiplicative identity the pulled-back linear forms satisfy, and its
+    # matrix has rank at most 4 (3 when C = D) by construction.
+    k = pd.kind
+    a, b, cc, d = (_product(pd, w) for w in _PRODUCTS[k])
+    if a.mul(b) != cc.mul(d):
+        raise InternalCheckError(f"rank-{k} product identity failed")
+    q = _pencil_quadric(c.field, a.coeffs, b.coeffs, cc.coeffs, d.coeffs)
+    if q.rank() > k:
+        raise InternalCheckError(f"rank-{k} construction exceeded rank {k}")
+    return q
+
+
+def rank3_from_decomposition(pd: PencilDecomposition, c: ParamCurve) -> SymQuadric:
+    """The quadric l(f*f*h) l(g*g*h) - l(f*g*h)^2 on the monomial curve,
+    of rank at most 3 (products from ``_PRODUCTS[3]``)."""
     if pd.kind != 3:
         raise DomainError("decomposition carries a second pencil; rank-3 shape has none")
     _require_monomial_curve(c)
@@ -401,20 +424,12 @@ def rank3_from_decomposition(pd: PencilDecomposition, c: ParamCurve) -> SymQuadr
         raise DomainError("component degrees must satisfy 2 deg f + deg h = curve degree")
     if pd.f.degree < 1:
         raise DomainError("pencil degree must be at least 1")
-    fh = pd.f.mul(pd.h)
-    u = pd.f.mul(fh)
-    v = pd.g.mul(pd.g.mul(pd.h))
-    w = pd.g.mul(fh)
-    if u.mul(v) != w.mul(w):
-        raise InternalCheckError("rank-3 product identity failed")
-    q = _pencil_quadric(c.field, u.coeffs, v.coeffs, w.coeffs, w.coeffs)
-    if q.rank() > 3:
-        raise InternalCheckError("rank-3 construction exceeded rank 3")
-    return q
+    return _bounded_rank_quadric(pd, c)
 
 
 def rank4_from_decomposition(pd: PencilDecomposition, c: ParamCurve) -> SymQuadric:
-    """The quadric l(fuh) l(gvh) - l(fvh) l(guh) on the monomial curve.
+    """The quadric l(fuh) l(gvh) - l(fvh) l(guh) on the monomial curve
+    (products from ``_PRODUCTS[4]``).
 
     Rank is at most 4; it degenerates to zero when f = g or u = v, and to
     the rank-3 quadric of (f, g, h) when (u, v) = (f, g).
@@ -427,18 +442,7 @@ def rank4_from_decomposition(pd: PencilDecomposition, c: ParamCurve) -> SymQuadr
             "component degrees must satisfy deg f + deg u + deg h = curve degree")
     if pd.f.degree < 1 or pd.u.degree < 1:
         raise DomainError("pencil degrees must be at least 1")
-    uh = pd.u.mul(pd.h)
-    vh = pd.v.mul(pd.h)
-    a = pd.f.mul(uh)
-    b = pd.g.mul(vh)
-    cc = pd.f.mul(vh)
-    dd = pd.g.mul(uh)
-    if a.mul(b) != cc.mul(dd):
-        raise InternalCheckError("rank-4 product identity failed")
-    q = _pencil_quadric(c.field, a.coeffs, b.coeffs, cc.coeffs, dd.coeffs)
-    if q.rank() > 4:
-        raise InternalCheckError("rank-4 construction exceeded rank 4")
-    return q
+    return _bounded_rank_quadric(pd, c)
 
 
 def _rank3_shape(r: int, x: int) -> int:
@@ -518,70 +522,37 @@ def _combo_row(field, pairs, terms) -> list:
     return row
 
 
-def _rank3_jacobian_rows(field, r: int, pd: PencilDecomposition) -> list[list]:
-    f, g, h = pd.f, pd.g, pd.h
-    fh, gh = f.mul(h), g.mul(h)
-    u = f.mul(fh)
-    v = g.mul(gh)
-    w = g.mul(fh)
+def _jacobian_rows(field, r: int, pd: PencilDecomposition) -> list[list]:
+    """Jacobian of the coefficients of Q = l(A) l(B) - l(C) l(D) with
+    respect to every coefficient of f, g, u, v, h, in that order.
+
+    By the product rule each occurrence of a member in a product gives one
+    term (its monomial times the rest of the product, against the partner
+    product); equal terms merge into one weight, so a rank-3 row keeps two
+    or three terms.
+    """
+    words = _PRODUCTS[pd.kind]
+    partner = (1, 0, 3, 2)
+    products = {w: _product(pd, w).coeffs for w in words}
     pairs = upper_pairs(r + 1)
     rows = []
-    for j in range(f.degree + 1):
-        e = BinaryForm.monomial(field, f.degree, j)
-        rows.append(_combo_row(field, pairs, [
-            (2, e.mul(fh).coeffs, v.coeffs),
-            (-2, e.mul(gh).coeffs, w.coeffs)]))
-    for j in range(g.degree + 1):
-        e = BinaryForm.monomial(field, g.degree, j)
-        rows.append(_combo_row(field, pairs, [
-            (2, u.coeffs, e.mul(gh).coeffs),
-            (-2, e.mul(fh).coeffs, w.coeffs)]))
-    for j in range(h.degree + 1):
-        e = BinaryForm.monomial(field, h.degree, j)
-        rows.append(_combo_row(field, pairs, [
-            (1, e.mul(f.mul(f)).coeffs, v.coeffs),
-            (1, u.coeffs, e.mul(g.mul(g)).coeffs),
-            (-2, e.mul(f.mul(g)).coeffs, w.coeffs)]))
-    return rows
-
-
-def _rank4_jacobian_rows(field, r: int, pd: PencilDecomposition) -> list[list]:
-    f, g, u, v, h = pd.f, pd.g, pd.u, pd.v, pd.h
-    fh, gh = f.mul(h), g.mul(h)
-    uh, vh = u.mul(h), v.mul(h)
-    a = f.mul(uh)
-    b = g.mul(vh)
-    c = f.mul(vh)
-    d = g.mul(uh)
-    pairs = upper_pairs(r + 1)
-    rows = []
-    for j in range(f.degree + 1):
-        e = BinaryForm.monomial(field, f.degree, j)
-        rows.append(_combo_row(field, pairs, [
-            (1, e.mul(uh).coeffs, b.coeffs),
-            (-1, e.mul(vh).coeffs, d.coeffs)]))
-    for j in range(g.degree + 1):
-        e = BinaryForm.monomial(field, g.degree, j)
-        rows.append(_combo_row(field, pairs, [
-            (1, a.coeffs, e.mul(vh).coeffs),
-            (-1, c.coeffs, e.mul(uh).coeffs)]))
-    for j in range(u.degree + 1):
-        e = BinaryForm.monomial(field, u.degree, j)
-        rows.append(_combo_row(field, pairs, [
-            (1, e.mul(fh).coeffs, b.coeffs),
-            (-1, c.coeffs, e.mul(gh).coeffs)]))
-    for j in range(v.degree + 1):
-        e = BinaryForm.monomial(field, v.degree, j)
-        rows.append(_combo_row(field, pairs, [
-            (1, a.coeffs, e.mul(gh).coeffs),
-            (-1, e.mul(fh).coeffs, d.coeffs)]))
-    for j in range(h.degree + 1):
-        e = BinaryForm.monomial(field, h.degree, j)
-        rows.append(_combo_row(field, pairs, [
-            (1, e.mul(f.mul(u)).coeffs, b.coeffs),
-            (1, a.coeffs, e.mul(g.mul(v)).coeffs),
-            (-1, e.mul(f.mul(v)).coeffs, d.coeffs),
-            (-1, c.coeffs, e.mul(g.mul(u)).coeffs)]))
+    for name in "fguvh":
+        form = getattr(pd, name)
+        if form is None:
+            continue
+        weights: dict = {}
+        for pos, word in enumerate(words):
+            sign = 1 if pos < 2 else -1
+            for i, letter in enumerate(word):
+                if letter == name:
+                    key = (word[:i] + word[i + 1:], words[partner[pos]])
+                    weights[key] = weights.get(key, 0) + sign
+        terms = [(w, _product(pd, rest), products[other])
+                 for (rest, other), w in weights.items()]
+        for j in range(form.degree + 1):
+            e = BinaryForm.monomial(field, form.degree, j)
+            rows.append(_combo_row(field, pairs, [(w, e.mul(rest).coeffs, other)
+                                                  for w, rest, other in terms]))
     return rows
 
 
@@ -629,10 +600,9 @@ def family_dimension(r: int, k: int, stratum, *, field=None, seed: int = 0) -> i
         rng = derived_rng(seed, "family-dim", *labels, attempt)
         if k == 3:
             pd = random_rank3_decomposition(field, r, x, rng)
-            rows = _rank3_jacobian_rows(field, r, pd)
         else:
             pd = random_rank4_decomposition(field, r, (m, mp, x), rng)
-            rows = _rank4_jacobian_rows(field, r, pd)
+        rows = _jacobian_rows(field, r, pd)
         rank = Matrix(field, len(rows), ncols, rows, _skip_check=True).rank()
         best = max(best, rank - 1)
     return best

@@ -71,16 +71,6 @@ class TernaryForm:
     def zero(cls, field, degree: int) -> "TernaryForm":
         return cls(field, degree, [field.zero] * monomial_count(degree), _skip_check=True)
 
-    @classmethod
-    def from_dict(cls, field, degree: int, terms: dict) -> "TernaryForm":
-        coeffs = [field.zero] * monomial_count(degree)
-        idx = monomial_index(degree)
-        for e, c in terms.items():
-            if sum(e) != degree:
-                raise DomainError(f"exponent {e} does not have degree {degree}")
-            coeffs[idx[tuple(e)]] = field.coerce(c)
-        return cls(field, degree, coeffs, _skip_check=True)
-
     def is_zero(self) -> bool:
         F = self.field
         return all(F.is_zero(c) for c in self.coeffs)
@@ -212,10 +202,6 @@ class TernaryForm:
             term = pw[0][i].mul(pw[1][j]).mul(pw[2][k])
             acc = acc.add(term.scale(c))
         return acc
-
-    def to_json_list(self) -> list[str]:
-        F = self.field
-        return [F.format(c) for c in self.coeffs]
 
 
 def _powers(field, a, n: int) -> list:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qmod.binforms import BinaryForm, binary_gcd, coprime, multiply_forms
+from qmod.binforms import BinaryForm, binary_gcd, coprime
 from qmod.errors import DomainError
 from qmod.fields import DEFAULT_PRIME, PrimeField
 
@@ -30,7 +30,7 @@ def test_evaluation_is_multiplicative():
         f = _random_form(rng, rng.randrange(0, 5))
         g = _random_form(rng, rng.randrange(0, 5))
         s, t = FP.random_element(rng), FP.random_element(rng)
-        lhs = multiply_forms(f, g).evaluate(s, t)
+        lhs = f.mul(g).evaluate(s, t)
         rhs = FP.mul(f.evaluate(s, t), g.evaluate(s, t))
         assert lhs == rhs
 

@@ -1,4 +1,5 @@
-"""Byte-for-byte pins of the divisor-class commands' JSON output.
+"""Byte-for-byte pins of the JSON output of the divisor-class commands and
+of one seeded ``genus5-net`` run with two singular candidates.
 
 The files under tests/data were written by the command named in GOLDEN;
 any change to a coefficient, a slot kind or the serialization shows here.
@@ -17,6 +18,7 @@ GOLDEN = {
     "dp_class.json": ["dp-class"],
     "certificate.json": ["certificate"],
     "certificate_solve.json": ["certificate", "--solve", "--z", "13/66"],
+    "genus5_net_seed1.json": ["genus5-net", "--seed", "1"],
 }
 
 

@@ -1,8 +1,10 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from qmod import unipoly
 from qmod.binforms import BinaryForm
 from qmod.errors import ConfigurationError, DomainError
 from qmod.fields import QQ, DEFAULT_PRIME, PrimeField, derived_rng
@@ -12,6 +14,7 @@ from qmod.quadlab import (
     PencilDecomposition,
     QuadricSystem,
     SymQuadric,
+    _jacobian_rows,
     cone_quadric,
     expected_family_dim,
     family_dimension,
@@ -229,6 +232,42 @@ def test_rank4_generic_rank_is_four():
             assert q.rank() == 4
             for t in range(13):
                 assert FP.is_zero(q.evaluate(c.evaluate(t)))
+
+
+def _perturbation_jacobian_rows(field, r, pd):
+    # Row for coefficient j of member P: the t-linear part of the
+    # coefficients of Q(P + t e_j), interpolated at t = 0..6 (Q has degree
+    # at most 6 in t), with members in the order f, g, u, v, h.
+    curve = ParamCurve.rational_normal(field, r)
+    build = rank3_from_decomposition if pd.kind == 3 else rank4_from_decomposition
+    nodes = list(range(7))
+    rows = []
+    for name in ("f", "g", "u", "v", "h"):
+        form = getattr(pd, name)
+        if form is None:
+            continue
+        for j in range(form.degree + 1):
+            step = BinaryForm.monomial(field, form.degree, j)
+            samples = [build(replace(pd, **{name: form.add(step.scale(t))}), curve)
+                       .upper_coeffs() for t in nodes]
+            row = []
+            for values in zip(*samples):
+                poly = unipoly.interpolate(field, nodes, list(values))
+                row.append(poly[1] if len(poly) > 1 else field.zero)
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_jacobian_rows_match_perturbation_oracle(k):
+    rng = derived_rng(0, "unit-jacobian-oracle", k)
+    for r in range(2, 7):
+        if k == 3:
+            pds = [random_rank3_decomposition(FP, r, x, rng) for x in rank3_strata(r)]
+        else:
+            pds = [random_rank4_decomposition(FP, r, s, rng) for s in rank4_strata(r)]
+        for pd in pds:
+            assert _jacobian_rows(FP, r, pd) == _perturbation_jacobian_rows(FP, r, pd)
 
 
 def test_strata_enumeration():

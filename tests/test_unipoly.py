@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmod import unipoly as up
@@ -63,15 +63,25 @@ def test_resultant_of_known_pair():
     assert up.resultant_prs(QQ, f, g) == 3
 
 
-def test_resultant_routes_agree():
-    rng = random.Random(9)
-    for _ in range(100):
-        f = [FP.random_element(rng) for _ in range(4)]
-        g = [FP.random_element(rng) for _ in range(3)]
-        f, g = up.normalize(FP, f), up.normalize(FP, g)
-        if up.is_zero(f) or up.is_zero(g):
-            continue
-        assert up.resultant(FP, f, g) == up.resultant_prs(FP, f, g)
+small = st.lists(st.integers(min_value=-2, max_value=2), min_size=0, max_size=5)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([QQ, PrimeField(7), FP]), small, small,
+       st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
+def test_resultant_routes_agree(field, f, g, pad_m, pad_n):
+    # Raw lists keep their trailing zeros and may be empty, and the
+    # declared degrees sit up to three above the list lengths, so padded,
+    # zero and deficient-degree inputs all reach resultant_fixed.
+    f = [field.coerce(c) for c in f]
+    g = [field.coerce(c) for c in g]
+    m = max(len(f) - 1, 0) + pad_m
+    n = max(len(g) - 1, 0) + pad_n
+    want = up.sylvester_matrix(field, f, g, m, n).det()
+    assert up.resultant_fixed(field, f, g, m, n) == want
+    f, g = up.normalize(field, f), up.normalize(field, g)
+    if f and g:
+        assert up.resultant(field, f, g) == up.resultant_prs(field, f, g)
 
 
 def test_discriminant_detects_repeated_roots():
@@ -93,6 +103,13 @@ def test_resultant_fixed_degenerate_degrees():
     assert up.resultant_fixed(QQ, [], [], 0, 0) == 1
     with pytest.raises(DomainError):
         up.resultant_fixed(QQ, f, g, 0, 0)
+    # With n = 0 the Sylvester matrix is m rows of the constant g, so the
+    # resultant is g_0^m whether f is written as [] or as [0].
+    assert up.sylvester_matrix(QQ, [], [2], 2, 0).det() == 4
+    assert up.resultant_fixed(QQ, [], [2], 2, 0) == 4
+    assert up.resultant_fixed(QQ, [0], [2], 2, 0) == 4
+    assert up.resultant_fixed(QQ, [3], [], 0, 2) == 9
+    assert up.resultant_fixed(QQ, [], [0, 1], 0, 1) == 0
 
 
 def test_sylvester_shape():
