@@ -493,7 +493,12 @@ def main(argv=None) -> int:
                 return 2
         else:
             prime = DEFAULT_PRIME
-    if prime < 3 or not is_prime(prime):
+    try:
+        proven = prime >= 3 and is_prime(prime)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if not proven:
         print(f"error: prime must be an odd prime >= 3, got {prime}",
               file=sys.stderr)
         return 2

@@ -22,11 +22,24 @@ DEFAULT_PRIME = (1 << 61) - 1
 # this, keeping per-draw failure probabilities under ~2^-14.
 MIN_SAMPLING_PRIME = 1 << 16
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# psi_13 = 1287836182261 * 2575672364521, the least strong pseudoprime to
+# every base up to 41 (Sorenson & Webster, Math. Comp. 86, 2017).
+_PSI_13 = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for every n below 3.3e24."""
+    """Deterministic Miller-Rabin to the prime bases 2..41.
+
+    That base set proves every answer for n below ``_PSI_13``
+    (psi_13, about 3.3e24).  Larger n raise ``ConfigurationError``: the
+    test could only guess there, and a composite modulus would make every
+    inverse computed as ``pow(x, p - 2, p)`` wrong.
+    """
+    if n >= _PSI_13:
+        raise ConfigurationError(
+            f"cannot prove {n} prime: deterministic Miller-Rabin covers n < {_PSI_13}")
     if n < 2:
         return False
     for q in _MR_WITNESSES:

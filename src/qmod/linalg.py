@@ -4,11 +4,31 @@ Plain Gaussian elimination with the first-nonzero pivot rule: with exact
 scalars there is nothing to gain from magnitude pivoting, and a fixed rule
 keeps every reduced form (and therefore every serialized kernel)
 reproducible bit for bit.
+
+Over a prime field ``Matrix.rref`` (and through it ``rank``,
+``kernel_basis`` and ``solve``) packs each row into one Python int, after
+the delayed-reduction idea of Dumas, Giorgi and Pernet (FFLAS-FFPACK, ACM
+TOMS 2008).  Entry j sits in bits [j*w, (j+1)*w) with
+
+    w = 2*bitlen(p) + bitlen(min(rows, cols)) + 1.
+
+Entries are reduced mod p when packed and when their row becomes a pivot;
+in between, each of at most min(rows, cols) eliminations adds at most
+(p-1)^2 to a slot, so a slot stays under p + min(rows, cols)*(p-1)^2 < 2^w
+and no carry crosses into the next slot.  A row update is then one big-int
+multiply-add instead of one field call per entry.  Pivots, and so every
+reduced form, are those of the generic loop.
+
+Over QQ there is no fixed width to pack into, so rationals keep the
+generic loop, which is also the reference the packed path is tested
+against.  ``det`` always runs generically: only the Sylvester resultant
+test reference calls it.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError, FieldMismatchError
+from .fields import PrimeField
 
 
 class Matrix:
@@ -80,30 +100,11 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column tuple."""
-        F = self.field
-        m = [list(r) for r in self.data]
-        pivots = []
-        prow = 0
-        for col in range(self.cols):
-            if prow >= self.rows:
-                break
-            sel = None
-            for i in range(prow, self.rows):
-                if not F.is_zero(m[i][col]):
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            m[prow], m[sel] = m[sel], m[prow]
-            inv = F.inv(m[prow][col])
-            m[prow] = [F.mul(inv, x) for x in m[prow]]
-            for i in range(self.rows):
-                if i != prow and not F.is_zero(m[i][col]):
-                    c = m[i][col]
-                    m[i] = [F.sub(x, F.mul(c, y)) for x, y in zip(m[i], m[prow])]
-            pivots.append(col)
-            prow += 1
-        return Matrix(F, self.rows, self.cols, m, _skip_check=True), tuple(pivots)
+        if isinstance(self.field, PrimeField):
+            m, pivots = _rref_packed(self.field, self.data, self.cols)
+        else:
+            m, pivots = _rref_generic(self.field, self.data, self.cols)
+        return Matrix(self.field, self.rows, self.cols, m, _skip_check=True), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -183,3 +184,91 @@ class Matrix:
             "cols": self.cols,
             "entries": [[F.format(x) for x in r] for r in self.data],
         }
+
+
+def _rref_generic(F, data, cols: int):
+    """Gauss-Jordan through the field's own operations: the QQ path, and
+    the reference the packed prime-field path is tested against."""
+    m = [list(r) for r in data]
+    rows = len(m)
+    pivots = []
+    prow = 0
+    for col in range(cols):
+        if prow >= rows:
+            break
+        sel = None
+        for i in range(prow, rows):
+            if not F.is_zero(m[i][col]):
+                sel = i
+                break
+        if sel is None:
+            continue
+        m[prow], m[sel] = m[sel], m[prow]
+        inv = F.inv(m[prow][col])
+        m[prow] = [F.mul(inv, x) for x in m[prow]]
+        for i in range(rows):
+            if i != prow and not F.is_zero(m[i][col]):
+                c = m[i][col]
+                m[i] = [F.sub(x, F.mul(c, y)) for x, y in zip(m[i], m[prow])]
+        pivots.append(col)
+        prow += 1
+    return m, pivots
+
+
+def _rref_packed(F, data, cols: int):
+    """Gauss-Jordan over F_p with each row packed into one int.
+
+    Slot j of a row holds entry j in bits [j*w, (j+1)*w).  Eliminating
+    column c from a row is one big-int multiply-add, row += (p - c) * pivot,
+    and slots are left unreduced until the row becomes a pivot (and once
+    more at the end); the width bound in the module docstring keeps every
+    slot from carrying into its neighbour.
+    """
+    p = F.p
+    rows = len(data)
+    w = 2 * p.bit_length() + min(rows, cols).bit_length() + 1
+    mask = (1 << w) - 1
+    packed = [_pack([x % p for x in r], w) for r in data]
+    pivots = []
+    prow = 0
+    for col in range(cols):
+        if prow >= rows:
+            break
+        shift = col * w
+        sel = None
+        for i in range(prow, rows):
+            if (packed[i] >> shift & mask) % p:
+                sel = i
+                break
+        if sel is None:
+            continue
+        packed[prow], packed[sel] = packed[sel], packed[prow]
+        # Rows at or below prow are zero mod p left of col, so only the
+        # slots from col on are scaled; the low slots come back as 0.
+        tail = _unpack(packed[prow] >> shift, cols - col, w, mask)
+        inv = F.inv(tail[0] % p)
+        pivot = _pack([inv * x % p for x in tail], w) << shift
+        packed[prow] = pivot
+        for i in range(rows):
+            if i != prow:
+                c = (packed[i] >> shift & mask) % p
+                if c:
+                    packed[i] += (p - c) * pivot
+        pivots.append(col)
+        prow += 1
+    return [[x % p for x in _unpack(v, cols, w, mask)] for v in packed], pivots
+
+
+def _pack(entries, w: int) -> int:
+    v = 0
+    for x in reversed(entries):
+        v = v << w | x
+    return v
+
+
+def _unpack(v: int, n: int, w: int, mask: int) -> list:
+    out = []
+    for _ in range(n):
+        out.append(v & mask)
+        v >>= w
+    return out

@@ -502,23 +502,17 @@ def random_rank4_decomposition(field, r: int, stratum, rng) -> PencilDecompositi
         _random_form(field, x, rng))
 
 
-def _sym_entry(field, a, b, i: int, j: int):
-    # Coefficient of x_i x_j in the product form l(a) l(b).
-    if i == j:
-        return field.mul(a[i], b[i])
-    return field.add(field.mul(a[i], b[j]), field.mul(a[j], b[i]))
-
-
 def _combo_row(field, pairs, terms) -> list:
     # terms: (integer weight, coeff list, coeff list) triples; the row is
-    # the weighted sum of product forms, flattened in upper_pairs order.
-    weights = [field.coerce(w) for (w, _, _) in terms]
+    # the weighted sum of the product forms l(a) l(b), flattened in
+    # upper_pairs order.  Each entry is summed exactly and reduced once.
     row = []
     for i, j in pairs:
-        acc = field.zero
-        for w, (_, a, b) in zip(weights, terms):
-            acc = field.add(acc, field.mul(w, _sym_entry(field, a, b, i, j)))
-        row.append(acc)
+        if i == j:
+            acc = sum(w * a[i] * b[i] for w, a, b in terms)
+        else:
+            acc = sum(w * (a[i] * b[j] + a[j] * b[i]) for w, a, b in terms)
+        row.append(field.coerce(acc))
     return row
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qmod.cli import main
 
 
@@ -66,6 +68,16 @@ def test_composite_prime_is_rejected(capsys):
                       "--prime", "16")
     assert rc == 2
     assert "prime" in err
+
+
+@pytest.mark.parametrize("prime", ["318665857834031151167461", "3317044064679887385961981"])
+def test_unproven_prime_is_a_configuration_error(capsys, prime):
+    # A strong pseudoprime below the proven bound, and the bound itself.
+    rc, out, err = _run(capsys, "verify", "07-secant", "--prime", prime)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_prime_environment_override(capsys, monkeypatch):

@@ -26,6 +26,33 @@ def test_is_prime_known_values():
     assert not is_prime(2 ** 61 + 1)
 
 
+@pytest.mark.parametrize("n", [41041, 825265, 321197185])
+def test_is_prime_rejects_carmichael_numbers(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_rejects_psi_12():
+    # 399165290221 * 798330580441: a strong pseudoprime to every base up
+    # to 37, so only the base 41 exposes it.
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441
+    assert not is_prime(psi_12)
+    with pytest.raises(ConfigurationError):
+        PrimeField(psi_12)
+
+
+def test_is_prime_refuses_moduli_it_cannot_prove():
+    # psi_13 passes every base up to 41; from there on no answer is proven.
+    psi_13 = 3317044064679887385961981
+    assert psi_13 == 1287836182261 * 2575672364521
+    assert not is_prime(psi_13 - 2)
+    for n in (psi_13, psi_13 + 2, 2 ** 89 - 1):
+        with pytest.raises(ConfigurationError):
+            is_prime(n)
+    with pytest.raises(ConfigurationError):
+        PrimeField(psi_13)
+
+
 def test_default_prime_is_mersenne():
     assert DEFAULT_PRIME == 2 ** 61 - 1
 

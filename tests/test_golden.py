@@ -1,5 +1,7 @@
-"""Byte-for-byte pins of the JSON output of the divisor-class commands and
-of one seeded ``genus5-net`` run with two singular candidates.
+"""Byte-for-byte pins of the JSON output of the divisor-class commands, of
+one seeded ``genus5-net`` run with two singular candidates, and of one
+seeded ``blowup-verify --dump`` run, which holds every kernel basis the
+surface construction computes over F_p.
 
 The files under tests/data were written by the command named in GOLDEN;
 any change to a coefficient, a slot kind or the serialization shows here.
@@ -19,6 +21,7 @@ GOLDEN = {
     "certificate.json": ["certificate"],
     "certificate_solve.json": ["certificate", "--solve", "--z", "13/66"],
     "genus5_net_seed1.json": ["genus5-net", "--seed", "1"],
+    "blowup_verify_seed0.json": ["blowup-verify", "--seed", "0", "--dump"],
 }
 
 

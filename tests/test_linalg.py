@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qmod import linalg
 from qmod.errors import DomainError
 from qmod.fields import QQ, DEFAULT_PRIME, PrimeField
 from qmod.linalg import Matrix
@@ -125,3 +126,73 @@ def test_kernel_basis_is_echelonized():
         assert ones, "each kernel vector is normalized at its free column"
         free_cols.append(ones[-1])
     assert free_cols == sorted(free_cols)
+
+
+# Packed prime-field elimination against the generic one.  2^64 + 13 is
+# above one machine word; 3 and 7 make rank drops common.
+PACKED_PRIMES = [3, 7, 65537, DEFAULT_PRIME, 2 ** 64 + 13]
+
+
+def _generic(m, rhs):
+    """rref, rank, kernel_basis and solve of ``m`` on the generic path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_rref_packed", linalg._rref_generic)
+        return m.rref(), m.rank(), m.kernel_basis(), m.solve(rhs)
+
+
+@st.composite
+def fp_systems(draw):
+    """A matrix over F_p with duplicate rows and zero columns mixed in, and
+    a right-hand side that is consistent about half the time."""
+    p = draw(st.sampled_from(PACKED_PRIMES))
+    nrows = draw(st.integers(0, 7))
+    ncols = draw(st.integers(0, 7))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(nrows):
+        if i and draw(st.booleans()):
+            src = rows[draw(st.integers(0, i - 1))]
+            scale = draw(st.integers(0, p - 1))
+            rows[i] = [scale * x % p for x in src]
+    for j in draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=ncols)):
+        for row in rows:
+            row[j] = 0
+    if draw(st.booleans()):
+        x = [draw(st.integers(0, p - 1)) for _ in range(ncols)]
+        rhs = [sum(a * b for a, b in zip(row, x)) % p for row in rows]
+    else:
+        rhs = [draw(st.integers(0, p - 1)) for _ in range(nrows)]
+    return Matrix(PrimeField(p), nrows, ncols, rows), rhs
+
+
+@given(fp_systems())
+def test_packed_elimination_matches_generic(system):
+    m, rhs = system
+    packed = (m.rref(), m.rank(), m.kernel_basis(), m.solve(rhs))
+    assert packed == _generic(m, rhs)
+
+
+@given(st.sampled_from(PACKED_PRIMES), st.data())
+def test_packed_elimination_reduces_unreduced_entries(p, data):
+    # _skip_check lets entries outside [0, p) through.  Packing reduces
+    # them; a negative slot would otherwise borrow from its neighbour.
+    fp = PrimeField(p)
+    nrows, ncols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    lift = st.sampled_from([-2, -1, 1, 2])
+    rows = [[x + data.draw(lift) * p if x else 0
+             for x in data.draw(st.lists(st.integers(0, p - 1),
+                                         min_size=ncols, max_size=ncols))]
+            for _ in range(nrows)]
+    m = Matrix(fp, nrows, ncols, rows, _skip_check=True)
+    assert m.rref() == _generic(m, [0] * nrows)[0]
+
+
+def test_packed_elimination_of_negative_and_oversized_entries():
+    fp = PrimeField(DEFAULT_PRIME)
+    p = fp.p
+    rows = [[-1, p + 3, 0, 5], [p + 3, -1, 2, -1], [2 * p + 2, 2, 2, p + 4]]
+    m = Matrix(fp, 3, 4, rows, _skip_check=True)
+    assert m.rref() == _generic(m, [0, 0, 0])[0]
+    # A row of multiples of p is a zero row, returned as canonical zeros.
+    zero_row = Matrix(fp, 2, 2, [[p, -p], [-1, 1]], _skip_check=True)
+    assert zero_row.rref()[0].data == [[1, p - 1], [0, 0]]
