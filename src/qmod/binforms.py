@@ -4,6 +4,10 @@ Coefficient i multiplies s^(d-i) t^i.  The declared degree is part of the
 value and is kept even when leading coefficients vanish: a form of declared
 degree d with c[d] = 0 has a root at the point at infinity [0:1], and the
 squarefree test accounts for its multiplicity d - deg(f(1,t)).
+
+The coefficient list of a form is the univariate polynomial f(1, t) padded
+with zeros to the declared degree, so sums, differences and products run
+through ``unipoly`` and are padded back with ``BinaryForm.from_unipoly``.
 """
 
 from __future__ import annotations
@@ -77,16 +81,14 @@ class BinaryForm:
     def add(self, other: "BinaryForm") -> "BinaryForm":
         self._require_same_shape(other)
         F = self.field
-        return BinaryForm(
-            F, self.degree, [F.add(a, b) for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return BinaryForm.from_unipoly(
+            F, unipoly.add(F, self.coeffs, other.coeffs), self.degree)
 
     def sub(self, other: "BinaryForm") -> "BinaryForm":
         self._require_same_shape(other)
         F = self.field
-        return BinaryForm(
-            F, self.degree, [F.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return BinaryForm.from_unipoly(
+            F, unipoly.sub(F, self.coeffs, other.coeffs), self.degree)
 
     def scale(self, a) -> "BinaryForm":
         F = self.field
@@ -97,14 +99,8 @@ class BinaryForm:
         if self.field != other.field:
             raise FieldMismatchError("binary forms over different fields")
         F = self.field
-        d = self.degree + other.degree
-        out = [F.zero] * (d + 1)
-        for i, a in enumerate(self.coeffs):
-            if F.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return BinaryForm(F, d, out)
+        return BinaryForm.from_unipoly(
+            F, unipoly.mul(F, self.coeffs, other.coeffs), self.degree + other.degree)
 
     def evaluate(self, s0, t0):
         F = self.field

@@ -109,7 +109,7 @@ def _cmd_rho(cfg, args):
 
 
 def _cmd_adjusted_rho(cfg, args):
-    alpha = RamificationSequence(int(tok) for tok in args.alpha.split(","))
+    alpha = RamificationSequence(args.alpha)
     v = adjusted_rho(args.g, args.r, args.d, alpha)
     payload = {"g": args.g, "r": args.r, "d": args.d,
                "alpha": list(alpha), "rho": v}
@@ -351,6 +351,22 @@ HANDLERS = {
 }
 
 
+def _int_list(text: str) -> list:
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected a rational number such as 13/66, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--prime", type=int, default=None,
@@ -384,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--alpha", required=True,
+    p.add_argument("--alpha", type=_int_list, required=True,
                    help="comma-separated ramification indices, r+1 entries")
 
     p = sub.add_parser("harris-tu", parents=[common],
@@ -417,9 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certificate", parents=[common],
                        help="general-type decomposition check on (15, 9)")
-    p.add_argument("--x", type=Fraction, default=Fraction(25, 297))
-    p.add_argument("--y", type=Fraction, default=Fraction(2, 297))
-    p.add_argument("--z", type=Fraction, default=Fraction(13, 66))
+    p.add_argument("--x", type=_fraction, default=Fraction(25, 297))
+    p.add_argument("--y", type=_fraction, default=Fraction(2, 297))
+    p.add_argument("--z", type=_fraction, default=Fraction(13, 66))
     p.add_argument("--solve", action="store_true",
                    help="derive x and y from z instead of taking them as given")
 

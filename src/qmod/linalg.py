@@ -65,29 +65,6 @@ class Matrix:
         cols = len(rows_list[0]) if rows_list else 0
         return cls(field, len(rows_list), cols, rows_list)
 
-    @classmethod
-    def zero(cls, field, rows: int, cols: int):
-        z = field.zero
-        return cls(field, rows, cols, [[z] * cols for _ in range(rows)], _skip_check=True)
-
-    @classmethod
-    def identity(cls, field, n: int):
-        z, o = field.zero, field.one
-        return cls(
-            field, n, n,
-            [[o if i == j else z for j in range(n)] for i in range(n)],
-            _skip_check=True,
-        )
-
-    def entry(self, i: int, j: int):
-        return self.data[i][j]
-
-    def row(self, i: int) -> list:
-        return list(self.data[i])
-
-    def column(self, j: int) -> list:
-        return [r[j] for r in self.data]
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)

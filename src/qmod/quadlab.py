@@ -18,7 +18,7 @@ from .binforms import BinaryForm, binary_gcd
 from .errors import ConfigurationError, DomainError, InternalCheckError
 from .fields import DEFAULT_PRIME, PrimeField, derived_rng, require_sampling_prime
 from .linalg import Matrix
-from .ternary import TernaryForm
+from .ternary import TernaryForm, eliminate
 
 
 @lru_cache(maxsize=None)
@@ -284,9 +284,9 @@ class ParamCurve:
 
     def evaluate(self, t) -> list:
         """Affine-chart point c(1, t) as a coordinate list."""
-        t = self.field.coerce(t)
-        one = self.field.one
-        return [comp.evaluate(one, t) for comp in self.components]
+        F = self.field
+        t = F.coerce(t)
+        return [unipoly.evaluate(F, comp.coeffs, t) for comp in self.components]
 
     def to_json_dict(self) -> dict:
         fmt = self.field.format
@@ -713,18 +713,24 @@ def form_matrix_det(entries, unit):
     return states[(1 << n) - 1]
 
 
+def _linear_family_det(form, quadrics):
+    """det(sum_k l_k Q_k) as a form of class ``form`` in the l_k, of
+    degree = matrix size; ``form`` is BinaryForm for a pencil and
+    TernaryForm for a net."""
+    field = quadrics[0].field
+    n = quadrics[0].size
+    if any(q.size != n for q in quadrics):
+        raise DomainError("family members must share the ambient space")
+    if any(q.field != field for q in quadrics):
+        raise DomainError("family members must share the field")
+    lin = [[form(field, 1, [q.entries[i][j] for q in quadrics]) for j in range(n)]
+           for i in range(n)]
+    return form_matrix_det(lin, form(field, 0, [field.one]))
+
+
 def net_discriminant(q1: SymQuadric, q2: SymQuadric, q3: SymQuadric) -> TernaryForm:
     """det(x Q1 + y Q2 + z Q3) as a ternary form of degree = matrix size."""
-    if not (q1.size == q2.size == q3.size):
-        raise DomainError("net members must share the ambient space")
-    if not (q1.field == q2.field == q3.field):
-        raise DomainError("net members must share the field")
-    field = q1.field
-    n = q1.size
-    lin = [[TernaryForm(field, 1,
-                        [q1.entries[i][j], q2.entries[i][j], q3.entries[i][j]])
-            for j in range(n)] for i in range(n)]
-    return form_matrix_det(lin, TernaryForm(field, 0, [field.one]))
+    return _linear_family_det(TernaryForm, (q1, q2, q3))
 
 
 @dataclass(frozen=True)
@@ -787,15 +793,7 @@ def _singular_candidates(field, disc: TernaryForm, qs) -> list | None:
     """
     d1 = disc.partial(0)
     d2 = disc.partial(1)
-    deg = disc.degree - 1
-    bound = 2 * deg * deg
-    nodes = [field.coerce(a) for a in range(bound + 1)]
-    vals = []
-    for a in nodes:
-        f1 = d1.eval_fix_xz(a, field.one)
-        f2 = d2.eval_fix_xz(a, field.one)
-        vals.append(unipoly.resultant_fixed(field, f1, f2, deg, deg))
-    elim = unipoly.interpolate(field, nodes, vals)
+    elim = eliminate(d1, d2, 1)
     if unipoly.is_zero(elim):
         return None
     out = []

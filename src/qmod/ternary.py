@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import DomainError, FieldMismatchError
+from . import unipoly
+from .errors import ConfigurationError, DomainError, FieldMismatchError
 from .binforms import BinaryForm
+from .fields import PrimeField
 
 
 @lru_cache(maxsize=None)
@@ -150,28 +152,24 @@ class TernaryForm:
 
     def eval_fix_xz(self, x0, z0) -> list:
         """Coefficients in y after substituting x = x0, z = z0 (dense, padded)."""
-        F = self.field
-        x0, z0 = F.coerce(x0), F.coerce(z0)
-        px = _powers(F, x0, self.degree)
-        pz = _powers(F, z0, self.degree)
-        out = [F.zero] * (self.degree + 1)
-        for (i, j, k), c in zip(monomials(self.degree), self.coeffs):
-            if F.is_zero(c):
-                continue
-            out[j] = F.add(out[j], F.mul(c, F.mul(px[i], pz[k])))
-        return out
+        return self._coeffs_in(1, x0, z0)
 
     def eval_fix_yz(self, y0, z0) -> list:
         """Coefficients in x after substituting y = y0, z = z0 (dense, padded)."""
+        return self._coeffs_in(0, y0, z0)
+
+    def _coeffs_in(self, var: int, a0, z0) -> list:
+        """Coefficients in x (var 0) or y (var 1) after substituting a0 for
+        the other of the two and z0 for z."""
         F = self.field
-        y0, z0 = F.coerce(y0), F.coerce(z0)
-        py = _powers(F, y0, self.degree)
+        a0, z0 = F.coerce(a0), F.coerce(z0)
+        pa = _powers(F, a0, self.degree)
         pz = _powers(F, z0, self.degree)
         out = [F.zero] * (self.degree + 1)
-        for (i, j, k), c in zip(monomials(self.degree), self.coeffs):
+        for e, c in zip(monomials(self.degree), self.coeffs):
             if F.is_zero(c):
                 continue
-            out[i] = F.add(out[i], F.mul(c, F.mul(py[j], pz[k])))
+            out[e[var]] = F.add(out[e[var]], F.mul(c, F.mul(pa[e[1 - var]], pz[e[2]])))
         return out
 
     def restrict_z0(self) -> BinaryForm:
@@ -202,6 +200,34 @@ class TernaryForm:
             term = pw[0][i].mul(pw[1][j]).mul(pw[2][k])
             acc = acc.add(term.scale(c))
         return acc
+
+
+def eliminate(f: TernaryForm, g: TernaryForm, var: int) -> list:
+    """Res(f, g) with respect to x (var 0) or y (var 1) in the chart z = 1,
+    as a ``unipoly`` polynomial in the other affine variable.
+
+    Each specialization is a polynomial in the eliminated variable taken
+    at the declared degrees deg f and deg g, so a leader vanishing at a
+    node is accounted for (``unipoly.resultant_fixed``).  That resultant
+    has degree at most deg f * deg g in the remaining variable (Bezout;
+    Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, Ch. 8 sec. 7),
+    so it is interpolated from the deg f * deg g + 1 nodes 0, 1, 2, ...;
+    over F_p they are distinct only when p > deg f * deg g.
+    """
+    if f.field != g.field:
+        raise FieldMismatchError("ternary forms over different fields")
+    if var not in (0, 1):
+        raise DomainError("eliminate x (var 0) or y (var 1)")
+    field = f.field
+    bound = f.degree * g.degree
+    if isinstance(field, PrimeField) and field.p <= bound:
+        raise ConfigurationError(
+            f"resultant interpolation needs p > {bound}, prime {field.p} is too small")
+    nodes = [field.coerce(a) for a in range(bound + 1)]
+    vals = [unipoly.resultant_fixed(field, f._coeffs_in(var, a, field.one),
+                                    g._coeffs_in(var, a, field.one), f.degree, g.degree)
+            for a in nodes]
+    return unipoly.interpolate(field, nodes, vals)
 
 
 def _powers(field, a, n: int) -> list:

@@ -203,6 +203,9 @@ def _check_quadric_lab(field, seed):
         strata3 = rank3_strata(r)
         strata4 = rank4_strata(r)
         rng = derived_rng(seed, "qlab-instances", r)
+        # Vanishing on the curve at 2r+1 nodes pins down membership:
+        # the restriction has degree at most 2r.
+        nodes = [curve.evaluate(field.coerce(t)) for t in range(2 * r + 1)]
         exact = 0
         for idx in range(100):
             if idx % 2 == 0:
@@ -215,12 +218,8 @@ def _check_quadric_lab(field, seed):
                 pd = random_rank4_decomposition(field, r, stratum, rng)
                 quad = rank4_from_decomposition(pd, curve)
                 want = 4
-            # Vanishing on the curve at 2r+1 nodes pins down membership:
-            # the restriction has degree at most 2r.
-            for t in range(2 * r + 1):
-                if not field.is_zero(quad.evaluate(curve.evaluate(field.coerce(t)))):
-                    failures.append(f"membership-{r}-{idx}")
-                    break
+            if any(not field.is_zero(quad.evaluate(pt)) for pt in nodes):
+                failures.append(f"membership-{r}-{idx}")
             if quad.rank() == want:
                 exact += 1
             instances += 1

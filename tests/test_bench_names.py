@@ -30,7 +30,13 @@ TARGETS = [(layer, name) for layer, names in _span_targets().items() for name in
 
 @pytest.mark.parametrize("layer, name", TARGETS, ids=[f"{l}.{n}" for l, n in TARGETS])
 def test_span_target_exists(layer, name):
+    # Looked up the way bench/tracer.patch_method wraps a method: in the
+    # class's own __dict__, so an inherited method does not count.
     obj = importlib.import_module("qmod." + layer)
-    for part in name.split("."):
-        obj = getattr(obj, part)
+    if "." in name:
+        cls, meth = name.split(".")
+        obj = vars(getattr(obj, cls))[meth]
+        obj = getattr(obj, "__func__", obj)
+    else:
+        obj = getattr(obj, name)
     assert callable(obj)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qmod.binforms import BinaryForm, binary_gcd, coprime
 from qmod.errors import DomainError
@@ -114,3 +116,32 @@ def test_zero_form_and_scaling():
     assert f.add(z) == f
     assert f.scale(0) == z
     assert f.sub(f) == z
+
+
+@st.composite
+def _form_pair(draw):
+    # Small coefficients make zero entries common; the leading ones are
+    # zeroed on purpose so that the forms carry roots at infinity.
+    degree = draw(st.integers(min_value=0, max_value=4))
+    forms = []
+    for _ in range(2):
+        cs = draw(st.lists(st.integers(min_value=-2, max_value=2).map(FP.coerce),
+                           min_size=degree + 1, max_size=degree + 1))
+        zero_leaders = draw(st.integers(min_value=0, max_value=degree + 1))
+        cs[degree + 1 - zero_leaders:] = [0] * zero_leaders
+        forms.append(BinaryForm(FP, degree, cs))
+    return forms
+
+
+@given(_form_pair(), _form_pair(), st.integers(-3, 3), st.integers(-3, 3))
+def test_arithmetic_agrees_with_pointwise_evaluation(pair, other, s, t):
+    f, g = pair
+    h = other[0]
+    s, t = FP.coerce(s), FP.coerce(t)
+    fv, gv, hv = f.evaluate(s, t), g.evaluate(s, t), h.evaluate(s, t)
+    total, diff, prod = f.add(g), f.sub(g), f.mul(h)
+    assert total.degree == diff.degree == f.degree
+    assert prod.degree == f.degree + h.degree
+    assert total.evaluate(s, t) == FP.add(fv, gv)
+    assert diff.evaluate(s, t) == FP.sub(fv, gv)
+    assert prod.evaluate(s, t) == FP.mul(fv, hv)

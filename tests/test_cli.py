@@ -56,6 +56,30 @@ def test_certificate_off_line_multiplier_fails(capsys):
     assert payload["passed"] is False
 
 
+def test_adjusted_rho_reads_the_ramification_list(capsys):
+    rc, payload, _ = _run_json(capsys, "adjusted-rho", "--g", "5", "--r", "1",
+                               "--d", "4", "--alpha", "0,1")
+    assert rc == 0
+    assert payload["alpha"] == [0, 1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("adjusted-rho", "--g", "5", "--r", "1", "--d", "4", "--alpha", "a,b"),
+    ("adjusted-rho", "--g", "5", "--r", "1", "--d", "4", "--alpha", "0,"),
+    ("certificate", "--z", "1/0"),
+    ("certificate", "--z", "1/0", "--solve"),
+    ("certificate", "--x", "1/0"),
+    ("certificate", "--y", "1/0", "--solve"),
+    ("certificate", "--x", "one"),
+])
+def test_malformed_numbers_are_usage_errors(capsys, argv):
+    rc, out, err = _run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_certificate_solve_recovers_defaults(capsys):
     rc, payload, _ = _run_json(capsys, "certificate", "--solve")
     assert rc == 0

@@ -35,6 +35,7 @@ from qmod.quadlab import (
     secant_condition,
     upper_pairs,
 )
+from qmod.surface import pencil_discriminant
 from qmod.ternary import TernaryForm
 
 FP = PrimeField(DEFAULT_PRIME)
@@ -355,6 +356,16 @@ def test_form_determinant_matches_scalar_determinant():
         lams = [FP.random_element(rng) for _ in range(3)]
         combo = linear_combination(FP, qs, lams)
         assert disc.evaluate(*lams) == combo.matrix().det()
+
+
+def test_family_discriminants_reject_mismatched_members():
+    q3, q4 = SymQuadric.zero(FP, 3), SymQuadric.zero(FP, 4)
+    other = SymQuadric.zero(PrimeField(101), 3)
+    for bad in ((q3, q4), (q3, other)):
+        with pytest.raises(DomainError):
+            pencil_discriminant(*bad)
+        with pytest.raises(DomainError):
+            net_discriminant(q3, *bad)
 
 
 def test_form_determinant_empty_matrix():

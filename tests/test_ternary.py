@@ -1,10 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qmod.errors import DomainError
-from qmod.fields import DEFAULT_PRIME, PrimeField
-from qmod.ternary import TernaryForm, monomial_count, monomial_index, monomials
+from qmod import unipoly
+from qmod.errors import ConfigurationError, DomainError
+from qmod.fields import DEFAULT_PRIME, QQ, PrimeField
+from qmod.ternary import (TernaryForm, eliminate, monomial_count, monomial_index,
+                          monomials)
 
 FP = PrimeField(DEFAULT_PRIME)
 
@@ -103,3 +108,41 @@ def test_product_degree_and_values():
     for _ in range(5):
         pt = [FP.random_element(rng) for _ in range(3)]
         assert fg.evaluate(*pt) == FP.mul(f.evaluate(*pt), g.evaluate(*pt))
+
+
+@st.composite
+def _elimination_case(draw):
+    field = draw(st.sampled_from([QQ, PrimeField(101), FP]))
+    coeff = (st.integers(-9, 9).map(Fraction) if field is QQ
+             else st.integers(0, field.p - 1))
+    forms = []
+    for _ in range(2):
+        degree = draw(st.integers(min_value=1, max_value=4))
+        cs = draw(st.lists(coeff, min_size=monomial_count(degree),
+                           max_size=monomial_count(degree)))
+        forms.append(TernaryForm(field, degree, cs))
+    return field, forms
+
+
+@given(_elimination_case(), st.sampled_from([0, 1]),
+       st.lists(st.integers(min_value=17, max_value=100), min_size=3, max_size=3))
+def test_elimination_matches_declared_degree_sylvester(case, var, points):
+    # The interpolation nodes are 0..deg f * deg g <= 16; the points checked
+    # lie above them, so a node count below the Bezout bound is caught.
+    field, (f, g) = case
+    res = eliminate(f, g, var)
+    fix = ("eval_fix_yz", "eval_fix_xz")[var]
+    for a in points:
+        a = field.coerce(a)
+        u = unipoly.normalize(field, getattr(f, fix)(a, field.one))
+        v = unipoly.normalize(field, getattr(g, fix)(a, field.one))
+        want = unipoly.sylvester_matrix(field, u, v, f.degree, g.degree).det()
+        assert unipoly.evaluate(field, res, a) == want
+
+
+def test_elimination_needs_more_elements_than_its_node_bound():
+    f = TernaryForm(PrimeField(13), 4, [1] * monomial_count(4))
+    with pytest.raises(ConfigurationError):
+        eliminate(f, f, 0)
+    g = TernaryForm(PrimeField(17), 4, [1] * monomial_count(4))
+    assert eliminate(g, g, 1) == []
