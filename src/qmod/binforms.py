@@ -149,8 +149,3 @@ def binary_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     affine = unipoly.gcd(F, f.dehomogenize(), g.dehomogenize())
     k = min(f.infinity_multiplicity(), g.infinity_multiplicity())
     return BinaryForm.from_unipoly(F, affine, unipoly.degree(affine) + k)
-
-
-def coprime(f: BinaryForm, g: BinaryForm) -> bool:
-    """True when f and g share no projective root."""
-    return binary_gcd(f, g).degree == 0

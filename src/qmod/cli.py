@@ -40,16 +40,11 @@ from .quadlab import (
     genus4_check,
     genus5_net_check,
     i2_basis,
+    random_chord,
     rnc_i2_dim,
     secant_condition,
 )
-from .surface import (
-    PointConfig,
-    blowup_verify,
-    hyperplane_class,
-    interpolation_basis,
-    surface_i2,
-)
+from .surface import blowup_verify
 from .verify import CHECKS, check_names, run_check
 
 
@@ -222,13 +217,7 @@ def _cmd_secant(cfg, args):
         chords = [(field.coerce(args.t1), field.coerce(args.t2))]
     else:
         rng = derived_rng(cfg.seed, "secant-cli", args.r)
-        chords = []
-        for _ in range(cfg.repeat):
-            t1 = field.random_element(rng)
-            t2 = field.random_element(rng)
-            while t2 == t1:
-                t2 = field.random_element(rng)
-            chords.append((t1, t2))
+        chords = [random_chord(field, rng) for _ in range(cfg.repeat)]
     codims = [secant_condition(curve, t1, t2, system=system)
               for t1, t2 in chords]
     payload = {"r": args.r, "chords": len(codims), "codims": codims}
@@ -267,11 +256,9 @@ def _cmd_blowup_verify(cfg, args):
     rep = blowup_verify(cfg.seed, field=cfg.field)
     payload = rep.to_json_dict()
     if args.dump and rep.passed:
-        pts = PointConfig.sample(cfg.field, 15, rep.seed)
-        hs = interpolation_basis(pts, hyperplane_class())
-        payload["dump"] = {"points": pts.to_json_dict(),
-                           "hyperplane_system": hs.to_json_dict(),
-                           "quadrics": surface_i2(pts).to_json_dict()}
+        payload["dump"] = {"points": rep.config.to_json_dict(),
+                           "hyperplane_system": rep.hyperplane.to_json_dict(),
+                           "quadrics": rep.quadrics.to_json_dict()}
     lines = [
         f"seed: {rep.seed}",
         f"stage reached: {rep.stage}",
@@ -294,8 +281,7 @@ def _cmd_pencil_disc(cfg, args):
         return 1
     payload = {"seed": rep.seed, "pencil": rep.pencil.to_json_dict()}
     if args.dump:
-        pts = PointConfig.sample(cfg.field, 15, rep.seed)
-        payload["dump"] = surface_i2(pts).to_json_dict()
+        payload["dump"] = rep.quadrics.to_json_dict()
     pencil = rep.pencil
     lines = [
         f"seed: {rep.seed}",

@@ -227,9 +227,6 @@ class PrimeField:
     def random_element(self, rng: random.Random):
         return rng.randrange(self.p)
 
-    def random_nonzero(self, rng: random.Random):
-        return rng.randrange(1, self.p)
-
     def __repr__(self):
         return f"F_{self.p}"
 

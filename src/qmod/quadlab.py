@@ -1,11 +1,14 @@
 """Quadrics through parametrized rational curves.
 
 Curves live in projective r-space as tuples of binary forms, quadrics as
-symmetric matrices.  The ideal-of-quadrics computation is exact by degree
-counting: a binary form of degree 2d vanishing at 2d + 1 parameter values
-is zero, so no Groebner machinery is needed.  Randomness enters only where
-genericity is itself the question, always through seeded derived streams
-with a bounded resample-and-report protocol.
+symmetric matrices.  The ideal-of-quadrics computation is exact linear
+algebra on coefficients: a quadric sum c_ij x_i x_j contains the image of
+forms f_0 .. f_r exactly when sum c_ij f_i f_j is the zero form, so the
+quadrics are the kernel of the matrix whose columns are the products
+f_i f_j.  No evaluation nodes, hence no bound on the characteristic, and
+no Groebner machinery.  Randomness enters only where genericity is itself
+the question, always through seeded derived streams with a bounded
+resample-and-report protocol.
 """
 
 from __future__ import annotations
@@ -194,25 +197,6 @@ class QuadricSystem:
     def dim(self) -> int:
         return len(self.basis)
 
-    def members(self) -> list[SymQuadric]:
-        return list(self.basis)
-
-    def coordinates(self, q: SymQuadric) -> list | None:
-        """Coefficients expressing q over the basis, or None if outside."""
-        if q.field != self.field or q.size != self.r + 1:
-            raise DomainError("quadric does not live in this system's space")
-        if not self.basis:
-            return [] if q.is_zero() else None
-        cols = [b.upper_coeffs() for b in self.basis]
-        n = len(cols[0])
-        m = Matrix(self.field, n, len(cols),
-                   [[cols[j][i] for j in range(len(cols))] for i in range(n)],
-                   _skip_check=True)
-        return m.solve(q.upper_coeffs())
-
-    def contains(self, q: SymQuadric) -> bool:
-        return self.coordinates(q) is not None
-
     def evaluate_all(self, point) -> list:
         return [q.evaluate(point) for q in self.basis]
 
@@ -288,35 +272,32 @@ class ParamCurve:
         t = F.coerce(t)
         return [unipoly.evaluate(F, comp.coeffs, t) for comp in self.components]
 
-    def to_json_dict(self) -> dict:
-        fmt = self.field.format
-        return {"r": self.r, "degree": self.degree,
-                "components": [[fmt(c) for c in comp.coeffs]
-                               for comp in self.components]}
+
+def _quadrics_through(field, r: int, forms) -> QuadricSystem:
+    """Quadrics in P^r containing the image of the r + 1 forms.
+
+    The products forms[i] * forms[j], in upper_pairs order, are the
+    columns and their coefficients the rows; a kernel vector is the
+    upper-pair coefficient list of a quadric that pulls back to zero.
+    """
+    pairs = upper_pairs(r + 1)
+    prods = [forms[i].mul(forms[j]).coeffs for (i, j) in pairs]
+    rows = [list(row) for row in zip(*prods)]
+    kern = Matrix(field, len(rows), len(pairs), rows, _skip_check=True).kernel_basis()
+    return QuadricSystem(field, r, [SymQuadric.from_upper_coeffs(field, r + 1, v)
+                                    for v in kern])
 
 
 def i2_basis(c: ParamCurve) -> QuadricSystem:
-    """Quadrics vanishing on the curve, computed exactly by evaluation.
+    """Quadrics vanishing on the curve, computed exactly from coefficients.
 
-    A quadric restricted to the curve is a binary form of degree 2d, so
-    vanishing at the 2d + 1 parameter values t = 0 .. 2d forces vanishing
-    identically.  Over a prime field this needs p > 2d distinct nodes.
+    A quadric restricted to the curve is the binary form sum c_ij f_i f_j
+    of degree 2d, so vanishing on the curve is the vanishing of its 2d + 1
+    coefficients: exact over any field, whatever its size.
     """
     if c.r < 3:
         raise DomainError("quadric systems need ambient dimension r >= 3")
-    field = c.field
-    if isinstance(field, PrimeField) and field.p <= 2 * c.degree:
-        raise ConfigurationError(
-            f"need p > {2 * c.degree} evaluation nodes, prime {field.p} is too small"
-        )
-    pairs = upper_pairs(c.r + 1)
-    rows = []
-    for t in range(2 * c.degree + 1):
-        pt = c.evaluate(t)
-        rows.append([field.mul(pt[i], pt[j]) for (i, j) in pairs])
-    kern = Matrix(field, len(rows), len(pairs), rows, _skip_check=True).kernel_basis()
-    quads = [SymQuadric.from_upper_coeffs(field, c.r + 1, v) for v in kern]
-    return QuadricSystem(field, c.r, quads)
+    return _quadrics_through(c.field, c.r, c.components)
 
 
 def rnc_i2_dim(r: int) -> int:
@@ -371,22 +352,6 @@ def _require_monomial_curve(c: ParamCurve):
         raise DomainError("construction is written against the monomial curve")
 
 
-def _pencil_quadric(field, a, b, c, d) -> SymQuadric:
-    # Matrix of the form l(a)l(b) - l(c)l(d), where l sends a coefficient
-    # list to the linear form with those coefficients.
-    n = len(a)
-    half = field.inv(field.coerce(2))
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            pos = field.add(field.mul(a[i], b[j]), field.mul(a[j], b[i]))
-            neg = field.add(field.mul(c[i], d[j]), field.mul(c[j], d[i]))
-            row.append(field.mul(half, field.sub(pos, neg)))
-        rows.append(row)
-    return SymQuadric(field, rows, _skip_check=True)
-
-
 # Both bounded-rank shapes are Q = l(A) l(B) - l(C) l(D), each product
 # spelled by the decomposition members it multiplies.  Rank 3 is the rank-4
 # word list with (u, v) = (f, g).
@@ -408,7 +373,9 @@ def _bounded_rank_quadric(pd: PencilDecomposition, c: ParamCurve) -> SymQuadric:
     a, b, cc, d = (_product(pd, w) for w in _PRODUCTS[k])
     if a.mul(b) != cc.mul(d):
         raise InternalCheckError(f"rank-{k} product identity failed")
-    q = _pencil_quadric(c.field, a.coeffs, b.coeffs, cc.coeffs, d.coeffs)
+    n = len(a.coeffs)
+    q = SymQuadric.from_upper_coeffs(c.field, n, _combo_row(
+        c.field, upper_pairs(n), [(1, a.coeffs, b.coeffs), (-1, cc.coeffs, d.coeffs)]))
     if q.rank() > k:
         raise InternalCheckError(f"rank-{k} construction exceeded rank {k}")
     return q
@@ -600,6 +567,15 @@ def family_dimension(r: int, k: int, stratum, *, field=None, seed: int = 0) -> i
         rank = Matrix(field, len(rows), ncols, rows, _skip_check=True).rank()
         best = max(best, rank - 1)
     return best
+
+
+def random_chord(field, rng) -> tuple:
+    """Two distinct random parameter values, the second redrawn on a tie."""
+    t1 = field.random_element(rng)
+    t2 = field.random_element(rng)
+    while t2 == t1:
+        t2 = field.random_element(rng)
+    return t1, t2
 
 
 def secant_condition(c: ParamCurve, t1, t2, *, system: QuadricSystem | None = None) -> int:

@@ -12,6 +12,7 @@ draws with bounded retries.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from math import comb, perm
 
@@ -21,7 +22,7 @@ from .errors import (ConfigurationError, DomainError, GenericityError,
                      InternalCheckError)
 from .fields import DEFAULT_PRIME, PrimeField, derived_rng, require_sampling_prime
 from .linalg import Matrix
-from .quadlab import QuadricSystem, SymQuadric, _linear_family_det, upper_pairs
+from .quadlab import QuadricSystem, SymQuadric, _linear_family_det, _quadrics_through
 from .ternary import TernaryForm, _powers, eliminate, monomial_count, monomials
 
 
@@ -319,21 +320,6 @@ def interpolation_basis(cfg: PointConfig, cls: NSClass) -> PlaneSystem:
     return sys_
 
 
-def _i2_from_plane_system(sys_: PlaneSystem) -> QuadricSystem:
-    field = sys_.field
-    forms = sys_.forms()
-    deg = 2 * sys_.cls.a
-    pairs = upper_pairs(sys_.dim)
-    prods = [forms[i].mul(forms[j]).coeffs for (i, j) in pairs]
-    # Coefficient vectors annihilating the products: kernel with the
-    # products as columns, one row per degree-2a monomial.
-    rows = [[prod[t] for prod in prods] for t in range(monomial_count(deg))]
-    kern = Matrix(field, monomial_count(deg), len(prods), rows,
-                  _skip_check=True).kernel_basis()
-    quads = [SymQuadric.from_upper_coeffs(field, sys_.dim, v) for v in kern]
-    return QuadricSystem(field, sys_.dim - 1, quads)
-
-
 def surface_i2(cfg: PointConfig) -> QuadricSystem:
     """Quadrics through the image of the embedding system.
 
@@ -343,7 +329,7 @@ def surface_i2(cfg: PointConfig) -> QuadricSystem:
     if cfg.n != 15:
         raise DomainError("the embedding construction uses 15 points")
     hs = interpolation_basis(cfg, hyperplane_class())
-    qs = _i2_from_plane_system(hs)
+    qs = _quadrics_through(cfg.field, hs.dim - 1, hs.forms())
     if qs.dim != 2:
         raise GenericityError(
             f"quadric system dimension {qs.dim}, expected 2",
@@ -553,9 +539,19 @@ def separation_evidence(sys_: PlaneSystem, trials: int, seed: int = 0) -> Separa
     return SeparationReport(trials=trials, failures=failures, passed=failures == 0)
 
 
+def _carried():
+    # A built object a report keeps for dumping, outside equality and repr.
+    return dataclasses.field(default=None, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class SurfaceReport:
-    """Outcome of the full blow-up verification chain for one seed."""
+    """Outcome of the full blow-up verification chain for one seed.
+
+    The sampled points, the hyperplane system and the quadric system the
+    report judged ride along for dumping; they take no part in equality,
+    repr or the JSON payload.
+    """
 
     seed: int
     prime: int
@@ -566,6 +562,9 @@ class SurfaceReport:
     i2_dim: int | None
     pencil: PencilReport | None
     passed: bool
+    config: PointConfig | None = _carried()
+    hyperplane: PlaneSystem | None = _carried()
+    quadrics: QuadricSystem | None = _carried()
 
     def to_json_dict(self) -> dict:
         return {
@@ -603,8 +602,7 @@ def blowup_report(seed: int, field=None) -> SurfaceReport:
         field = PrimeField(DEFAULT_PRIME)
     require_sampling_prime(field)
     prime = field.p if isinstance(field, PrimeField) else 0
-    h_dim = curve_dim = residual_dim = i2_dim = None
-    pencil = None
+    h_dim = curve_dim = residual_dim = None
     try:
         cfg = PointConfig.sample(field, 15, seed)
     except GenericityError:
@@ -616,17 +614,16 @@ def blowup_report(seed: int, field=None) -> SurfaceReport:
         residual_dim = interpolation_basis(cfg, residual_class()).dim
     except GenericityError:
         return SurfaceReport(seed, prime, "linear-systems", h_dim, curve_dim,
-                             residual_dim, None, None, False)
-    qs = _i2_from_plane_system(hs)
-    i2_dim = qs.dim
-    if i2_dim != 2:
+                             residual_dim, None, None, False, cfg)
+    qs = _quadrics_through(field, hs.dim - 1, hs.forms())
+    if qs.dim != 2:
         return SurfaceReport(seed, prime, "quadrics", h_dim, curve_dim,
-                             residual_dim, i2_dim, None, False)
+                             residual_dim, qs.dim, None, False, cfg, hs, qs)
     pencil = pencil_nondegeneracy(qs)
     passed = (h_dim == 7 and curve_dim == 12 and residual_dim == 0
-              and i2_dim == 2 and pencil.nondegenerate and pencil.degree == 7)
+              and pencil.nondegenerate and pencil.degree == 7)
     return SurfaceReport(seed, prime, "complete", h_dim, curve_dim,
-                         residual_dim, i2_dim, pencil, passed)
+                         residual_dim, qs.dim, pencil, passed, cfg, hs, qs)
 
 
 def blowup_verify(seed: int, field=None) -> SurfaceReport:

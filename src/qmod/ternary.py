@@ -154,10 +154,6 @@ class TernaryForm:
         """Coefficients in y after substituting x = x0, z = z0 (dense, padded)."""
         return self._coeffs_in(1, x0, z0)
 
-    def eval_fix_yz(self, y0, z0) -> list:
-        """Coefficients in x after substituting y = y0, z = z0 (dense, padded)."""
-        return self._coeffs_in(0, y0, z0)
-
     def _coeffs_in(self, var: int, a0, z0) -> list:
         """Coefficients in x (var 0) or y (var 1) after substituting a0 for
         the other of the two and z0 for z."""

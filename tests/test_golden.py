@@ -1,7 +1,9 @@
 """Byte-for-byte pins of the JSON output of the divisor-class commands, of
-one seeded ``genus5-net`` run with two singular candidates, and of one
-seeded ``blowup-verify --dump`` run, which holds every kernel basis the
-surface construction computes over F_p.
+one seeded ``genus5-net`` run with two singular candidates, of one seeded
+``blowup-verify --dump`` run, which holds every kernel basis the surface
+construction computes over F_p, of the quadric pencil that
+``pencil-disc --dump`` reports, and of the quadrics through the rational
+normal quintic over F_p and over the rationals (``rnc-i2 --dump``).
 
 The files under tests/data were written by the command named in GOLDEN;
 any change to a coefficient, a slot kind or the serialization shows here.
@@ -22,6 +24,9 @@ GOLDEN = {
     "certificate_solve.json": ["certificate", "--solve", "--z", "13/66"],
     "genus5_net_seed1.json": ["genus5-net", "--seed", "1"],
     "blowup_verify_seed0.json": ["blowup-verify", "--seed", "0", "--dump"],
+    "pencil_disc_seed0.json": ["pencil-disc", "--seed", "0", "--dump"],
+    "rnc_i2_r5.json": ["rnc-i2", "--r", "5", "--dump"],
+    "rnc_i2_r5_rational.json": ["rnc-i2", "--r", "5", "--rational", "--dump"],
 }
 
 

@@ -3,12 +3,16 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from qmod import unipoly
 from qmod.binforms import BinaryForm
+from qmod.cli import main
 from qmod.errors import ConfigurationError, DomainError
 from qmod.fields import QQ, DEFAULT_PRIME, PrimeField, derived_rng
 from qmod.invariants import expected_dim_q
+from qmod.linalg import Matrix
 from qmod.quadlab import (
     ParamCurve,
     PencilDecomposition,
@@ -142,9 +146,57 @@ def test_quadric_system_dimensions():
     assert rnc_i2_dim(6) == 15
 
 
-def test_i2_needs_enough_nodes():
-    with pytest.raises(ConfigurationError):
-        i2_basis(ParamCurve.rational_normal(PrimeField(5), 3))
+def test_i2_needs_no_evaluation_nodes(capsys):
+    # The kernel is taken on product coefficients, so a prime below the
+    # 2d + 1 parameter values an evaluation route would need is no obstacle.
+    assert i2_basis(ParamCurve.rational_normal(PrimeField(5), 3)).dim == 3
+    assert i2_basis(ParamCurve.rational_normal(PrimeField(3), 4)).dim == 6
+    assert main(["rnc-i2", "--r", "3", "--prime", "5"]) == 0
+    assert capsys.readouterr().out == "dim I2 = 3 (expected 3)\n"
+
+
+def _i2_by_evaluation(c):
+    # Test oracle: the evaluation route.  A quadric restricted to the curve
+    # is a binary form of degree 2d, so vanishing at the parameter values
+    # t = 0 .. 2d (distinct once p > 2d) forces it to vanish.  The matrices
+    # are assembled here with the halving written out, independently of
+    # SymQuadric.from_upper_coeffs.
+    field = c.field
+    pairs = upper_pairs(c.r + 1)
+    rows = []
+    for t in range(2 * c.degree + 1):
+        pt = c.evaluate(t)
+        rows.append([field.mul(pt[i], pt[j]) for (i, j) in pairs])
+    half = field.inv(field.coerce(2))
+    out = []
+    for v in Matrix(field, len(rows), len(pairs), rows).kernel_basis():
+        m = [[field.zero] * (c.r + 1) for _ in range(c.r + 1)]
+        for (i, j), x in zip(pairs, v):
+            m[i][j] = m[j][i] = field.coerce(x) if i == j else field.mul(half, x)
+        out.append(m)
+    return out
+
+
+@st.composite
+def _param_curves(draw):
+    field = draw(st.sampled_from([QQ, PrimeField(101), FP]))
+    r = draw(st.integers(min_value=3, max_value=6))
+    d = draw(st.integers(min_value=r, max_value=r + 2))
+    coeffs = st.lists(st.integers(min_value=-1000, max_value=1000),
+                      min_size=d + 1, max_size=d + 1)
+    comps = [BinaryForm(field, d, [field.coerce(x) for x in draw(coeffs)])
+             for _ in range(r + 1)]
+    try:
+        c = ParamCurve(field, r, comps)
+    except DomainError:  # the components share a root
+        assume(False)
+    assume(not c.is_monomial_basis())
+    return c
+
+
+@given(_param_curves())
+def test_i2_basis_matches_evaluation_oracle(c):
+    assert [q.entries for q in i2_basis(c).basis] == _i2_by_evaluation(c)
 
 
 def test_i2_needs_honest_ambient_dimension():
@@ -160,15 +212,20 @@ def test_quadric_system_rejects_dependent_basis():
         QuadricSystem(FP, 3, [q, q.scale(2)])
 
 
+def _coordinates(system, q):
+    # Coefficients expressing q over the system's basis, None outside it.
+    cols = [b.upper_coeffs() for b in system.basis]
+    m = Matrix(system.field, len(cols[0]), len(cols), [list(row) for row in zip(*cols)])
+    return m.solve(q.upper_coeffs())
+
+
 def test_quadric_system_membership():
     system = i2_basis(ParamCurve.rational_normal(FP, 4))
-    member = linear_combination(FP, system.members(),
-                                [1, 2, 3, 4, 5, 6][: system.dim])
-    assert system.contains(member)
-    coords = system.coordinates(member)
-    assert coords == [1, 2, 3, 4, 5, 6][: system.dim]
+    coeffs = [1, 2, 3, 4, 5, 6][: system.dim]
+    member = linear_combination(FP, system.basis, coeffs)
+    assert _coordinates(system, member) == coeffs
     outsider = SymQuadric.from_upper_coeffs(FP, 5, [1] + [0] * 14)
-    assert not system.contains(outsider)
+    assert _coordinates(system, outsider) is None
 
 
 def test_rank3_construction_on_split_pencil():

@@ -144,7 +144,7 @@ def test_surface_quadric_pair():
     for _ in range(50):
         x0, y0 = FP.random_element(rng), FP.random_element(rng)
         image = [f.evaluate(x0, y0, 1) for f in forms]
-        for q in qs.members():
+        for q in qs.basis:
             assert FP.is_zero(q.evaluate(image))
 
 

@@ -63,7 +63,7 @@ def test_single_variable_specializations():
         for i, c in enumerate(in_y):
             got = FP.add(got, FP.mul(c, pow(y0, i, FP.p)))
         assert got == f.evaluate(x0, y0, z0)
-        in_x = f.eval_fix_yz(y0, z0)
+        in_x = f._coeffs_in(0, y0, z0)
         got = FP.zero
         for i, c in enumerate(in_x):
             got = FP.add(got, FP.mul(c, pow(x0, i, FP.p)))
@@ -131,11 +131,10 @@ def test_elimination_matches_declared_degree_sylvester(case, var, points):
     # lie above them, so a node count below the Bezout bound is caught.
     field, (f, g) = case
     res = eliminate(f, g, var)
-    fix = ("eval_fix_yz", "eval_fix_xz")[var]
     for a in points:
         a = field.coerce(a)
-        u = unipoly.normalize(field, getattr(f, fix)(a, field.one))
-        v = unipoly.normalize(field, getattr(g, fix)(a, field.one))
+        u = unipoly.normalize(field, f._coeffs_in(var, a, field.one))
+        v = unipoly.normalize(field, g._coeffs_in(var, a, field.one))
         want = unipoly.sylvester_matrix(field, u, v, f.degree, g.degree).det()
         assert unipoly.evaluate(field, res, a) == want
 
