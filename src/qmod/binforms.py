@@ -7,7 +7,8 @@ squarefree test accounts for its multiplicity d - deg(f(1,t)).
 
 The coefficient list of a form is the univariate polynomial f(1, t) padded
 with zeros to the declared degree, so sums, differences and products run
-through ``unipoly`` and are padded back with ``BinaryForm.from_unipoly``.
+through ``unipoly`` and are padded back with ``BinaryForm.from_unipoly``;
+those lists are already canonical, so they skip the constructor's check.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ class BinaryForm:
 
     __slots__ = ("field", "degree", "coeffs")
 
-    def __init__(self, field, degree: int, coeffs):
+    def __init__(self, field, degree: int, coeffs, *, _skip_check=False):
         if degree < 0:
             raise DomainError("binary form degree must be nonnegative")
         coeffs = list(coeffs)
@@ -29,12 +30,14 @@ class BinaryForm:
             raise DomainError(
                 f"degree-{degree} form needs {degree + 1} coefficients, got {len(coeffs)}"
             )
-        for c in coeffs:
-            if not field.is_element(c):
-                raise FieldMismatchError(f"coefficient {c!r} is not a {field!r} scalar")
+        if not _skip_check:
+            for c in coeffs:
+                if not field.is_element(c):
+                    raise FieldMismatchError(f"coefficient {c!r} is not a {field!r} scalar")
+            coeffs = [field.coerce(c) for c in coeffs]
         self.field = field
         self.degree = degree
-        self.coeffs = [field.coerce(c) for c in coeffs]
+        self.coeffs = coeffs
 
     @classmethod
     def zero(cls, field, degree: int) -> "BinaryForm":
@@ -50,16 +53,15 @@ class BinaryForm:
         return cls(field, degree, coeffs)
 
     @classmethod
-    def from_unipoly(cls, field, cs, degree: int) -> "BinaryForm":
+    def from_unipoly(cls, field, cs, degree: int, *, _skip_check=False) -> "BinaryForm":
         """Homogenize a univariate polynomial in t to declared degree."""
         if unipoly.degree(cs) > degree:
             raise DomainError("declared degree below actual degree")
         coeffs = list(cs) + [field.zero] * (degree + 1 - len(cs))
-        return cls(field, degree, coeffs)
+        return cls(field, degree, coeffs, _skip_check=_skip_check)
 
     def is_zero(self) -> bool:
-        F = self.field
-        return all(F.is_zero(c) for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __eq__(self, other):
         return (
@@ -82,40 +84,33 @@ class BinaryForm:
         self._require_same_shape(other)
         F = self.field
         return BinaryForm.from_unipoly(
-            F, unipoly.add(F, self.coeffs, other.coeffs), self.degree)
+            F, unipoly.add(F, self.coeffs, other.coeffs), self.degree, _skip_check=True)
 
     def sub(self, other: "BinaryForm") -> "BinaryForm":
         self._require_same_shape(other)
         F = self.field
         return BinaryForm.from_unipoly(
-            F, unipoly.sub(F, self.coeffs, other.coeffs), self.degree)
+            F, unipoly.sub(F, self.coeffs, other.coeffs), self.degree, _skip_check=True)
 
     def scale(self, a) -> "BinaryForm":
         F = self.field
         a = F.coerce(a)
-        return BinaryForm(F, self.degree, [F.mul(a, c) for c in self.coeffs])
+        return BinaryForm(F, self.degree, [F.coerce(a * c) for c in self.coeffs],
+                          _skip_check=True)
 
     def mul(self, other: "BinaryForm") -> "BinaryForm":
         if self.field != other.field:
             raise FieldMismatchError("binary forms over different fields")
         F = self.field
         return BinaryForm.from_unipoly(
-            F, unipoly.mul(F, self.coeffs, other.coeffs), self.degree + other.degree)
+            F, unipoly.mul(F, self.coeffs, other.coeffs), self.degree + other.degree,
+            _skip_check=True)
 
     def evaluate(self, s0, t0):
         F = self.field
         s0, t0 = F.coerce(s0), F.coerce(t0)
         d = self.degree
-        # Horner in t with the s-powers folded in.
-        spow = [F.one]
-        for _ in range(d):
-            spow.append(F.mul(spow[-1], s0))
-        acc = F.zero
-        tpow = F.one
-        for i, c in enumerate(self.coeffs):
-            acc = F.add(acc, F.mul(c, F.mul(spow[d - i], tpow)))
-            tpow = F.mul(tpow, t0)
-        return acc
+        return F.coerce(sum(c * s0 ** (d - i) * t0 ** i for i, c in enumerate(self.coeffs)))
 
     def dehomogenize(self) -> list:
         """f(1, t) as a univariate polynomial in t."""
@@ -148,4 +143,4 @@ def binary_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     F = f.field
     affine = unipoly.gcd(F, f.dehomogenize(), g.dehomogenize())
     k = min(f.infinity_multiplicity(), g.infinity_multiplicity())
-    return BinaryForm.from_unipoly(F, affine, unipoly.degree(affine) + k)
+    return BinaryForm.from_unipoly(F, affine, unipoly.degree(affine) + k, _skip_check=True)

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from .errors import ConfigurationError, DomainError, GenericityError
-from .fields import DEFAULT_PRIME, QQ, PrimeField, derived_rng, is_prime
+from .fields import DEFAULT_PRIME, QQ, PrimeField, derived_rng
 from .invariants import (
     RamificationSequence,
     adjusted_rho,
@@ -51,18 +51,12 @@ from .verify import CHECKS, check_names, run_check
 class RunConfig:
     """Global options shared by every subcommand."""
 
-    def __init__(self, prime: int, seed: int, fmt: str, repeat: int):
-        self.prime = prime
+    def __init__(self, field: PrimeField, seed: int, fmt: str, repeat: int):
+        self.field = field
+        self.prime = field.p
         self.seed = seed
         self.fmt = fmt
         self.repeat = repeat
-        self._field = None
-
-    @property
-    def field(self) -> PrimeField:
-        if self._field is None:
-            self._field = PrimeField(self.prime)
-        return self._field
 
 
 def _emit(cfg: RunConfig, payload: dict, lines) -> int:
@@ -496,19 +490,14 @@ def main(argv=None) -> int:
         else:
             prime = DEFAULT_PRIME
     try:
-        proven = prime >= 3 and is_prime(prime)
+        field = PrimeField(prime)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not proven:
-        print(f"error: prime must be an odd prime >= 3, got {prime}",
-              file=sys.stderr)
         return 2
     if args.repeat < 1:
         print(f"error: --repeat must be >= 1, got {args.repeat}", file=sys.stderr)
         return 2
-    cfg = RunConfig(prime=prime, seed=args.seed, fmt=args.format,
-                    repeat=args.repeat)
+    cfg = RunConfig(field, seed=args.seed, fmt=args.format, repeat=args.repeat)
     handler = HANDLERS[args.command]
     try:
         return handler(cfg, args)

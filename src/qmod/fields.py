@@ -1,8 +1,23 @@
 """Exact coefficient fields: arbitrary-precision rationals and big prime fields.
 
 Scalars are plain Python values, ``fractions.Fraction`` for the rationals
-and ``int`` residues in ``[0, p)`` for a prime field; the field objects
-carry the arithmetic.  Nothing here ever touches floating point.
+and ``int`` residues in ``[0, p)`` for a prime field.  Nothing here ever
+touches floating point.
+
+The contract every container and kernel keeps:
+
+* Containers (polynomial lists, forms, quadrics, matrices) hold canonical
+  scalars only, the values ``coerce`` returns.
+* Kernels compute with the scalars' own ``+ - *``, which is exact for
+  both kinds, and reduce a value once, with ``coerce``, when they store
+  it.  From a field they take only ``coerce``, ``inv`` (which accepts any
+  exact value of the field's kind), ``zero``, ``one``, ``random_element``
+  and ``format``.  A truth test such as ``if c:`` is made only on a value
+  that is already reduced.
+* ``add``, ``sub``, ``mul``, ``neg``, ``div`` and ``is_zero`` remain for
+  the generic Gauss-Jordan loop and determinant in ``linalg``, which keep
+  one field call per operation because they are the reference the
+  packed prime-field path is tested against.
 """
 
 from __future__ import annotations

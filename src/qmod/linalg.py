@@ -102,7 +102,7 @@ class Matrix:
             v = [F.zero] * self.cols
             v[f] = F.one
             for k, pc in enumerate(pivots):
-                v[pc] = F.neg(red.data[k][f])
+                v[pc] = F.coerce(-red.data[k][f])
             basis.append(v)
         return basis
 

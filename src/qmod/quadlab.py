@@ -35,9 +35,12 @@ def upper_pairs(size: int) -> tuple[tuple[int, int], ...]:
 
 
 class SymQuadric:
-    """Symmetric matrix representing a quadric hypersurface."""
+    """Symmetric matrix representing a quadric hypersurface.
 
-    __slots__ = ("field", "size", "entries")
+    Immutable by convention, so its rank is computed once and kept.
+    """
+
+    __slots__ = ("field", "size", "entries", "_rank")
 
     def __init__(self, field, entries, *, _skip_check=False):
         rows = [list(r) for r in entries]
@@ -56,6 +59,7 @@ class SymQuadric:
         self.field = field
         self.size = n
         self.entries = rows
+        self._rank = None
 
     @classmethod
     def zero(cls, field, size: int) -> "SymQuadric":
@@ -84,7 +88,7 @@ class SymQuadric:
             if i == j:
                 m[i][i] = c
             else:
-                m[i][j] = m[j][i] = field.mul(half, c)
+                m[i][j] = m[j][i] = field.coerce(half * c)
         return cls(field, m, _skip_check=True)
 
     def upper_coeffs(self) -> list:
@@ -94,7 +98,7 @@ class SymQuadric:
             if i == j:
                 out.append(self.entries[i][i])
             else:
-                out.append(self.field.add(self.entries[i][j], self.entries[i][j]))
+                out.append(self.field.coerce(2 * self.entries[i][j]))
         return out
 
     def evaluate(self, point):
@@ -102,22 +106,17 @@ class SymQuadric:
         point = [self.field.coerce(x) for x in point]
         if len(point) != self.size:
             raise DomainError("point length must match the matrix size")
-        f = self.field
-        acc = f.zero
-        for i in range(self.size):
-            row = self.entries[i]
-            s = f.zero
-            for j in range(self.size):
-                s = f.add(s, f.mul(row[j], point[j]))
-            acc = f.add(acc, f.mul(point[i], s))
-        return acc
+        return self.field.coerce(sum(x * sum(a * y for a, y in zip(row, point))
+                                     for x, row in zip(point, self.entries)))
 
     def matrix(self) -> Matrix:
         return Matrix(self.field, self.size, self.size,
                       [row[:] for row in self.entries], _skip_check=True)
 
     def rank(self) -> int:
-        return self.matrix().rank()
+        if self._rank is None:
+            self._rank = self.matrix().rank()
+        return self._rank
 
     def _require_same_shape(self, other: "SymQuadric") -> None:
         if self.field != other.field:
@@ -128,22 +127,18 @@ class SymQuadric:
     def add(self, other: "SymQuadric") -> "SymQuadric":
         self._require_same_shape(other)
         f = self.field
-        return SymQuadric(f, [[f.add(a, b) for a, b in zip(r1, r2)]
+        return SymQuadric(f, [[f.coerce(a + b) for a, b in zip(r1, r2)]
                               for r1, r2 in zip(self.entries, other.entries)],
                           _skip_check=True)
-
-    def sub(self, other: "SymQuadric") -> "SymQuadric":
-        return self.add(other.scale(self.field.neg(self.field.one)))
 
     def scale(self, a) -> "SymQuadric":
         f = self.field
         a = f.coerce(a)
-        return SymQuadric(f, [[f.mul(a, x) for x in row] for row in self.entries],
+        return SymQuadric(f, [[f.coerce(a * x) for x in row] for row in self.entries],
                           _skip_check=True)
 
     def is_zero(self) -> bool:
-        f = self.field
-        return all(f.is_zero(x) for row in self.entries for x in row)
+        return not any(x for row in self.entries for x in row)
 
     def __eq__(self, other):
         if not isinstance(other, SymQuadric):
@@ -596,9 +591,8 @@ def secant_condition(c: ParamCurve, t1, t2, *, system: QuadricSystem | None = No
     p2 = c.evaluate(t2)
     if Matrix.from_rows(field, [p1, p2]).rank() < 2:
         raise DomainError("parameter values give proportional points")
-    p3 = [field.add(a, b) for a, b in zip(p1, p2)]
-    vals = system.evaluate_all(p3)
-    return 0 if all(field.is_zero(v) for v in vals) else 1
+    p3 = [field.coerce(a + b) for a, b in zip(p1, p2)]
+    return 1 if any(system.evaluate_all(p3)) else 0
 
 
 def cone_quadric(q: SymQuadric, extra: int) -> SymQuadric:
@@ -624,7 +618,7 @@ def project_quadric(q: SymQuadric, drop: int) -> SymQuadric:
     f = q.field
     for i in range(q.size):
         for j in range(q.size):
-            if (i >= keep or j >= keep) and not f.is_zero(q.entries[i][j]):
+            if (i >= keep or j >= keep) and q.entries[i][j]:
                 raise DomainError("projection would discard a nonzero coefficient")
     return SymQuadric(f, [row[:keep] for row in q.entries[:keep]], _skip_check=True)
 
@@ -666,8 +660,7 @@ def form_matrix_det(entries, unit):
         raise DomainError("determinant of a non-square matrix")
     if n == 0:
         return unit
-    field = unit.field
-    minus_one = field.neg(field.one)
+    minus_one = unit.field.coerce(-1)
     states = {0: unit}
     for row in range(n):
         nxt: dict = {}
@@ -745,11 +738,11 @@ def _random_line_squarefree(field, disc: TernaryForm, rng) -> bool | None:
         p0 = [field.random_element(rng) for _ in range(3)]
         p1 = [field.random_element(rng) for _ in range(3)]
         cross = [
-            field.sub(field.mul(p0[1], p1[2]), field.mul(p0[2], p1[1])),
-            field.sub(field.mul(p0[2], p1[0]), field.mul(p0[0], p1[2])),
-            field.sub(field.mul(p0[0], p1[1]), field.mul(p0[1], p1[0])),
+            field.coerce(p0[1] * p1[2] - p0[2] * p1[1]),
+            field.coerce(p0[2] * p1[0] - p0[0] * p1[2]),
+            field.coerce(p0[0] * p1[1] - p0[1] * p1[0]),
         ]
-        if all(field.is_zero(x) for x in cross):
+        if not any(cross):
             continue
         restricted = disc.restrict_to_line(p0, p1)
         if restricted.is_zero():

@@ -32,13 +32,13 @@ def _normalize_point(field, p):
         raise DomainError("plane points have three coordinates")
     last = None
     for idx in range(2, -1, -1):
-        if not field.is_zero(p[idx]):
+        if p[idx]:
             last = idx
             break
     if last is None:
         raise DomainError("the zero vector is not a projective point")
     inv = field.inv(p[last])
-    return tuple(field.mul(inv, x) for x in p)
+    return tuple(field.coerce(inv * x) for x in p)
 
 
 class PointConfig:
@@ -61,7 +61,7 @@ class PointConfig:
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 for k in range(j + 1, len(pts)):
-                    if field.is_zero(_det3(field, pts[i], pts[j], pts[k])):
+                    if not _det3(field, pts[i], pts[j], pts[k]):
                         raise DomainError(f"points {i}, {j}, {k} are collinear")
         self.field = field
         self.points = pts
@@ -97,13 +97,9 @@ class PointConfig:
 
 
 def _det3(field, p, q, r):
-    def minor(a, b, c, d):
-        return field.sub(field.mul(a, b), field.mul(c, d))
-
-    t0 = field.mul(p[0], minor(q[1], r[2], q[2], r[1]))
-    t1 = field.mul(p[1], minor(q[0], r[2], q[2], r[0]))
-    t2 = field.mul(p[2], minor(q[0], r[1], q[1], r[0]))
-    return field.add(field.sub(t0, t1), t2)
+    return field.coerce(p[0] * (q[1] * r[2] - q[2] * r[1])
+                        - p[1] * (q[0] * r[2] - q[2] * r[0])
+                        + p[2] * (q[0] * r[1] - q[1] * r[0]))
 
 
 class NSClass:
@@ -222,7 +218,6 @@ class PlaneSystem:
         return [TernaryForm(self.field, self.cls.a, v) for v in self.basis]
 
     def _verify_multiplicities(self):
-        field = self.field
         for f in self.forms():
             partials = {(0, 0): f}
             top = min(max(self.cls.mults, default=0), self.cls.a + 1)
@@ -236,15 +231,13 @@ class PlaneSystem:
             for pt, m in zip(self.config.points, self.cls.mults):
                 for dx in range(min(m, self.cls.a + 1)):
                     for dy in range(min(m, self.cls.a + 1) - dx):
-                        val = partials[(dx, dy)].evaluate(*pt)
-                        if not field.is_zero(val):
+                        if partials[(dx, dy)].evaluate(*pt):
                             raise InternalCheckError(
                                 "system member misses an assigned multiplicity")
 
     def impose_point(self, q) -> int:
         """Dimension of the subsystem vanishing at one more point."""
-        vals = [f.evaluate(*q) for f in self.forms()]
-        drop = 0 if all(self.field.is_zero(v) for v in vals) else 1
+        drop = 1 if any(f.evaluate(*q) for f in self.forms()) else 0
         return self.dim - drop
 
     def random_member(self, rng) -> TernaryForm:
@@ -296,8 +289,8 @@ def _interpolation_kernel(cfg: PointConfig, cls: NSClass) -> PlaneSystem:
                     if al < dx or be < dy:
                         row.append(zero)
                         continue
-                    ff = field.coerce(perm(al, dx) * perm(be, dy))
-                    row.append(field.mul(ff, field.mul(xp[al - dx], yp[be - dy])))
+                    row.append(field.coerce(
+                        perm(al, dx) * perm(be, dy) * xp[al - dx] * yp[be - dy]))
                 rows.append(row)
     kern = Matrix(field, len(rows), len(mons), rows, _skip_check=True).kernel_basis()
     return PlaneSystem(field, cls, kern, cfg)
@@ -473,7 +466,7 @@ def _one_resultant(field, sys_: PlaneSystem, var: str, rng) -> dict:
     for _ in range(5):
         f1 = sys_.random_member(rng)
         f2 = sys_.random_member(rng)
-        if not field.is_zero(f1.coeffs[lead]) and not field.is_zero(f2.coeffs[lead]):
+        if f1.coeffs[lead] and f2.coeffs[lead]:
             members = (f1, f2)
             break
     if members is None:
@@ -493,7 +486,7 @@ def _one_resultant(field, sys_: PlaneSystem, var: str, rng) -> dict:
         if have != mult:
             matched = False
             continue
-        lin = [field.neg(coord), field.one]
+        lin = [field.coerce(-coord), field.one]
         for _ in range(mult):
             leftover = unipoly.divmod_poly(field, leftover, lin)[0]
     leftover_sf = (unipoly.degree(leftover) < 1

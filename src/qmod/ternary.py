@@ -74,8 +74,7 @@ class TernaryForm:
         return cls(field, degree, [field.zero] * monomial_count(degree), _skip_check=True)
 
     def is_zero(self) -> bool:
-        F = self.field
-        return all(F.is_zero(c) for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __eq__(self, other):
         return (
@@ -94,33 +93,26 @@ class TernaryForm:
         F = self.field
         return TernaryForm(
             F, self.degree,
-            [F.add(a, b) for a, b in zip(self.coeffs, other.coeffs)],
+            [F.coerce(a + b) for a, b in zip(self.coeffs, other.coeffs)],
             _skip_check=True,
         )
-
-    def sub(self, other: "TernaryForm") -> "TernaryForm":
-        return self.add(other.scale(self.field.neg(self.field.one)))
 
     def scale(self, a) -> "TernaryForm":
         F = self.field
         a = F.coerce(a)
-        return TernaryForm(F, self.degree, [F.mul(a, c) for c in self.coeffs], _skip_check=True)
+        return TernaryForm(F, self.degree, [F.coerce(a * c) for c in self.coeffs],
+                           _skip_check=True)
 
     def mul(self, other: "TernaryForm") -> "TernaryForm":
         if self.field != other.field:
             raise FieldMismatchError("ternary forms over different fields")
         F = self.field
-        out = [F.zero] * monomial_count(self.degree + other.degree)
+        out = [0] * monomial_count(self.degree + other.degree)
         a, b = self.coeffs, other.coeffs
         for n1, n2, no in _product_table(self.degree, other.degree):
-            c1 = a[n1]
-            if F.is_zero(c1):
-                continue
-            c2 = b[n2]
-            if F.is_zero(c2):
-                continue
-            out[no] = F.add(out[no], F.mul(c1, c2))
-        return TernaryForm(F, self.degree + other.degree, out, _skip_check=True)
+            out[no] += a[n1] * b[n2]
+        return TernaryForm(F, self.degree + other.degree, [F.coerce(c) for c in out],
+                           _skip_check=True)
 
     def partial(self, var: int) -> "TernaryForm":
         """Partial derivative; var is 0, 1, 2 for x, y, z."""
@@ -130,11 +122,11 @@ class TernaryForm:
         out = [F.zero] * monomial_count(self.degree - 1)
         idx = monomial_index(self.degree - 1)
         for e, c in zip(monomials(self.degree), self.coeffs):
-            if F.is_zero(c) or e[var] == 0:
+            if not c or e[var] == 0:
                 continue
             low = list(e)
             low[var] -= 1
-            out[idx[tuple(low)]] = F.mul(F.coerce(e[var]), c)
+            out[idx[tuple(low)]] = F.coerce(e[var] * c)
         return TernaryForm(F, self.degree - 1, out, _skip_check=True)
 
     def evaluate(self, x0, y0, z0):
@@ -143,12 +135,8 @@ class TernaryForm:
         px = _powers(F, x0, self.degree)
         py = _powers(F, y0, self.degree)
         pz = _powers(F, z0, self.degree)
-        acc = F.zero
-        for (i, j, k), c in zip(monomials(self.degree), self.coeffs):
-            if F.is_zero(c):
-                continue
-            acc = F.add(acc, F.mul(c, F.mul(px[i], F.mul(py[j], pz[k]))))
-        return acc
+        return F.coerce(sum(c * px[i] * py[j] * pz[k]
+                            for (i, j, k), c in zip(monomials(self.degree), self.coeffs)))
 
     def eval_fix_xz(self, x0, z0) -> list:
         """Coefficients in y after substituting x = x0, z = z0 (dense, padded)."""
@@ -161,12 +149,10 @@ class TernaryForm:
         a0, z0 = F.coerce(a0), F.coerce(z0)
         pa = _powers(F, a0, self.degree)
         pz = _powers(F, z0, self.degree)
-        out = [F.zero] * (self.degree + 1)
+        out = [0] * (self.degree + 1)
         for e, c in zip(monomials(self.degree), self.coeffs):
-            if F.is_zero(c):
-                continue
-            out[e[var]] = F.add(out[e[var]], F.mul(c, F.mul(pa[e[1 - var]], pz[e[2]])))
-        return out
+            out[e[var]] += c * pa[e[1 - var]] * pz[e[2]]
+        return [F.coerce(c) for c in out]
 
     def restrict_z0(self) -> BinaryForm:
         """Restriction to the line z = 0 as a binary form in (x, y)."""
@@ -191,7 +177,7 @@ class TernaryForm:
             pw.append(powers)
         acc = BinaryForm.zero(F, d)
         for (i, j, k), c in zip(monomials(d), self.coeffs):
-            if F.is_zero(c):
+            if not c:
                 continue
             term = pw[0][i].mul(pw[1][j]).mul(pw[2][k])
             acc = acc.add(term.scale(c))
@@ -229,5 +215,5 @@ def eliminate(f: TernaryForm, g: TernaryForm, var: int) -> list:
 def _powers(field, a, n: int) -> list:
     out = [field.one]
     for _ in range(n):
-        out.append(field.mul(out[-1], a))
+        out.append(field.coerce(out[-1] * a))
     return out

@@ -4,6 +4,11 @@ A polynomial is a plain list of scalars, constant term first, with no
 trailing zeros; the empty list is the zero polynomial.  Everything is
 field-parametrized so the same code serves QQ and F_p.
 
+Coefficient loops compute with the scalars' own ``+ - *`` and reduce each
+stored coefficient once with ``field.coerce`` (``normalize`` does it for
+whole lists), as the ``fields`` module docstring sets out; no per-step
+field call, and one path for both kinds of field.
+
 Scope note: gcd, squarefree testing, resultants and prime-field root
 extraction.  Full factorization is deliberately out of scope; the root
 finder below only ever splits products of linear factors, which is a
@@ -12,6 +17,8 @@ gcd-powered computation.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 from .errors import ConfigurationError, DomainError, ZeroPolynomialError
 from .fields import PrimeField
 from .linalg import Matrix
@@ -19,7 +26,7 @@ from .linalg import Matrix
 
 def normalize(field, cs) -> list:
     cs = [field.coerce(c) for c in cs]
-    while cs and field.is_zero(cs[-1]):
+    while cs and not cs[-1]:
         cs.pop()
     return cs
 
@@ -34,32 +41,21 @@ def is_zero(cs) -> bool:
 
 
 def add(field, f, g) -> list:
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else field.zero
-        b = g[i] if i < len(g) else field.zero
-        out.append(field.add(a, b))
-    return normalize(field, out)
-
-
-def neg(field, f) -> list:
-    return [field.neg(c) for c in f]
+    return normalize(field, [a + b for a, b in zip_longest(f, g, fillvalue=0)])
 
 
 def sub(field, f, g) -> list:
-    return add(field, f, neg(field, g))
+    return normalize(field, [a - b for a, b in zip_longest(f, g, fillvalue=0)])
 
 
 def mul(field, f, g) -> list:
     if not f or not g:
         return []
-    out = [field.zero] * (len(f) + len(g) - 1)
+    out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
-        if field.is_zero(a):
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = field.add(out[i + j], field.mul(a, b))
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
     return normalize(field, out)
 
 
@@ -70,15 +66,13 @@ def divmod_poly(field, f, g) -> tuple[list, list]:
     dg = degree(g)
     lead_inv = field.inv(g[-1])
     q = [field.zero] * max(len(f) - dg, 0)
-    while degree(f) >= dg:
-        shift = degree(f) - dg
-        c = field.mul(f[-1], lead_inv)
-        q[shift] = c
-        for i in range(dg + 1):
-            f[shift + i] = field.sub(f[shift + i], field.mul(c, g[i]))
-        while f and field.is_zero(f[-1]):
-            f.pop()
-    return normalize(field, q), f
+    # Entries of f are updated exactly and reduced when they lead.
+    for shift in range(len(f) - 1 - dg, -1, -1):
+        c = q[shift] = field.coerce(f[shift + dg] * lead_inv)
+        if c:
+            for i in range(dg):
+                f[shift + i] -= c * g[i]
+    return normalize(field, q), normalize(field, f[:dg])
 
 
 def rem(field, f, g) -> list:
@@ -89,7 +83,7 @@ def monic(field, f) -> list:
     if not f:
         return []
     inv = field.inv(f[-1])
-    return [field.mul(inv, c) for c in f]
+    return [field.coerce(inv * c) for c in f]
 
 
 def gcd(field, f, g) -> list:
@@ -101,16 +95,13 @@ def gcd(field, f, g) -> list:
 
 
 def derivative(field, f) -> list:
-    out = []
-    for i in range(1, len(f)):
-        out.append(field.mul(field.coerce(i), f[i]))
-    return normalize(field, out)
+    return normalize(field, [i * f[i] for i in range(1, len(f))])
 
 
 def evaluate(field, f, x):
     acc = field.zero
     for c in reversed(f):
-        acc = field.add(field.mul(acc, x), c)
+        acc = field.coerce(acc * x + c)
     return acc
 
 
@@ -128,12 +119,11 @@ def interpolate(field, xs, ys) -> list:
         raise DomainError("interpolation nodes must be distinct")
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            num = field.sub(coeffs[i], coeffs[i - 1])
-            den = field.sub(xs[i], xs[i - j])
-            coeffs[i] = field.div(num, den)
+            coeffs[i] = field.coerce(
+                (coeffs[i] - coeffs[i - 1]) * field.inv(xs[i] - xs[i - j]))
     poly = []
     for i in range(n - 1, -1, -1):
-        poly = mul(field, poly, [field.neg(xs[i]), field.one])
+        poly = mul(field, poly, [field.coerce(-xs[i]), field.one])
         poly = add(field, poly, [coeffs[i]])
     return poly
 
@@ -236,11 +226,9 @@ def resultant_fixed(field, f, g, m: int, n: int):
         return field.zero
     res = resultant_prs(field, f, g)
     if df < m:
-        res = field.mul(res, field.coerce(g[-1] ** (m - df)))
-        if n * (m - df) % 2:
-            res = field.neg(res)
-    elif dg < n:
-        res = field.mul(res, field.coerce(f[-1] ** (n - dg)))
+        return field.coerce((-1) ** (n * (m - df)) * res * g[-1] ** (m - df))
+    if dg < n:
+        return field.coerce(res * f[-1] ** (n - dg))
     return res
 
 
@@ -262,12 +250,9 @@ def resultant_prs(field, f, g):
             return field.zero
         if degree(f) * degree(g) % 2 == 1:
             sign = -sign
-        res = field.mul(res, field.coerce(g[-1] ** (degree(f) - degree(r))))
+        res = field.coerce(res * g[-1] ** (degree(f) - degree(r)))
         f, g = g, r
-    res = field.mul(res, field.coerce(g[0] ** degree(f)))
-    if sign < 0:
-        res = field.neg(res)
-    return res
+    return field.coerce(sign * res * g[0] ** degree(f))
 
 
 def mul_mod(field, f, g, m) -> list:
@@ -293,7 +278,7 @@ def root_multiplicity(field, f, r) -> int:
     if not f:
         raise ZeroPolynomialError("root multiplicity in the zero polynomial")
     count = 0
-    lin = [field.neg(field.coerce(r)), field.one]
+    lin = [field.coerce(-field.coerce(r)), field.one]
     while True:
         q, rest = divmod_poly(field, f, lin)
         if rest:
@@ -332,12 +317,12 @@ def _split_linear(pf: PrimeField, g, out: list[int], shift: int = 0) -> None:
     if d <= 0:
         return
     if d == 1:
-        out.append(pf.neg(g[0]))
+        out.append(pf.coerce(-g[0]))
         return
     e = (pf.p - 1) // 2
     a = shift
     while True:
-        h = pow_mod(pf, [a % pf.p, 1], e, g)
+        h = pow_mod(pf, [pf.coerce(a), 1], e, g)
         h = sub(pf, h, [pf.one])
         part = gcd(pf, g, h)
         if 0 < degree(part) < d:

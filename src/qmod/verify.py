@@ -219,7 +219,7 @@ def _check_quadric_lab(field, seed):
                 pd = random_rank4_decomposition(field, r, stratum, rng)
                 quad = rank4_from_decomposition(pd, curve)
                 want = 4
-            if any(not field.is_zero(quad.evaluate(pt)) for pt in nodes):
+            if any(quad.evaluate(pt) for pt in nodes):
                 failures.append(f"membership-{r}-{idx}")
             if quad.rank() == want:
                 exact += 1

@@ -1,12 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qmod.binforms import BinaryForm, binary_gcd
-from qmod.errors import DomainError
-from qmod.fields import DEFAULT_PRIME, PrimeField
+from qmod.errors import DomainError, FieldMismatchError
+from qmod.fields import DEFAULT_PRIME, QQ, PrimeField
 
 FP = PrimeField(DEFAULT_PRIME)
 
@@ -143,3 +144,20 @@ def test_arithmetic_agrees_with_pointwise_evaluation(pair, other, s, t):
     assert total.evaluate(s, t) == FP.add(fv, gv)
     assert diff.evaluate(s, t) == FP.sub(fv, gv)
     assert prod.evaluate(s, t) == FP.mul(fv, hv)
+
+
+@pytest.mark.parametrize("field, coeffs", [
+    (PrimeField(7), [7, 1]),               # unreduced
+    (PrimeField(7), [-1, 1]),              # unreduced
+    (PrimeField(7), [10, 1]),              # an F_65537 scalar, not an F_7 one
+    (PrimeField(7), [Fraction(1, 2), 1]),  # a QQ scalar
+    (PrimeField(7), [True, 1]),
+    (QQ, ["1/2", 1]),
+])
+def test_public_constructors_reject_foreign_or_unreduced_scalars(field, coeffs):
+    # Only sums, differences, products and gcds, whose lists unipoly has
+    # just normalized, take the unchecked path.
+    with pytest.raises(FieldMismatchError):
+        BinaryForm(field, 1, coeffs)
+    with pytest.raises(FieldMismatchError):
+        BinaryForm.from_unipoly(field, coeffs, 1)

@@ -193,3 +193,19 @@ def test_enumerate_cases_count(capsys):
     assert rc == 0
     assert payload["count"] == 11
     assert [11, 4, 4] in payload["cases"]
+
+
+def test_working_prime_is_proven_once(capsys, monkeypatch):
+    from qmod import fields
+
+    calls = []
+    is_prime = fields.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(fields, "is_prime", counted)
+    rc, _, _ = _run(capsys, "verify", "07-secant", "--prime", "65537")
+    assert rc == 0
+    assert calls == [65537]

@@ -446,3 +446,22 @@ def test_genus5_report_shape():
 def test_genus5_requires_prime_field():
     with pytest.raises(ConfigurationError):
         genus5_net_check(1, field=QQ)
+
+
+def test_bounded_rank_quadric_rank_is_computed_once(monkeypatch):
+    # The construction checks the rank bound and a caller that asks for
+    # the rank again, as the quadric-lab check does, gets the same value.
+    c = ParamCurve.rational_normal(FP, 6)
+    pd = random_rank4_decomposition(FP, 6, (2, 2, 2), derived_rng(0, "unit-rank-once"))
+    calls = []
+    rank = Matrix.rank
+
+    def counted(self):
+        calls.append(self.rows)
+        return rank(self)
+
+    monkeypatch.setattr(Matrix, "rank", counted)
+    q = rank4_from_decomposition(pd, c)
+    assert q.rank() == 4
+    assert q.rank() == 4
+    assert calls == [7]
