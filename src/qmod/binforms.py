@@ -14,6 +14,7 @@ those lists are already canonical, so they skip the constructor's check.
 from __future__ import annotations
 
 from .errors import DomainError, FieldMismatchError, ZeroPolynomialError
+from .fields import checked
 from . import unipoly
 
 
@@ -31,10 +32,7 @@ class BinaryForm:
                 f"degree-{degree} form needs {degree + 1} coefficients, got {len(coeffs)}"
             )
         if not _skip_check:
-            for c in coeffs:
-                if not field.is_element(c):
-                    raise FieldMismatchError(f"coefficient {c!r} is not a {field!r} scalar")
-            coeffs = [field.coerce(c) for c in coeffs]
+            coeffs = checked(field, coeffs)
         self.field = field
         self.degree = degree
         self.coeffs = coeffs

@@ -510,4 +510,13 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        rc = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``qmod ... | head``).  Point stdout at
+        # devnull so the flush at exit cannot raise again, as the ``signal``
+        # module docs recommend, and exit 1 as Python does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(rc)

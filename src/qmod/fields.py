@@ -7,17 +7,15 @@ touches floating point.
 The contract every container and kernel keeps:
 
 * Containers (polynomial lists, forms, quadrics, matrices) hold canonical
-  scalars only, the values ``coerce`` returns.
+  scalars only, the values ``coerce`` returns.  A container's checked
+  input goes through ``checked``, which refuses anything that is not
+  already an element of the field.
 * Kernels compute with the scalars' own ``+ - *``, which is exact for
   both kinds, and reduce a value once, with ``coerce``, when they store
-  it.  From a field they take only ``coerce``, ``inv`` (which accepts any
-  exact value of the field's kind), ``zero``, ``one``, ``random_element``
-  and ``format``.  A truth test such as ``if c:`` is made only on a value
-  that is already reduced.
-* ``add``, ``sub``, ``mul``, ``neg``, ``div`` and ``is_zero`` remain for
-  the generic Gauss-Jordan loop and determinant in ``linalg``, which keep
-  one field call per operation because they are the reference the
-  packed prime-field path is tested against.
+  it.  A field offers only ``coerce``, ``inv`` (which accepts any exact
+  value of the field's kind), ``is_element``, ``zero``, ``one``,
+  ``random_element`` and ``format``.  A truth test such as ``if c:`` is
+  made only on a value that is already reduced.
 """
 
 from __future__ import annotations
@@ -101,9 +99,7 @@ class RationalField:
     def coerce(self, x) -> Fraction:
         if isinstance(x, Fraction):
             return x
-        if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, str):
+        if isinstance(x, int) and not isinstance(x, bool):
             return Fraction(x)
         raise FieldMismatchError(f"cannot coerce {x!r} into QQ")
 
@@ -118,30 +114,10 @@ class RationalField:
     def one(self):
         return Fraction(1)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero in QQ")
         return 1 / Fraction(a)
-
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in QQ")
-        return Fraction(a) / b
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def format(self, x) -> str:
         x = Fraction(x)
@@ -180,19 +156,10 @@ class PrimeField:
         self.char = p
 
     def coerce(self, x) -> int:
-        if isinstance(x, bool):
-            raise FieldMismatchError("bool is not a field scalar")
-        if isinstance(x, int):
+        if isinstance(x, int) and not isinstance(x, bool):
             return x % self.p
-        if isinstance(x, Fraction):
-            # Only well defined when the denominator is a unit mod p; made
-            # explicit so rationals never leak into prime-field containers
-            # by accident.
-            raise FieldMismatchError(
-                f"refusing implicit Fraction -> F_{self.p} conversion; reduce explicitly"
-            )
-        if isinstance(x, str):
-            return int(x) % self.p
+        # A Fraction is refused too: it reduces only through the explicit
+        # ``from_rational``, so no rational leaks into F_p by accident.
         raise FieldMismatchError(f"cannot coerce {x!r} into F_{self.p}")
 
     def from_rational(self, x: Fraction) -> int:
@@ -213,28 +180,10 @@ class PrimeField:
     def one(self):
         return 1
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of zero in F_{self.p}")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
 
     def format(self, x) -> str:
         return str(x % self.p)
@@ -250,6 +199,20 @@ class PrimeField:
 
     def __hash__(self):
         return hash(("Fp", self.p))
+
+
+def checked(field, values) -> list:
+    """The canonical list of ``values``, each already an element of ``field``.
+
+    The one input check of every container: a value of another kind, an
+    unreduced residue or a bool raises ``FieldMismatchError``.
+    """
+    out = []
+    for x in values:
+        if not field.is_element(x):
+            raise FieldMismatchError(f"{x!r} is not a {field!r} scalar")
+        out.append(field.coerce(x))
+    return out
 
 
 def require_sampling_prime(field) -> None:

@@ -21,14 +21,15 @@ reduced form, are those of the generic loop.
 
 Over QQ there is no fixed width to pack into, so rationals keep the
 generic loop, which is also the reference the packed path is tested
-against.  ``det`` always runs generically: only the Sylvester resultant
-test reference calls it.
+against.  ``det`` is the test oracle of the resultants.  Both use the
+one idiom of ``fields``: the scalars' own ``+ - *``, ``F.inv``, one
+``F.coerce`` per stored value, and truth tests only on reduced values.
 """
 
 from __future__ import annotations
 
-from .errors import DomainError, FieldMismatchError
-from .fields import PrimeField
+from .errors import DomainError
+from .fields import PrimeField, checked
 
 
 class Matrix:
@@ -46,14 +47,7 @@ class Matrix:
         if len(data) != rows or any(len(r) != cols for r in data):
             raise DomainError(f"entry grid does not match shape {rows}x{cols}")
         if not _skip_check:
-            for r in data:
-                for j, x in enumerate(r):
-                    if not field.is_element(x):
-                        raise FieldMismatchError(
-                            f"entry {x!r} is not a {field!r} scalar (mixed-field entries)"
-                        )
-                for j, x in enumerate(r):
-                    r[j] = field.coerce(x)
+            data = [checked(field, r) for r in data]
         self.field = field
         self.rows = rows
         self.cols = cols
@@ -116,20 +110,20 @@ class Matrix:
         for col in range(n):
             sel = None
             for i in range(col, n):
-                if not F.is_zero(m[i][col]):
+                if m[i][col]:
                     sel = i
                     break
             if sel is None:
                 return F.zero
             if sel != col:
                 m[col], m[sel] = m[sel], m[col]
-                result = F.neg(result)
-            result = F.mul(result, m[col][col])
+                result = F.coerce(-result)
+            result = F.coerce(result * m[col][col])
             inv = F.inv(m[col][col])
             for i in range(col + 1, n):
-                if not F.is_zero(m[i][col]):
-                    c = F.mul(inv, m[i][col])
-                    m[i] = [F.sub(x, F.mul(c, y)) for x, y in zip(m[i], m[col])]
+                if m[i][col]:
+                    c = F.coerce(inv * m[i][col])
+                    m[i] = [F.coerce(x - c * y) for x, y in zip(m[i], m[col])]
         return result
 
     def solve(self, rhs: list) -> list | None:
@@ -164,8 +158,8 @@ class Matrix:
 
 
 def _rref_generic(F, data, cols: int):
-    """Gauss-Jordan through the field's own operations: the QQ path, and
-    the reference the packed prime-field path is tested against."""
+    """Gauss-Jordan with the scalars' own operators: the QQ path, and the
+    reference the packed prime-field path is tested against."""
     m = [list(r) for r in data]
     rows = len(m)
     pivots = []
@@ -175,18 +169,18 @@ def _rref_generic(F, data, cols: int):
             break
         sel = None
         for i in range(prow, rows):
-            if not F.is_zero(m[i][col]):
+            if m[i][col]:
                 sel = i
                 break
         if sel is None:
             continue
         m[prow], m[sel] = m[sel], m[prow]
         inv = F.inv(m[prow][col])
-        m[prow] = [F.mul(inv, x) for x in m[prow]]
+        m[prow] = [F.coerce(inv * x) for x in m[prow]]
         for i in range(rows):
-            if i != prow and not F.is_zero(m[i][col]):
-                c = m[i][col]
-                m[i] = [F.sub(x, F.mul(c, y)) for x, y in zip(m[i], m[prow])]
+            c = m[i][col]
+            if i != prow and c:
+                m[i] = [F.coerce(x - c * y) for x, y in zip(m[i], m[prow])]
         pivots.append(col)
         prow += 1
     return m, pivots

@@ -19,7 +19,7 @@ from functools import lru_cache
 from . import unipoly
 from .binforms import BinaryForm, binary_gcd
 from .errors import ConfigurationError, DomainError, InternalCheckError
-from .fields import DEFAULT_PRIME, PrimeField, derived_rng, require_sampling_prime
+from .fields import DEFAULT_PRIME, PrimeField, checked, derived_rng, require_sampling_prime
 from .linalg import Matrix
 from .ternary import TernaryForm, eliminate
 
@@ -48,10 +48,7 @@ class SymQuadric:
         if any(len(r) != n for r in rows):
             raise DomainError("quadric matrix must be square")
         if not _skip_check:
-            for i in range(n):
-                for j in range(n):
-                    if not field.is_element(rows[i][j]):
-                        rows[i][j] = field.coerce(rows[i][j])
+            rows = [checked(field, r) for r in rows]
             for i in range(n):
                 for j in range(i + 1, n):
                     if rows[i][j] != rows[j][i]:

@@ -14,7 +14,7 @@ from functools import lru_cache
 from . import unipoly
 from .errors import ConfigurationError, DomainError, FieldMismatchError
 from .binforms import BinaryForm
-from .fields import PrimeField
+from .fields import PrimeField, checked
 
 
 @lru_cache(maxsize=None)
@@ -61,10 +61,7 @@ class TernaryForm:
                 f"degree-{degree} form needs {monomial_count(degree)} coefficients"
             )
         if not _skip_check:
-            for c in coeffs:
-                if not field.is_element(c):
-                    raise FieldMismatchError(f"coefficient {c!r} is not a {field!r} scalar")
-            coeffs = [field.coerce(c) for c in coeffs]
+            coeffs = checked(field, coeffs)
         self.field = field
         self.degree = degree
         self.coeffs = coeffs

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from itertools import zip_longest
 
-from .errors import ConfigurationError, DomainError, ZeroPolynomialError
+from .errors import ConfigurationError, DomainError, GenericityError, ZeroPolynomialError
 from .fields import PrimeField
 from .linalg import Matrix
 
@@ -311,6 +311,12 @@ def rational_roots(pf: PrimeField, f) -> list[int]:
     return sorted(roots)
 
 
+# A shift leaves a product of d >= 2 distinct linear factors unsplit with
+# probability about 2^(1-d), and over F_p with p <= 64 the shifts run
+# through every residue; so exhausting them means a wrong input or kernel.
+_MAX_SHIFTS = 64
+
+
 def _split_linear(pf: PrimeField, g, out: list[int], shift: int = 0) -> None:
     g = monic(pf, g)
     d = degree(g)
@@ -320,8 +326,7 @@ def _split_linear(pf: PrimeField, g, out: list[int], shift: int = 0) -> None:
         out.append(pf.coerce(-g[0]))
         return
     e = (pf.p - 1) // 2
-    a = shift
-    while True:
+    for a in range(shift, shift + _MAX_SHIFTS):
         h = pow_mod(pf, [pf.coerce(a), 1], e, g)
         h = sub(pf, h, [pf.one])
         part = gcd(pf, g, h)
@@ -329,4 +334,5 @@ def _split_linear(pf: PrimeField, g, out: list[int], shift: int = 0) -> None:
             _split_linear(pf, part, out, a + 1)
             _split_linear(pf, divmod_poly(pf, g, part)[0], out, a + 1)
             return
-        a += 1
+    raise GenericityError(f"no shift split a degree-{d} product of linear factors",
+                          data={"degree": d, "shifts": _MAX_SHIFTS})

@@ -88,11 +88,11 @@ def test_criterion_09_surface_construction():
     _report(9, "fifteen-point blow-up surface construction", ok)
 
 
-def test_criterion_10_deterministic_output():
+def test_criterion_10_deterministic_output(qmod_env):
     cmd = [sys.executable, "-m", "qmod", "verify", "all",
            "--seed", "5", "--format", "json"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    first = subprocess.run(cmd, capture_output=True, env=qmod_env)
+    second = subprocess.run(cmd, capture_output=True, env=qmod_env)
     ok = (first.returncode == 0 and second.returncode == 0
           and first.stdout == second.stdout and len(first.stdout) > 0)
     _report(10, "byte-identical repeated verification runs", ok)

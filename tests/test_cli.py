@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -209,3 +212,21 @@ def test_working_prime_is_proven_once(capsys, monkeypatch):
     rc, _, _ = _run(capsys, "verify", "07-secant", "--prime", "65537")
     assert rc == 0
     assert calls == [65537]
+
+
+@pytest.mark.parametrize("argv", [
+    ["certificate"],
+    ["z-class"],
+    ["expected-dim", "--g", "5", "--r", "4", "--d", "8", "--k", "3"],
+    ["verify", "01-identities"],
+])
+def test_closed_stdout_pipe_exits_one_without_traceback(qmod_env, argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qmod", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=qmod_env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr

@@ -10,6 +10,7 @@ from qmod.fields import (
     MIN_SAMPLING_PRIME,
     QQ,
     PrimeField,
+    checked,
     derived_rng,
     is_prime,
     require_sampling_prime,
@@ -66,22 +67,21 @@ def test_prime_field_rejects_composite_modulus():
 
 def test_prime_field_coercion(fp):
     assert fp.coerce(-1) == fp.p - 1
-    assert fp.coerce("12") == 12
-    with pytest.raises(FieldMismatchError):
-        fp.coerce(True)
-    with pytest.raises(FieldMismatchError):
-        fp.coerce(Fraction(1, 2))
+    assert fp.coerce(fp.p + 12) == 12
+    for bad in (True, Fraction(1, 2), "12", 12.0):
+        with pytest.raises(FieldMismatchError):
+            fp.coerce(bad)
 
 
 def test_prime_field_explicit_rational_reduction(fp):
     half = fp.from_rational(Fraction(1, 2))
-    assert fp.mul(half, 2) == 1
+    assert half * 2 % fp.p == 1
 
 
 @given(st.integers(min_value=1, max_value=10 ** 9))
 def test_prime_field_inverse(a):
     fp = PrimeField(DEFAULT_PRIME)
-    assert fp.mul(a % fp.p, fp.inv(a)) == 1
+    assert fp.coerce(a * fp.inv(a)) == 1
 
 
 def test_inverse_of_zero_raises(fp):
@@ -92,10 +92,27 @@ def test_inverse_of_zero_raises(fp):
 
 
 def test_qq_arithmetic_is_exact():
-    third = QQ.coerce("1/3")
-    assert QQ.add(third, third) == Fraction(2, 3)
-    assert QQ.mul(third, 3) == 1
+    third = QQ.coerce(Fraction(1, 3))
+    assert third + third == Fraction(2, 3)
+    assert QQ.coerce(third * 3) == 1
+    assert type(QQ.coerce(3)) is Fraction
     assert QQ.format(Fraction(3)) == "3/1"
+
+
+def test_qq_coercion_takes_only_rational_scalars():
+    for bad in (True, False, "1/3", 0.5):
+        with pytest.raises(FieldMismatchError):
+            QQ.coerce(bad)
+
+
+def test_checked_returns_canonical_scalars_or_refuses(fp):
+    assert checked(QQ, [1, Fraction(1, 2)]) == [Fraction(1), Fraction(1, 2)]
+    assert all(type(x) is Fraction for x in checked(QQ, [1, 2]))
+    assert checked(fp, [0, fp.p - 1]) == [0, fp.p - 1]
+    for field, bad in ((QQ, True), (QQ, "1"), (fp, fp.p), (fp, -1), (fp, False),
+                       (fp, Fraction(1, 2))):
+        with pytest.raises(FieldMismatchError):
+            checked(field, [field.zero, bad])
 
 
 def test_derived_rng_is_deterministic():

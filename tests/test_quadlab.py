@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qmod import unipoly
 from qmod.binforms import BinaryForm
 from qmod.cli import main
-from qmod.errors import ConfigurationError, DomainError
+from qmod.errors import ConfigurationError, DomainError, FieldMismatchError
 from qmod.fields import QQ, DEFAULT_PRIME, PrimeField, derived_rng
 from qmod.invariants import expected_dim_q
 from qmod.linalg import Matrix
@@ -69,6 +69,29 @@ def test_sym_quadric_evaluation_matches_matrix_product():
 def test_sym_quadric_requires_symmetry():
     with pytest.raises(DomainError):
         SymQuadric(FP, [[0, 1], [2, 0]])
+
+
+def test_sym_quadric_over_qq_stores_fractions():
+    q = SymQuadric(QQ, [[1, 0], [0, Fraction(1, 2)]])
+    assert all(type(x) is Fraction for row in q.entries for x in row)
+
+
+@pytest.mark.parametrize("field, entries", [
+    (PrimeField(7), [[9, -1], [-1, 1]]),  # unreduced residues
+    (QQ, [[True, 0], [0, 1]]),
+    (FP, [[True, 0], [0, 1]]),
+    (QQ, [["1/2", 0], [0, 1]]),
+])
+def test_checked_containers_refuse_non_elements(field, entries):
+    flat = [x for row in entries for x in row]
+    with pytest.raises(FieldMismatchError):
+        SymQuadric(field, entries)
+    with pytest.raises(FieldMismatchError):
+        Matrix.from_rows(field, entries)
+    with pytest.raises(FieldMismatchError):
+        BinaryForm(field, 3, flat)
+    with pytest.raises(FieldMismatchError):
+        TernaryForm(field, 1, flat[:3])
 
 
 def test_rank_of_diagonal():
@@ -166,13 +189,13 @@ def _i2_by_evaluation(c):
     rows = []
     for t in range(2 * c.degree + 1):
         pt = c.evaluate(t)
-        rows.append([field.mul(pt[i], pt[j]) for (i, j) in pairs])
+        rows.append([field.coerce(pt[i] * pt[j]) for (i, j) in pairs])
     half = field.inv(field.coerce(2))
     out = []
     for v in Matrix(field, len(rows), len(pairs), rows).kernel_basis():
         m = [[field.zero] * (c.r + 1) for _ in range(c.r + 1)]
         for (i, j), x in zip(pairs, v):
-            m[i][j] = m[j][i] = field.coerce(x) if i == j else field.mul(half, x)
+            m[i][j] = m[j][i] = field.coerce(x) if i == j else field.coerce(half * x)
         out.append(m)
     return out
 
@@ -237,7 +260,7 @@ def test_rank3_construction_on_split_pencil():
     q = rank3_from_decomposition(pd, c)
     assert q.rank() <= 3
     for t in range(9):
-        assert FP.is_zero(q.evaluate(c.evaluate(t)))
+        assert q.evaluate(c.evaluate(t)) == 0
 
 
 def test_rank3_degenerate_pencil_collapses():
@@ -289,7 +312,7 @@ def test_rank4_generic_rank_is_four():
             q = rank4_from_decomposition(pd, c)
             assert q.rank() == 4
             for t in range(13):
-                assert FP.is_zero(q.evaluate(c.evaluate(t)))
+                assert q.evaluate(c.evaluate(t)) == 0
 
 
 def _perturbation_jacobian_rows(field, r, pd):

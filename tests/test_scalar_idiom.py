@@ -1,26 +1,23 @@
 """The arithmetic idiom of the coefficient kernels, pinned.
 
-The kernels in ``unipoly``, ``binforms``, ``ternary``, ``quadlab`` and
-``surface`` compute with the scalars' own ``+ - *`` and reduce each stored
-value once with ``field.coerce`` (see the ``fields`` module docstring).
-Four groups of tests hold that in place:
+The kernels in ``unipoly``, ``binforms``, ``ternary``, ``quadlab``,
+``surface`` and ``linalg`` compute with the scalars' own ``+ - *`` and
+reduce each stored value once with ``field.coerce`` (see the ``fields``
+module docstring).  Four groups of tests hold that in place:
 
+* the field classes carry no per-operation methods
+  (``add/sub/mul/neg/div/is_zero``), so no kernel can call one;
 * canonical output: over F_7, F_65537, F_(2^61-1) and QQ every kernel
   returns canonical scalars, also when handed negative integers or
-  integers >= p, and it does so without calling
-  ``PrimeField.add/sub/mul/neg/div/is_zero``;
+  integers >= p;
 * reduction homomorphism: integer data computed over QQ and reduced with
   ``PrimeField.from_rational`` gives the F_p result;
 * plain-integer oracle: values at integer points agree with the same
-  formula written out in Python ints and reduced mod p;
-* goldens: with those six methods made to raise, three CLI goldens are
-  reproduced byte for byte.
+  formula written out in Python ints and reduced mod p.
 """
 
-import contextlib
 import itertools
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given
@@ -28,17 +25,13 @@ from hypothesis import strategies as st
 
 from qmod import unipoly as up
 from qmod.binforms import BinaryForm
-from qmod.cli import main
-from qmod.fields import QQ, PrimeField
+from qmod.fields import QQ, PrimeField, RationalField
 from qmod.quadlab import ParamCurve, SymQuadric, secant_condition, upper_pairs
 from qmod.surface import _det3, _normalize_point, pencil_discriminant
 from qmod.ternary import TernaryForm, _powers, monomials
 
-from test_golden import DATA, GOLDEN
-
 PRIMES = [PrimeField(7), PrimeField(65537), PrimeField((1 << 61) - 1)]
 FIELDS = PRIMES + [QQ]
-PER_STEP = ("add", "sub", "mul", "neg", "div", "is_zero")
 
 # Small values, and values far outside [0, p) on both sides for every p above.
 raw = st.one_of(st.integers(-9, 9), st.integers(-(1 << 64), 1 << 64))
@@ -46,20 +39,6 @@ raw = st.one_of(st.integers(-9, 9), st.integers(-(1 << 64), 1 << 64))
 
 def raws(n):
     return st.lists(raw, min_size=n, max_size=n)
-
-
-@contextlib.contextmanager
-def no_per_step_calls():
-    """Make PrimeField's per-operation methods raise inside the block."""
-    def refuse(name):
-        def method(self, *args):
-            raise AssertionError(f"a kernel called PrimeField.{name}")
-        return method
-
-    with contextlib.ExitStack() as stack:
-        for name in PER_STEP:
-            stack.enter_context(mock.patch.object(PrimeField, name, refuse(name)))
-        yield
 
 
 def _canonical(field, values) -> bool:
@@ -70,13 +49,10 @@ def _plain(cs, x) -> int:
     return sum(c * x ** i for i, c in enumerate(cs))
 
 
-def test_guard_refuses_per_step_calls():
-    args = {"add": (3, 4), "sub": (3, 4), "mul": (3, 4), "div": (3, 4),
-            "neg": (3,), "is_zero": (3,)}
-    with no_per_step_calls():
-        for name in PER_STEP:
-            with pytest.raises(AssertionError):
-                getattr(PRIMES[0], name)(*args[name])
+def test_field_classes_define_no_per_step_methods():
+    for cls in (RationalField, PrimeField):
+        for name in ("add", "sub", "mul", "neg", "div", "is_zero"):
+            assert not hasattr(cls, name), f"{cls.__name__}.{name}"
 
 
 # Canonical output ----------------------------------------------------------
@@ -88,14 +64,13 @@ def test_unipoly_kernels_return_canonical_scalars(field, f, g, lead, x, ys):
     assume(field.coerce(lead))
     g = g + [lead]
     nodes = [x + i for i in range(len(ys))]
-    with no_per_step_calls():
-        outs = [up.add(field, f, g), up.sub(field, f, g), up.mul(field, f, g),
-                *up.divmod_poly(field, f, g), up.monic(field, g),
-                up.derivative(field, f), [up.evaluate(field, f, x)],
-                up.interpolate(field, nodes, ys),
-                [up.resultant_prs(field, f, g)],
-                [up.resultant_fixed(field, f, g, len(f), len(g) - 1)]]
-        mult = up.root_multiplicity(field, g, x)
+    outs = [up.add(field, f, g), up.sub(field, f, g), up.mul(field, f, g),
+            *up.divmod_poly(field, f, g), up.monic(field, g),
+            up.derivative(field, f), [up.evaluate(field, f, x)],
+            up.interpolate(field, nodes, ys),
+            [up.resultant_prs(field, f, g)],
+            [up.resultant_fixed(field, f, g, len(f), len(g) - 1)]]
+    mult = up.root_multiplicity(field, g, x)
     assert all(_canonical(field, out) for out in outs)
     assert mult >= 0
 
@@ -106,8 +81,7 @@ def test_root_finding_returns_canonical_roots(pf, roots, g):
     f = g + [1]
     for r in roots:
         f = up.mul(pf, f, [-r, 1])
-    with no_per_step_calls():
-        found = up.rational_roots(pf, f)
+    found = up.rational_roots(pf, f)
     assert _canonical(pf, found)
     assert {pf.coerce(r) for r in roots} <= set(found)
 
@@ -122,13 +96,12 @@ def test_form_kernels_return_canonical_scalars(field, b1, b2, t1, t2, t3, xs):
     t2 = TernaryForm(field, 3, [c(v) for v in t2])
     t3 = TernaryForm(field, 2, [c(v) for v in t3])
     a, s, t, x, y, z = xs
-    with no_per_step_calls():
-        outs = [b1.scale(a).coeffs, b1.add(b1.scale(a)).coeffs,
-                b1.sub(b1.scale(a)).coeffs, b1.mul(b2).coeffs, [b1.evaluate(s, t)],
-                t1.add(t3).coeffs, t1.scale(a).coeffs, t1.mul(t2).coeffs,
-                t2.partial(0).coeffs, t2.partial(2).coeffs, [t2.evaluate(x, y, z)],
-                t2._coeffs_in(0, y, z), t2._coeffs_in(1, x, z), _powers(field, a, 4)]
-        zeros = (b1.scale(0).is_zero(), t2.scale(0).is_zero(), b1.sub(b1).is_zero())
+    outs = [b1.scale(a).coeffs, b1.add(b1.scale(a)).coeffs,
+            b1.sub(b1.scale(a)).coeffs, b1.mul(b2).coeffs, [b1.evaluate(s, t)],
+            t1.add(t3).coeffs, t1.scale(a).coeffs, t1.mul(t2).coeffs,
+            t2.partial(0).coeffs, t2.partial(2).coeffs, [t2.evaluate(x, y, z)],
+            t2._coeffs_in(0, y, z), t2._coeffs_in(1, x, z), _powers(field, a, 4)]
+    zeros = (b1.scale(0).is_zero(), t2.scale(0).is_zero(), b1.sub(b1).is_zero())
     assert all(_canonical(field, out) for out in outs)
     assert zeros == (True, True, True)
 
@@ -140,16 +113,15 @@ def test_quadric_and_plane_kernels_return_canonical_scalars(field, u1, u2, pt, p
     assume(any(field.coerce(v) for v in pts[:3]))
     assume(field.coerce(chord[0]) != field.coerce(chord[1]))
     curve = ParamCurve.rational_normal(field, 3)
-    with no_per_step_calls():
-        q1 = SymQuadric.from_upper_coeffs(field, 4, u1)
-        q2 = SymQuadric.from_upper_coeffs(field, 4, u2)
-        outs = [*q1.entries, *q1.add(q2).entries, *q1.scale(a).entries,
-                q1.upper_coeffs(), [q1.evaluate(pt)],
-                pencil_discriminant(q1, q2).coeffs,
-                _normalize_point(field, pts[:3]),
-                [_det3(field, pts[:3], pts[3:6], pts[6:])]]
-        zero = q1.scale(0).is_zero()
-        secant = secant_condition(curve, *chord)
+    q1 = SymQuadric.from_upper_coeffs(field, 4, u1)
+    q2 = SymQuadric.from_upper_coeffs(field, 4, u2)
+    outs = [*q1.entries, *q1.add(q2).entries, *q1.scale(a).entries,
+            q1.upper_coeffs(), [q1.evaluate(pt)],
+            pencil_discriminant(q1, q2).coeffs,
+            _normalize_point(field, pts[:3]),
+            [_det3(field, pts[:3], pts[3:6], pts[6:])]]
+    zero = q1.scale(0).is_zero()
+    secant = secant_condition(curve, *chord)
     assert all(_canonical(field, out) for out in outs)
     assert zero is True
     assert secant in (0, 1)
@@ -310,15 +282,4 @@ def test_form_kernels_agree_with_plain_integers(pf, b1, b2, t1, t2, u1, u2, xs, 
         last = max(i for i in range(3) if pts[i] % p)
         assert point[last] == 1
         assert all((point[i] * pts[last] - pts[i]) % p == 0 for i in range(3))
-
-
-# Goldens under the guard ---------------------------------------------------
-
-@pytest.mark.parametrize("name", ["genus5_net_seed1.json", "rnc_i2_r5.json",
-                                  "blowup_verify_seed0.json"])
-def test_goldens_need_no_per_step_field_calls(capsys, name):
-    with no_per_step_calls():
-        rc = main(GOLDEN[name] + ["--format", "json"])
-    assert rc == 0
-    assert capsys.readouterr().out.encode() == (DATA / name).read_bytes()
 

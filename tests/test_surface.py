@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from qmod.errors import ConfigurationError, DomainError
+from qmod.errors import ConfigurationError, DomainError, InternalCheckError
 from qmod.fields import QQ, DEFAULT_PRIME, PrimeField, derived_rng
 from qmod.linalg import Matrix
 from qmod.quadlab import i2_basis, ParamCurve
 from qmod.surface import (
     NSClass,
+    PlaneSystem,
     PointConfig,
     base_locus_evidence,
     blowup_report,
@@ -128,10 +129,22 @@ def test_members_vanish_to_order():
     rng = derived_rng(7, "unit-member")
     form = hs.random_member(rng)
     for pt, mult in zip(cfg.points, hyperplane_class().mults):
-        assert FP.is_zero(form.evaluate(*pt))
+        assert form.evaluate(*pt) == 0
         if mult >= 2:
             for var in range(3):
-                assert FP.is_zero(form.partial(var).evaluate(*pt))
+                assert form.partial(var).evaluate(*pt) == 0
+
+
+def test_plane_system_refuses_a_perturbed_basis():
+    # The constructor re-derives every assigned multiplicity from partials;
+    # one basis coefficient moved by 1 must fail that check.
+    cfg = PointConfig.sample(FP, 15, 3)
+    hs = interpolation_basis(cfg, hyperplane_class())
+    assert PlaneSystem(FP, hs.cls, hs.basis, cfg).basis == hs.basis
+    basis = [v[:] for v in hs.basis]
+    basis[2][4] = FP.coerce(basis[2][4] + 1)
+    with pytest.raises(InternalCheckError):
+        PlaneSystem(FP, hs.cls, basis, cfg)
 
 
 def test_surface_quadric_pair():
@@ -145,7 +158,7 @@ def test_surface_quadric_pair():
         x0, y0 = FP.random_element(rng), FP.random_element(rng)
         image = [f.evaluate(x0, y0, 1) for f in forms]
         for q in qs.basis:
-            assert FP.is_zero(q.evaluate(image))
+            assert q.evaluate(image) == 0
 
 
 def test_pencil_discriminant_of_proportional_pair_degenerates():
@@ -158,7 +171,7 @@ def test_pencil_discriminant_of_proportional_pair_degenerates():
     assert not disc.squarefree()
     singular = SymQuadric(FP, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
     flat = pencil_discriminant(singular, singular.scale(2))
-    assert all(FP.is_zero(c) for c in flat.coeffs)
+    assert all(c == 0 for c in flat.coeffs)
 
 
 def test_pencil_discriminant_sees_forced_double_root():
@@ -166,7 +179,7 @@ def test_pencil_discriminant_sees_forced_double_root():
     q2 = SymQuadric(FP, [[3, 0, 0], [0, 3, 0], [0, 0, 5]])
     disc = pencil_discriminant(q1, q2)
     # (s + 3t)^2 (2s + 5t): nonzero but with a repeated root.
-    assert not all(FP.is_zero(c) for c in disc.coeffs)
+    assert not all(c == 0 for c in disc.coeffs)
     assert not disc.squarefree()
 
 

@@ -41,10 +41,9 @@ def test_euler_identity():
         degree = rng.randrange(1, 5)
         f = _random_ternary(rng, degree)
         x0, y0, z0 = (FP.random_element(rng) for _ in range(3))
-        total = FP.zero
-        for var, coord in zip(range(3), (x0, y0, z0)):
-            total = FP.add(total, FP.mul(coord, f.partial(var).evaluate(x0, y0, z0)))
-        assert total == FP.mul(FP.coerce(degree), f.evaluate(x0, y0, z0))
+        total = sum(coord * f.partial(var).evaluate(x0, y0, z0)
+                    for var, coord in zip(range(3), (x0, y0, z0)))
+        assert FP.coerce(total) == FP.coerce(degree * f.evaluate(x0, y0, z0))
 
 
 def test_partial_of_constant_is_rejected():
@@ -59,15 +58,11 @@ def test_single_variable_specializations():
         f = _random_ternary(rng, 4)
         x0, y0, z0 = (FP.random_element(rng) for _ in range(3))
         in_y = f.eval_fix_xz(x0, z0)
-        got = FP.zero
-        for i, c in enumerate(in_y):
-            got = FP.add(got, FP.mul(c, pow(y0, i, FP.p)))
-        assert got == f.evaluate(x0, y0, z0)
+        got = sum(c * pow(y0, i, FP.p) for i, c in enumerate(in_y))
+        assert FP.coerce(got) == f.evaluate(x0, y0, z0)
         in_x = f._coeffs_in(0, y0, z0)
-        got = FP.zero
-        for i, c in enumerate(in_x):
-            got = FP.add(got, FP.mul(c, pow(x0, i, FP.p)))
-        assert got == f.evaluate(x0, y0, z0)
+        got = sum(c * pow(x0, i, FP.p) for i, c in enumerate(in_x))
+        assert FP.coerce(got) == f.evaluate(x0, y0, z0)
 
 
 def test_restriction_to_z_zero():
@@ -88,7 +83,7 @@ def test_restriction_to_line():
     assert b.degree == 3
     for _ in range(10):
         s, t = FP.random_element(rng), FP.random_element(rng)
-        pt = [FP.add(FP.mul(s, a), FP.mul(t, c)) for a, c in zip(p0, p1)]
+        pt = [FP.coerce(s * a + t * c) for a, c in zip(p0, p1)]
         assert b.evaluate(s, t) == f.evaluate(*pt)
 
 
@@ -107,7 +102,7 @@ def test_product_degree_and_values():
     assert fg.degree == 5
     for _ in range(5):
         pt = [FP.random_element(rng) for _ in range(3)]
-        assert fg.evaluate(*pt) == FP.mul(f.evaluate(*pt), g.evaluate(*pt))
+        assert fg.evaluate(*pt) == FP.coerce(f.evaluate(*pt) * g.evaluate(*pt))
 
 
 @st.composite

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmod import unipoly as up
-from qmod.errors import ConfigurationError, DomainError, ZeroPolynomialError
+from qmod.errors import ConfigurationError, DomainError, GenericityError, ZeroPolynomialError
 from qmod.fields import QQ, DEFAULT_PRIME, PrimeField
 
 FP = PrimeField(DEFAULT_PRIME)
@@ -90,7 +91,7 @@ def test_discriminant_detects_repeated_roots():
         # Random monic cubic; square-freeness must match res(f, f') != 0.
         f = [FP.random_element(rng) for _ in range(3)] + [1]
         disc = up.resultant(FP, f, up.derivative(FP, f))
-        assert up.squarefree_test(FP, f) == (not FP.is_zero(disc))
+        assert up.squarefree_test(FP, f) == (disc != 0)
 
 
 def test_resultant_fixed_degenerate_degrees():
@@ -150,7 +151,7 @@ def test_rational_roots_against_full_scan():
         f = up.normalize(pf, [pf.random_element(rng) for _ in range(6)])
         if up.is_zero(f):
             continue
-        brute = [a for a in range(101) if pf.is_zero(up.evaluate(pf, f, a))]
+        brute = [a for a in range(101) if up.evaluate(pf, f, a) == 0]
         assert up.rational_roots(pf, f) == brute
 
 
@@ -161,6 +162,25 @@ def test_rational_roots_known_factorization():
         f = up.mul(pf, f, [(-r) % 101, 1])
     f = up.mul(pf, f, [1, 1, 1])  # x^2 + x + 1 stays rootless mod 101
     assert up.rational_roots(pf, f) == [3, 7, 90]
+
+
+def test_split_linear_reports_a_shift_sequence_that_never_splits():
+    # With pow_mod stuck at 1 no shift can split (x - 3)(x - 7); the bounded
+    # loop has to report that instead of spinning.
+    pf = PrimeField(101)
+    calls = []
+
+    def stuck(field, base, e, m):
+        calls.append(1)
+        if len(calls) > 1000:
+            raise AssertionError("shift loop is unbounded")
+        return [field.one]
+
+    with mock.patch.object(up, "pow_mod", stuck):
+        with pytest.raises(GenericityError) as err:
+            up._split_linear(pf, up.mul(pf, [98, 1], [94, 1]), [])
+    assert err.value.data == {"degree": 2, "shifts": up._MAX_SHIFTS}
+    assert len(calls) == up._MAX_SHIFTS
 
 
 def test_pow_mod_matches_repeated_multiplication():
