@@ -6,31 +6,40 @@ degree d with c[d] = 0 has a root at the point at infinity [0:1], and the
 squarefree test accounts for its multiplicity d - deg(f(1,t)).
 
 The coefficient list of a form is the univariate polynomial f(1, t) padded
-with zeros to the declared degree, so sums, differences and products run
-through ``unipoly`` and are padded back with ``BinaryForm.from_unipoly``;
-those lists are already canonical, so they skip the constructor's check.
+with zeros to the declared degree, so products run through ``unipoly`` and
+are padded back with ``BinaryForm.from_unipoly``; those lists are already
+canonical, so they skip the constructor's check.
+
+``Form`` is the container both form classes share (this one and
+``ternary.TernaryForm``): the checked constructor, equality, sums, scaling
+and ``combination``, the one linear combination of forms.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError, FieldMismatchError, ZeroPolynomialError
-from .fields import checked
+from .fields import checked, combine
 from . import unipoly
 
 
-class BinaryForm:
-    """Degree-declared homogeneous form in two variables s, t."""
+class Form:
+    """A form of a declared degree: a field and the canonical coefficient
+    list whose length ``width(degree)`` fixes.
+
+    Each subclass supplies the static method ``width`` and its own
+    algebra.  Linear combinations go through ``fields.combine``.
+    """
 
     __slots__ = ("field", "degree", "coeffs")
 
     def __init__(self, field, degree: int, coeffs, *, _skip_check=False):
         if degree < 0:
-            raise DomainError("binary form degree must be nonnegative")
+            raise DomainError("form degree must be nonnegative")
         coeffs = list(coeffs)
-        if len(coeffs) != degree + 1:
+        width = self.width(degree)
+        if len(coeffs) != width:
             raise DomainError(
-                f"degree-{degree} form needs {degree + 1} coefficients, got {len(coeffs)}"
-            )
+                f"degree-{degree} form needs {width} coefficients, got {len(coeffs)}")
         if not _skip_check:
             coeffs = checked(field, coeffs)
         self.field = field
@@ -38,8 +47,57 @@ class BinaryForm:
         self.coeffs = coeffs
 
     @classmethod
-    def zero(cls, field, degree: int) -> "BinaryForm":
-        return cls(field, degree, [field.zero] * (degree + 1))
+    def zero(cls, field, degree: int):
+        return cls(field, degree, [field.zero] * cls.width(degree), _skip_check=True)
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and other.field == self.field
+            and other.degree == self.degree
+            and other.coeffs == self.coeffs
+        )
+
+    def __repr__(self):
+        return f"{type(self).__name__}(deg={self.degree}, {self.coeffs})"
+
+    def _require_same_shape(self, other) -> None:
+        if self.field != other.field:
+            raise FieldMismatchError("forms over different fields")
+        if self.degree != other.degree:
+            raise DomainError("forms of different declared degrees")
+
+    def add(self, other):
+        return self.combination([self, other], [1, 1])
+
+    def scale(self, a):
+        return self.combination([self], [self.field.coerce(a)])
+
+    @classmethod
+    def combination(cls, forms, weights):
+        """sum_k weights[k] * forms[k]; weights as ``fields.combine`` takes them."""
+        forms = list(forms)
+        if not forms:
+            raise DomainError("empty combination has no declared degree")
+        first = forms[0]
+        for f in forms:
+            first._require_same_shape(f)
+        F = first.field
+        return cls(F, first.degree, combine(F, [f.coeffs for f in forms], weights),
+                   _skip_check=True)
+
+
+class BinaryForm(Form):
+    """Degree-declared homogeneous form in two variables s, t."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def width(degree: int) -> int:
+        return degree + 1
 
     @classmethod
     def monomial(cls, field, degree: int, i: int) -> "BinaryForm":
@@ -57,44 +115,6 @@ class BinaryForm:
             raise DomainError("declared degree below actual degree")
         coeffs = list(cs) + [field.zero] * (degree + 1 - len(cs))
         return cls(field, degree, coeffs, _skip_check=_skip_check)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BinaryForm)
-            and other.field == self.field
-            and other.degree == self.degree
-            and other.coeffs == self.coeffs
-        )
-
-    def __repr__(self):
-        return f"BinaryForm(deg={self.degree}, {self.coeffs})"
-
-    def _require_same_shape(self, other: "BinaryForm"):
-        if self.field != other.field:
-            raise FieldMismatchError("binary forms over different fields")
-        if self.degree != other.degree:
-            raise DomainError("binary forms of different declared degrees")
-
-    def add(self, other: "BinaryForm") -> "BinaryForm":
-        self._require_same_shape(other)
-        F = self.field
-        return BinaryForm.from_unipoly(
-            F, unipoly.add(F, self.coeffs, other.coeffs), self.degree, _skip_check=True)
-
-    def sub(self, other: "BinaryForm") -> "BinaryForm":
-        self._require_same_shape(other)
-        F = self.field
-        return BinaryForm.from_unipoly(
-            F, unipoly.sub(F, self.coeffs, other.coeffs), self.degree, _skip_check=True)
-
-    def scale(self, a) -> "BinaryForm":
-        F = self.field
-        a = F.coerce(a)
-        return BinaryForm(F, self.degree, [F.coerce(a * c) for c in self.coeffs],
-                          _skip_check=True)
 
     def mul(self, other: "BinaryForm") -> "BinaryForm":
         if self.field != other.field:

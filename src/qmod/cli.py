@@ -22,7 +22,6 @@ from .invariants import (
     harris_tu_degree,
 )
 from .picard import (
-    _fmt,
     boundary_indices,
     canonical_class,
     chern_pair,
@@ -48,19 +47,8 @@ from .surface import blowup_verify
 from .verify import CHECKS, check_names, run_check
 
 
-class RunConfig:
-    """Global options shared by every subcommand."""
-
-    def __init__(self, field: PrimeField, seed: int, fmt: str, repeat: int):
-        self.field = field
-        self.prime = field.p
-        self.seed = seed
-        self.fmt = fmt
-        self.repeat = repeat
-
-
-def _emit(cfg: RunConfig, payload: dict, lines) -> int:
-    if cfg.fmt == "json":
+def _emit(args, payload: dict, lines) -> int:
+    if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in lines:
@@ -69,7 +57,7 @@ def _emit(cfg: RunConfig, payload: dict, lines) -> int:
 
 
 def _coeff_str(c) -> str:
-    return ("" if c.is_exact else ">= ") + _fmt(c.value)
+    return ("" if c.is_exact else ">= ") + str(c.value)
 
 
 def _class_lines(d) -> list:
@@ -85,42 +73,42 @@ def _class_lines(d) -> list:
     return lines
 
 
-def _cmd_expected_dim(cfg, args):
+def _cmd_expected_dim(field, args):
     v = expected_dim_q(args.g, args.r, args.d, args.k)
     payload = {"g": args.g, "r": args.r, "d": args.d, "k": args.k, "q": v}
-    return _emit(cfg, payload, [str(v)])
+    return _emit(args, payload, [str(v)])
 
 
-def _cmd_rho(cfg, args):
+def _cmd_rho(field, args):
     v = brill_noether_rho(args.g, args.r, args.d)
     payload = {"g": args.g, "r": args.r, "d": args.d, "rho": v}
-    return _emit(cfg, payload, [str(v)])
+    return _emit(args, payload, [str(v)])
 
 
-def _cmd_adjusted_rho(cfg, args):
+def _cmd_adjusted_rho(field, args):
     alpha = RamificationSequence(args.alpha)
     v = adjusted_rho(args.g, args.r, args.d, alpha)
     payload = {"g": args.g, "r": args.r, "d": args.d,
                "alpha": list(alpha), "rho": v}
-    return _emit(cfg, payload, [str(v)])
+    return _emit(args, payload, [str(v)])
 
 
-def _cmd_harris_tu(cfg, args):
+def _cmd_harris_tu(field, args):
     v = harris_tu_degree(args.e, args.k)
     payload = {"e": args.e, "k": args.k, "degree": v}
-    return _emit(cfg, payload, [str(v)])
+    return _emit(args, payload, [str(v)])
 
 
-def _cmd_enumerate_cases(cfg, args):
+def _cmd_enumerate_cases(field, args):
     cases = enumerate_quad_cases(args.g_max)
     payload = {"g_max": args.g_max, "count": len(cases),
                "cases": [list(c) for c in cases]}
     lines = [f"g={g} n={n} k={k}" for g, n, k in cases]
     lines.append(f"count: {len(cases)}")
-    return _emit(cfg, payload, lines)
+    return _emit(args, payload, lines)
 
 
-def _cmd_quad_class(cfg, args):
+def _cmd_quad_class(field, args):
     cls = quad_class(args.g, args.n, args.k)
     uns = quad_class_unscaled(args.g, args.n, args.k)
     alpha = harris_tu_degree(args.g - args.n, args.k)
@@ -129,25 +117,25 @@ def _cmd_quad_class(cfg, args):
     lines = [f"alpha: {alpha}"] + _class_lines(cls)
     lines.append("unscaled (divided by alpha):")
     lines.extend("  " + ln for ln in _class_lines(uns))
-    return _emit(cfg, payload, lines)
+    return _emit(args, payload, lines)
 
 
-def _cmd_dp_class(cfg, args):
+def _cmd_dp_class(field, args):
     cls = fr_dp_class(chern_pair(args.g, args.n))
-    return _emit(cfg, {"class": cls.to_json_dict()}, _class_lines(cls))
+    return _emit(args, {"class": cls.to_json_dict()}, _class_lines(cls))
 
 
-def _cmd_z_class(cfg, args):
+def _cmd_z_class(field, args):
     cls = z_class_15_9()
-    return _emit(cfg, {"class": cls.to_json_dict()}, _class_lines(cls))
+    return _emit(args, {"class": cls.to_json_dict()}, _class_lines(cls))
 
 
-def _cmd_canonical_class(cfg, args):
+def _cmd_canonical_class(field, args):
     cls = canonical_class(args.g, args.n)
-    return _emit(cfg, {"class": cls.to_json_dict()}, _class_lines(cls))
+    return _emit(args, {"class": cls.to_json_dict()}, _class_lines(cls))
 
 
-def _cmd_certificate(cfg, args):
+def _cmd_certificate(field, args):
     z = args.z
     if args.solve:
         x, y = solve_certificate_multipliers(z)
@@ -156,22 +144,22 @@ def _cmd_certificate(cfg, args):
     rep = general_type_certificate(x, y, z)
     bound_slots = sum(1 for s in rep.boundary if s.required_bound is not None)
     lines = [
-        f"multipliers: x={_fmt(rep.x)} y={_fmt(rep.y)} z={_fmt(rep.z)}",
-        f"lambda residual: {_fmt(rep.lambda_residual)}",
-        f"psi residual: {_fmt(rep.psi_residual)}",
-        f"E_irr: {_fmt(rep.e_irr)}",
+        f"multipliers: x={rep.x} y={rep.y} z={rep.z}",
+        f"lambda residual: {rep.lambda_residual}",
+        f"psi residual: {rep.psi_residual}",
+        f"E_irr: {rep.e_irr}",
         f"boundary slots needing a bound: {bound_slots}/{len(rep.boundary)}",
     ]
     for slot in rep.boundary:
         if slot.required_bound is not None:
-            lines.append(f"  b[{slot.i},{slot.s}] needs >= {_fmt(slot.required_bound)}")
+            lines.append(f"  b[{slot.i},{slot.s}] needs >= {slot.required_bound}")
     lines.append(f"passed: {rep.passed}")
-    _emit(cfg, rep.to_json_dict(), lines)
+    _emit(args, rep.to_json_dict(), lines)
     return 0 if rep.passed else 1
 
 
-def _cmd_rnc_i2(cfg, args):
-    field = QQ if args.rational else cfg.field
+def _cmd_rnc_i2(field, args):
+    field = QQ if args.rational else field
     system = i2_basis(ParamCurve.rational_normal(field, args.r))
     expected = rnc_i2_dim(args.r)
     payload = {"r": args.r, "dim": system.dim, "expected": expected,
@@ -179,61 +167,60 @@ def _cmd_rnc_i2(cfg, args):
     if args.dump:
         payload["system"] = system.to_json_dict()
     lines = [f"dim I2 = {system.dim} (expected {expected})"]
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0 if system.dim == expected else 1
 
 
-def _cmd_rank3_family(cfg, args):
-    got = family_dimension(args.r, 3, args.x, field=cfg.field, seed=cfg.seed)
+def _cmd_rank3_family(field, args):
+    got = family_dimension(args.r, 3, args.x, field=field, seed=args.seed)
     want = expected_family_dim(args.r, 3, args.x)
     payload = {"r": args.r, "x": args.x, "dim": got, "expected": want}
-    _emit(cfg, payload, [f"family dimension {got} (expected {want})"])
+    _emit(args, payload, [f"family dimension {got} (expected {want})"])
     return 0 if got == want else 1
 
 
-def _cmd_rank4_family(cfg, args):
+def _cmd_rank4_family(field, args):
     stratum = (args.m1, args.m2, args.x)
-    got = family_dimension(args.r, 4, stratum, field=cfg.field, seed=cfg.seed)
+    got = family_dimension(args.r, 4, stratum, field=field, seed=args.seed)
     want = expected_family_dim(args.r, 4, stratum)
     payload = {"r": args.r, "stratum": list(stratum), "dim": got, "expected": want}
-    _emit(cfg, payload, [f"family dimension {got} (expected {want})"])
+    _emit(args, payload, [f"family dimension {got} (expected {want})"])
     return 0 if got == want else 1
 
 
-def _cmd_secant(cfg, args):
+def _cmd_secant(field, args):
     if (args.t1 is None) != (args.t2 is None):
         print("error: --t1 and --t2 must be given together", file=sys.stderr)
         return 2
-    field = cfg.field
     curve = ParamCurve.rational_normal(field, args.r)
     system = i2_basis(curve)
     if args.t1 is not None:
         chords = [(field.coerce(args.t1), field.coerce(args.t2))]
     else:
-        rng = derived_rng(cfg.seed, "secant-cli", args.r)
-        chords = [random_chord(field, rng) for _ in range(cfg.repeat)]
+        rng = derived_rng(args.seed, "secant-cli", args.r)
+        chords = [random_chord(field, rng) for _ in range(args.repeat)]
     codims = [secant_condition(curve, t1, t2, system=system)
               for t1, t2 in chords]
     payload = {"r": args.r, "chords": len(codims), "codims": codims}
     good = sum(1 for c in codims if c == 1)
     lines = [f"chords: {len(codims)}", f"codimension 1: {good}/{len(codims)}"]
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0 if good == len(codims) else 1
 
 
-def _cmd_genus4(cfg, args):
-    seeds = list(range(cfg.seed, cfg.seed + cfg.repeat))
-    ranks = [genus4_check(s, field=cfg.field) for s in seeds]
+def _cmd_genus4(field, args):
+    seeds = list(range(args.seed, args.seed + args.repeat))
+    ranks = [genus4_check(s, field=field) for s in seeds]
     payload = {"seeds": seeds, "ranks": ranks}
     good = sum(1 for rk in ranks if rk == 4)
     lines = [f"seed {s}: rank {rk}" for s, rk in zip(seeds, ranks)]
     lines.append(f"rank 4: {good}/{len(ranks)}")
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0 if good == len(ranks) else 1
 
 
-def _cmd_genus5_net(cfg, args):
-    rep = genus5_net_check(cfg.seed, field=cfg.field)
+def _cmd_genus5_net(field, args):
+    rep = genus5_net_check(args.seed, field=field)
     lines = [
         f"seed: {rep.seed} (attempt {rep.attempt_used} of {rep.attempts})",
         f"discriminant nonzero: {rep.discriminant_nonzero}",
@@ -242,12 +229,12 @@ def _cmd_genus5_net(cfg, args):
         f"rank <= 3 points: {rep.low_rank_points}",
         f"passed: {rep.passed}",
     ]
-    _emit(cfg, rep.to_json_dict(), lines)
+    _emit(args, rep.to_json_dict(), lines)
     return 0 if rep.passed else 1
 
 
-def _cmd_blowup_verify(cfg, args):
-    rep = blowup_verify(cfg.seed, field=cfg.field)
+def _cmd_blowup_verify(field, args):
+    rep = blowup_verify(args.seed, field=field)
     payload = rep.to_json_dict()
     if args.dump and rep.passed:
         payload["dump"] = {"points": rep.config.to_json_dict(),
@@ -263,15 +250,15 @@ def _cmd_blowup_verify(cfg, args):
         lines.append(f"pencil discriminant: degree {rep.pencil.degree}, "
                      f"squarefree {rep.pencil.squarefree}")
     lines.append(f"passed: {rep.passed}")
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0 if rep.passed else 1
 
 
-def _cmd_pencil_disc(cfg, args):
-    rep = blowup_verify(cfg.seed, field=cfg.field)
+def _cmd_pencil_disc(field, args):
+    rep = blowup_verify(args.seed, field=field)
     if rep.pencil is None:
         payload = {"seed": rep.seed, "stage": rep.stage, "pencil": None}
-        _emit(cfg, payload, [f"construction stopped at stage {rep.stage}"])
+        _emit(args, payload, [f"construction stopped at stage {rep.stage}"])
         return 1
     payload = {"seed": rep.seed, "pencil": rep.pencil.to_json_dict()}
     if args.dump:
@@ -284,27 +271,24 @@ def _cmd_pencil_disc(cfg, args):
         f"squarefree: {pencil.squarefree}",
         f"nondegenerate: {pencil.nondegenerate}",
     ]
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0 if pencil.nondegenerate else 1
 
 
-def _cmd_verify(cfg, args):
+def _cmd_verify(field, args):
     requested = args.checks or ["all"]
-    if "all" in requested:
-        names = check_names()
-    else:
-        for name in requested:
-            if name not in CHECKS:
-                print(f"error: unknown check {name!r}; known: "
-                      f"{', '.join(check_names())} or all", file=sys.stderr)
-                return 2
-        names = requested
-    results = [run_check(name, seed=cfg.seed, field=cfg.field)
+    for name in requested:
+        if name != "all" and name not in CHECKS:
+            print(f"error: unknown check {name!r}; known: "
+                  f"{', '.join(check_names())} or all", file=sys.stderr)
+            return 2
+    names = check_names() if "all" in requested else requested
+    results = [run_check(name, seed=args.seed, field=field)
                for name in names]
-    payload = {"seed": cfg.seed, "prime": cfg.prime,
+    payload = {"seed": args.seed, "prime": field.p,
                "results": [r.to_json_dict() for r in results]}
     lines = [f"{r.check}: {'pass' if r.passed else 'FAIL'}" for r in results]
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -497,10 +481,9 @@ def main(argv=None) -> int:
     if args.repeat < 1:
         print(f"error: --repeat must be >= 1, got {args.repeat}", file=sys.stderr)
         return 2
-    cfg = RunConfig(field, seed=args.seed, fmt=args.format, repeat=args.repeat)
     handler = HANDLERS[args.command]
     try:
-        return handler(cfg, args)
+        return handler(field, args)
     except GenericityError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1

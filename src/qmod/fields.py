@@ -16,6 +16,9 @@ The contract every container and kernel keeps:
   value of the field's kind), ``is_element``, ``zero``, ``one``,
   ``random_element`` and ``format``.  A truth test such as ``if c:`` is
   made only on a value that is already reduced.
+* ``combine`` is the one linear-combination kernel: forms, quadrics and
+  plane systems take every weighted sum through it, exactly, with one
+  ``coerce`` per entry.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+from operator import mul
 
-from .errors import ConfigurationError, FieldMismatchError
+from .errors import ConfigurationError, DomainError, FieldMismatchError
 
 # Default modulus: the Mersenne prime 2^61 - 1.  Far above every degree and
 # minor bound that appears in this package, so genericity arguments that
@@ -213,6 +217,24 @@ def checked(field, values) -> list:
             raise FieldMismatchError(f"{x!r} is not a {field!r} scalar")
         out.append(field.coerce(x))
     return out
+
+
+def combine(field, vectors, weights) -> list:
+    """The canonical list sum_k weights[k] * vectors[k], entry by entry.
+
+    Each entry's weighted sum is formed exactly and reduced once.  The
+    vectors hold canonical scalars and share one length; a weight is any
+    exact value of the field's kind (an ``int`` serves every field) and
+    is not coerced here, so callers taking weights from outside coerce
+    them first.
+    """
+    vectors = list(vectors)
+    weights = list(weights)
+    if len(vectors) != len(weights):
+        raise DomainError("one weight per vector required")
+    if any(len(v) != len(vectors[0]) for v in vectors):
+        raise DomainError("combined vectors must share one length")
+    return [field.coerce(sum(map(mul, weights, column))) for column in zip(*vectors)]
 
 
 def require_sampling_prime(field) -> None:

@@ -63,6 +63,7 @@ class Matrix:
         return (
             isinstance(other, Matrix)
             and other.field == self.field
+            and (other.rows, other.cols) == (self.rows, self.cols)
             and other.data == self.data
         )
 

@@ -78,14 +78,7 @@ class Coefficient:
         return Coefficient(AT_LEAST, self.value)
 
     def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "value": _fmt(self.value)}
-
-
-def _fmt(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return {"kind": self.kind, "value": str(self.value)}
 
 
 ZERO = Coefficient.exact(0)
@@ -219,8 +212,8 @@ class DivisorClass:
         return {
             "g": self.g,
             "n": self.n,
-            "lambda": _fmt(self.lam.value),
-            "psi": [_fmt(p.value) for p in self.psi],
+            "lambda": str(self.lam.value),
+            "psi": [str(p.value) for p in self.psi],
             "b_irr": self.b_irr.to_json_dict(),
             "b": [
                 {"i": i, "s": s, **self.b[(i, s)].to_json_dict()}
@@ -427,9 +420,9 @@ class BoundarySlotReport:
             "i": self.i,
             "s": self.s,
             "status": self.status,
-            "slack": {"kind": self.slack_kind, "value": _fmt(self.slack_value)},
+            "slack": {"kind": self.slack_kind, "value": str(self.slack_value)},
         }
-        out["required_bound"] = None if self.required_bound is None else _fmt(self.required_bound)
+        out["required_bound"] = None if self.required_bound is None else str(self.required_bound)
         return out
 
 
@@ -446,10 +439,10 @@ class CertificateReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "multipliers": {"x": _fmt(self.x), "y": _fmt(self.y), "z": _fmt(self.z)},
-            "lambda_residual": _fmt(self.lambda_residual),
-            "psi_residual": _fmt(self.psi_residual),
-            "e_irr": _fmt(self.e_irr),
+            "multipliers": {"x": str(self.x), "y": str(self.y), "z": str(self.z)},
+            "lambda_residual": str(self.lambda_residual),
+            "psi_residual": str(self.psi_residual),
+            "e_irr": str(self.e_irr),
             "boundary": [slot.to_json_dict() for slot in self.boundary],
             "passed": self.passed,
         }

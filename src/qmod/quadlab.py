@@ -19,7 +19,8 @@ from functools import lru_cache
 from . import unipoly
 from .binforms import BinaryForm, binary_gcd
 from .errors import ConfigurationError, DomainError, InternalCheckError
-from .fields import DEFAULT_PRIME, PrimeField, checked, derived_rng, require_sampling_prime
+from .fields import (DEFAULT_PRIME, PrimeField, checked, combine, derived_rng,
+                     require_sampling_prime)
 from .linalg import Matrix
 from .ternary import TernaryForm, eliminate
 
@@ -157,10 +158,15 @@ def linear_combination(field, quadrics, coeffs) -> SymQuadric:
         raise DomainError("one coefficient per quadric required")
     if not quadrics:
         raise DomainError("empty combination has no ambient size")
-    acc = SymQuadric.zero(field, quadrics[0].size)
-    for q, c in zip(quadrics, coeffs):
-        acc = acc.add(q.scale(c))
-    return acc
+    size = quadrics[0].size
+    for q in quadrics:
+        if q.field != field:
+            raise DomainError("quadrics live over different fields")
+        if q.size != size:
+            raise DomainError(f"size mismatch: {size} vs {q.size}")
+    weights = [field.coerce(c) for c in coeffs]
+    return SymQuadric(field, [combine(field, [q.entries[i] for q in quadrics], weights)
+                              for i in range(size)], _skip_check=True)
 
 
 class QuadricSystem:
@@ -241,10 +247,8 @@ class ParamCurve:
         raise DomainError("curve components appear to share a projective root")
 
     def _random_combination(self, rng) -> BinaryForm:
-        acc = BinaryForm.zero(self.field, self.degree)
-        for comp in self.components:
-            acc = acc.add(comp.scale(self.field.random_element(rng)))
-        return acc
+        weights = [self.field.random_element(rng) for _ in self.components]
+        return BinaryForm.combination(self.components, weights)
 
     @classmethod
     def rational_normal(cls, field, r: int) -> "ParamCurve":
@@ -647,17 +651,17 @@ def genus4_check(seed: int, field=None) -> int:
 def form_matrix_det(entries, unit):
     """Determinant of a square matrix of forms, DP over column subsets.
 
-    Works for any entry type with add, mul, and scale; unit is the
-    multiplicative identity of that type.  Column-subset minors are built
-    one row at a time, so the work is 2^n small form products instead of
-    n! expansion terms.
+    The entries are ``Form`` instances of one class (binary or ternary);
+    unit is the degree-0 form 1 of that class.  Column-subset minors are
+    built one row at a time, so the work is 2^n small form products
+    instead of n! expansion terms; the signed products that land on one
+    column subset are summed once, by ``Form.combination``.
     """
     n = len(entries)
     if any(len(r) != n for r in entries):
         raise DomainError("determinant of a non-square matrix")
     if n == 0:
         return unit
-    minus_one = unit.field.coerce(-1)
     states = {0: unit}
     for row in range(n):
         nxt: dict = {}
@@ -667,15 +671,11 @@ def form_matrix_det(entries, unit):
                 if mask >> j & 1:
                     below += 1
                     continue
-                term = entries[row][j].mul(minor)
-                if below % 2 == 1:
-                    term = term.scale(minus_one)
-                key = mask | (1 << j)
-                if key in nxt:
-                    nxt[key] = nxt[key].add(term)
-                else:
-                    nxt[key] = term
-        states = nxt
+                terms, signs = nxt.setdefault(mask | (1 << j), ([], []))
+                terms.append(entries[row][j].mul(minor))
+                signs.append(-1 if below % 2 else 1)
+        states = {key: type(unit).combination(terms, signs)
+                  for key, (terms, signs) in nxt.items()}
     return states[(1 << n) - 1]
 
 
@@ -768,12 +768,7 @@ def _singular_candidates(field, disc: TernaryForm, qs) -> list | None:
         f2 = unipoly.normalize(field, d2.eval_fix_xz(a0, field.one))
         if not f1 and not f2:
             return None
-        if not f1:
-            common = f2
-        elif not f2:
-            common = f1
-        else:
-            common = unipoly.gcd(field, f1, f2)
+        common = unipoly.gcd(field, f1, f2)
         if unipoly.degree(common) == 0:
             continue
         for b0 in unipoly.rational_roots(field, common):

@@ -20,7 +20,7 @@ from . import unipoly
 from .binforms import BinaryForm, binary_gcd
 from .errors import (ConfigurationError, DomainError, GenericityError,
                      InternalCheckError)
-from .fields import DEFAULT_PRIME, PrimeField, derived_rng, require_sampling_prime
+from .fields import DEFAULT_PRIME, PrimeField, combine, derived_rng, require_sampling_prime
 from .linalg import Matrix
 from .quadlab import QuadricSystem, SymQuadric, _linear_family_det, _quadrics_through
 from .ternary import TernaryForm, _powers, eliminate, monomial_count, monomials
@@ -246,11 +246,10 @@ class PlaneSystem:
         field = self.field
         for _ in range(5):
             coeffs = [field.random_element(rng) for _ in range(self.dim)]
-            acc = TernaryForm.zero(field, self.cls.a)
-            for c, f in zip(coeffs, self.forms()):
-                acc = acc.add(f.scale(c))
-            if not acc.is_zero():
-                return acc
+            member = TernaryForm(field, self.cls.a, combine(field, self.basis, coeffs),
+                                 _skip_check=True)
+            if not member.is_zero():
+                return member
         raise GenericityError("random draws kept hitting the zero member",
                               data={"dim": self.dim})
 

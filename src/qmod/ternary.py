@@ -13,8 +13,8 @@ from functools import lru_cache
 
 from . import unipoly
 from .errors import ConfigurationError, DomainError, FieldMismatchError
-from .binforms import BinaryForm
-from .fields import PrimeField, checked
+from .binforms import BinaryForm, Form
+from .fields import PrimeField
 
 
 @lru_cache(maxsize=None)
@@ -49,56 +49,12 @@ def _product_table(d1: int, d2: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(table)
 
 
-class TernaryForm:
+class TernaryForm(Form):
     """Homogeneous form of a declared degree in x, y, z."""
 
-    __slots__ = ("field", "degree", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, field, degree: int, coeffs, *, _skip_check=False):
-        coeffs = list(coeffs)
-        if len(coeffs) != monomial_count(degree):
-            raise DomainError(
-                f"degree-{degree} form needs {monomial_count(degree)} coefficients"
-            )
-        if not _skip_check:
-            coeffs = checked(field, coeffs)
-        self.field = field
-        self.degree = degree
-        self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, field, degree: int) -> "TernaryForm":
-        return cls(field, degree, [field.zero] * monomial_count(degree), _skip_check=True)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TernaryForm)
-            and other.field == self.field
-            and other.degree == self.degree
-            and other.coeffs == self.coeffs
-        )
-
-    def __repr__(self):
-        return f"TernaryForm(deg={self.degree})"
-
-    def add(self, other: "TernaryForm") -> "TernaryForm":
-        if self.field != other.field or self.degree != other.degree:
-            raise DomainError("ternary form shape mismatch")
-        F = self.field
-        return TernaryForm(
-            F, self.degree,
-            [F.coerce(a + b) for a, b in zip(self.coeffs, other.coeffs)],
-            _skip_check=True,
-        )
-
-    def scale(self, a) -> "TernaryForm":
-        F = self.field
-        a = F.coerce(a)
-        return TernaryForm(F, self.degree, [F.coerce(a * c) for c in self.coeffs],
-                           _skip_check=True)
+    width = staticmethod(monomial_count)
 
     def mul(self, other: "TernaryForm") -> "TernaryForm":
         if self.field != other.field:
@@ -172,13 +128,8 @@ class TernaryForm:
             for _ in range(d):
                 powers.append(powers[-1].mul(lin[v]))
             pw.append(powers)
-        acc = BinaryForm.zero(F, d)
-        for (i, j, k), c in zip(monomials(d), self.coeffs):
-            if not c:
-                continue
-            term = pw[0][i].mul(pw[1][j]).mul(pw[2][k])
-            acc = acc.add(term.scale(c))
-        return acc
+        terms = [pw[0][i].mul(pw[1][j]).mul(pw[2][k]) for i, j, k in monomials(d)]
+        return BinaryForm.combination(terms, self.coeffs)
 
 
 def eliminate(f: TernaryForm, g: TernaryForm, var: int) -> list:

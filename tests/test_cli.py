@@ -135,9 +135,12 @@ def test_zero_repeat_is_rejected(capsys):
 
 
 def test_verify_unknown_check_is_a_usage_error(capsys):
-    rc, _, err = _run(capsys, "verify", "frobnicate")
-    assert rc == 2
-    assert "unknown check" in err
+    # Every name is checked before "all" expands, so a bad one next to it
+    # is refused too.
+    for argv in (("verify", "frobnicate"), ("verify", "all", "frobnicate")):
+        rc, _, err = _run(capsys, *argv)
+        assert rc == 2
+        assert "unknown check" in err
 
 
 def test_verify_subset_passes(capsys):

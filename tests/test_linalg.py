@@ -108,6 +108,9 @@ def test_empty_matrix_is_legal():
     m = Matrix(QQ, 0, 4, [])
     assert m.rank() == 0
     assert len(m.kernel_basis()) == 4
+    # Empty matrices of different shapes hold the same (empty) rows.
+    assert Matrix(QQ, 0, 3, []) != Matrix(QQ, 0, 5, [])
+    assert Matrix(QQ, 0, 3, []) == Matrix(QQ, 0, 3, [])
 
 
 def test_ragged_rows_rejected():

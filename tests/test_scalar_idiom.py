@@ -97,11 +97,11 @@ def test_form_kernels_return_canonical_scalars(field, b1, b2, t1, t2, t3, xs):
     t3 = TernaryForm(field, 2, [c(v) for v in t3])
     a, s, t, x, y, z = xs
     outs = [b1.scale(a).coeffs, b1.add(b1.scale(a)).coeffs,
-            b1.sub(b1.scale(a)).coeffs, b1.mul(b2).coeffs, [b1.evaluate(s, t)],
+            b1.add(b1.scale(a).scale(-1)).coeffs, b1.mul(b2).coeffs, [b1.evaluate(s, t)],
             t1.add(t3).coeffs, t1.scale(a).coeffs, t1.mul(t2).coeffs,
             t2.partial(0).coeffs, t2.partial(2).coeffs, [t2.evaluate(x, y, z)],
             t2._coeffs_in(0, y, z), t2._coeffs_in(1, x, z), _powers(field, a, 4)]
-    zeros = (b1.scale(0).is_zero(), t2.scale(0).is_zero(), b1.sub(b1).is_zero())
+    zeros = (b1.scale(0).is_zero(), t2.scale(0).is_zero(), b1.add(b1.scale(-1)).is_zero())
     assert all(_canonical(field, out) for out in outs)
     assert zeros == (True, True, True)
 
@@ -258,7 +258,7 @@ def test_form_kernels_agree_with_plain_integers(pf, b1, b2, t1, t2, u1, u2, xs, 
     fb2 = BinaryForm(pf, 2, [pf.coerce(v) for v in b2])
     assert fb1.evaluate(s, t) == bval(b1, 3) % p
     assert fb1.mul(fb2).evaluate(s, t) == bval(b1, 3) * bval(b2, 2) % p
-    assert fb1.sub(fb1.scale(a)).evaluate(s, t) == (1 - a) * bval(b1, 3) % p
+    assert fb1.add(fb1.scale(a).scale(-1)).evaluate(s, t) == (1 - a) * bval(b1, 3) % p
     ft1 = TernaryForm(pf, 2, [pf.coerce(v) for v in t1])
     ft2 = TernaryForm(pf, 3, [pf.coerce(v) for v in t2])
     assert ft2.evaluate(s, t, z) == tval(t2, 3) % p
