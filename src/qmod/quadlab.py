@@ -60,11 +60,6 @@ class SymQuadric:
         self._rank = None
 
     @classmethod
-    def zero(cls, field, size: int) -> "SymQuadric":
-        z = field.zero
-        return cls(field, [[z] * size for _ in range(size)], _skip_check=True)
-
-    @classmethod
     def from_upper_coeffs(cls, field, size: int, coeffs) -> "SymQuadric":
         """Build from quadratic-form coefficients in upper_pairs order.
 
@@ -115,28 +110,6 @@ class SymQuadric:
         if self._rank is None:
             self._rank = self.matrix().rank()
         return self._rank
-
-    def _require_same_shape(self, other: "SymQuadric") -> None:
-        if self.field != other.field:
-            raise DomainError("quadrics live over different fields")
-        if self.size != other.size:
-            raise DomainError(f"size mismatch: {self.size} vs {other.size}")
-
-    def add(self, other: "SymQuadric") -> "SymQuadric":
-        self._require_same_shape(other)
-        f = self.field
-        return SymQuadric(f, [[f.coerce(a + b) for a, b in zip(r1, r2)]
-                              for r1, r2 in zip(self.entries, other.entries)],
-                          _skip_check=True)
-
-    def scale(self, a) -> "SymQuadric":
-        f = self.field
-        a = f.coerce(a)
-        return SymQuadric(f, [[f.coerce(a * x) for x in row] for row in self.entries],
-                          _skip_check=True)
-
-    def is_zero(self) -> bool:
-        return not any(x for row in self.entries for x in row)
 
     def __eq__(self, other):
         if not isinstance(other, SymQuadric):
@@ -194,9 +167,6 @@ class QuadricSystem:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def evaluate_all(self, point) -> list:
-        return [q.evaluate(point) for q in self.basis]
 
     def to_json_dict(self) -> dict:
         return {"r": self.r, "dim": self.dim,
@@ -593,7 +563,7 @@ def secant_condition(c: ParamCurve, t1, t2, *, system: QuadricSystem | None = No
     if Matrix.from_rows(field, [p1, p2]).rank() < 2:
         raise DomainError("parameter values give proportional points")
     p3 = [field.coerce(a + b) for a, b in zip(p1, p2)]
-    return 1 if any(system.evaluate_all(p3)) else 0
+    return 1 if any(q.evaluate(p3) for q in system.basis) else 0
 
 
 def cone_quadric(q: SymQuadric, extra: int) -> SymQuadric:
@@ -673,7 +643,7 @@ def form_matrix_det(entries, unit):
                     continue
                 terms, signs = nxt.setdefault(mask | (1 << j), ([], []))
                 terms.append(entries[row][j].mul(minor))
-                signs.append(-1 if below % 2 else 1)
+                signs.append(-1 if (row - below) % 2 else 1)
         states = {key: type(unit).combination(terms, signs)
                   for key, (terms, signs) in nxt.items()}
     return states[(1 << n) - 1]
@@ -734,12 +704,7 @@ def _random_line_squarefree(field, disc: TernaryForm, rng) -> bool | None:
     for _ in range(5):
         p0 = [field.random_element(rng) for _ in range(3)]
         p1 = [field.random_element(rng) for _ in range(3)]
-        cross = [
-            field.coerce(p0[1] * p1[2] - p0[2] * p1[1]),
-            field.coerce(p0[2] * p1[0] - p0[0] * p1[2]),
-            field.coerce(p0[0] * p1[1] - p0[1] * p1[0]),
-        ]
-        if not any(cross):
+        if Matrix.from_rows(field, [p0, p1]).rank() < 2:
             continue
         restricted = disc.restrict_to_line(p0, p1)
         if restricted.is_zero():
@@ -764,8 +729,8 @@ def _singular_candidates(field, disc: TernaryForm, qs) -> list | None:
         return None
     out = []
     for a0 in unipoly.rational_roots(field, elim):
-        f1 = unipoly.normalize(field, d1.eval_fix_xz(a0, field.one))
-        f2 = unipoly.normalize(field, d2.eval_fix_xz(a0, field.one))
+        f1 = unipoly.normalize(field, d1.coeffs_in(1, a0, field.one))
+        f2 = unipoly.normalize(field, d2.coeffs_in(1, a0, field.one))
         if not f1 and not f2:
             return None
         common = unipoly.gcd(field, f1, f2)
@@ -777,8 +742,8 @@ def _singular_candidates(field, disc: TernaryForm, qs) -> list | None:
     # The chart above misses the line z = 0; the restrictions of both
     # partials are binary forms whose common projective roots finish the
     # sweep.
-    r1 = d1.restrict_z0()
-    r2 = d2.restrict_z0()
+    r1 = d1.restrict_to_line((1, 0, 0), (0, 1, 0))
+    r2 = d2.restrict_to_line((1, 0, 0), (0, 1, 0))
     if r1.is_zero() and r2.is_zero():
         return None
     if r1.is_zero():

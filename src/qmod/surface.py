@@ -20,10 +20,10 @@ from . import unipoly
 from .binforms import BinaryForm, binary_gcd
 from .errors import (ConfigurationError, DomainError, GenericityError,
                      InternalCheckError)
-from .fields import DEFAULT_PRIME, PrimeField, combine, derived_rng, require_sampling_prime
+from .fields import DEFAULT_PRIME, PrimeField, derived_rng, require_sampling_prime
 from .linalg import Matrix
 from .quadlab import QuadricSystem, SymQuadric, _linear_family_det, _quadrics_through
-from .ternary import TernaryForm, _powers, eliminate, monomial_count, monomials
+from .ternary import TernaryForm, _powers, eliminate, monomials
 
 
 def _normalize_point(field, p):
@@ -190,35 +190,28 @@ def expected_system_dim(cls: NSClass) -> int:
 class PlaneSystem:
     """Basis of plane forms with assigned point multiplicities.
 
-    The basis is stored as graded-lex coefficient vectors; construction
-    re-verifies every multiplicity condition through iterated partial
-    derivatives, a deliberately separate code path from the interpolation
-    matrix that produced the kernel.
+    The members are stored as ``TernaryForm`` instances in ``forms``, each
+    built once through the checked constructor; construction re-verifies
+    every multiplicity condition through iterated partial derivatives, a
+    deliberately separate code path from the interpolation matrix that
+    produced the kernel.
     """
 
-    __slots__ = ("field", "cls", "basis", "config")
+    __slots__ = ("field", "cls", "forms", "config")
 
     def __init__(self, field, cls: NSClass, basis, config: PointConfig):
-        basis = [list(v) for v in basis]
-        width = monomial_count(cls.a)
-        for v in basis:
-            if len(v) != width:
-                raise DomainError(f"coefficient vectors must have length {width}")
         self.field = field
         self.cls = cls
-        self.basis = basis
+        self.forms = [TernaryForm(field, cls.a, v) for v in basis]
         self.config = config
         self._verify_multiplicities()
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-    def forms(self) -> list[TernaryForm]:
-        return [TernaryForm(self.field, self.cls.a, v) for v in self.basis]
+        return len(self.forms)
 
     def _verify_multiplicities(self):
-        for f in self.forms():
+        for f in self.forms:
             partials = {(0, 0): f}
             top = min(max(self.cls.mults, default=0), self.cls.a + 1)
             for order in range(1, top):
@@ -237,7 +230,7 @@ class PlaneSystem:
 
     def impose_point(self, q) -> int:
         """Dimension of the subsystem vanishing at one more point."""
-        drop = 1 if any(f.evaluate(*q) for f in self.forms()) else 0
+        drop = 1 if any(f.evaluate(*q) for f in self.forms) else 0
         return self.dim - drop
 
     def random_member(self, rng) -> TernaryForm:
@@ -246,8 +239,7 @@ class PlaneSystem:
         field = self.field
         for _ in range(5):
             coeffs = [field.random_element(rng) for _ in range(self.dim)]
-            member = TernaryForm(field, self.cls.a, combine(field, self.basis, coeffs),
-                                 _skip_check=True)
+            member = TernaryForm.combination(self.forms, coeffs)
             if not member.is_zero():
                 return member
         raise GenericityError("random draws kept hitting the zero member",
@@ -256,7 +248,7 @@ class PlaneSystem:
     def to_json_dict(self) -> dict:
         fmt = self.field.format
         return {"class": self.cls.to_json_dict(), "dim": self.dim,
-                "basis": [[fmt(c) for c in v] for v in self.basis]}
+                "basis": [[fmt(c) for c in f.coeffs] for f in self.forms]}
 
 
 def _interpolation_kernel(cfg: PointConfig, cls: NSClass) -> PlaneSystem:
@@ -321,7 +313,7 @@ def surface_i2(cfg: PointConfig) -> QuadricSystem:
     if cfg.n != 15:
         raise DomainError("the embedding construction uses 15 points")
     hs = interpolation_basis(cfg, hyperplane_class())
-    qs = _quadrics_through(cfg.field, hs.dim - 1, hs.forms())
+    qs = _quadrics_through(cfg.field, hs.dim - 1, hs.forms)
     if qs.dim != 2:
         raise GenericityError(
             f"quadric system dimension {qs.dim}, expected 2",
@@ -517,7 +509,7 @@ def separation_evidence(sys_: PlaneSystem, trials: int, seed: int = 0) -> Separa
         raise DomainError("separation needs a system of dimension at least 2")
     field = sys_.field
     rng = derived_rng(seed, "separation", sys_.cls.a)
-    forms = sys_.forms()
+    forms = sys_.forms
     failures = 0
     for _ in range(trials):
         q1 = (field.random_element(rng), field.random_element(rng), field.one)
@@ -607,7 +599,7 @@ def blowup_report(seed: int, field=None) -> SurfaceReport:
     except GenericityError:
         return SurfaceReport(seed, prime, "linear-systems", h_dim, curve_dim,
                              residual_dim, None, None, False, cfg)
-    qs = _quadrics_through(field, hs.dim - 1, hs.forms())
+    qs = _quadrics_through(field, hs.dim - 1, hs.forms)
     if qs.dim != 2:
         return SurfaceReport(seed, prime, "quadrics", h_dim, curve_dim,
                              residual_dim, qs.dim, None, False, cfg, hs, qs)

@@ -5,6 +5,12 @@ of the declared degree; the order is fixed so serialized coefficient
 matrices are reproducible bit for bit.  Only what the curve and surface
 labs need lives here: products, partials, evaluation and restriction to
 lines.  No Groebner machinery.
+
+There is one evaluation kernel: ``coeffs_in`` substitutes two of the
+variables and leaves a univariate polynomial in the third, which
+``evaluate`` finishes by Horner and ``eliminate`` feeds to the resultant.
+The one restriction is ``restrict_to_line``; the line z = 0 is the line
+through (1, 0, 0) and (0, 1, 0).
 """
 
 from __future__ import annotations
@@ -83,21 +89,13 @@ class TernaryForm(Form):
         return TernaryForm(F, self.degree - 1, out, _skip_check=True)
 
     def evaluate(self, x0, y0, z0):
+        """f(x0, y0, z0): Horner in y on ``coeffs_in(1, x0, z0)``."""
         F = self.field
-        x0, y0, z0 = F.coerce(x0), F.coerce(y0), F.coerce(z0)
-        px = _powers(F, x0, self.degree)
-        py = _powers(F, y0, self.degree)
-        pz = _powers(F, z0, self.degree)
-        return F.coerce(sum(c * px[i] * py[j] * pz[k]
-                            for (i, j, k), c in zip(monomials(self.degree), self.coeffs)))
+        return unipoly.evaluate(F, self.coeffs_in(1, x0, z0), F.coerce(y0))
 
-    def eval_fix_xz(self, x0, z0) -> list:
-        """Coefficients in y after substituting x = x0, z = z0 (dense, padded)."""
-        return self._coeffs_in(1, x0, z0)
-
-    def _coeffs_in(self, var: int, a0, z0) -> list:
+    def coeffs_in(self, var: int, a0, z0) -> list:
         """Coefficients in x (var 0) or y (var 1) after substituting a0 for
-        the other of the two and z0 for z."""
+        the other of the two and z0 for z (dense, padded to the degree)."""
         F = self.field
         a0, z0 = F.coerce(a0), F.coerce(z0)
         pa = _powers(F, a0, self.degree)
@@ -106,16 +104,6 @@ class TernaryForm(Form):
         for e, c in zip(monomials(self.degree), self.coeffs):
             out[e[var]] += c * pa[e[1 - var]] * pz[e[2]]
         return [F.coerce(c) for c in out]
-
-    def restrict_z0(self) -> BinaryForm:
-        """Restriction to the line z = 0 as a binary form in (x, y)."""
-        F = self.field
-        d = self.degree
-        coeffs = [F.zero] * (d + 1)
-        idx = monomial_index(d)
-        for j in range(d + 1):
-            coeffs[j] = self.coeffs[idx[(d - j, j, 0)]]
-        return BinaryForm(F, d, coeffs)
 
     def restrict_to_line(self, p0, p1) -> BinaryForm:
         """Pull back along s*p0 + t*p1 as a binary form of the same degree."""
@@ -154,8 +142,8 @@ def eliminate(f: TernaryForm, g: TernaryForm, var: int) -> list:
         raise ConfigurationError(
             f"resultant interpolation needs p > {bound}, prime {field.p} is too small")
     nodes = [field.coerce(a) for a in range(bound + 1)]
-    vals = [unipoly.resultant_fixed(field, f._coeffs_in(var, a, field.one),
-                                    g._coeffs_in(var, a, field.one), f.degree, g.degree)
+    vals = [unipoly.resultant_fixed(field, f.coeffs_in(var, a, field.one),
+                                    g.coeffs_in(var, a, field.one), f.degree, g.degree)
             for a in nodes]
     return unipoly.interpolate(field, nodes, vals)
 

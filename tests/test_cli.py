@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmod.cli import main
+from qmod.errors import InternalCheckError
 
 
 def _run(capsys, *argv):
@@ -233,3 +238,53 @@ def test_closed_stdout_pipe_exits_one_without_traceback(qmod_env, argv):
         os.close(write_end)
     assert proc.returncode == 1
     assert b"Traceback" not in proc.stderr
+
+
+# Edge values for the robustness sweep: ambient dimensions below and above
+# the legal range, the unit, composite and too-small moduli next to the two
+# working primes, a zero repeat count and chords with equal parameters.
+_SWEEP_PRIMES = [1, 3, 4, 65537, (1 << 61) - 1]
+_small = st.integers(-2, 9).map(str)
+
+
+@st.composite
+def _cheap_argv(draw):
+    command = draw(st.sampled_from(["rnc-i2", "rank3-family", "rank4-family", "secant",
+                                    "genus4", "expected-dim", "rho", "harris-tu"]))
+    argv = [command, "--prime", str(draw(st.sampled_from(_SWEEP_PRIMES))),
+            "--seed", str(draw(st.integers(0, 3))),
+            "--repeat", str(draw(st.integers(0, 2)))]
+    if command == "harris-tu":
+        return argv + ["--e", draw(_small), "--k", draw(_small)]
+    if command == "genus4":
+        return argv
+    argv += ["--r", draw(_small)]
+    if command == "rnc-i2" and draw(st.booleans()):
+        argv.append("--rational")
+    elif command == "rank3-family":
+        argv += ["--x", draw(_small)]
+    elif command == "rank4-family":
+        argv += ["--m1", draw(_small), "--m2", draw(_small), "--x", draw(_small)]
+    elif command == "secant" and draw(st.booleans()):
+        t1 = draw(_small)
+        argv += ["--t1", t1, "--t2", draw(st.one_of(st.just(t1), _small))]
+    elif command in ("expected-dim", "rho"):
+        argv += ["--g", draw(_small), "--d", draw(_small)]
+        if command == "expected-dim":
+            argv += ["--k", draw(_small)]
+    return argv
+
+
+@settings(max_examples=150)
+@given(argv=_cheap_argv())
+def test_cheap_commands_exit_cleanly_on_edge_input(argv):
+    # Every outcome is an exit code: 0 success, 1 failed check, 2 bad usage
+    # or configuration.  Only a broken internal invariant may escape.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except InternalCheckError:
+            return
+    assert rc in (0, 1, 2), (argv, rc)
+    assert "Traceback" not in err.getvalue()

@@ -112,9 +112,9 @@ def test_linear_combination_refuses_bad_weights_and_shapes():
         with pytest.raises(FieldMismatchError):
             linear_combination(fp, [q], [bad])
     with pytest.raises(DomainError):
-        linear_combination(fp, [q, SymQuadric.zero(fp, 3)], [1, 1])
+        linear_combination(fp, [q, SymQuadric(fp, [[0] * 3 for _ in range(3)])], [1, 1])
     with pytest.raises(DomainError):
-        linear_combination(fp, [SymQuadric.zero(PrimeField(11), 2)], [1])
+        linear_combination(fp, [SymQuadric(PrimeField(11), [[0, 0], [0, 0]])], [1])
     with pytest.raises(DomainError):
         linear_combination(fp, [], [])
     assert linear_combination(QQ, [SymQuadric(QQ, [[1]])], [Fraction(1, 3)]).entries \

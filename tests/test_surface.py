@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from qmod.errors import ConfigurationError, DomainError, InternalCheckError
+from qmod.errors import (ConfigurationError, DomainError, FieldMismatchError,
+                         InternalCheckError)
 from qmod.fields import QQ, DEFAULT_PRIME, PrimeField, derived_rng
 from qmod.linalg import Matrix
 from qmod.quadlab import i2_basis, ParamCurve
@@ -27,7 +28,7 @@ from qmod.surface import (
     separation_evidence,
     surface_i2,
 )
-from qmod.quadlab import SymQuadric
+from qmod.quadlab import SymQuadric, linear_combination
 
 FP = PrimeField(DEFAULT_PRIME)
 
@@ -140,10 +141,21 @@ def test_plane_system_refuses_a_perturbed_basis():
     # one basis coefficient moved by 1 must fail that check.
     cfg = PointConfig.sample(FP, 15, 3)
     hs = interpolation_basis(cfg, hyperplane_class())
-    assert PlaneSystem(FP, hs.cls, hs.basis, cfg).basis == hs.basis
-    basis = [v[:] for v in hs.basis]
+    basis = [f.coeffs[:] for f in hs.forms]
+    assert PlaneSystem(FP, hs.cls, basis, cfg).forms == hs.forms
     basis[2][4] = FP.coerce(basis[2][4] + 1)
     with pytest.raises(InternalCheckError):
+        PlaneSystem(FP, hs.cls, basis, cfg)
+
+
+def test_plane_system_refuses_an_unreduced_coefficient():
+    # Members go through the checked constructor: a residue outside [0, p)
+    # is refused even though it names the same element of F_p.
+    cfg = PointConfig.sample(FP, 15, 3)
+    hs = interpolation_basis(cfg, hyperplane_class())
+    basis = [f.coeffs[:] for f in hs.forms]
+    basis[1][0] += FP.p
+    with pytest.raises(FieldMismatchError):
         PlaneSystem(FP, hs.cls, basis, cfg)
 
 
@@ -152,7 +164,7 @@ def test_surface_quadric_pair():
     qs = surface_i2(cfg)
     assert qs.dim == 2
     hs = interpolation_basis(cfg, hyperplane_class())
-    forms = hs.forms()
+    forms = hs.forms
     rng = derived_rng(11, "unit-i2-points")
     for _ in range(50):
         x0, y0 = FP.random_element(rng), FP.random_element(rng)
@@ -166,11 +178,11 @@ def test_pencil_discriminant_of_proportional_pair_degenerates():
     q = SymQuadric.from_upper_coeffs(
         FP, 3, [FP.random_element(rng) for _ in range(6)])
     # det(s Q + 5 t Q) = (s + 5t)^3 det(Q): a triple root.
-    disc = pencil_discriminant(q, q.scale(5))
+    disc = pencil_discriminant(q, linear_combination(FP, [q], [5]))
     assert disc.degree == 3
     assert not disc.squarefree()
     singular = SymQuadric(FP, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
-    flat = pencil_discriminant(singular, singular.scale(2))
+    flat = pencil_discriminant(singular, linear_combination(FP, [singular], [2]))
     assert all(c == 0 for c in flat.coeffs)
 
 
@@ -183,16 +195,17 @@ def test_pencil_discriminant_sees_forced_double_root():
     assert not disc.squarefree()
 
 
-def test_pencil_discriminant_matches_pointwise_determinant():
-    rng = derived_rng(0, "unit-pencil-det")
-    q1 = SymQuadric.from_upper_coeffs(
-        FP, 4, [FP.random_element(rng) for _ in range(10)])
-    q2 = SymQuadric.from_upper_coeffs(
-        FP, 4, [FP.random_element(rng) for _ in range(10)])
+@pytest.mark.parametrize("size", range(2, 8))
+def test_pencil_discriminant_matches_pointwise_determinant(size):
+    rng = derived_rng(size, "unit-pencil-det")
+    q1, q2 = (SymQuadric.from_upper_coeffs(
+        FP, size, [FP.random_element(rng) for _ in range(size * (size + 1) // 2)])
+        for _ in range(2))
     disc = pencil_discriminant(q1, q2)
+    assert disc.degree == size
     for _ in range(5):
         s, t = FP.random_element(rng), FP.random_element(rng)
-        combo = q1.scale(s).add(q2.scale(t))
+        combo = linear_combination(FP, [q1, q2], [s, t])
         assert disc.evaluate(s, t) == combo.matrix().det()
 
 

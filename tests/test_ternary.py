@@ -8,10 +8,20 @@ from hypothesis import strategies as st
 from qmod import unipoly
 from qmod.errors import ConfigurationError, DomainError
 from qmod.fields import DEFAULT_PRIME, QQ, PrimeField
-from qmod.ternary import (TernaryForm, eliminate, monomial_count, monomial_index,
-                          monomials)
+from qmod.ternary import (TernaryForm, _powers, eliminate, monomial_count,
+                          monomial_index, monomials)
 
 FP = PrimeField(DEFAULT_PRIME)
+FIELDS = [QQ, PrimeField(7), PrimeField(65537), PrimeField((1 << 61) - 1)]
+
+
+def _monomial_sum(f, x0, y0, z0):
+    """f(x0, y0, z0) as the sum over monomials of c * x0^i * y0^j * z0^k,
+    one power list per variable: the oracle for ``evaluate``."""
+    F = f.field
+    px, py, pz = (_powers(F, F.coerce(v), f.degree) for v in (x0, y0, z0))
+    return F.coerce(sum(c * px[i] * py[j] * pz[k]
+                        for (i, j, k), c in zip(monomials(f.degree), f.coeffs)))
 
 
 def _random_ternary(rng, degree):
@@ -57,18 +67,41 @@ def test_single_variable_specializations():
     for _ in range(10):
         f = _random_ternary(rng, 4)
         x0, y0, z0 = (FP.random_element(rng) for _ in range(3))
-        in_y = f.eval_fix_xz(x0, z0)
+        want = _monomial_sum(f, x0, y0, z0)
+        in_y = f.coeffs_in(1, x0, z0)
         got = sum(c * pow(y0, i, FP.p) for i, c in enumerate(in_y))
-        assert FP.coerce(got) == f.evaluate(x0, y0, z0)
-        in_x = f._coeffs_in(0, y0, z0)
+        assert FP.coerce(got) == want
+        in_x = f.coeffs_in(0, y0, z0)
         got = sum(c * pow(x0, i, FP.p) for i, c in enumerate(in_x))
-        assert FP.coerce(got) == f.evaluate(x0, y0, z0)
+        assert FP.coerce(got) == want
+
+
+small_or_huge = st.one_of(st.just(0), st.integers(-9, 9),
+                          st.integers(-(1 << 64), 1 << 64))
+
+
+@given(data=st.data())
+def test_evaluate_matches_the_monomial_sum(data):
+    field = data.draw(st.sampled_from(FIELDS), label="field")
+    degree = data.draw(st.integers(0, 5), label="degree")
+    scalar = small_or_huge
+    if field is QQ:
+        scalar = st.one_of(small_or_huge, st.fractions(max_denominator=9))
+    cs = data.draw(st.lists(scalar, min_size=monomial_count(degree),
+                            max_size=monomial_count(degree)), label="coeffs")
+    f = TernaryForm(field, degree, [field.coerce(c) for c in cs])
+    x0, y0 = data.draw(scalar, label="x0"), data.draw(scalar, label="y0")
+    z0 = data.draw(st.one_of(st.just(0), scalar), label="z0")
+    assert f.evaluate(x0, y0, z0) == _monomial_sum(f, x0, y0, z0)
 
 
 def test_restriction_to_z_zero():
     rng = random.Random(16)
     f = _random_ternary(rng, 3)
-    b = f.restrict_z0()
+    b = f.restrict_to_line((1, 0, 0), (0, 1, 0))
+    # The line z = 0: coefficient j of s^(3-j) t^j is that of x^(3-j) y^j.
+    idx = monomial_index(3)
+    assert b.coeffs == [f.coeffs[idx[(3 - j, j, 0)]] for j in range(4)]
     for _ in range(10):
         s, t = FP.random_element(rng), FP.random_element(rng)
         assert b.evaluate(s, t) == f.evaluate(s, t, 0)
@@ -128,8 +161,8 @@ def test_elimination_matches_declared_degree_sylvester(case, var, points):
     res = eliminate(f, g, var)
     for a in points:
         a = field.coerce(a)
-        u = unipoly.normalize(field, f._coeffs_in(var, a, field.one))
-        v = unipoly.normalize(field, g._coeffs_in(var, a, field.one))
+        u = unipoly.normalize(field, f.coeffs_in(var, a, field.one))
+        v = unipoly.normalize(field, g.coeffs_in(var, a, field.one))
         want = unipoly.sylvester_matrix(field, u, v, f.degree, g.degree).det()
         assert unipoly.evaluate(field, res, a) == want
 
