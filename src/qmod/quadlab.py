@@ -566,34 +566,6 @@ def secant_condition(c: ParamCurve, t1, t2, *, system: QuadricSystem | None = No
     return 1 if any(q.evaluate(p3) for q in system.basis) else 0
 
 
-def cone_quadric(q: SymQuadric, extra: int) -> SymQuadric:
-    """Extend by cone directions: zero rows and columns appended."""
-    if extra < 0:
-        raise DomainError("cone extension count must be nonnegative")
-    f = q.field
-    n = q.size + extra
-    z = f.zero
-    rows = [[z] * n for _ in range(n)]
-    for i in range(q.size):
-        for j in range(q.size):
-            rows[i][j] = q.entries[i][j]
-    return SymQuadric(f, rows, _skip_check=True)
-
-
-def project_quadric(q: SymQuadric, drop: int) -> SymQuadric:
-    """Delete the last drop coordinates; legal only when every deleted
-    entry is zero, so rank is preserved exactly."""
-    if drop < 0 or drop > q.size:
-        raise DomainError("cannot drop more coordinates than the matrix has")
-    keep = q.size - drop
-    f = q.field
-    for i in range(q.size):
-        for j in range(q.size):
-            if (i >= keep or j >= keep) and q.entries[i][j]:
-                raise DomainError("projection would discard a nonzero coefficient")
-    return SymQuadric(f, [row[:keep] for row in q.entries[:keep]], _skip_check=True)
-
-
 def _random_sym_quadric(field, size: int, rng) -> SymQuadric:
     z = field.zero
     rows = [[z] * size for _ in range(size)]

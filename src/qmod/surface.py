@@ -16,14 +16,13 @@ import dataclasses
 from dataclasses import dataclass
 from math import comb, perm
 
-from . import unipoly
-from .binforms import BinaryForm, binary_gcd
-from .errors import (ConfigurationError, DomainError, GenericityError,
-                     InternalCheckError)
+from .binforms import BinaryForm
+from .errors import (ConfigurationError, DomainError, FieldMismatchError,
+                     GenericityError, InternalCheckError)
 from .fields import DEFAULT_PRIME, PrimeField, derived_rng, require_sampling_prime
 from .linalg import Matrix
 from .quadlab import QuadricSystem, SymQuadric, _linear_family_det, _quadrics_through
-from .ternary import TernaryForm, _powers, eliminate, monomials
+from .ternary import TernaryForm, _powers, monomials
 
 
 def _normalize_point(field, p):
@@ -200,6 +199,10 @@ class PlaneSystem:
     __slots__ = ("field", "cls", "forms", "config")
 
     def __init__(self, field, cls: NSClass, basis, config: PointConfig):
+        if config.field != field:
+            raise FieldMismatchError("configuration points live over another field")
+        if len(cls.mults) != config.n:
+            raise DomainError("one multiplicity per configured point required")
         self.field = field
         self.cls = cls
         self.forms = [TernaryForm(field, cls.a, v) for v in basis]
@@ -227,23 +230,6 @@ class PlaneSystem:
                         if partials[(dx, dy)].evaluate(*pt):
                             raise InternalCheckError(
                                 "system member misses an assigned multiplicity")
-
-    def impose_point(self, q) -> int:
-        """Dimension of the subsystem vanishing at one more point."""
-        drop = 1 if any(f.evaluate(*q) for f in self.forms) else 0
-        return self.dim - drop
-
-    def random_member(self, rng) -> TernaryForm:
-        if self.dim == 0:
-            raise DomainError("empty system has no members")
-        field = self.field
-        for _ in range(5):
-            coeffs = [field.random_element(rng) for _ in range(self.dim)]
-            member = TernaryForm.combination(self.forms, coeffs)
-            if not member.is_zero():
-                return member
-        raise GenericityError("random draws kept hitting the zero member",
-                              data={"dim": self.dim})
 
     def to_json_dict(self) -> dict:
         fmt = self.field.format
@@ -304,23 +290,6 @@ def interpolation_basis(cfg: PointConfig, cls: NSClass) -> PlaneSystem:
     return sys_
 
 
-def surface_i2(cfg: PointConfig) -> QuadricSystem:
-    """Quadrics through the image of the embedding system.
-
-    The kernel is computed on full degree-14 coefficient vectors, so
-    membership is exact; the expected dimension for general points is 2.
-    """
-    if cfg.n != 15:
-        raise DomainError("the embedding construction uses 15 points")
-    hs = interpolation_basis(cfg, hyperplane_class())
-    qs = _quadrics_through(cfg.field, hs.dim - 1, hs.forms)
-    if qs.dim != 2:
-        raise GenericityError(
-            f"quadric system dimension {qs.dim}, expected 2",
-            seeds_tried=None if cfg.seed is None else [cfg.seed])
-    return qs
-
-
 def pencil_discriminant(q1: SymQuadric, q2: SymQuadric) -> BinaryForm:
     """det(s Q1 + t Q2) as a binary form of degree = matrix size."""
     return _linear_family_det(BinaryForm, (q1, q2))
@@ -359,168 +328,6 @@ def pencil_nondegeneracy(sys: QuadricSystem) -> PencilReport:
     return PencilReport(degree=disc.degree, nonzero=nonzero, squarefree=sf,
                         nondegenerate=nonzero and sf,
                         coeffs=tuple(fmt(c) for c in disc.coeffs))
-
-
-@dataclass(frozen=True)
-class BaseLocusItem:
-    name: str
-    passed: bool
-    data: dict
-
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "pass": self.passed, "data": self.data}
-
-
-@dataclass(frozen=True)
-class BaseLocusReport:
-    items: tuple
-    passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {"items": [it.to_json_dict() for it in self.items],
-                "pass": self.passed}
-
-
-def base_locus_evidence(cfg: PointConfig, cls: NSClass, trials: int, *,
-                        seed: int = 0) -> BaseLocusReport:
-    """Probabilistic evidence that a system is base point free off its
-    assigned multiplicities.  Report-only; nothing raises on failure.
-
-    Item extra-points: each of `trials` random extra points cuts the
-    dimension by exactly 1.  Item common-factor: two random members have
-    constant gcd, probed through a random line restriction.  Item
-    resultants: eliminating either variable from two random members
-    leaves roots at the assigned coordinates with exactly the
-    multiplicity the assigned base points account for, and the leftover
-    factor is squarefree; its rational roots are moving intersections and
-    are reported as data, not failures.
-    """
-    if trials < 0:
-        raise DomainError("trial count must be nonnegative")
-    field = cfg.field
-    sys_ = _interpolation_kernel(cfg, cls)
-    rng = derived_rng(seed, "base-locus", cls.a)
-    items = (_extra_point_item(field, sys_, trials, rng),
-             _common_factor_item(field, sys_, rng),
-             _resultant_item(field, sys_, rng))
-    return BaseLocusReport(items=items, passed=all(it.passed for it in items))
-
-
-def _extra_point_item(field, sys_: PlaneSystem, trials: int, rng) -> BaseLocusItem:
-    drops = []
-    for _ in range(trials):
-        q = (field.random_element(rng), field.random_element(rng), field.one)
-        drops.append(sys_.dim - sys_.impose_point(q))
-    passed = sys_.dim > 0 and all(d == 1 for d in drops)
-    return BaseLocusItem("extra-points", passed,
-                         {"dim": sys_.dim, "drops": drops})
-
-
-def _common_factor_item(field, sys_: PlaneSystem, rng) -> BaseLocusItem:
-    if sys_.dim == 0:
-        return BaseLocusItem("common-factor", False, {"dim": 0})
-    f1 = sys_.random_member(rng)
-    f2 = sys_.random_member(rng)
-    for _ in range(3):
-        p0 = [field.random_element(rng) for _ in range(3)]
-        p1 = [field.random_element(rng) for _ in range(3)]
-        r1 = f1.restrict_to_line(p0, p1)
-        r2 = f2.restrict_to_line(p0, p1)
-        if r1.is_zero() or r2.is_zero():
-            continue
-        gdeg = binary_gcd(r1, r2).degree
-        return BaseLocusItem("common-factor", gdeg == 0, {"gcd_degree": gdeg})
-    return BaseLocusItem("common-factor", False, {"error": "no usable line"})
-
-
-def _resultant_item(field, sys_: PlaneSystem, rng) -> BaseLocusItem:
-    if sys_.dim == 0:
-        return BaseLocusItem("resultants", False, {"dim": 0})
-    if not isinstance(field, PrimeField):
-        raise ConfigurationError("resultant evidence extracts roots over a prime field")
-    data: dict = {}
-    passed = True
-    for var in ("x", "y"):
-        outcome = _one_resultant(field, sys_, var, rng)
-        data[var] = outcome
-        passed = passed and outcome.get("pass", False)
-    return BaseLocusItem("resultants", passed, data)
-
-
-def _one_resultant(field, sys_: PlaneSystem, var: str, rng) -> dict:
-    a = sys_.cls.a
-    # index of the leading coefficient of the eliminated variable, and
-    # which coordinate of each point survives the elimination
-    lead = monomials(a).index((a, 0, 0) if var == "x" else (0, a, 0))
-    kept = 1 if var == "x" else 0
-    members = None
-    for _ in range(5):
-        f1 = sys_.random_member(rng)
-        f2 = sys_.random_member(rng)
-        if f1.coeffs[lead] and f2.coeffs[lead]:
-            members = (f1, f2)
-            break
-    if members is None:
-        return {"pass": False, "error": "members kept losing the leading term"}
-    res = eliminate(*members, 1 - kept)
-    if unipoly.is_zero(res):
-        return {"pass": False, "error": "resultant vanished identically"}
-    expected: dict = {}
-    for pt, m in zip(sys_.config.points, sys_.cls.mults):
-        if m > 0:
-            coord = pt[kept]
-            expected[coord] = expected.get(coord, 0) + m * m
-    matched = True
-    leftover = res
-    for coord, mult in sorted(expected.items()):
-        have = unipoly.root_multiplicity(field, res, coord)
-        if have != mult:
-            matched = False
-            continue
-        lin = [field.coerce(-coord), field.one]
-        for _ in range(mult):
-            leftover = unipoly.divmod_poly(field, leftover, lin)[0]
-    leftover_sf = (unipoly.degree(leftover) < 1
-                   or unipoly.squarefree_test(field, leftover))
-    moving = (unipoly.rational_roots(field, leftover)
-              if unipoly.degree(leftover) >= 1 else [])
-    return {"pass": matched and leftover_sf,
-            "degree": unipoly.degree(res),
-            "assigned_mults_matched": matched,
-            "leftover_squarefree": leftover_sf,
-            "moving_rational_roots": len(moving)}
-
-
-@dataclass(frozen=True)
-class SeparationReport:
-    trials: int
-    failures: int
-    passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {"trials": self.trials, "failures": self.failures,
-                "pass": self.passed}
-
-
-def separation_evidence(sys_: PlaneSystem, trials: int, seed: int = 0) -> SeparationReport:
-    """Evidence that the system separates points: at random plane point
-    pairs, the evaluation vectors are projectively independent."""
-    if sys_.dim < 2:
-        raise DomainError("separation needs a system of dimension at least 2")
-    field = sys_.field
-    rng = derived_rng(seed, "separation", sys_.cls.a)
-    forms = sys_.forms
-    failures = 0
-    for _ in range(trials):
-        q1 = (field.random_element(rng), field.random_element(rng), field.one)
-        q2 = (field.random_element(rng), field.random_element(rng), field.one)
-        if q1 == q2:
-            continue
-        v1 = [f.evaluate(*q1) for f in forms]
-        v2 = [f.evaluate(*q2) for f in forms]
-        if Matrix.from_rows(field, [v1, v2]).rank() != 2:
-            failures += 1
-    return SeparationReport(trials=trials, failures=failures, passed=failures == 0)
 
 
 def _carried():

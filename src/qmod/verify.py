@@ -2,8 +2,8 @@
 
 Each check re-derives one advertised property of the library from
 scratch and reports pass/fail plus a small data payload.  Checks are
-deterministic functions of (field, seed); run_all with the same
-arguments twice must produce identical output.
+deterministic functions of (field, seed); the same arguments twice
+must produce identical output.
 """
 
 from dataclasses import dataclass
@@ -45,7 +45,7 @@ from .quadlab import (
     rnc_i2_dim,
     secant_condition,
 )
-from .surface import blowup_report, curve_class, hyperplane_class, ns_genus, ns_intersect
+from .surface import blowup_report, lattice_checks
 
 
 @dataclass(frozen=True)
@@ -280,11 +280,9 @@ def _check_surface(field, seed):
         rep = blowup_report(s, field=field)
         passed += rep.passed
         stages[rep.stage] = stages.get(rep.stage, 0) + 1
-    h = hyperplane_class()
-    c = curve_class()
-    lattice_ok = (ns_intersect(c, h) == 20
-                  and ns_intersect(h, h) == 13
-                  and ns_genus(c) == 15)
+    lattice = lattice_checks()
+    lattice_ok = (lattice["c_dot_h"] == 20 and lattice["h_self"] == 13
+                  and lattice["genus_c"] == 15)
     data = {
         "seeds": len(config_seeds),
         "passed_reports": passed,
@@ -322,7 +320,3 @@ def run_check(name: str, *, seed: int = 0, field=None) -> CheckResult:
         passed, data = False, {"error": f"{type(exc).__name__}: {exc}"}
     prime = field.p if isinstance(field, PrimeField) else 0
     return CheckResult(check=name, seed=seed, prime=prime, passed=passed, data=data)
-
-
-def run_all(*, seed: int = 0, field=None) -> list[CheckResult]:
-    return [run_check(name, seed=seed, field=field) for name in check_names()]

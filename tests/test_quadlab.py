@@ -19,7 +19,6 @@ from qmod.quadlab import (
     QuadricSystem,
     SymQuadric,
     _jacobian_rows,
-    cone_quadric,
     expected_family_dim,
     family_dimension,
     form_matrix_det,
@@ -28,7 +27,6 @@ from qmod.quadlab import (
     i2_basis,
     linear_combination,
     net_discriminant,
-    project_quadric,
     rank3_from_decomposition,
     rank3_strata,
     rank4_from_decomposition,
@@ -99,18 +97,6 @@ def test_rank_of_diagonal():
                         [Fraction(0), Fraction(0), Fraction(0)],
                         [Fraction(0), Fraction(0), Fraction(5)]])
     assert q.rank() == 2
-
-
-def test_cone_and_projection_round_trip():
-    rng = random.Random(5)
-    q = SymQuadric.from_upper_coeffs(
-        FP, 4, [FP.random_element(rng) for _ in range(10)])
-    cone = cone_quadric(q, 2)
-    assert cone.size == 6
-    assert cone.rank() == q.rank()
-    assert project_quadric(cone, 2) == q
-    with pytest.raises(DomainError):
-        project_quadric(cone_quadric(q, 0), 1)  # deleted block not zero
 
 
 def test_rational_normal_curve_is_monomial():

@@ -1,17 +1,13 @@
-import random
-
 import pytest
 
 from qmod.errors import (ConfigurationError, DomainError, FieldMismatchError,
                          InternalCheckError)
-from qmod.fields import QQ, DEFAULT_PRIME, PrimeField, derived_rng
-from qmod.linalg import Matrix
+from qmod.fields import DEFAULT_PRIME, PrimeField, derived_rng
 from qmod.quadlab import i2_basis, ParamCurve
 from qmod.surface import (
     NSClass,
     PlaneSystem,
     PointConfig,
-    base_locus_evidence,
     blowup_report,
     blowup_verify,
     curve_class,
@@ -25,10 +21,9 @@ from qmod.surface import (
     pencil_discriminant,
     pencil_nondegeneracy,
     residual_class,
-    separation_evidence,
-    surface_i2,
 )
 from qmod.quadlab import SymQuadric, linear_combination
+from qmod.ternary import TernaryForm
 
 FP = PrimeField(DEFAULT_PRIME)
 
@@ -116,19 +111,13 @@ def test_interpolation_small_prime_guard():
         _interpolation_kernel(cfg, NSClass(31, (1, 1)))
 
 
-def test_imposing_a_point_drops_dimension():
-    cfg = PointConfig.sample(FP, 15, 3)
-    hs = interpolation_basis(cfg, hyperplane_class())
-    rng = derived_rng(99, "unit-extra-point")
-    q = (FP.random_element(rng), FP.random_element(rng), FP.one)
-    assert hs.impose_point(q) == hs.dim - 1
-
-
 def test_members_vanish_to_order():
     cfg = PointConfig.sample(FP, 15, 3)
     hs = interpolation_basis(cfg, hyperplane_class())
     rng = derived_rng(7, "unit-member")
-    form = hs.random_member(rng)
+    weights = [FP.random_element(rng) for _ in range(hs.dim)]
+    form = TernaryForm.combination(hs.forms, weights)
+    assert not form.is_zero()
     for pt, mult in zip(cfg.points, hyperplane_class().mults):
         assert form.evaluate(*pt) == 0
         if mult >= 2:
@@ -159,12 +148,33 @@ def test_plane_system_refuses_an_unreduced_coefficient():
         PlaneSystem(FP, hs.cls, basis, cfg)
 
 
-def test_surface_quadric_pair():
+def test_plane_system_refuses_a_short_configuration():
+    # Multiplicities pair with points one to one: a 15-point class over the
+    # first 7 points would be checked on those 7 alone, and here the
+    # 15-dimensional system of 7 double points would pass as |H|.
     cfg = PointConfig.sample(FP, 15, 3)
-    qs = surface_i2(cfg)
-    assert qs.dim == 2
+    first7 = PointConfig(FP, cfg.points[:7])
+    doubles = interpolation_basis(first7, NSClass(7, (2,) * 7))
+    assert doubles.dim == 15
+    basis = [f.coeffs for f in doubles.forms]
+    with pytest.raises(DomainError):
+        PlaneSystem(FP, hyperplane_class(), basis, first7)
+
+
+def test_plane_system_refuses_a_configuration_over_another_field():
+    # The same points over another prime field would be reduced silently.
+    cfg = PointConfig.sample(FP, 15, 3)
     hs = interpolation_basis(cfg, hyperplane_class())
-    forms = hs.forms
+    other = PointConfig(PrimeField(2305843009213693967), cfg.points)
+    with pytest.raises(FieldMismatchError):
+        PlaneSystem(FP, hs.cls, [f.coeffs for f in hs.forms], other)
+
+
+def test_surface_quadric_pair():
+    rep = blowup_report(3, field=FP)
+    qs = rep.quadrics
+    assert qs.dim == 2
+    forms = rep.hyperplane.forms
     rng = derived_rng(11, "unit-i2-points")
     for _ in range(50):
         x0, y0 = FP.random_element(rng), FP.random_element(rng)
@@ -213,41 +223,6 @@ def test_pencil_nondegeneracy_takes_only_pencils():
     system = i2_basis(ParamCurve.rational_normal(FP, 3))
     with pytest.raises(DomainError):
         pencil_nondegeneracy(system)
-
-
-def test_base_locus_on_the_embedding_curve_class():
-    cfg = PointConfig.sample(FP, 15, 3)
-    report = base_locus_evidence(cfg, curve_class(), trials=4, seed=0)
-    assert report.passed
-    assert all(item.passed for item in report.items)
-    payload = report.to_json_dict()
-    assert payload["pass"] is True
-
-
-def test_base_locus_flags_empty_system():
-    cfg = PointConfig.sample(FP, 15, 3)
-    pinned = NSClass(1, (1, 1, 1) + (0,) * 12)
-    report = base_locus_evidence(cfg, pinned, trials=2, seed=0)
-    assert not report.passed
-    extra_point = next(i for i in report.items if i.name == "extra-points")
-    assert not extra_point.passed
-
-
-def test_base_locus_flags_forced_common_factor():
-    cfg = PointConfig.sample(FP, 15, 3)
-    line_through_two = NSClass(1, (1, 1) + (0,) * 13)
-    report = base_locus_evidence(cfg, line_through_two, trials=2, seed=0)
-    assert not report.passed
-    common = next(i for i in report.items if i.name == "common-factor")
-    assert not common.passed
-
-
-def test_separation_on_embedding_system():
-    cfg = PointConfig.sample(FP, 15, 3)
-    hs = interpolation_basis(cfg, hyperplane_class())
-    rep = separation_evidence(hs, trials=6, seed=0)
-    assert rep.passed and rep.failures == 0
-    assert rep.trials == 6
 
 
 def test_blowup_report_is_complete_on_good_seed():
