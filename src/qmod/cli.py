@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -402,6 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=_fraction, default=Fraction(13, 66))
     p.add_argument("--solve", action="store_true",
                    help="derive x and y from z instead of taking them as given")
+    # argparse takes only integers and decimals such as -1 or -.5 for
+    # values, so "--z -1/3" would read -1/3 as an unknown option.  No
+    # option here starts with "-" and a digit: let any such token be a value.
+    p._negative_number_matcher = re.compile(r"-\.?\d")
 
     p = sub.add_parser("rnc-i2", parents=[common],
                        help="quadrics through the rational normal curve")

@@ -149,14 +149,6 @@ class Matrix:
             x[pc] = red.data[k][self.cols]
         return x
 
-    def to_json_dict(self) -> dict:
-        F = self.field
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[F.format(x) for x in r] for r in self.data],
-        }
-
 
 def _rref_generic(F, data, cols: int):
     """Gauss-Jordan with the scalars' own operators: the QQ path, and the

@@ -301,12 +301,6 @@ def tilde_b(g: int, n: int, i: int, s: int) -> Fraction:
     return Fraction(num, g - n)
 
 
-def dp_tilde_b(i: int, s: int) -> int:
-    """The (g, n) = (15, 8) specialization used by the pencil-locus class:
-    -2 i^2 + i (9 - 10 s) + s (12 s + 5)."""
-    return -2 * i * i + i * (9 - 10 * s) + s * (12 * s + 5)
-
-
 def quad_class(g: int, n: int, k: int) -> DivisorClass:
     """The rank-locus divisor class with its refined boundary knowledge,
     scaled by alpha = A^k_e.

@@ -275,7 +275,7 @@ def rnc_i2_dim(r: int) -> int:
 
 @dataclass(frozen=True)
 class PencilDecomposition:
-    """Input data for the bounded-rank quadric constructions.
+    """Input data for the bounded-rank quadric construction.
 
     One pencil (f, g) is always present; the second pencil (u, v) appears
     only in the rank-4 shape; h is the residual common factor.
@@ -304,19 +304,6 @@ class PencilDecomposition:
     def kind(self) -> int:
         return 3 if self.u is None else 4
 
-    @classmethod
-    def rank3(cls, f: BinaryForm, g: BinaryForm, h: BinaryForm) -> "PencilDecomposition":
-        return cls(f, g, None, None, h)
-
-    @classmethod
-    def rank4(cls, f, g, u, v, h) -> "PencilDecomposition":
-        return cls(f, g, u, v, h)
-
-
-def _require_monomial_curve(c: ParamCurve):
-    if not c.is_monomial_basis():
-        raise DomainError("construction is written against the monomial curve")
-
 
 # Both bounded-rank shapes are Q = l(A) l(B) - l(C) l(D), each product
 # spelled by the decomposition members it multiplies.  Rank 3 is the rank-4
@@ -331,7 +318,21 @@ def _product(pd: PencilDecomposition, word: str) -> BinaryForm:
     return acc
 
 
-def _bounded_rank_quadric(pd: PencilDecomposition, c: ParamCurve) -> SymQuadric:
+def bounded_rank_quadric(pd: PencilDecomposition, c: ParamCurve) -> SymQuadric:
+    """The quadric l(A) l(B) - l(C) l(D) on the monomial curve, with the
+    products spelled by ``_PRODUCTS[pd.kind]``.
+
+    Rank is at most 4, and at most 3 without a second pencil, which is the
+    (u, v) = (f, g) case; it degenerates to zero when f = g or u = v.
+    """
+    if not c.is_monomial_basis():
+        raise DomainError("construction is written against the monomial curve")
+    u = pd.f if pd.u is None else pd.u
+    if pd.f.degree + u.degree + pd.h.degree != c.degree:
+        raise DomainError(
+            "component degrees must satisfy deg f + deg u + deg h = curve degree")
+    if pd.f.degree < 1 or u.degree < 1:
+        raise DomainError("pencil degrees must be at least 1")
     # It vanishes on the curve because AB = CD as binary forms, the same
     # multiplicative identity the pulled-back linear forms satisfy, and its
     # matrix has rank at most 4 (3 when C = D) by construction.
@@ -347,44 +348,20 @@ def _bounded_rank_quadric(pd: PencilDecomposition, c: ParamCurve) -> SymQuadric:
     return q
 
 
-def rank3_from_decomposition(pd: PencilDecomposition, c: ParamCurve) -> SymQuadric:
-    """The quadric l(f*f*h) l(g*g*h) - l(f*g*h)^2 on the monomial curve,
-    of rank at most 3 (products from ``_PRODUCTS[3]``)."""
-    if pd.kind != 3:
-        raise DomainError("decomposition carries a second pencil; rank-3 shape has none")
-    _require_monomial_curve(c)
-    if 2 * pd.f.degree + pd.h.degree != c.degree:
-        raise DomainError("component degrees must satisfy 2 deg f + deg h = curve degree")
-    if pd.f.degree < 1:
-        raise DomainError("pencil degree must be at least 1")
-    return _bounded_rank_quadric(pd, c)
+def _shape(r: int, k: int, stratum) -> tuple[int, int, int]:
+    """(deg f, deg u, deg h) of the rank-<=k stratum in P^r.
 
-
-def rank4_from_decomposition(pd: PencilDecomposition, c: ParamCurve) -> SymQuadric:
-    """The quadric l(fuh) l(gvh) - l(fvh) l(guh) on the monomial curve
-    (products from ``_PRODUCTS[4]``).
-
-    Rank is at most 4; it degenerates to zero when f = g or u = v, and to
-    the rank-3 quadric of (f, g, h) when (u, v) = (f, g).
+    A rank-3 stratum is its residual degree x and reads u as f, so its
+    shape is (m, m, x); a rank-4 stratum is the triple itself.
     """
-    if pd.kind != 4:
-        raise DomainError("rank-4 shape needs a second pencil")
-    _require_monomial_curve(c)
-    if pd.f.degree + pd.u.degree + pd.h.degree != c.degree:
-        raise DomainError(
-            "component degrees must satisfy deg f + deg u + deg h = curve degree")
-    if pd.f.degree < 1 or pd.u.degree < 1:
-        raise DomainError("pencil degrees must be at least 1")
-    return _bounded_rank_quadric(pd, c)
-
-
-def _rank3_shape(r: int, x: int) -> int:
-    if x < 0 or (r - x) % 2 != 0 or r - x < 2:
-        raise DomainError(f"empty stratum: no rank-3 shape with r={r}, x={x}")
-    return (r - x) // 2
-
-
-def _rank4_shape(r: int, stratum) -> tuple[int, int, int]:
+    if k == 3:
+        x = int(stratum)
+        if x < 0 or (r - x) % 2 != 0 or r - x < 2:
+            raise DomainError(f"empty stratum: no rank-3 shape with r={r}, x={x}")
+        m = (r - x) // 2
+        return m, m, x
+    if k != 4:
+        raise DomainError("rank bound must be 3 or 4")
     try:
         m, mp, x = (int(v) for v in stratum)
     except (TypeError, ValueError):
@@ -420,19 +397,15 @@ def _random_form(field, degree: int, rng) -> BinaryForm:
                                       for _ in range(degree + 1)])
 
 
-def random_rank3_decomposition(field, r: int, x: int, rng) -> PencilDecomposition:
-    m = _rank3_shape(r, x)
-    return PencilDecomposition.rank3(
-        _random_form(field, m, rng), _random_form(field, m, rng),
-        _random_form(field, x, rng))
-
-
-def random_rank4_decomposition(field, r: int, stratum, rng) -> PencilDecomposition:
-    m, mp, x = _rank4_shape(r, stratum)
-    return PencilDecomposition.rank4(
-        _random_form(field, m, rng), _random_form(field, m, rng),
-        _random_form(field, mp, rng), _random_form(field, mp, rng),
-        _random_form(field, x, rng))
+def random_decomposition(field, r: int, k: int, stratum, rng) -> PencilDecomposition:
+    """A random point of the rank-<=k stratum, drawn in the order f, g,
+    then u, v for k = 4 only, then h."""
+    m, mp, x = _shape(r, k, stratum)
+    f, g = _random_form(field, m, rng), _random_form(field, m, rng)
+    u = v = None
+    if k == 4:
+        u, v = _random_form(field, mp, rng), _random_form(field, mp, rng)
+    return PencilDecomposition(f, g, u, v, _random_form(field, x, rng))
 
 
 def _combo_row(field, pairs, terms) -> list:
@@ -492,13 +465,8 @@ def expected_family_dim(r: int, k: int, stratum) -> int:
     twists), so r - 2 projectively.  Rank 4: 2r - x + 5 parameters and an
     8-dimensional stabilizer, so 2r - x - 4.
     """
-    if k == 3:
-        _rank3_shape(r, int(stratum))
-        return r - 2
-    if k == 4:
-        _, _, x = _rank4_shape(r, stratum)
-        return 2 * r - x - 4
-    raise DomainError("rank bound must be 3 or 4")
+    x = _shape(r, k, stratum)[2]
+    return r - 2 if k == 3 else 2 * r - x - 4
 
 
 def family_dimension(r: int, k: int, stratum, *, field=None, seed: int = 0) -> int:
@@ -512,23 +480,13 @@ def family_dimension(r: int, k: int, stratum, *, field=None, seed: int = 0) -> i
     if field is None:
         field = PrimeField(DEFAULT_PRIME)
     require_sampling_prime(field)
-    if k == 3:
-        x = int(stratum)
-        _rank3_shape(r, x)
-        labels = (3, r, x)
-    elif k == 4:
-        m, mp, x = _rank4_shape(r, stratum)
-        labels = (4, r, m, mp, x)
-    else:
-        raise DomainError("rank bound must be 3 or 4")
+    m, mp, x = _shape(r, k, stratum)
+    labels = (3, r, x) if k == 3 else (4, r, m, mp, x)
     ncols = len(upper_pairs(r + 1))
     best = 0
     for attempt in range(3):
         rng = derived_rng(seed, "family-dim", *labels, attempt)
-        if k == 3:
-            pd = random_rank3_decomposition(field, r, x, rng)
-        else:
-            pd = random_rank4_decomposition(field, r, (m, mp, x), rng)
+        pd = random_decomposition(field, r, k, stratum, rng)
         rows = _jacobian_rows(field, r, pd)
         rank = Matrix(field, len(rows), ncols, rows, _skip_check=True).rank()
         best = max(best, rank - 1)
@@ -647,13 +605,16 @@ class Genus5Report:
 
     seed: int
     prime: int
-    attempts: int
     attempt_used: int
     discriminant_nonzero: bool
     line_squarefree: bool
     candidates: tuple
     low_rank_points: int
     passed: bool
+
+    @property
+    def attempts(self) -> int:
+        return self.attempt_used + 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -761,21 +722,18 @@ def genus5_net_check(seed: int, field=None) -> Genus5Report:
         qs = [_random_sym_quadric(field, 5, rng) for _ in range(3)]
         disc = net_discriminant(*qs)
         if disc.is_zero():
-            last = Genus5Report(seed, field.p, attempt + 1, attempt,
-                                False, False, (), 0, False)
+            last = Genus5Report(seed, field.p, attempt, False, False, (), 0, False)
             continue
         line_sf = _random_line_squarefree(field, disc, rng)
         cands = _singular_candidates(field, disc, qs)
         if line_sf is None or cands is None:
-            last = Genus5Report(seed, field.p, attempt + 1, attempt,
-                                True, bool(line_sf), (), 0, False)
+            last = Genus5Report(seed, field.p, attempt, True, bool(line_sf), (), 0, False)
             continue
         serialized = tuple(((fmt(pt[0]), fmt(pt[1]), fmt(pt[2])), rk)
                            for (pt, rk) in cands)
         low = sum(1 for (_, rk) in cands if rk <= 3)
         passed = line_sf and low == 0
-        report = Genus5Report(seed, field.p, attempt + 1, attempt,
-                              True, line_sf, serialized, low, passed)
+        report = Genus5Report(seed, field.p, attempt, True, line_sf, serialized, low, passed)
         if passed:
             return report
         last = report

@@ -22,7 +22,6 @@ from .picard import (
     DivisorClass,
     boundary_indices,
     chern_pair,
-    dp_tilde_b,
     fr_dp_class,
     fr_sigma_class,
     general_type_certificate,
@@ -31,17 +30,15 @@ from .picard import (
 )
 from .quadlab import (
     ParamCurve,
+    bounded_rank_quadric,
     family_dimension,
     genus4_check,
     genus5_net_check,
     i2_basis,
-    rank3_from_decomposition,
-    rank3_strata,
-    rank4_from_decomposition,
-    rank4_strata,
     random_chord,
-    random_rank3_decomposition,
-    random_rank4_decomposition,
+    random_decomposition,
+    rank3_strata,
+    rank4_strata,
     rnc_i2_dim,
     secant_condition,
 )
@@ -139,7 +136,7 @@ def _check_closed_forms(field, seed):
                 failures += 1
     for s in range(1, 9):
         for i in range(0, s):
-            if dp_tilde_b(i, s) < 7:
+            if tilde_b(15, 8, i, s) < 1:
                 failures += 1
     return failures == 0, {"family_cases": len(cases), "failures": failures}
 
@@ -201,27 +198,19 @@ def _check_quadric_lab(field, seed):
     rank_drops = 0
     for r in range(4, 9):
         curve = ParamCurve.rational_normal(field, r)
-        strata3 = rank3_strata(r)
-        strata4 = rank4_strata(r)
+        strata = {3: rank3_strata(r), 4: rank4_strata(r)}
         rng = derived_rng(seed, "qlab-instances", r)
         # Vanishing on the curve at 2r+1 nodes pins down membership:
         # the restriction has degree at most 2r.
         nodes = [curve.evaluate(field.coerce(t)) for t in range(2 * r + 1)]
         exact = 0
         for idx in range(100):
-            if idx % 2 == 0:
-                x = strata3[rng.randrange(len(strata3))]
-                pd = random_rank3_decomposition(field, r, x, rng)
-                quad = rank3_from_decomposition(pd, curve)
-                want = 3
-            else:
-                stratum = strata4[rng.randrange(len(strata4))]
-                pd = random_rank4_decomposition(field, r, stratum, rng)
-                quad = rank4_from_decomposition(pd, curve)
-                want = 4
+            k = 3 + idx % 2
+            pd = random_decomposition(field, r, k, rng.choice(strata[k]), rng)
+            quad = bounded_rank_quadric(pd, curve)
             if any(quad.evaluate(pt) for pt in nodes):
                 failures.append(f"membership-{r}-{idx}")
-            if quad.rank() == want:
+            if quad.rank() == k:
                 exact += 1
             instances += 1
         rank_drops += 100 - exact

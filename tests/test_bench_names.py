@@ -1,7 +1,9 @@
-"""Every function the benchmark spans by name must exist in qmod.
+"""Every name the benchmark uses from qmod must exist, and every command
+it runs must parse.
 
-bench/layers.py wraps SPAN_TARGETS entries by name; a deleted or renamed
-target would otherwise fail only inside the benchmark's traced pass.
+bench/layers.py wraps SPAN_TARGETS entries by name, and bench/workloads.py
+builds its command lists from qmod's case tables; a deleted or renamed
+target, table or option would otherwise fail only inside a benchmark run.
 """
 
 import importlib
@@ -11,21 +13,25 @@ from pathlib import Path
 
 import pytest
 
-LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+from qmod.cli import HANDLERS, build_parser
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _span_targets() -> dict:
-    spec = importlib.util.spec_from_file_location("_bench_layers", LAYERS)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = saved
-    return module.SPAN_TARGETS
+    return module
 
 
-TARGETS = [(layer, name) for layer, names in _span_targets().items() for name in names]
+TARGETS = [(layer, name) for layer, names in _load("layers").SPAN_TARGETS.items()
+           for name in names]
+WORKLOADS = _load("workloads")
 
 
 @pytest.mark.parametrize("layer, name", TARGETS, ids=[f"{l}.{n}" for l, n in TARGETS])
@@ -40,3 +46,12 @@ def test_span_target_exists(layer, name):
     else:
         obj = getattr(obj, name)
     assert callable(obj)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS.WORKLOADS)
+def test_workload_commands_parse(workload):
+    commands = WORKLOADS.commands(workload, 0)
+    assert commands
+    parser = build_parser()
+    for _, argv in commands:
+        assert parser.parse_args(argv).command in HANDLERS, argv

@@ -87,6 +87,28 @@ def test_malformed_numbers_are_usage_errors(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("certificate", "--z", "-1/3"),
+    ("certificate", "--z", "-1/3", "--solve"),
+    ("certificate", "--x", "-1/2"),
+    ("certificate", "--y", "-1/2"),
+    ("certificate", "--z", "-1e-3"),
+])
+def test_negative_multiplier_reaches_the_certificate_refusal(capsys, argv):
+    # A negative fraction in its own token is a value, not an unknown option.
+    rc, out, err = _run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: certificate multipliers must be nonnegative\n"
+
+
+def test_negative_multiplier_reads_alike_in_both_option_forms(capsys):
+    # --solve derives x and y from z, so a given y is ignored in either form.
+    spaced = _run(capsys, "certificate", "--y", "-1/2", "--solve")
+    assert spaced == _run(capsys, "certificate", "--y=-1/2", "--solve")
+    assert spaced[0] == 0
+
+
 def test_certificate_solve_recovers_defaults(capsys):
     rc, payload, _ = _run_json(capsys, "certificate", "--solve")
     assert rc == 0
@@ -277,8 +299,8 @@ def _cheap_argv(draw):
     if command == "enumerate-cases":
         return argv + ["--g-max", draw(_wide)]
     if command == "certificate":
-        # The = form lets a negative fraction through argparse as a value.
-        argv.append("--z=" + draw(_multiplier))
+        z = draw(_multiplier)
+        argv += draw(st.sampled_from([["--z=" + z], ["--z", z]]))
         return argv + ["--solve"] if draw(st.booleans()) else argv
     argv += ["--r", draw(_small)]
     if command == "rnc-i2" and draw(st.booleans()):

@@ -18,7 +18,6 @@ from qmod.picard import (
     canonical_class,
     canonical_pair,
     chern_pair,
-    dp_tilde_b,
     fr_dp_class,
     fr_sigma_class,
     general_type_certificate,
@@ -119,11 +118,20 @@ def test_tilde_b_zero_section_closed_form():
             assert tilde_b(g, n, 0, s) == want
 
 
+def _dp_tilde_b(i, s):
+    # Oracle: the (g, n) = (15, 8) specialization of tilde_b, written out
+    # and scaled by the bundle rank g - n = 7.
+    return -2 * i * i + i * (9 - 10 * s) + s * (12 * s + 5)
+
+
 def test_dp_tilde_b_values():
-    assert dp_tilde_b(0, 1) == 17
+    assert _dp_tilde_b(0, 1) == 17
+    for i in range(20):
+        for s in range(20):
+            assert 7 * tilde_b(15, 8, i, s) == _dp_tilde_b(i, s)
     for s in range(1, 9):
         for i in range(0, s):
-            assert dp_tilde_b(i, s) >= 7
+            assert tilde_b(15, 8, i, s) >= 1
 
 
 def test_dp_class_is_the_advertised_combination():

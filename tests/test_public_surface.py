@@ -6,13 +6,16 @@ import pytest
 import qmod
 from qmod.surface import PlaneSystem
 
-# Entry points that only tests reached, removed from the package; none of
-# them may come back through a re-export or a module attribute.
+# Entry points removed from the package; none of them may come back
+# through a re-export or a module attribute.
 REMOVED = [
     "base_locus_evidence", "BaseLocusItem", "BaseLocusReport", "_extra_point_item",
     "_common_factor_item", "_resultant_item", "_one_resultant",
     "separation_evidence", "SeparationReport", "surface_i2",
     "cone_quadric", "project_quadric", "run_all",
+    # Per-rank duplicates: one constructor and one sampler serve both strata.
+    "rank3_from_decomposition", "rank4_from_decomposition",
+    "random_rank3_decomposition", "random_rank4_decomposition",
 ]
 MODULES = sorted(m.name for m in pkgutil.iter_modules(qmod.__path__))
 

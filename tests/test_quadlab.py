@@ -19,6 +19,7 @@ from qmod.quadlab import (
     QuadricSystem,
     SymQuadric,
     _jacobian_rows,
+    bounded_rank_quadric,
     expected_family_dim,
     family_dimension,
     form_matrix_det,
@@ -27,12 +28,9 @@ from qmod.quadlab import (
     i2_basis,
     linear_combination,
     net_discriminant,
-    rank3_from_decomposition,
+    random_decomposition,
     rank3_strata,
-    rank4_from_decomposition,
     rank4_strata,
-    random_rank3_decomposition,
-    random_rank4_decomposition,
     rnc_i2_dim,
     secant_condition,
     upper_pairs,
@@ -240,10 +238,10 @@ def test_quadric_system_membership():
 def test_rank3_construction_on_split_pencil():
     # f = s, g = t, h = s t on the rational normal quartic.
     c = ParamCurve.rational_normal(FP, 4)
-    pd = PencilDecomposition.rank3(
-        BinaryForm(FP, 1, [1, 0]), BinaryForm(FP, 1, [0, 1]),
+    pd = PencilDecomposition(
+        BinaryForm(FP, 1, [1, 0]), BinaryForm(FP, 1, [0, 1]), None, None,
         BinaryForm(FP, 2, [0, 1, 0]))
-    q = rank3_from_decomposition(pd, c)
+    q = bounded_rank_quadric(pd, c)
     assert q.rank() <= 3
     for t in range(9):
         assert q.evaluate(c.evaluate(t)) == 0
@@ -252,8 +250,8 @@ def test_rank3_construction_on_split_pencil():
 def test_rank3_degenerate_pencil_collapses():
     c = ParamCurve.rational_normal(FP, 4)
     f = BinaryForm(FP, 1, [2, 3])
-    pd = PencilDecomposition.rank3(f, f, BinaryForm(FP, 2, [1, 1, 1]))
-    assert rank3_from_decomposition(pd, c).rank() <= 1
+    pd = PencilDecomposition(f, f, None, None, BinaryForm(FP, 2, [1, 1, 1]))
+    assert bounded_rank_quadric(pd, c).rank() <= 1
 
 
 def test_rank3_generic_rank_is_three():
@@ -261,8 +259,8 @@ def test_rank3_generic_rank_is_three():
     rng = derived_rng(0, "unit-rank3")
     hits = 0
     for _ in range(20):
-        pd = random_rank3_decomposition(FP, 6, 0, rng)
-        if rank3_from_decomposition(pd, c).rank() == 3:
+        pd = random_decomposition(FP, 6, 3, 0, rng)
+        if bounded_rank_quadric(pd, c).rank() == 3:
             hits += 1
     assert hits == 20
 
@@ -274,8 +272,8 @@ def test_rank4_equal_second_pencil_gives_zero():
     g = BinaryForm(FP, 2, [FP.random_element(rng) for _ in range(3)])
     u = BinaryForm(FP, 2, [FP.random_element(rng) for _ in range(3)])
     h = BinaryForm(FP, 2, [FP.random_element(rng) for _ in range(3)])
-    pd = PencilDecomposition.rank4(f, g, u, u, h)
-    assert not any(map(any, rank4_from_decomposition(pd, c).entries))
+    pd = PencilDecomposition(f, g, u, u, h)
+    assert not any(map(any, bounded_rank_quadric(pd, c).entries))
 
 
 def test_rank4_with_matching_pencils_reduces_to_rank3():
@@ -284,8 +282,8 @@ def test_rank4_with_matching_pencils_reduces_to_rank3():
     f = BinaryForm(FP, 2, [FP.random_element(rng) for _ in range(3)])
     g = BinaryForm(FP, 2, [FP.random_element(rng) for _ in range(3)])
     h = BinaryForm(FP, 2, [FP.random_element(rng) for _ in range(3)])
-    four = rank4_from_decomposition(PencilDecomposition.rank4(f, g, f, g, h), c)
-    three = rank3_from_decomposition(PencilDecomposition.rank3(f, g, h), c)
+    four = bounded_rank_quadric(PencilDecomposition(f, g, f, g, h), c)
+    three = bounded_rank_quadric(PencilDecomposition(f, g, None, None, h), c)
     assert four == three
 
 
@@ -294,11 +292,60 @@ def test_rank4_generic_rank_is_four():
     rng = derived_rng(0, "unit-rank4")
     for stratum in ((2, 2, 2), (1, 2, 3), (3, 3, 0)):
         for _ in range(5):
-            pd = random_rank4_decomposition(FP, 6, stratum, rng)
-            q = rank4_from_decomposition(pd, c)
+            pd = random_decomposition(FP, 6, 4, stratum, rng)
+            q = bounded_rank_quadric(pd, c)
             assert q.rank() == 4
             for t in range(13):
                 assert q.evaluate(c.evaluate(t)) == 0
+
+
+# Coefficients of f, g, u, v, h drawn from derived_rng(0, "unit-frozen-draw", k)
+# for the strata x = 2 (rank 3) and (2, 2, 2) (rank 4) in P^6.  Every seeded
+# family dimension and quadric-lab instance depends on this draw order.
+FROZEN_DRAWS = {
+    (3, 2): [
+        [1874563505606189166, 7489059237785175, 1920967470838730226],
+        [848110224505624683, 1637612053527793472, 1148600688395426078],
+        None,
+        None,
+        [849327605708842115, 2300354783945275660, 2258064815276775487],
+    ],
+    (4, (2, 2, 2)): [
+        [1839930521663148105, 11013443093126565, 267980861952752017],
+        [1076126641960373894, 1737591242697891383, 952678054278394589],
+        [1010627701501582533, 84773018262287355, 196750959031570158],
+        [937874147782713733, 1265252937745604525, 2007436635957478321],
+        [1326343283398009240, 1930716327438369099, 1104168681766510177],
+    ],
+}
+
+
+@pytest.mark.parametrize("k, stratum", list(FROZEN_DRAWS))
+def test_random_decomposition_keeps_the_draw_order(k, stratum):
+    pd = random_decomposition(FP, 6, k, stratum, derived_rng(0, "unit-frozen-draw", k))
+    got = [None if form is None else list(form.coeffs)
+           for form in (pd.f, pd.g, pd.u, pd.v, pd.h)]
+    assert got == FROZEN_DRAWS[k, stratum]
+
+
+def test_bounded_rank_quadric_refusals():
+    # One degree condition for both ranks, deg f + deg u + deg h = deg c,
+    # with u read as f when there is no second pencil.
+    c = ParamCurve.rational_normal(FP, 6)
+    lin, quad = BinaryForm(FP, 1, [1, 2]), BinaryForm(FP, 2, [1, 0, 3])
+    with pytest.raises(DomainError, match="deg f \\+ deg u \\+ deg h"):
+        bounded_rank_quadric(PencilDecomposition(lin, lin, None, None, quad), c)
+    with pytest.raises(DomainError, match="deg f \\+ deg u \\+ deg h"):
+        bounded_rank_quadric(PencilDecomposition(lin, lin, quad, quad, lin), c)
+    assert bounded_rank_quadric(PencilDecomposition(quad, quad, None, None, quad),
+                                c).rank() <= 1
+    quintic = BinaryForm(FP, 5, [0, 1, 0, 0, 0, 0])
+    with pytest.raises(DomainError, match="at least 1"):
+        bounded_rank_quadric(PencilDecomposition(
+            BinaryForm(FP, 0, [1]), BinaryForm(FP, 0, [2]), lin, lin, quintic), c)
+    twisted = ParamCurve(FP, 6, [BinaryForm.monomial(FP, 6, 6 - i) for i in range(7)])
+    with pytest.raises(DomainError, match="monomial curve"):
+        bounded_rank_quadric(PencilDecomposition(quad, quad, None, None, quad), twisted)
 
 
 def _perturbation_jacobian_rows(field, r, pd):
@@ -306,7 +353,6 @@ def _perturbation_jacobian_rows(field, r, pd):
     # coefficients of Q(P + t e_j), interpolated at t = 0..6 (Q has degree
     # at most 6 in t), with members in the order f, g, u, v, h.
     curve = ParamCurve.rational_normal(field, r)
-    build = rank3_from_decomposition if pd.kind == 3 else rank4_from_decomposition
     nodes = list(range(7))
     rows = []
     for name in ("f", "g", "u", "v", "h"):
@@ -315,8 +361,8 @@ def _perturbation_jacobian_rows(field, r, pd):
             continue
         for j in range(form.degree + 1):
             step = BinaryForm.monomial(field, form.degree, j)
-            samples = [build(replace(pd, **{name: form.add(step.scale(t))}), curve)
-                       .upper_coeffs() for t in nodes]
+            samples = [bounded_rank_quadric(replace(pd, **{name: form.add(step.scale(t))}),
+                                            curve).upper_coeffs() for t in nodes]
             row = []
             for values in zip(*samples):
                 poly = unipoly.interpolate(field, nodes, list(values))
@@ -329,11 +375,8 @@ def _perturbation_jacobian_rows(field, r, pd):
 def test_jacobian_rows_match_perturbation_oracle(k):
     rng = derived_rng(0, "unit-jacobian-oracle", k)
     for r in range(2, 7):
-        if k == 3:
-            pds = [random_rank3_decomposition(FP, r, x, rng) for x in rank3_strata(r)]
-        else:
-            pds = [random_rank4_decomposition(FP, r, s, rng) for s in rank4_strata(r)]
-        for pd in pds:
+        strata = rank3_strata(r) if k == 3 else rank4_strata(r)
+        for pd in (random_decomposition(FP, r, k, s, rng) for s in strata):
             assert _jacobian_rows(FP, r, pd) == _perturbation_jacobian_rows(FP, r, pd)
 
 
@@ -466,7 +509,7 @@ def test_bounded_rank_quadric_rank_is_computed_once(monkeypatch):
     # The construction checks the rank bound and a caller that asks for
     # the rank again, as the quadric-lab check does, gets the same value.
     c = ParamCurve.rational_normal(FP, 6)
-    pd = random_rank4_decomposition(FP, 6, (2, 2, 2), derived_rng(0, "unit-rank-once"))
+    pd = random_decomposition(FP, 6, 4, (2, 2, 2), derived_rng(0, "unit-rank-once"))
     calls = []
     rank = Matrix.rank
 
@@ -475,7 +518,7 @@ def test_bounded_rank_quadric_rank_is_computed_once(monkeypatch):
         return rank(self)
 
     monkeypatch.setattr(Matrix, "rank", counted)
-    q = rank4_from_decomposition(pd, c)
+    q = bounded_rank_quadric(pd, c)
     assert q.rank() == 4
     assert q.rank() == 4
     assert calls == [7]
