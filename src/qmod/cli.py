@@ -139,9 +139,13 @@ def _cmd_canonical_class(field, args):
 def _cmd_certificate(field, args):
     z = args.z
     if args.solve:
+        if args.x is not None or args.y is not None:
+            print("error: --x and --y conflict with --solve", file=sys.stderr)
+            return 2
         x, y = solve_certificate_multipliers(z)
     else:
-        x, y = args.x, args.y
+        x = Fraction(25, 297) if args.x is None else args.x
+        y = Fraction(2, 297) if args.y is None else args.y
     rep = general_type_certificate(x, y, z)
     bound_slots = sum(1 for s in rep.boundary if s.required_bound is not None)
     lines = [
@@ -398,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certificate", parents=[common],
                        help="general-type decomposition check on (15, 9)")
-    p.add_argument("--x", type=_fraction, default=Fraction(25, 297))
-    p.add_argument("--y", type=_fraction, default=Fraction(2, 297))
+    p.add_argument("--x", type=_fraction, help="default 25/297")
+    p.add_argument("--y", type=_fraction, help="default 2/297")
     p.add_argument("--z", type=_fraction, default=Fraction(13, 66))
     p.add_argument("--solve", action="store_true",
                    help="derive x and y from z instead of taking them as given")

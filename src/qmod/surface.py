@@ -101,6 +101,20 @@ def _det3(field, p, q, r):
                         + p[2] * (q[0] * r[1] - q[1] * r[0]))
 
 
+def _taylor(coeffs, x0, n: int) -> list:
+    """The first n coefficients of p(x0 + u), p given highest power first:
+    repeated synthetic division by x - x0 with unreduced scalars."""
+    out = []
+    for _ in range(n):
+        acc, quot = 0, []
+        for c in coeffs:
+            acc = acc * x0 + c
+            quot.append(acc)
+        out.append(quot.pop() if quot else 0)
+        coeffs = quot
+    return out
+
+
 class NSClass:
     """Divisor class on the blown-up plane: a plane degree and assigned
     multiplicities at the blown-up points."""
@@ -191,9 +205,11 @@ class PlaneSystem:
 
     The members are stored as ``TernaryForm`` instances in ``forms``, each
     built once through the checked constructor; construction re-verifies
-    every multiplicity condition through iterated partial derivatives, a
-    deliberately separate code path from the interpolation matrix that
-    produced the kernel.
+    every multiplicity condition by a Taylor shift, a deliberately separate
+    code path from the interpolation matrix that produced the kernel: in
+    the chart of each point, f(x0 + u, y0 + v) has no term u^a v^b with
+    a + b < m.  Those coefficients are the Hasse derivatives of f at the
+    point, so the check holds in every characteristic, with no p > a bound.
     """
 
     __slots__ = ("field", "cls", "forms", "config")
@@ -214,20 +230,24 @@ class PlaneSystem:
         return len(self.forms)
 
     def _verify_multiplicities(self):
+        F, d = self.field, self.cls.a
         for f in self.forms:
-            partials = {(0, 0): f}
-            top = min(max(self.cls.mults, default=0), self.cls.a + 1)
-            for order in range(1, top):
-                for dx in range(order + 1):
-                    dy = order - dx
-                    if dx > 0:
-                        partials[(dx, dy)] = partials[(dx - 1, dy)].partial(0)
-                    else:
-                        partials[(dx, dy)] = partials[(dx, dy - 1)].partial(1)
+            # Per chart (the last nonzero coordinate, which PointConfig
+            # scales to 1), cols[d - j] holds the coefficient of v^j: a
+            # polynomial in u, highest power first.
+            columns = {}
             for pt, m in zip(self.config.points, self.cls.mults):
-                for dx in range(min(m, self.cls.a + 1)):
-                    for dy in range(min(m, self.cls.a + 1) - dx):
-                        if partials[(dx, dy)].evaluate(*pt):
+                chart = max(i for i in range(3) if pt[i])
+                x0, y0 = (pt[i] for i in range(3) if i != chart)
+                if chart not in columns:
+                    cols = columns[chart] = [[0] * (k + 1) for k in range(d + 1)]
+                    for e, c in zip(monomials(d), f.coeffs):
+                        cols[d - e[1 if chart == 2 else 2]][e[chart]] = c
+                top = min(m, d + 1)
+                shifted = [_taylor(col, x0, top) for col in columns[chart]]
+                for a in range(top):
+                    for c in _taylor([s[a] for s in shifted], y0, top - a):
+                        if F.coerce(c):
                             raise InternalCheckError(
                                 "system member misses an assigned multiplicity")
 

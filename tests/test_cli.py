@@ -103,10 +103,30 @@ def test_negative_multiplier_reaches_the_certificate_refusal(capsys, argv):
 
 
 def test_negative_multiplier_reads_alike_in_both_option_forms(capsys):
-    # --solve derives x and y from z, so a given y is ignored in either form.
+    # --solve derives x and y from z, so a given y is refused in either form.
     spaced = _run(capsys, "certificate", "--y", "-1/2", "--solve")
     assert spaced == _run(capsys, "certificate", "--y=-1/2", "--solve")
-    assert spaced[0] == 0
+    assert spaced[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("certificate", "--y", "-1/2", "--solve"),
+    ("certificate", "--x", "1/2", "--solve"),
+    ("certificate", "--solve", "--x=25/297", "--y=2/297"),
+    ("certificate", "--y", "2/297", "--solve", "--z", "13/66"),
+])
+def test_given_multipliers_conflict_with_solve(capsys, argv):
+    # --solve derives x and y from z; a given one would be dropped unseen.
+    rc, out, err = _run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: --x and --y conflict with --solve\n"
+
+
+def test_given_multipliers_without_solve_replace_the_defaults(capsys):
+    rc, payload, _ = _run_json(capsys, "certificate", "--x", "1/2")
+    assert rc == 1
+    assert payload["multipliers"] == {"x": "1/2", "y": "2/297", "z": "13/66"}
 
 
 def test_certificate_solve_recovers_defaults(capsys):

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from multiplicity_oracle import partials_accept, taylor_accept
 from qmod.errors import (ConfigurationError, DomainError, FieldMismatchError,
                          InternalCheckError)
-from qmod.fields import DEFAULT_PRIME, PrimeField, derived_rng
+from qmod.fields import DEFAULT_PRIME, QQ, PrimeField, derived_rng
 from qmod.quadlab import i2_basis, ParamCurve
 from qmod.surface import (
     NSClass,
@@ -22,6 +25,7 @@ from qmod.surface import (
     pencil_nondegeneracy,
     residual_class,
 )
+from qmod.surface import _interpolation_kernel
 from qmod.quadlab import SymQuadric, linear_combination
 from qmod.ternary import TernaryForm
 
@@ -106,7 +110,6 @@ def test_interpolation_dimensions_on_sampled_points():
 
 def test_interpolation_small_prime_guard():
     cfg = PointConfig(PrimeField(31), [(1, 2, 1), (3, 5, 1)], seed=None)
-    from qmod.surface import _interpolation_kernel
     with pytest.raises(ConfigurationError):
         _interpolation_kernel(cfg, NSClass(31, (1, 1)))
 
@@ -126,8 +129,8 @@ def test_members_vanish_to_order():
 
 
 def test_plane_system_refuses_a_perturbed_basis():
-    # The constructor re-derives every assigned multiplicity from partials;
-    # one basis coefficient moved by 1 must fail that check.
+    # The constructor re-derives every assigned multiplicity by a Taylor
+    # shift; one basis coefficient moved by 1 must fail that check.
     cfg = PointConfig.sample(FP, 15, 3)
     hs = interpolation_basis(cfg, hyperplane_class())
     basis = [f.coeffs[:] for f in hs.forms]
@@ -168,6 +171,126 @@ def test_plane_system_refuses_a_configuration_over_another_field():
     other = PointConfig(PrimeField(2305843009213693967), cfg.points)
     with pytest.raises(FieldMismatchError):
         PlaneSystem(FP, hs.cls, [f.coeffs for f in hs.forms], other)
+
+
+def _systems_built_by(seed, monkeypatch):
+    # Every PlaneSystem that blowup_report builds, in order, as it checks it.
+    built = []
+    check = PlaneSystem._verify_multiplicities
+
+    def record(system):
+        check(system)
+        built.append(system)
+
+    with monkeypatch.context() as m:
+        m.setattr(PlaneSystem, "_verify_multiplicities", record)
+        blowup_report(seed, field=FP)
+    return built
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_taylor_check_agrees_with_partials_oracle_on_report_systems(seed, monkeypatch):
+    systems = _systems_built_by(seed, monkeypatch)
+    assert [s.cls for s in systems] == [hyperplane_class(), curve_class(),
+                                        residual_class()]
+    rng = derived_rng(seed, "unit-taylor-mutation")
+    for s in systems:
+        assert partials_accept(s.cls, s.forms, s.config.points)
+        for _ in range(4 if s.dim else 0):
+            basis = [f.coeffs[:] for f in s.forms]
+            i, j = rng.randrange(len(basis)), rng.randrange(len(basis[0]))
+            basis[i][j] = FP.coerce(basis[i][j] + 1 + rng.randrange(FP.p - 1))
+            moved = [TernaryForm(FP, s.cls.a, v) for v in basis]
+            assert not partials_accept(s.cls, moved, s.config.points)
+            assert not taylor_accept(FP, s.cls, basis, s.config)
+
+
+def test_taylor_check_agrees_with_partials_oracle_over_qq():
+    cfg = PointConfig(QQ, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (2, 3, 1), (-1, 5, 2)])
+    cls = NSClass(4, (2, 2, 1, 1, 1))
+    system = interpolation_basis(cfg, cls)
+    assert system.dim == expected_system_dim(cls) == 6
+    assert partials_accept(cls, system.forms, cfg.points)
+    basis = [f.coeffs[:] for f in system.forms]
+    basis[0][3] += 1
+    assert not taylor_accept(QQ, cls, basis, cfg)
+    assert not partials_accept(cls, [TernaryForm(QQ, 4, v) for v in basis], cfg.points)
+
+
+def _line_through(field, p, q):
+    # The line through the points p and q: their cross product.
+    return TernaryForm(field, 1, [field.coerce(p[1] * q[2] - p[2] * q[1]),
+                                  field.coerce(p[2] * q[0] - p[0] * q[2]),
+                                  field.coerce(p[0] * q[1] - p[1] * q[0])])
+
+
+_PROPERTY_FIELDS = [PrimeField(11), PrimeField(10007), FP, QQ]
+
+
+@given(st.data())
+def test_forced_multiplicity_is_seen_by_both_routes(data):
+    # f = L_1 ... L_m G with every L_i through the point has multiplicity
+    # at least m there, whatever the chart of the point.
+    field = data.draw(st.sampled_from(_PROPERTY_FIELDS))
+    coord = st.integers(-4, 4) if field is QQ else st.integers(0, field.p - 1)
+    vector = st.tuples(coord, coord, st.one_of(st.just(0), coord))
+    raw = data.draw(vector.filter(any))
+    cfg = PointConfig(field, [tuple(field.coerce(c) for c in raw)])
+    pt = cfg.points[0]
+    m, g = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 3))
+    f = TernaryForm(field, g, [field.coerce(c) for c in data.draw(
+        st.lists(coord, min_size=(g + 1) * (g + 2) // 2, max_size=(g + 1) * (g + 2) // 2))])
+    for _ in range(m):
+        other = tuple(field.coerce(c) for c in data.draw(vector))
+        f = f.mul(_line_through(field, pt, other))
+    at_m = NSClass(f.degree, (m,))
+    assert partials_accept(at_m, [f], cfg.points)
+    assert taylor_accept(field, at_m, [f.coeffs], cfg)
+    above = NSClass(f.degree, (m + 1,))
+    assert taylor_accept(field, above, [f.coeffs], cfg) == partials_accept(
+        above, [f], cfg.points)
+
+
+@pytest.mark.parametrize("raw", [(3, 5, 0), (1, 0, 0)])
+def test_taylor_check_works_in_the_chart_of_a_point_at_infinity(raw):
+    cfg = PointConfig(FP, [raw])
+    pt = cfg.points[0]
+    cubic = (_line_through(FP, pt, (1, 2, 3)).mul(_line_through(FP, pt, (2, 7, 1)))
+             .mul(TernaryForm(FP, 1, [4, 5, 6])))
+    line_at_infinity = [0, 0, 1]
+    for basis, cls, holds in [([cubic.coeffs], NSClass(3, (2,)), True),
+                              ([cubic.coeffs], NSClass(3, (3,)), False),
+                              ([line_at_infinity], NSClass(1, (1,)), True),
+                              ([line_at_infinity], NSClass(1, (2,)), False)]:
+        forms = [TernaryForm(FP, cls.a, v) for v in basis]
+        assert taylor_accept(FP, cls, basis, cfg) is holds
+        assert partials_accept(cls, forms, cfg.points) is holds
+
+
+def test_multiplicity_above_degree_plus_one_admits_only_zero():
+    # A nonzero form of degree d has multiplicity at most d anywhere.
+    cfg = PointConfig(FP, [(2, 9, 1)])
+    pt = cfg.points[0]
+    square = _line_through(FP, pt, (1, 1, 0)).mul(_line_through(FP, pt, (0, 1, 1)))
+    cls = NSClass(2, (5,))
+    assert not taylor_accept(FP, cls, [square.coeffs], cfg)
+    assert not partials_accept(cls, [square], cfg.points)
+    assert taylor_accept(FP, cls, [[0] * 6], cfg)
+    assert partials_accept(cls, [TernaryForm.zero(FP, 2)], cfg.points)
+
+
+def test_plane_system_refuses_a_kernel_with_missing_derivative_rows():
+    # The interpolation matrix of |H| with the two order-1 rows of the first
+    # point dropped is the matrix of the class with a simple point there.
+    # Its larger kernel holds members without the double point, and the
+    # constructor's own check must see that.
+    cfg = PointConfig.sample(FP, 15, 3)
+    h = hyperplane_class()
+    loose = _interpolation_kernel(cfg, NSClass(h.a, (1,) + h.mults[1:]))
+    assert loose.dim == expected_system_dim(h) + 2
+    assert not partials_accept(h, loose.forms, cfg.points)
+    with pytest.raises(InternalCheckError):
+        PlaneSystem(FP, h, [f.coeffs for f in loose.forms], cfg)
 
 
 def test_surface_quadric_pair():
