@@ -17,7 +17,9 @@ in between, each of at most min(rows, cols) eliminations adds at most
 (p-1)^2 to a slot, so a slot stays under p + min(rows, cols)*(p-1)^2 < 2^w
 and no carry crosses into the next slot.  A row update is then one big-int
 multiply-add instead of one field call per entry.  Pivots, and so every
-reduced form, are those of the generic loop.
+reduced form, are those of the generic loop.  ``_pack`` and ``_unpack``
+also serve ``unipoly.pow_mod``, which packs polynomial residues the same
+way under its own width bound.
 
 Over QQ there is no fixed width to pack into, so rationals keep the
 generic loop, which is also the reference the packed path is tested

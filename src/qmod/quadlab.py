@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from . import unipoly
 from .binforms import BinaryForm, binary_gcd
@@ -341,8 +342,8 @@ def bounded_rank_quadric(pd: PencilDecomposition, c: ParamCurve) -> SymQuadric:
     if a.mul(b) != cc.mul(d):
         raise InternalCheckError(f"rank-{k} product identity failed")
     n = len(a.coeffs)
-    q = SymQuadric.from_upper_coeffs(c.field, n, _combo_row(
-        c.field, upper_pairs(n), [(1, a.coeffs, b.coeffs), (-1, cc.coeffs, d.coeffs)]))
+    q = SymQuadric.from_upper_coeffs(c.field, n, _shifted_rows(
+        c.field, n, [(1, a.coeffs, b.coeffs), (-1, cc.coeffs, d.coeffs)], [0])[0])
     if q.rank() > k:
         raise InternalCheckError(f"rank-{k} construction exceeded rank {k}")
     return q
@@ -408,18 +409,27 @@ def random_decomposition(field, r: int, k: int, stratum, rng) -> PencilDecomposi
     return PencilDecomposition(f, g, u, v, _random_form(field, x, rng))
 
 
-def _combo_row(field, pairs, terms) -> list:
-    # terms: (integer weight, coeff list, coeff list) triples; the row is
-    # the weighted sum of the product forms l(a) l(b), flattened in
-    # upper_pairs order.  Each entry is summed exactly and reduced once.
-    row = []
-    for i, j in pairs:
-        if i == j:
-            acc = sum(w * a[i] * b[i] for w, a, b in terms)
-        else:
-            acc = sum(w * (a[i] * b[j] + a[j] * b[i]) for w, a, b in terms)
-        row.append(field.coerce(acc))
-    return row
+def _shifted_rows(field, n: int, terms, shifts) -> list[list]:
+    """Rows, in upper_pairs(n) order, of sum w l(e_j a) l(b) over the
+    (w, a, b) terms, one per shift j, where e_j is the monomial of index j.
+
+    e_j moves the coefficients of a up j slots, so row j is the exact outer
+    product U = sum w a b^T moved down j rows, V, read as V[i][k] + V[k][i]
+    off the diagonal and V[i][i] on it, with one coerce per entry.
+    """
+    outer = [[0] * n for _ in terms[0][1]]
+    for w, a, b in terms:
+        for s, x in enumerate(a):
+            outer[s] = [u + w * x * y for u, y in zip(outer[s], b)]
+    rows = []
+    for j in shifts:
+        v = [[0] * n] * j + outer + [[0] * n] * (n - j - len(outer))
+        row = []
+        for i, (vi, ti) in enumerate(zip(v, zip(*v))):
+            row.append(field.coerce(vi[i]))
+            row.extend(map(field.coerce, map(add, vi[i + 1:], ti[i + 1:])))
+        rows.append(row)
+    return rows
 
 
 def _jacobian_rows(field, r: int, pd: PencilDecomposition) -> list[list]:
@@ -428,13 +438,13 @@ def _jacobian_rows(field, r: int, pd: PencilDecomposition) -> list[list]:
 
     By the product rule each occurrence of a member in a product gives one
     term (its monomial times the rest of the product, against the partner
-    product); equal terms merge into one weight, so a rank-3 row keeps two
-    or three terms.
+    product); equal terms merge into one weight, so a rank-3 member keeps
+    two or three terms.  A monomial only shifts the rest up, so the rows of
+    one member are shifts of one outer product (``_shifted_rows``).
     """
     words = _PRODUCTS[pd.kind]
     partner = (1, 0, 3, 2)
     products = {w: _product(pd, w).coeffs for w in words}
-    pairs = upper_pairs(r + 1)
     rows = []
     for name in "fguvh":
         form = getattr(pd, name)
@@ -447,12 +457,9 @@ def _jacobian_rows(field, r: int, pd: PencilDecomposition) -> list[list]:
                 if letter == name:
                     key = (word[:i] + word[i + 1:], words[partner[pos]])
                     weights[key] = weights.get(key, 0) + sign
-        terms = [(w, _product(pd, rest), products[other])
+        terms = [(w, _product(pd, rest).coeffs, products[other])
                  for (rest, other), w in weights.items()]
-        for j in range(form.degree + 1):
-            e = BinaryForm.monomial(field, form.degree, j)
-            rows.append(_combo_row(field, pairs, [(w, e.mul(rest).coeffs, other)
-                                                  for w, rest, other in terms]))
+        rows.extend(_shifted_rows(field, r + 1, terms, range(form.degree + 1)))
     return rows
 
 

@@ -7,7 +7,9 @@ field-parametrized so the same code serves QQ and F_p.
 Coefficient loops compute with the scalars' own ``+ - *`` and reduce each
 stored coefficient once with ``field.coerce`` (``normalize`` does it for
 whole lists), as the ``fields`` module docstring sets out; no per-step
-field call, and one path for both kinds of field.
+field call, and one path for both kinds of field.  The one exception is
+``pow_mod``, the kernel behind root finding: it runs over F_p only and
+multiplies residues packed into one int each with the ``linalg`` packing.
 
 Scope note: gcd, squarefree testing, resultants and prime-field root
 extraction.  Full factorization is deliberately out of scope; the root
@@ -21,7 +23,7 @@ from itertools import zip_longest
 
 from .errors import ConfigurationError, DomainError, GenericityError, ZeroPolynomialError
 from .fields import PrimeField
-from .linalg import Matrix
+from .linalg import Matrix, _pack, _unpack
 
 
 def normalize(field, cs) -> list:
@@ -255,22 +257,44 @@ def resultant_prs(field, f, g):
     return field.coerce(sign * res * g[0] ** degree(f))
 
 
-def mul_mod(field, f, g, m) -> list:
-    return rem(field, mul(field, f, g), m)
+def pow_mod(pf: PrimeField, base, e: int, m) -> list:
+    """base^e mod m over F_p, by binary exponentiation on packed residues.
 
-
-def pow_mod(field, base, e: int, m) -> list:
-    """base^e mod m by binary exponentiation."""
-    if degree(m) < 1:
+    Kronecker substitution (Kronecker 1882; Harvey, J. Symbolic Comput. 44,
+    2009) on the ``linalg`` packing: coefficient i of a residue sits in bits
+    [i*w, (i+1)*w), so a product is one big-int multiply.  Its slots k = n
+    .. 2n-2, n = deg m, are reduced mod p and folded back onto the packed
+    x^k mod m, so a slot sums at most 2n - 1 terms below p^2.  That stays
+    under 2^w for w = 2*bitlen(p) + bitlen(n) + 1: no carry crosses slots.
+    """
+    if not isinstance(pf, PrimeField):
+        raise DomainError("pow_mod runs over a prime field")
+    n = degree(m)
+    if n < 1:
         raise DomainError("modulus must have positive degree")
-    result = [field.one]
-    base = rem(field, base, m)
+    p, w = pf.p, 2 * pf.p.bit_length() + n.bit_length() + 1
+    mask, low_mask, inv = (1 << w) - 1, (1 << n * w) - 1, pf.inv(m[-1])
+    # x^n mod m, then x^(k+1) = x * x^k with its top slot folded onto x^n.
+    x_k = x_n = [-inv * c % p for c in m[:-1]]
+    table = []
+    for _ in range(n - 1):
+        table.append(_pack(x_k, w))
+        x_k = [(a + x_k[-1] * b) % p for a, b in zip([0] + x_k, x_n)]
+
+    def mul_mod(a: int, b: int) -> int:
+        v = a * b
+        low = v & low_mask
+        for c, t in zip(_unpack(v >> n * w, n - 1, w, mask), table):
+            low += c % p * t
+        return _pack([x % p for x in _unpack(low, n, w, mask)], w)
+
+    result, sq = 1, _pack(rem(pf, base, m), w)
     while e > 0:
         if e & 1:
-            result = mul_mod(field, result, base, m)
-        base = mul_mod(field, base, base, m)
+            result = mul_mod(result, sq)
+        sq = mul_mod(sq, sq)
         e >>= 1
-    return result
+    return normalize(pf, _unpack(result, n, w, mask))
 
 
 def root_multiplicity(field, f, r) -> int:

@@ -1,0 +1,40 @@
+"""Test oracles for two packed kernels.
+
+``unipoly.pow_mod`` multiplies residues packed into one int each, and
+``quadlab._shifted_rows`` builds every quadric row of a member from one
+outer product.  The routes here are the ones they replaced: a list
+product and a remainder per step, and one exact sum per (upper pair,
+term) entry.  They share no arithmetic with the kernels they judge.
+"""
+
+from qmod import unipoly
+
+
+def mul_mod(field, f, g, m) -> list:
+    return unipoly.rem(field, unipoly.mul(field, f, g), m)
+
+
+def pow_mod(field, base, e: int, m) -> list:
+    """base^e mod m by binary exponentiation through ``mul_mod``."""
+    result = [field.one]
+    base = unipoly.rem(field, base, m)
+    while e > 0:
+        if e & 1:
+            result = mul_mod(field, result, base, m)
+        base = mul_mod(field, base, base, m)
+        e >>= 1
+    return result
+
+
+def combo_row(field, pairs, terms) -> list:
+    """Coefficients, in the given upper-pair order, of the quadric
+    sum w l(a) l(b) over the (w, a, b) terms; each entry is summed exactly
+    and reduced once."""
+    row = []
+    for i, j in pairs:
+        if i == j:
+            acc = sum(w * a[i] * b[i] for w, a, b in terms)
+        else:
+            acc = sum(w * (a[i] * b[j] + a[j] * b[i]) for w, a, b in terms)
+        row.append(field.coerce(acc))
+    return row

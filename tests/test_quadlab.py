@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from qmod import unipoly
 from qmod.binforms import BinaryForm
 from qmod.cli import main
 from qmod.errors import ConfigurationError, DomainError, FieldMismatchError
@@ -18,7 +17,9 @@ from qmod.quadlab import (
     PencilDecomposition,
     QuadricSystem,
     SymQuadric,
+    _PRODUCTS,
     _jacobian_rows,
+    _product,
     bounded_rank_quadric,
     expected_family_dim,
     family_dimension,
@@ -37,6 +38,8 @@ from qmod.quadlab import (
 )
 from qmod.surface import pencil_discriminant
 from qmod.ternary import TernaryForm
+
+from kernel_oracles import combo_row
 
 FP = PrimeField(DEFAULT_PRIME)
 
@@ -350,10 +353,12 @@ def test_bounded_rank_quadric_refusals():
 
 def _perturbation_jacobian_rows(field, r, pd):
     # Row for coefficient j of member P: the t-linear part of the
-    # coefficients of Q(P + t e_j), interpolated at t = 0..6 (Q has degree
-    # at most 6 in t), with members in the order f, g, u, v, h.
+    # coefficients of Q(P + t e_j), with members in the order f, g, u, v, h.
+    # A member occurs at most twice in A B and at most twice in C D, so Q
+    # has degree at most 2 in t and its t-linear part is the central
+    # difference (Q(1) - Q(-1)) / 2.
     curve = ParamCurve.rational_normal(field, r)
-    nodes = list(range(7))
+    half = field.inv(2)
     rows = []
     for name in ("f", "g", "u", "v", "h"):
         form = getattr(pd, name)
@@ -361,23 +366,34 @@ def _perturbation_jacobian_rows(field, r, pd):
             continue
         for j in range(form.degree + 1):
             step = BinaryForm.monomial(field, form.degree, j)
-            samples = [bounded_rank_quadric(replace(pd, **{name: form.add(step.scale(t))}),
-                                            curve).upper_coeffs() for t in nodes]
-            row = []
-            for values in zip(*samples):
-                poly = unipoly.interpolate(field, nodes, list(values))
-                row.append(poly[1] if len(poly) > 1 else field.zero)
-            rows.append(row)
+            plus, minus = (bounded_rank_quadric(replace(pd, **{name: form.add(step.scale(t))}),
+                                                curve).upper_coeffs() for t in (1, -1))
+            rows.append([field.coerce((x - y) * half) for x, y in zip(plus, minus)])
     return rows
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_jacobian_rows_match_perturbation_oracle(k):
     rng = derived_rng(0, "unit-jacobian-oracle", k)
-    for r in range(2, 7):
+    for r in range(2, 10):
         strata = rank3_strata(r) if k == 3 else rank4_strata(r)
         for pd in (random_decomposition(FP, r, k, s, rng) for s in strata):
             assert _jacobian_rows(FP, r, pd) == _perturbation_jacobian_rows(FP, r, pd)
+
+
+@pytest.mark.parametrize("field", [FP, PrimeField(101), QQ], ids=repr)
+@pytest.mark.parametrize("k", [3, 4])
+def test_bounded_rank_quadric_matches_combo_row_oracle(field, k):
+    # The quadric's coefficients against the per-entry sum of
+    # l(A) l(B) - l(C) l(D), on random decompositions of every stratum.
+    rng = derived_rng(0, "unit-combo-oracle", k)
+    for r in range(3, 10):
+        curve = ParamCurve.rational_normal(field, r)
+        for s in rank3_strata(r) if k == 3 else rank4_strata(r):
+            pd = random_decomposition(field, r, k, s, rng)
+            a, b, c, d = (_product(pd, w).coeffs for w in _PRODUCTS[k])
+            expected = combo_row(field, upper_pairs(r + 1), [(1, a, b), (-1, c, d)])
+            assert bounded_rank_quadric(pd, curve).upper_coeffs() == expected
 
 
 def test_strata_enumeration():

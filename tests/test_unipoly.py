@@ -10,6 +10,9 @@ from qmod import unipoly as up
 from qmod.errors import ConfigurationError, DomainError, GenericityError, ZeroPolynomialError
 from qmod.fields import QQ, DEFAULT_PRIME, PrimeField
 
+import kernel_oracles as oracle
+from test_scalar_idiom import PRIMES
+
 FP = PrimeField(DEFAULT_PRIME)
 
 poly = st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=6)
@@ -189,5 +192,42 @@ def test_pow_mod_matches_repeated_multiplication():
     base = [2, 5]
     direct = [1]
     for _ in range(12):
-        direct = up.mul_mod(pf, direct, base, m)
+        direct = oracle.mul_mod(pf, direct, base, m)
     assert up.pow_mod(pf, base, 12, m) == direct
+
+
+POW_PRIMES = [PrimeField(3), PrimeField(101)] + PRIMES
+
+
+@st.composite
+def pow_mod_case(draw, pf):
+    # A modulus of degree 1 or up to 16 with any nonzero leader, a base of
+    # degree up to 2 deg m + 1, and the exponents the root finder uses
+    # ((p - 1)/2 and p) next to the small ones.
+    p = pf.p
+    n = draw(st.one_of(st.just(1), st.integers(1, 16)))
+    m = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    m.append(draw(st.integers(1, p - 1)))
+    base = up.normalize(pf, draw(st.lists(st.integers(0, p - 1), max_size=2 * n + 2)))
+    e = draw(st.sampled_from([0, 1, 2, (p - 1) // 2, p]))
+    return base, e, m
+
+
+@pytest.mark.parametrize("pf", POW_PRIMES, ids=repr)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_pow_mod_matches_the_list_oracle(pf, data):
+    base, e, m = data.draw(pow_mod_case(pf))
+    assert up.pow_mod(pf, base, e, m) == oracle.pow_mod(pf, base, e, m)
+    if e <= 101:  # small enough to multiply out step by step
+        direct = [pf.one]
+        for _ in range(e):
+            direct = oracle.mul_mod(pf, direct, base, m)
+        assert up.pow_mod(pf, base, e, m) == direct
+
+
+def test_pow_mod_packs_only_prime_field_residues():
+    with pytest.raises(DomainError, match="prime field"):
+        up.pow_mod(QQ, [Fraction(1), Fraction(1)], 3, [Fraction(1), Fraction(0), Fraction(1)])
+    with pytest.raises(DomainError, match="positive degree"):
+        up.pow_mod(FP, [0, 1], 3, [5])
