@@ -51,8 +51,8 @@ def is_prime(n: int) -> bool:
 
     That base set proves every answer for n below ``_PSI_13``
     (psi_13, about 3.3e24).  Larger n raise ``ConfigurationError``: the
-    test could only guess there, and a composite modulus would make every
-    inverse computed as ``pow(x, p - 2, p)`` wrong.
+    test could only guess there, and a composite modulus is no field:
+    ``pow(x, -1, p)`` fails on every x that shares a factor with it.
     """
     if n >= _PSI_13:
         raise ConfigurationError(
@@ -171,7 +171,7 @@ class PrimeField:
         x = Fraction(x)
         if x.denominator % self.p == 0:
             raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
-        return x.numerator * pow(x.denominator, self.p - 2, self.p) % self.p
+        return x.numerator * pow(x.denominator, -1, self.p) % self.p
 
     def is_element(self, x) -> bool:
         return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < self.p
@@ -187,7 +187,7 @@ class PrimeField:
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of zero in F_{self.p}")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def format(self, x) -> str:
         return str(x % self.p)

@@ -16,10 +16,15 @@ Entries are reduced mod p when packed and when their row becomes a pivot;
 in between, each of at most min(rows, cols) eliminations adds at most
 (p-1)^2 to a slot, so a slot stays under p + min(rows, cols)*(p-1)^2 < 2^w
 and no carry crosses into the next slot.  A row update is then one big-int
-multiply-add instead of one field call per entry.  Pivots, and so every
-reduced form, are those of the generic loop.  ``_pack`` and ``_unpack``
-also serve ``unipoly.pow_mod``, which packs polynomial residues the same
-way under its own width bound.
+multiply-add instead of one field call per entry.  While column c is
+eliminated each row is kept as its tail, column c on, with column c in
+slot 0, so an update multiplies only the pivot's tail.  After the column
+every tail drops slot 0, which is 0 mod p on each row not yet a pivot
+(pivot rows record it first).  The slots left hold the same entries and
+take the same updates, so the bound, and w, are unchanged.  Pivots, and
+so every reduced form, are those of the generic loop.  ``_pack`` and
+``_unpack`` also serve ``unipoly.pow_mod``, which packs polynomial
+residues the same way under its own width bound.
 
 Over QQ there is no fixed width to pack into, so rationals keep the
 generic loop, which is also the reference the packed path is tested
@@ -182,47 +187,54 @@ def _rref_generic(F, data, cols: int):
 
 
 def _rref_packed(F, data, cols: int):
-    """Gauss-Jordan over F_p with each row packed into one int.
+    """Gauss-Jordan over F_p on rows packed as tails (module docstring).
 
-    Slot j of a row holds entry j in bits [j*w, (j+1)*w).  Eliminating
-    column c from a row is one big-int multiply-add, row += (p - c) * pivot,
-    and slots are left unreduced until the row becomes a pivot (and once
-    more at the end); the width bound in the module docstring keeps every
-    slot from carrying into its neighbour.
+    Eliminating the column from a row is one big-int multiply-add,
+    t += (p - c) * pivot, with slots left unreduced until the row becomes
+    a pivot (and once more at the end).  ``out`` starts as zeros; before
+    the tails drop slot 0, a free column's pivot-row entries, or the new
+    pivot's 1, are written into it.
     """
     p = F.p
     rows = len(data)
     w = 2 * p.bit_length() + min(rows, cols).bit_length() + 1
     mask = (1 << w) - 1
-    packed = [_pack([x % p for x in r], w) for r in data]
+    tails = [_pack([x % p for x in r], w) for r in data]
+    out = [[0] * cols for _ in range(rows)]
     pivots = []
     prow = 0
-    for col in range(cols):
-        if prow >= rows:
-            break
-        shift = col * w
+    col = 0
+    while col < cols and prow < rows:
         sel = None
         for i in range(prow, rows):
-            if (packed[i] >> shift & mask) % p:
+            if (tails[i] & mask) % p:
                 sel = i
                 break
         if sel is None:
-            continue
-        packed[prow], packed[sel] = packed[sel], packed[prow]
-        # Rows at or below prow are zero mod p left of col, so only the
-        # slots from col on are scaled; the low slots come back as 0.
-        tail = _unpack(packed[prow] >> shift, cols - col, w, mask)
-        inv = F.inv(tail[0] % p)
-        pivot = _pack([inv * x % p for x in tail], w) << shift
-        packed[prow] = pivot
-        for i in range(rows):
-            if i != prow:
-                c = (packed[i] >> shift & mask) % p
-                if c:
-                    packed[i] += (p - c) * pivot
-        pivots.append(col)
-        prow += 1
-    return [[x % p for x in _unpack(v, cols, w, mask)] for v in packed], pivots
+            for k in range(prow):
+                out[k][col] = (tails[k] & mask) % p
+        else:
+            # Rows at or below prow have written nothing into out (their
+            # dropped slots were 0 mod p), so swapping tails swaps rows.
+            tails[prow], tails[sel] = tails[sel], tails[prow]
+            tail = _unpack(tails[prow], cols - col, w, mask)
+            inv = F.inv(tail[0] % p)
+            pivot = _pack([inv * x % p for x in tail], w)
+            tails[prow] = pivot
+            for i in range(rows):
+                if i != prow:
+                    c = (tails[i] & mask) % p
+                    if c:
+                        tails[i] += (p - c) * pivot
+            out[prow][col] = 1
+            pivots.append(col)
+            prow += 1
+        tails = [t >> w for t in tails]
+        col += 1
+    # Once every row is a pivot, the columns left are free: unpack them once.
+    for k in range(prow):
+        out[k][col:] = [x % p for x in _unpack(tails[k], cols - col, w, mask)]
+    return out, pivots
 
 
 def _pack(entries, w: int) -> int:

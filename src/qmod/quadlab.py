@@ -230,8 +230,9 @@ class ParamCurve:
     def is_monomial_basis(self) -> bool:
         if self.degree != self.r:
             return False
-        return all(comp == BinaryForm.monomial(self.field, self.r, i)
-                   for i, comp in enumerate(self.components))
+        # Component i must be s^(r-i) t^i: its coefficients the i-th unit vector.
+        return all(c == int(i == j) for i, comp in enumerate(self.components)
+                   for j, c in enumerate(comp.coeffs))
 
     def evaluate(self, t) -> list:
         """Affine-chart point c(1, t) as a coordinate list."""

@@ -5,9 +5,15 @@
 outer product.  The routes here are the ones they replaced: a list
 product and a remainder per step, and one exact sum per (upper pair,
 term) entry.  They share no arithmetic with the kernels they judge.
+``PACKED_PRIMES`` are the moduli the packed kernels and the field
+inverse are tested at.
 """
 
 from qmod import unipoly
+from qmod.fields import DEFAULT_PRIME
+
+# 2^64 + 13 is above one machine word; 3 and 7 make rank drops common.
+PACKED_PRIMES = [3, 7, 65537, DEFAULT_PRIME, 2 ** 64 + 13]
 
 
 def mul_mod(field, f, g, m) -> list:

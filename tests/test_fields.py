@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ from qmod.fields import (
     is_prime,
     require_sampling_prime,
 )
+
+from kernel_oracles import PACKED_PRIMES
 
 
 def test_is_prime_known_values():
@@ -82,6 +85,22 @@ def test_prime_field_explicit_rational_reduction(fp):
 def test_prime_field_inverse(a):
     fp = PrimeField(DEFAULT_PRIME)
     assert fp.coerce(a * fp.inv(a)) == 1
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_prime_field_inverse_is_the_fermat_inverse(p):
+    # Random, negative and unreduced inputs alike: the extended-Euclid
+    # inverse is the Fermat one, pow(a, p - 2, p), for a proven prime.
+    fp = PrimeField(p)
+    rng = random.Random(p)
+    samples = [rng.randrange(1, p) for _ in range(20)]
+    samples += [-a for a in samples[:5]] + [a + k * p for k, a in zip((1, 3, -4), samples)]
+    samples += [1, p - 1, -1, p + 1, 2 * p - 1]
+    for a in samples:
+        assert fp.inv(a) == pow(a, p - 2, p)
+    for zero in (0, p, -p):
+        with pytest.raises(ZeroDivisionError):
+            fp.inv(zero)
 
 
 def test_inverse_of_zero_raises(fp):

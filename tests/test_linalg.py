@@ -10,6 +10,8 @@ from qmod.errors import DomainError
 from qmod.fields import QQ, DEFAULT_PRIME, PrimeField
 from qmod.linalg import Matrix
 
+from kernel_oracles import PACKED_PRIMES
+
 
 def _plain_rank(rows):
     """Textbook fraction elimination, kept independent of Matrix."""
@@ -131,9 +133,7 @@ def test_kernel_basis_is_echelonized():
     assert free_cols == sorted(free_cols)
 
 
-# Packed prime-field elimination against the generic one.  2^64 + 13 is
-# above one machine word; 3 and 7 make rank drops common.
-PACKED_PRIMES = [3, 7, 65537, DEFAULT_PRIME, 2 ** 64 + 13]
+# Packed prime-field elimination against the generic one.
 
 
 def _generic(m, rhs):
@@ -199,3 +199,41 @@ def test_packed_elimination_of_negative_and_oversized_entries():
     # A row of multiples of p is a zero row, returned as canonical zeros.
     zero_row = Matrix(fp, 2, 2, [[p, -p], [-1, 1]], _skip_check=True)
     assert zero_row.rref()[0].data == [[1, p - 1], [0, 0]]
+
+
+def _dense(p, rows, cols, seed):
+    """A dense matrix over F_p, half its entries p - 1 and the rest nonzero,
+    with every fifth column (p - 1) times its left neighbour, so that free
+    columns sit between pivot columns."""
+    rng = random.Random(seed)
+    m = [[p - 1 if rng.random() < 0.5 else rng.randrange(1, p) for _ in range(cols)]
+         for _ in range(rows)]
+    for row in m:
+        for j in range(4, cols, 5):
+            row[j] = (p - 1) * row[j - 1] % p
+    return m
+
+
+@pytest.mark.parametrize("p", [3, 7, 65537, DEFAULT_PRIME])
+@pytest.mark.parametrize("rows, cols", [(12, 12), (40, 40), (120, 28), (54, 66)])
+def test_packed_slots_hold_every_update(p, rows, cols):
+    # Large dense entries and up to min(rows, cols) pivots: a slot takes
+    # that many updates of up to (p - 1)^2 before its row is reduced.
+    m = _dense(p, rows, cols, seed=rows * cols + p)
+    fp = PrimeField(p)
+    assert linalg._rref_packed(fp, m, cols) == linalg._rref_generic(fp, m, cols)
+
+
+@pytest.mark.parametrize("p", [3, 7, 65537, DEFAULT_PRIME])
+def test_packed_elimination_when_every_row_is_a_pivot_early(p):
+    # A unit lower triangle up front, dense below its diagonal, makes all
+    # 20 rows pivots by column 19; the 30 free columns after it come from
+    # the rows' tails.
+    rows, cols = 20, 50
+    dense = _dense(p, rows, cols, seed=p)
+    m = [[dense[i][j] if j < i else int(i == j) for j in range(rows)] + dense[i][rows:]
+         for i in range(rows)]
+    fp = PrimeField(p)
+    red, pivots = linalg._rref_packed(fp, m, cols)
+    assert pivots == list(range(rows))
+    assert (red, pivots) == linalg._rref_generic(fp, m, cols)

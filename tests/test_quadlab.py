@@ -107,6 +107,17 @@ def test_rational_normal_curve_is_monomial():
     assert c.evaluate(t) == [pow(7, i, FP.p) for i in range(6)]
 
 
+@pytest.mark.parametrize("field", [FP, QQ])
+def test_monomial_basis_rejects_scaled_or_swapped_components(field):
+    r = 4
+    comps = ParamCurve.rational_normal(field, r).components
+    scaled = comps[:2] + [comps[2].scale(field.coerce(3))] + comps[3:]
+    swapped = [comps[1], comps[0]] + comps[2:]
+    assert ParamCurve(field, r, comps).is_monomial_basis()
+    assert not ParamCurve(field, r, scaled).is_monomial_basis()
+    assert not ParamCurve(field, r, swapped).is_monomial_basis()
+
+
 def test_curve_rejects_shared_component_root():
     t = BinaryForm(FP, 1, [0, 1])
     comps = [t.mul(BinaryForm(FP, 1, [i + 1, 1])) for i in range(4)]
