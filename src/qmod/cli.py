@@ -44,7 +44,7 @@ from .quadlab import (
     rnc_i2_dim,
     secant_condition,
 )
-from .surface import blowup_verify
+from .surface import blowup_report
 from .verify import CHECKS, check_names, run_check
 
 
@@ -239,7 +239,7 @@ def _cmd_genus5_net(field, args):
 
 
 def _cmd_blowup_verify(field, args):
-    rep = blowup_verify(args.seed, field=field)
+    rep = blowup_report(args.seed, field=field)
     payload = rep.to_json_dict()
     if args.dump and rep.passed:
         payload["dump"] = {"points": rep.config.to_json_dict(),
@@ -260,7 +260,7 @@ def _cmd_blowup_verify(field, args):
 
 
 def _cmd_pencil_disc(field, args):
-    rep = blowup_verify(args.seed, field=field)
+    rep = blowup_report(args.seed, field=field)
     if rep.pencil is None:
         payload = {"seed": rep.seed, "stage": rep.stage, "pencil": None}
         _emit(args, payload, [f"construction stopped at stage {rep.stage}"])

@@ -2,9 +2,10 @@
 
 Three failure flavors are kept apart on purpose: bad inputs (DomainError),
 bad run configuration such as a composite or too-small prime
-(ConfigurationError), and probabilistic checks that came back inconclusive
-and want a resample (GenericityError).  InternalCheckError marks conditions
-that can only arise from a bug in qmod itself; callers should never catch it.
+(ConfigurationError), and seeded draws that proved degenerate, reported
+for the seed that drew them (GenericityError).  InternalCheckError marks
+conditions that can only arise from a bug in qmod itself; callers should
+never catch it.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ class ConfigurationError(QmodError):
 
 
 class GenericityError(QmodError):
-    """A randomized genericity check failed for every seed tried.
+    """A seeded draw failed a genericity check.
 
-    Carries the seeds tried and optional diagnostic data so reports can
-    list them verbatim.
+    Carries the seeds whose draws failed and optional diagnostic data so
+    reports can list them verbatim.
     """
 
     def __init__(self, message: str, seeds_tried: list[int] | None = None, data: dict | None = None):

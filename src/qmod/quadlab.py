@@ -7,8 +7,8 @@ forms f_0 .. f_r exactly when sum c_ij f_i f_j is the zero form, so the
 quadrics are the kernel of the matrix whose columns are the products
 f_i f_j.  No evaluation nodes, hence no bound on the characteristic, and
 no Groebner machinery.  Randomness enters only where genericity is itself
-the question, always through seeded derived streams with a bounded
-resample-and-report protocol.
+the question, always through seeded derived streams; a degenerate draw
+is reported with the seed and attempt that drew it, never hidden.
 """
 
 from __future__ import annotations
@@ -640,18 +640,15 @@ class Genus5Report:
 
 
 def _random_line_squarefree(field, disc: TernaryForm, rng) -> bool | None:
-    # Restriction to a line through two random points; None on a
-    # degenerate draw (proportional points or a line inside the curve).
-    for _ in range(5):
-        p0 = [field.random_element(rng) for _ in range(3)]
-        p1 = [field.random_element(rng) for _ in range(3)]
-        if Matrix.from_rows(field, [p0, p1]).rank() < 2:
-            continue
-        restricted = disc.restrict_to_line(p0, p1)
-        if restricted.is_zero():
-            continue
-        return restricted.squarefree()
-    return None
+    # Restriction to the line through two random points; None on a
+    # degenerate draw (proportional points or a line inside the curve),
+    # which the caller reports as a failed attempt.
+    p0 = [field.random_element(rng) for _ in range(3)]
+    p1 = [field.random_element(rng) for _ in range(3)]
+    if Matrix.from_rows(field, [p0, p1]).rank() < 2:
+        return None
+    restricted = disc.restrict_to_line(p0, p1)
+    return None if restricted.is_zero() else restricted.squarefree()
 
 
 def _singular_candidates(field, disc: TernaryForm, qs) -> list | None:

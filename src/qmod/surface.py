@@ -6,8 +6,8 @@ quadrics through the image.  Linear systems with assigned base
 multiplicities are exact kernels of derivative-evaluation matrices;
 everything downstream (quadrics through the image, the discriminant of
 their pencil) is exact linear algebra over the same field.  Genericity of
-sampled data is the only probabilistic ingredient, handled by seeded
-draws with bounded retries.
+sampled data is the only probabilistic ingredient: each seed makes one
+draw, and a degenerate draw is reported for that seed, never redrawn.
 """
 
 from __future__ import annotations
@@ -72,22 +72,20 @@ class PointConfig:
 
     @classmethod
     def sample(cls, field, n: int, seed: int) -> "PointConfig":
-        """Draw n random affine points, retrying degenerate draws.
+        """Draw n random affine points from the seed's one stream.
 
-        Five derived streams are tried before giving up; over a large
-        prime field a retry is already a rarity.
+        A degenerate draw raises GenericityError for this seed; no other
+        stream is tried, so the seed names the configuration it reports on.
         """
         require_sampling_prime(field)
-        for attempt in range(5):
-            rng = derived_rng(seed, "plane-points", attempt)
-            pts = [(field.random_element(rng), field.random_element(rng), field.one)
-                   for _ in range(n)]
-            try:
-                return cls(field, pts, seed=seed)
-            except DomainError:
-                continue
-        raise GenericityError("point configuration kept degenerating",
-                              seeds_tried=[seed], data={"attempts": 5})
+        rng = derived_rng(seed, "plane-points", 0)
+        pts = [(field.random_element(rng), field.random_element(rng), field.one)
+               for _ in range(n)]
+        try:
+            return cls(field, pts, seed=seed)
+        except DomainError as exc:
+            raise GenericityError(f"degenerate point configuration: {exc}",
+                                  seeds_tried=[seed]) from None
 
     def to_json_dict(self) -> dict:
         fmt = self.field.format
@@ -297,8 +295,8 @@ def interpolation_basis(cfg: PointConfig, cls: NSClass) -> PlaneSystem:
     """Forms of degree a with the assigned point multiplicities.
 
     The kernel dimension must match the general-points expectation;
-    anything else means the configuration is insufficiently general and
-    is reported for resampling rather than silently accepted.
+    anything else means the configuration is insufficiently general, a
+    genericity failure of its seed rather than a silent acceptance.
     """
     sys_ = _interpolation_kernel(cfg, cls)
     exp = expected_system_dim(cls)
@@ -436,16 +434,3 @@ def blowup_report(seed: int, field=None) -> SurfaceReport:
     return SurfaceReport(seed, prime, "complete", h_dim, curve_dim,
                          residual_dim, qs.dim, pencil, passed, cfg, hs, qs)
 
-
-def blowup_verify(seed: int, field=None) -> SurfaceReport:
-    """Resample-and-report wrapper: up to five derived configurations,
-    first passing report wins, otherwise the last failure is returned."""
-    last = None
-    for attempt in range(5):
-        use = seed if attempt == 0 else derived_rng(
-            seed, "blowup-retry", attempt).randrange(2 ** 32)
-        report = blowup_report(use, field)
-        if report.passed:
-            return report
-        last = report
-    return last

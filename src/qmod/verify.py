@@ -200,15 +200,19 @@ def _check_quadric_lab(field, seed):
         curve = ParamCurve.rational_normal(field, r)
         strata = {3: rank3_strata(r), 4: rank4_strata(r)}
         rng = derived_rng(seed, "qlab-instances", r)
-        # Vanishing on the curve at 2r+1 nodes pins down membership:
-        # the restriction has degree at most 2r.
-        nodes = [curve.evaluate(field.coerce(t)) for t in range(2 * r + 1)]
         exact = 0
         for idx in range(100):
             k = 3 + idx % 2
             pd = random_decomposition(field, r, k, rng.choice(strata[k]), rng)
             quad = bounded_rank_quadric(pd, curve)
-            if any(quad.evaluate(pt) for pt in nodes):
+            # On the monomial curve Q pulls back to the binary form whose
+            # t^s coefficient is the anti-diagonal sum of Q[i][j], i + j = s;
+            # Q contains the curve exactly when all 2r + 1 sums vanish.
+            pullback = [0] * (2 * r + 1)
+            for i, row in enumerate(quad.entries):
+                for j, a in enumerate(row):
+                    pullback[i + j] += a
+            if any(map(field.coerce, pullback)):
                 failures.append(f"membership-{r}-{idx}")
             if quad.rank() == k:
                 exact += 1

@@ -12,6 +12,7 @@ from qmod.errors import ConfigurationError, DomainError, FieldMismatchError
 from qmod.fields import QQ, DEFAULT_PRIME, PrimeField, derived_rng
 from qmod.invariants import expected_dim_q
 from qmod.linalg import Matrix
+from qmod import quadlab
 from qmod.quadlab import (
     ParamCurve,
     PencilDecomposition,
@@ -525,6 +526,43 @@ def test_genus5_report_shape():
     assert payload["prime"] == DEFAULT_PRIME
     again = genus5_net_check(1, field=FP)
     assert again.to_json_dict() == payload
+
+
+class _ScriptedRng:
+    """Returns the scripted values first, then draws from ``rest``."""
+
+    def __init__(self, values, rest):
+        self.values = list(values)
+        self.rest = rest
+
+    def randrange(self, *args):
+        return self.values.pop(0) if self.values else self.rest.randrange(*args)
+
+
+def test_degenerate_line_draw_is_not_redrawn():
+    # The two points are proportional, so the draw spans no line; the
+    # next values of the stream are never read.
+    rng = derived_rng(0, "unit-line")
+    disc = TernaryForm(FP, 5, [FP.random_element(rng) for _ in range(21)])
+    scripted = _ScriptedRng([1, 2, 3, 2, 4, 6], rng)
+    assert quadlab._random_line_squarefree(FP, disc, scripted) is None
+    assert scripted.values == []
+    assert quadlab._random_line_squarefree(
+        FP, disc, _ScriptedRng([1, 2, 3, 4, 5, 7], rng)) in (True, False)
+
+
+def test_genus5_counts_a_degenerate_line_draw_as_an_attempt(monkeypatch):
+    real = quadlab._random_line_squarefree
+    calls = []
+
+    def first_degenerate(field, disc, rng):
+        calls.append(rng)
+        return None if len(calls) == 1 else real(field, disc, rng)
+
+    monkeypatch.setattr(quadlab, "_random_line_squarefree", first_degenerate)
+    payload = genus5_net_check(1, field=FP).to_json_dict()
+    assert (payload["attempt_used"], payload["attempts"]) == (1, 2)
+    assert payload["passed"]
 
 
 def test_genus5_requires_prime_field():

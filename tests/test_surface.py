@@ -1,10 +1,14 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from multiplicity_oracle import partials_accept, taylor_accept
+from qmod import surface
+from qmod.cli import main
 from qmod.errors import (ConfigurationError, DomainError, FieldMismatchError,
-                         InternalCheckError)
+                         GenericityError, InternalCheckError)
 from qmod.fields import DEFAULT_PRIME, QQ, PrimeField, derived_rng
 from qmod.quadlab import i2_basis, ParamCurve
 from qmod.surface import (
@@ -12,7 +16,6 @@ from qmod.surface import (
     PlaneSystem,
     PointConfig,
     blowup_report,
-    blowup_verify,
     curve_class,
     expected_system_dim,
     hyperplane_class,
@@ -84,6 +87,47 @@ def test_point_config_sampling_is_deterministic():
     b = PointConfig.sample(FP, 15, 3)
     assert a.points == b.points
     assert a.n == 15
+
+
+class _RepeatingRng:
+    """A draw stream that returns one value forever."""
+
+    def randrange(self, *args):
+        return 7
+
+
+@pytest.fixture
+def degenerate_first_draw(monkeypatch):
+    # The seed's one point stream repeats the point (7, 7, 1); every other
+    # stream, the labels a redraw would use included, stays as it is.
+    real = surface.derived_rng
+
+    def fake(seed, *labels):
+        if labels == ("plane-points", 0):
+            return _RepeatingRng()
+        return real(seed, *labels)
+
+    monkeypatch.setattr(surface, "derived_rng", fake)
+
+
+def test_degenerate_draw_is_reported_for_its_seed(degenerate_first_draw):
+    with pytest.raises(GenericityError) as info:
+        PointConfig.sample(FP, 15, 4)
+    assert info.value.seeds_tried == [4]
+
+
+def test_blowup_verify_reports_a_degenerate_draw(degenerate_first_draw, capsys):
+    rc = main(["blowup-verify", "--seed", "0", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert (payload["stage"], payload["seed"]) == ("points", 0)
+    assert payload["passed"] is False
+
+
+def test_pencil_disc_stops_at_a_degenerate_draw(degenerate_first_draw, capsys):
+    rc = main(["pencil-disc", "--seed", "0"])
+    assert rc == 1
+    assert capsys.readouterr().out == "construction stopped at stage points\n"
 
 
 def test_point_config_rejects_degenerate_sets():
@@ -359,7 +403,7 @@ def test_blowup_report_is_complete_on_good_seed():
 
 
 def test_blowup_verify_deterministic():
-    a = blowup_verify(3, field=FP)
-    b = blowup_verify(3, field=FP)
+    a = blowup_report(3, field=FP)
+    b = blowup_report(3, field=FP)
     assert a.to_json_dict() == b.to_json_dict()
     assert a.passed
