@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -287,7 +288,7 @@ def _cmd_verify(field, args):
             print(f"error: unknown check {name!r}; known: "
                   f"{', '.join(check_names())} or all", file=sys.stderr)
             return 2
-    names = check_names() if "all" in requested else requested
+    names = check_names() if "all" in requested else list(dict.fromkeys(requested))
     results = [run_check(name, seed=args.seed, field=field)
                for name in names]
     payload = {"seed": args.seed, "prime": field.p,
@@ -336,6 +337,9 @@ def _fraction(text: str) -> Fraction:
             f"expected a rational number such as 13/66, got {text!r}") from None
 
 
+# Built once per process: parse_args keeps no state between calls, and no
+# action appends to or mutates a default, so every call can share it.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--prime", type=int, default=None,

@@ -143,8 +143,21 @@ def linear_combination(field, quadrics, coeffs) -> SymQuadric:
                               for i in range(size)], _skip_check=True)
 
 
+def _unit_witnessed(rows) -> bool:
+    """Each row alone is nonzero in some column, which forces its weight
+    to 0 in any vanishing combination: the rows are independent."""
+    witnessed = set()
+    for col in zip(*rows):
+        nonzero = [i for i, x in enumerate(col) if x]
+        if len(nonzero) == 1:
+            witnessed.add(nonzero[0])
+    return len(witnessed) == len(rows)
+
+
 class QuadricSystem:
-    """A linearly independent family of quadrics in one ambient space."""
+    """A linearly independent family of quadrics in one ambient space, proven
+    so by a witness column per member (a column where it alone is nonzero, as
+    kernel bases have), else by the rank of the coefficient matrix."""
 
     __slots__ = ("field", "r", "basis")
 
@@ -157,9 +170,9 @@ class QuadricSystem:
                 raise DomainError("system members must share the ambient space")
         if basis:
             rows = [q.upper_coeffs() for q in basis]
-            m = Matrix(field, len(rows), len(upper_pairs(r + 1)), rows,
-                       _skip_check=True)
-            if m.rank() != len(basis):
+            if not _unit_witnessed(rows) and Matrix(
+                    field, len(rows), len(upper_pairs(r + 1)), rows,
+                    _skip_check=True).rank() != len(basis):
                 raise DomainError("system basis is linearly dependent")
         self.field = field
         self.r = r

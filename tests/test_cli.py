@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmod import cli
 from qmod.cli import main
 
 
@@ -197,6 +199,17 @@ def test_verify_subset_passes(capsys):
     assert all(r["pass"] for r in payload["results"])
 
 
+@pytest.mark.parametrize("checks, names", [
+    (["01-identities", "01-identities"], ["01-identities"]),
+    (["05-certificate", "02-harris-tu", "05-certificate"],
+     ["05-certificate", "02-harris-tu"]),
+])
+def test_verify_runs_each_name_once_in_first_seen_order(capsys, checks, names):
+    rc, payload, _ = _run_json(capsys, "verify", *checks)
+    assert rc == 0
+    assert [r["check"] for r in payload["results"]] == names
+
+
 def test_secant_requires_both_parameters(capsys):
     rc, _, err = _run(capsys, "secant", "--r", "4", "--t1", "2")
     assert rc == 2
@@ -352,3 +365,48 @@ def test_cheap_commands_exit_cleanly_on_edge_input(argv):
     if rc == 2:
         assert out.getvalue() == "", argv
         assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, argv
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+# A usage error, help, a failing certificate, a handler's own usage check
+# and a JSON payload: every exit path of main through the one parser.
+_SHARED_PARSER_ROUND = [
+    ["rank3-family", "--r", "x"],
+    ["--help"],
+    ["certificate", "--z", "-1/3"],
+    ["secant", "--r", "3", "--t1", "1"],
+    ["rnc-i2", "--r", "4", "--format", "json"],
+]
+
+
+def test_shared_parser_answers_like_a_fresh_process(qmod_env, monkeypatch):
+    # Help text wraps at the terminal width; pin it on both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    cli.build_parser()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    rounds = []
+    for _ in range(2):
+        answers = []
+        for argv in _SHARED_PARSER_ROUND:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(argv)
+            answers.append((rc, out.getvalue(), err.getvalue()))
+        rounds.append(answers)
+    assert built == []
+    assert rounds[0] == rounds[1]
+    env = dict(qmod_env, COLUMNS="80")
+    for argv, answer in zip(_SHARED_PARSER_ROUND, rounds[0]):
+        proc = subprocess.run([sys.executable, "-m", "qmod", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == answer

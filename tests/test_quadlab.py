@@ -3,7 +3,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmod.binforms import BinaryForm
@@ -232,6 +232,66 @@ def test_quadric_system_rejects_dependent_basis():
         FP, 4, [FP.random_element(rng) for _ in range(10)])
     with pytest.raises(DomainError):
         QuadricSystem(FP, 3, [q, linear_combination(FP, [q], [2])])
+
+
+@st.composite
+def _bases(draw):
+    # Zero-heavy entries give members with and without witness columns;
+    # an appended combination of earlier members makes the basis dependent.
+    field = draw(st.sampled_from([PrimeField(7), PrimeField(65537), FP, QQ]))
+    n = len(upper_pairs(4))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
+                      st.integers(-10**20, 10**20))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=1, max_size=5))
+    rows = [[field.coerce(x) for x in row] for row in rows]
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(-2, 2), min_size=len(rows),
+                                max_size=len(rows)))
+        rows.append([field.coerce(sum(w * x for w, x in zip(weights, col)))
+                     for col in zip(*rows)])
+    return field, rows
+
+
+@settings(max_examples=150)
+@given(_bases())
+def test_quadric_system_accepts_exactly_the_independent_bases(fb):
+    field, rows = fb
+    basis = [SymQuadric.from_upper_coeffs(field, 4, row) for row in rows]
+    independent = Matrix(field, len(rows), len(rows[0]), rows).rank() == len(rows)
+    try:
+        QuadricSystem(field, 3, basis)
+    except DomainError as exc:
+        assert "linearly dependent" in str(exc)
+        assert not independent
+    else:
+        assert independent
+
+
+def test_i2_basis_runs_one_elimination(monkeypatch):
+    # The kernel's own rref; its free columns prove the basis independent.
+    calls = []
+    rref = Matrix.rref
+
+    def counted(self):
+        calls.append((self.rows, self.cols))
+        return rref(self)
+
+    monkeypatch.setattr(Matrix, "rref", counted)
+    for field in (QQ, FP):
+        calls.clear()
+        assert i2_basis(ParamCurve.rational_normal(field, 6)).dim == 15
+        assert calls == [(13, 28)]
+
+
+def test_quadric_system_accepts_independent_basis_without_witnesses():
+    rng = random.Random(11)
+    q1, q2 = (SymQuadric.from_upper_coeffs(
+        FP, 4, [FP.random_element(rng) for _ in range(10)]) for _ in range(2))
+    basis = [q1, linear_combination(FP, [q1, q2], [1, 1])]
+    # Every column is nonzero in both members, so only the rank decides.
+    assert all(all(col) for col in zip(*(q.upper_coeffs() for q in basis)))
+    assert QuadricSystem(FP, 3, basis).dim == 2
 
 
 def _coordinates(system, q):
