@@ -165,6 +165,10 @@ def _cmd_certificate(field, args):
 
 
 def _cmd_rnc_i2(field, args):
+    if args.rational and args.prime is not None:
+        # --rational works over QQ; a given prime would be dropped unseen.
+        print("error: --prime conflicts with --rational", file=sys.stderr)
+        return 2
     field = QQ if args.rational else field
     system = i2_basis(ParamCurve.rational_normal(field, args.r))
     expected = rnc_i2_dim(args.r)

@@ -5,8 +5,8 @@ scalars there is nothing to gain from magnitude pivoting, and a fixed rule
 keeps every reduced form (and therefore every serialized kernel)
 reproducible bit for bit.
 
-Over a prime field ``Matrix.rref`` (and through it ``rank``,
-``kernel_basis`` and ``solve``) packs each row into one Python int, after
+Over a prime field ``Matrix.rref`` (and through it ``kernel_basis`` and
+``solve``) packs each row into one Python int, after
 the delayed-reduction idea of Dumas, Giorgi and Pernet (FFLAS-FFPACK, ACM
 TOMS 2008).  Entry j sits in bits [j*w, (j+1)*w) with
 
@@ -25,6 +25,14 @@ take the same updates, so the bound, and w, are unchanged.  Pivots, and
 so every reduced form, are those of the generic loop.  ``_pack`` and
 ``_unpack`` also serve ``unipoly.pow_mod``, which packs polynomial
 residues the same way under its own width bound.
+
+``Matrix.rank`` over F_p needs only the pivot count, so ``_rank_packed``
+runs the forward sweep alone (rank-profile elimination: Jeannerod, Pernet
+and Storjohann, J. Symbolic Comput. 56, 2013).  Its rows may hold any
+ints; each entry is reduced mod p once, while packing.  A pivot's tail is
+reduced when chosen and cancels its column from the rows not yet pivots
+with a coefficient p - c*inv % p in [1, p - 1], so each update still adds
+at most (p-1)^2 to a slot and w holds.
 
 Over QQ there is no fixed width to pack into, so rationals keep the
 generic loop, which is also the reference the packed path is tested
@@ -86,6 +94,8 @@ class Matrix:
         return Matrix(self.field, self.rows, self.cols, m, _skip_check=True), tuple(pivots)
 
     def rank(self) -> int:
+        if isinstance(self.field, PrimeField):
+            return _rank_packed(self.field, self.data, self.cols)
         return len(self.rref()[1])
 
     def kernel_basis(self) -> list[list]:
@@ -235,6 +245,34 @@ def _rref_packed(F, data, cols: int):
     for k in range(prow):
         out[k][col:] = [x % p for x in _unpack(tails[k], cols - col, w, mask)]
     return out, pivots
+
+
+def _rank_packed(F, rows, cols: int) -> int:
+    """Rank over F_p by the forward sweep alone (module docstring).
+
+    The pivot of each column, once its tail is reduced, cancels the column
+    from every row not yet a pivot, t += (p - c*inv % p) * pivot, and is
+    dropped, so the rows left are exactly those not yet pivots.
+    """
+    p = F.p
+    w = 2 * p.bit_length() + min(len(rows), cols).bit_length() + 1
+    mask = (1 << w) - 1
+    tails = [_pack([x % p for x in r], w) for r in rows]
+    rank = 0
+    for col in range(cols):
+        if not tails:
+            break
+        sel = next((i for i, t in enumerate(tails) if (t & mask) % p), None)
+        if sel is not None:
+            pivot = _pack([x % p for x in _unpack(tails.pop(sel), cols - col, w, mask)], w)
+            inv = F.inv(pivot & mask)
+            for i, t in enumerate(tails):
+                c = (t & mask) % p
+                if c:
+                    tails[i] = t + (p - c * inv % p) * pivot
+            rank += 1
+        tails = [t >> w for t in tails]
+    return rank
 
 
 def _pack(entries, w: int) -> int:

@@ -22,7 +22,7 @@ from .binforms import BinaryForm, binary_gcd
 from .errors import ConfigurationError, DomainError, InternalCheckError
 from .fields import (DEFAULT_PRIME, PrimeField, checked, combine, derived_rng,
                      require_sampling_prime)
-from .linalg import Matrix
+from .linalg import Matrix, _rank_packed
 from .ternary import TernaryForm, eliminate
 
 
@@ -357,7 +357,7 @@ def bounded_rank_quadric(pd: PencilDecomposition, c: ParamCurve) -> SymQuadric:
         raise InternalCheckError(f"rank-{k} product identity failed")
     n = len(a.coeffs)
     q = SymQuadric.from_upper_coeffs(c.field, n, _shifted_rows(
-        c.field, n, [(1, a.coeffs, b.coeffs), (-1, cc.coeffs, d.coeffs)], [0])[0])
+        n, [(1, a.coeffs, b.coeffs), (-1, cc.coeffs, d.coeffs)], [0])[0])
     if q.rank() > k:
         raise InternalCheckError(f"rank-{k} construction exceeded rank {k}")
     return q
@@ -423,13 +423,15 @@ def random_decomposition(field, r: int, k: int, stratum, rng) -> PencilDecomposi
     return PencilDecomposition(f, g, u, v, _random_form(field, x, rng))
 
 
-def _shifted_rows(field, n: int, terms, shifts) -> list[list]:
+def _shifted_rows(n: int, terms, shifts) -> list[list]:
     """Rows, in upper_pairs(n) order, of sum w l(e_j a) l(b) over the
     (w, a, b) terms, one per shift j, where e_j is the monomial of index j.
 
     e_j moves the coefficients of a up j slots, so row j is the exact outer
     product U = sum w a b^T moved down j rows, V, read as V[i][k] + V[k][i]
-    off the diagonal and V[i][i] on it, with one coerce per entry.
+    off the diagonal and V[i][i] on it.  Entries are the exact sums, not
+    reduced: each consumer reduces them once, ``from_upper_coeffs`` by
+    ``coerce`` and ``family_dimension`` while packing for its rank.
     """
     outer = [[0] * n for _ in terms[0][1]]
     for w, a, b in terms:
@@ -440,13 +442,13 @@ def _shifted_rows(field, n: int, terms, shifts) -> list[list]:
         v = [[0] * n] * j + outer + [[0] * n] * (n - j - len(outer))
         row = []
         for i, (vi, ti) in enumerate(zip(v, zip(*v))):
-            row.append(field.coerce(vi[i]))
-            row.extend(map(field.coerce, map(add, vi[i + 1:], ti[i + 1:])))
+            row.append(vi[i])
+            row.extend(map(add, vi[i + 1:], ti[i + 1:]))
         rows.append(row)
     return rows
 
 
-def _jacobian_rows(field, r: int, pd: PencilDecomposition) -> list[list]:
+def _jacobian_rows(r: int, pd: PencilDecomposition) -> list[list]:
     """Jacobian of the coefficients of Q = l(A) l(B) - l(C) l(D) with
     respect to every coefficient of f, g, u, v, h, in that order.
 
@@ -454,7 +456,8 @@ def _jacobian_rows(field, r: int, pd: PencilDecomposition) -> list[list]:
     term (its monomial times the rest of the product, against the partner
     product); equal terms merge into one weight, so a rank-3 member keeps
     two or three terms.  A monomial only shifts the rest up, so the rows of
-    one member are shifts of one outer product (``_shifted_rows``).
+    one member are shifts of one outer product (``_shifted_rows``), and
+    the entries are exact sums, reduced by whoever consumes them.
     """
     words = _PRODUCTS[pd.kind]
     partner = (1, 0, 3, 2)
@@ -473,7 +476,7 @@ def _jacobian_rows(field, r: int, pd: PencilDecomposition) -> list[list]:
                     weights[key] = weights.get(key, 0) + sign
         terms = [(w, _product(pd, rest).coeffs, products[other])
                  for (rest, other), w in weights.items()]
-        rows.extend(_shifted_rows(field, r + 1, terms, range(form.degree + 1)))
+        rows.extend(_shifted_rows(r + 1, terms, range(form.degree + 1)))
     return rows
 
 
@@ -496,7 +499,9 @@ def family_dimension(r: int, k: int, stratum, *, field=None, seed: int = 0) -> i
 
     The rank is evaluated at a random parameter point; three independent
     draws are taken and the maximum kept, since a special point can only
-    drop the rank.
+    drop the rank.  Over F_p the Jacobian rows, exact sums, go straight to
+    the forward-only packed rank ``linalg._rank_packed``, which reduces
+    each entry mod p once while packing; over QQ they go to ``Matrix``.
     """
     if field is None:
         field = PrimeField(DEFAULT_PRIME)
@@ -508,8 +513,11 @@ def family_dimension(r: int, k: int, stratum, *, field=None, seed: int = 0) -> i
     for attempt in range(3):
         rng = derived_rng(seed, "family-dim", *labels, attempt)
         pd = random_decomposition(field, r, k, stratum, rng)
-        rows = _jacobian_rows(field, r, pd)
-        rank = Matrix(field, len(rows), ncols, rows, _skip_check=True).rank()
+        rows = _jacobian_rows(r, pd)
+        if isinstance(field, PrimeField):
+            rank = _rank_packed(field, rows, ncols)
+        else:
+            rank = Matrix(field, len(rows), ncols, rows).rank()
         best = max(best, rank - 1)
     return best
 

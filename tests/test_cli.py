@@ -241,6 +241,15 @@ def test_rnc_i2_matches_expected_dimension(capsys):
     assert payload["dim"] == payload["expected"] == 10
 
 
+def test_explicit_prime_conflicts_with_rational(capsys, monkeypatch):
+    # --rational works over QQ; a given --prime would be dropped unseen.
+    rc, out, err = _run(capsys, "rnc-i2", "--r", "4", "--rational", "--prime", "3")
+    assert (rc, out, err) == (2, "", "error: --prime conflicts with --rational\n")
+    monkeypatch.setenv("QMOD_PRIME", "3")
+    rc, payload, _ = _run_json(capsys, "rnc-i2", "--r", "4", "--rational")
+    assert rc == 0 and payload["rational"] is True
+
+
 def test_rank3_family_dimension(capsys):
     rc, payload, _ = _run_json(capsys, "rank3-family", "--r", "5", "--x", "1")
     assert rc == 0

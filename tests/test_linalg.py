@@ -137,10 +137,15 @@ def test_kernel_basis_is_echelonized():
 
 
 def _generic(m, rhs):
-    """rref, rank, kernel_basis and solve of ``m`` on the generic path."""
+    """rref, rank, kernel_basis and solve of ``m`` on the generic path.
+
+    ``Matrix.rank`` over F_p never reaches ``_rref_packed``, so the rank
+    is the generic loop's pivot count.
+    """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_rref_packed", linalg._rref_generic)
-        return m.rref(), m.rank(), m.kernel_basis(), m.solve(rhs)
+        red = m.rref()
+        return red, len(red[1]), m.kernel_basis(), m.solve(rhs)
 
 
 @st.composite
@@ -222,6 +227,56 @@ def test_packed_slots_hold_every_update(p, rows, cols):
     m = _dense(p, rows, cols, seed=rows * cols + p)
     fp = PrimeField(p)
     assert linalg._rref_packed(fp, m, cols) == linalg._rref_generic(fp, m, cols)
+
+
+@pytest.mark.parametrize("p", [3, 7, 65537, DEFAULT_PRIME])
+@pytest.mark.parametrize("rows, cols", [(12, 12), (40, 40), (120, 28), (54, 66)])
+def test_forward_rank_slots_hold_every_update(p, rows, cols):
+    m = _dense(p, rows, cols, seed=rows * cols + p)
+    fp = PrimeField(p)
+    assert linalg._rank_packed(fp, m, cols) == len(linalg._rref_generic(fp, m, cols)[1])
+
+
+@given(st.sampled_from(PACKED_PRIMES), st.data())
+def test_forward_rank_matches_generic_pivots(p, data):
+    # Rows of any ints, as quadlab's Jacobian hands over: residues lifted
+    # by multiples of p (negative, or several p^2 in size), with rows that
+    # are combinations of earlier ones and zero columns mixed in.
+    fp = PrimeField(p)
+    nrows, ncols = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
+    residue = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    rows = [[data.draw(residue) for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(1, nrows):
+        if data.draw(st.booleans()):
+            a, b = (rows[data.draw(st.integers(0, i - 1))] for _ in range(2))
+            s, t = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+            rows[i] = [(s * x + t * y) % p for x, y in zip(a, b)]
+    for j in data.draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=ncols)):
+        for row in rows:
+            row[j] = 0
+    lift = st.one_of(st.integers(-3, 3), st.integers(-3 * p, 3 * p))
+    unreduced = [[x + data.draw(lift) * p for x in row] for row in rows]
+    assert (linalg._rank_packed(fp, unreduced, ncols)
+            == len(linalg._rref_generic(fp, rows, ncols)[1]))
+
+
+def test_prime_field_rank_takes_the_forward_sweep(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("Matrix.rank ran Gauss-Jordan")
+
+    monkeypatch.setattr(linalg, "_rref_packed", forbidden)
+    fp = PrimeField(7)
+    assert Matrix.from_rows(fp, [[1, 2, 3], [2, 4, 6], [0, 0, 1]]).rank() == 2
+
+
+@pytest.mark.parametrize("p", [3, DEFAULT_PRIME])
+@pytest.mark.parametrize("rows, cols", [(0, 4), (3, 0), (0, 0)])
+def test_empty_prime_field_matrix(p, rows, cols):
+    fp = PrimeField(p)
+    m = Matrix(fp, rows, cols, [[] for _ in range(rows)])
+    assert m.rank() == linalg._rank_packed(fp, m.data, cols) == 0
+    assert m.rref() == (m, ())
+    assert len(m.kernel_basis()) == cols
 
 
 @pytest.mark.parametrize("p", [3, 7, 65537, DEFAULT_PRIME])

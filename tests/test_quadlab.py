@@ -12,7 +12,7 @@ from qmod.errors import ConfigurationError, DomainError, FieldMismatchError
 from qmod.fields import QQ, DEFAULT_PRIME, PrimeField, derived_rng
 from qmod.invariants import expected_dim_q
 from qmod.linalg import Matrix
-from qmod import quadlab
+from qmod import linalg, quadlab
 from qmod.quadlab import (
     ParamCurve,
     PencilDecomposition,
@@ -450,7 +450,9 @@ def test_jacobian_rows_match_perturbation_oracle(k):
     for r in range(2, 10):
         strata = rank3_strata(r) if k == 3 else rank4_strata(r)
         for pd in (random_decomposition(FP, r, k, s, rng) for s in strata):
-            assert _jacobian_rows(FP, r, pd) == _perturbation_jacobian_rows(FP, r, pd)
+            # The rows are exact sums, reduced only by their consumer.
+            reduced = [[FP.coerce(x) for x in row] for row in _jacobian_rows(r, pd)]
+            assert reduced == _perturbation_jacobian_rows(FP, r, pd)
 
 
 @pytest.mark.parametrize("field", [FP, PrimeField(101), QQ], ids=repr)
@@ -499,6 +501,49 @@ def test_family_dimension_rank4_best_stratum():
     best = max(rank4_strata(6), key=lambda s: expected_family_dim(6, 4, s))
     assert expected_family_dim(6, 4, best) == expected_dim_q(0, 6, 6, 4)
     assert family_dimension(6, 4, best, field=FP, seed=0) == expected_dim_q(0, 6, 6, 4)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("r", [6, 8, 9])
+def test_family_dimension_matches_generic_pivot_count(r, seed):
+    # The strata the curves benchmark measures: the forward packed rank of
+    # the unreduced Jacobian against the generic Gauss-Jordan pivot count
+    # of the reduced one, over the same three draws.
+    ncols = len(upper_pairs(r + 1))
+    strata = [(3, x, (3, r, x)) for x in rank3_strata(r)]
+    strata += [(4, s, (4, r) + s) for s in rank4_strata(r)]
+    for k, stratum, labels in strata:
+        best = 0
+        for attempt in range(3):
+            rng = derived_rng(seed, "family-dim", *labels, attempt)
+            pd = random_decomposition(FP, r, k, stratum, rng)
+            rows = [[FP.coerce(x) for x in row] for row in _jacobian_rows(r, pd)]
+            best = max(best, len(linalg._rref_generic(FP, rows, ncols)[1]) - 1)
+        assert family_dimension(r, k, stratum, field=FP, seed=seed) == best, stratum
+
+
+def test_family_dimension_ranks_by_the_forward_sweep(monkeypatch):
+    # Over F_p the Jacobian goes straight to _rank_packed; neither the
+    # Gauss-Jordan path nor a Matrix of unreduced entries is built.
+    seen = []
+
+    def spy(field, rows, cols):
+        seen.append(any(not 0 <= x < field.p for row in rows for x in row))
+        return linalg._rank_packed(field, rows, cols)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("family_dimension left the forward rank path")
+
+    monkeypatch.setattr(quadlab, "_rank_packed", spy)
+    monkeypatch.setattr(linalg, "_rref_packed", forbidden)
+    monkeypatch.setattr(quadlab, "Matrix", forbidden)
+    assert family_dimension(6, 4, (2, 2, 2), field=FP, seed=0) == 6
+    assert len(seen) == 3 and any(seen)
+
+
+def test_family_dimension_over_rationals_matches_prime_field():
+    assert family_dimension(6, 3, 2, field=QQ) == family_dimension(6, 3, 2, field=FP)
+    assert family_dimension(6, 4, (2, 2, 2), field=QQ) == 6
 
 
 def test_family_dimension_never_exceeds_expected():
