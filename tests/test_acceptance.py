@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from qmod.invariants import harris_tu_degree
 from qmod.picard import DivisorClass, boundary_indices, chern_pair, fr_dp_class, z_class_15_9
@@ -93,6 +94,7 @@ def test_criterion_10_deterministic_output(qmod_env):
            "--seed", "5", "--format", "json"]
     first = subprocess.run(cmd, capture_output=True, env=qmod_env)
     second = subprocess.run(cmd, capture_output=True, env=qmod_env)
+    pinned = (Path(__file__).parent / "data" / "verify_all_seed5.json").read_bytes()
     ok = (first.returncode == 0 and second.returncode == 0
-          and first.stdout == second.stdout and len(first.stdout) > 0)
-    _report(10, "byte-identical repeated verification runs", ok)
+          and first.stdout == second.stdout == pinned)
+    _report(10, "byte-identical repeated verification runs, equal to the pinned output", ok)

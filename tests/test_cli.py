@@ -223,6 +223,15 @@ def test_secant_explicit_chord(capsys):
     assert payload["codims"] == [1]
 
 
+def test_secant_repeat_conflicts_with_explicit_chord(capsys):
+    # A given chord is evaluated once; --repeat would be dropped unseen.
+    rc, out, err = _run(capsys, "secant", "--r", "4", "--t1", "2", "--t2", "5",
+                        "--repeat", "7")
+    assert (rc, out, err) == (2, "", "error: --repeat conflicts with --t1/--t2\n")
+    rc, payload, _ = _run_json(capsys, "secant", "--r", "4", "--repeat", "7")
+    assert rc == 0 and payload["chords"] == 7
+
+
 def test_small_prime_sampling_is_a_configuration_error(capsys):
     rc, _, err = _run(capsys, "genus5-net", "--prime", "101")
     assert rc == 2

@@ -126,6 +126,36 @@ def test_curve_rejects_shared_component_root():
         ParamCurve(FP, 3, comps)
 
 
+def test_curve_over_small_field_with_constant_gcd_is_accepted():
+    # Over F_3 random combinations of these components often share a root
+    # although the components do not; only their gcd decides.
+    f3 = PrimeField(3)
+    comps = [BinaryForm(f3, 2, c) for c in ([0, 1, 1], [0, 0, 2], [2, 2, 1], [1, 2, 2])]
+    ParamCurve(f3, 3, comps)
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), FP, QQ])
+def test_curve_rejects_zero_or_lone_components(field):
+    zero = BinaryForm(field, 2, [0, 0, 0])
+    lone = BinaryForm(field, 2, [1, 0, 1])
+    for comps in ([zero] * 4, [zero, lone, zero, zero]):
+        with pytest.raises(DomainError):
+            ParamCurve(field, 3, comps)
+
+
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 2),
+       st.lists(st.integers(0, 6), min_size=12, max_size=12))
+def test_curve_rejects_every_common_factor(p, k, coeffs):
+    # Components sharing a nonconstant factor are rejected over any field,
+    # however few elements it has to draw from.
+    field = PrimeField(p)
+    shared = BinaryForm(field, k, [1] + [field.coerce(c) for c in coeffs[:k]])
+    comps = [shared.mul(BinaryForm(field, 2, [field.coerce(c) for c in coeffs[3 * i:3 * i + 3]]))
+             for i in range(4)]
+    with pytest.raises(DomainError):
+        ParamCurve(field, 3, comps)
+
+
 def _plain_kernel_dim(rows):
     work = [[Fraction(x) for x in row] for row in rows]
     cols = len(work[0])
@@ -538,12 +568,21 @@ def test_family_dimension_ranks_by_the_forward_sweep(monkeypatch):
     monkeypatch.setattr(linalg, "_rref_packed", forbidden)
     monkeypatch.setattr(quadlab, "Matrix", forbidden)
     assert family_dimension(6, 4, (2, 2, 2), field=FP, seed=0) == 6
-    assert len(seen) == 3 and any(seen)
+    assert len(seen) == 1 and seen[0]
 
 
 def test_family_dimension_over_rationals_matches_prime_field():
     assert family_dimension(6, 3, 2, field=QQ) == family_dimension(6, 3, 2, field=FP)
     assert family_dimension(6, 4, (2, 2, 2), field=QQ) == 6
+
+
+@pytest.mark.parametrize("r, stratum, got", [(7, (3, 4, 0), -1), (5, (2, 1, 2), 0)])
+def test_family_dimension_reports_a_degenerate_rational_draw(r, stratum, got):
+    # Seed 2 draws small-height QQ points off the generic locus: h = 0 on
+    # the first stratum (Jacobian rank 0), u proportional to v on the
+    # second.  The one draw is the answer, so the failure shows.
+    assert family_dimension(r, 4, stratum, field=QQ, seed=2) == got
+    assert expected_family_dim(r, 4, stratum) > got
 
 
 def test_family_dimension_never_exceeds_expected():
@@ -656,18 +695,27 @@ def test_degenerate_line_draw_is_not_redrawn():
         FP, disc, _ScriptedRng([1, 2, 3, 4, 5, 7], rng)) in (True, False)
 
 
-def test_genus5_counts_a_degenerate_line_draw_as_an_attempt(monkeypatch):
-    real = quadlab._random_line_squarefree
-    calls = []
+@pytest.mark.parametrize("name, degenerate", [
+    ("_random_line_squarefree", lambda field, disc, rng: None),
+    ("_singular_candidates", lambda field, disc, qs: None),
+    ("net_discriminant", lambda *qs: TernaryForm(FP, 5, [0] * 21)),
+], ids=["line", "candidates", "discriminant"])
+def test_genus5_fails_on_a_degenerate_draw(monkeypatch, name, degenerate):
+    # Seed 1 passes on its own draw; forced degenerate, it fails on that
+    # same draw, and no other stream is read.
+    streams = []
 
-    def first_degenerate(field, disc, rng):
-        calls.append(rng)
-        return None if len(calls) == 1 else real(field, disc, rng)
+    def spy(seed, *labels):
+        streams.append((seed,) + labels)
+        return derived_rng(seed, *labels)
 
-    monkeypatch.setattr(quadlab, "_random_line_squarefree", first_degenerate)
-    payload = genus5_net_check(1, field=FP).to_json_dict()
-    assert (payload["attempt_used"], payload["attempts"]) == (1, 2)
-    assert payload["passed"]
+    monkeypatch.setattr(quadlab, "derived_rng", spy)
+    monkeypatch.setattr(quadlab, name, degenerate)
+    rep = genus5_net_check(1, field=FP)
+    payload = rep.to_json_dict()
+    assert not rep.passed and rep.attempts == 1
+    assert (payload["passed"], payload["attempts"], payload["attempt_used"]) == (False, 1, 0)
+    assert streams == [(1, "genus5-net", 0)]
 
 
 def test_genus5_requires_prime_field():
