@@ -30,7 +30,6 @@ from .picard import (
     fr_dp_class,
     general_type_certificate,
     quad_class,
-    quad_class_unscaled,
     solve_certificate_multipliers,
     z_class_15_9,
 )
@@ -112,8 +111,8 @@ def _cmd_enumerate_cases(field, args):
 
 def _cmd_quad_class(field, args):
     cls = quad_class(args.g, args.n, args.k)
-    uns = quad_class_unscaled(args.g, args.n, args.k)
     alpha = harris_tu_degree(args.g - args.n, args.k)
+    uns = cls.scale(Fraction(1, alpha))
     payload = {"alpha": str(alpha), "class": cls.to_json_dict(),
                "unscaled": uns.to_json_dict()}
     lines = [f"alpha: {alpha}"] + _class_lines(cls)

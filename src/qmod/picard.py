@@ -8,7 +8,8 @@ b_{i:s}*delta_{i:S}), matching how the results of interest are displayed.
 Coefficients carry a kind: Exact, or AtLeast for slots where only a lower
 bound is proved.  Bound arithmetic is deliberately strict - anything
 touching an AtLeast becomes AtLeast, and scaling an AtLeast by a negative
-rational is a fatal internal error, never a silent sign flip.
+rational is a fatal internal error, never a silent sign flip.  That rule
+lives in _require_bound_kept, checked once per scaled coefficient or class.
 
 Symmetric classes index boundary slots by (i, s) = (component genus,
 number of marked points on it) with the representative i <= g-i (ties by
@@ -31,6 +32,20 @@ EXACT = "exact"
 AT_LEAST = "at_least"
 
 
+def _rational(v) -> Fraction:
+    """v as an exact rational; floats and bools are refused, not rounded."""
+    if isinstance(v, (float, bool)):
+        raise DomainError(f"expected an exact rational, got {v!r}")
+    return Fraction(v)
+
+
+def _require_bound_kept(a: Fraction, coeffs):
+    if a < 0 and any(c.kind == AT_LEAST for c in coeffs):
+        raise InternalCheckError(
+            "negative scaling of a lower-bound coefficient loses the bound"
+        )
+
+
 @dataclass(frozen=True)
 class Coefficient:
     """An exact rational value, or a rational lower bound."""
@@ -40,23 +55,27 @@ class Coefficient:
 
     @classmethod
     def exact(cls, v) -> "Coefficient":
-        return cls(EXACT, Fraction(v))
+        return cls(EXACT, v)
 
     @classmethod
     def at_least(cls, v) -> "Coefficient":
-        return cls(AT_LEAST, Fraction(v))
+        return cls(AT_LEAST, v)
 
     def __post_init__(self):
         if self.kind not in (EXACT, AT_LEAST):
             raise DomainError(f"unknown coefficient kind {self.kind!r}")
         if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+            object.__setattr__(self, "value", _rational(self.value))
 
     @property
     def is_exact(self) -> bool:
         return self.kind == EXACT
 
     def add(self, other: "Coefficient") -> "Coefficient":
+        if other.kind == EXACT and not other.value:
+            return self
+        if self.kind == EXACT and not self.value:
+            return other
         kind = EXACT if self.kind == other.kind == EXACT else AT_LEAST
         return Coefficient(kind, self.value + other.value)
 
@@ -64,13 +83,10 @@ class Coefficient:
         return self.add(other)
 
     def scale(self, a) -> "Coefficient":
-        a = Fraction(a)
+        a = _rational(a)
         if a == 0:
-            return Coefficient.exact(0)
-        if a < 0 and self.kind == AT_LEAST:
-            raise InternalCheckError(
-                "negative scaling of a lower-bound coefficient loses the bound"
-            )
+            return ZERO
+        _require_bound_kept(a, (self,))
         return Coefficient(self.kind, a * self.value)
 
     def as_bound(self) -> "Coefficient":
@@ -159,14 +175,20 @@ class DivisorClass:
             bb[key] = v if isinstance(v, Coefficient) else Coefficient.exact(v)
         return cls(g, n, lamc, psic, birr, bb)
 
+    def _derived(self, lam, psi, b_irr, b) -> "DivisorClass":
+        """A class on this (g, n) whose b has exactly the keys of self.b, so
+        the slot layout __init__ validated for self holds as it is."""
+        out = object.__new__(DivisorClass)
+        out.g, out.n, out.lam, out.psi, out.b_irr, out.b = self.g, self.n, lam, psi, b_irr, b
+        return out
+
     def _require_same_space(self, other: "DivisorClass"):
         if (self.g, self.n) != (other.g, other.n):
             raise DomainError("divisor classes on different (g, n)")
 
     def add(self, other: "DivisorClass") -> "DivisorClass":
         self._require_same_space(other)
-        return DivisorClass(
-            self.g, self.n,
+        return self._derived(
             self.lam + other.lam,
             tuple(a + b for a, b in zip(self.psi, other.psi)),
             self.b_irr + other.b_irr,
@@ -177,12 +199,20 @@ class DivisorClass:
         return self.add(other)
 
     def scale(self, a) -> "DivisorClass":
-        return DivisorClass(
-            self.g, self.n,
-            self.lam.scale(a),
-            tuple(p.scale(a) for p in self.psi),
-            self.b_irr.scale(a),
-            {k: v.scale(a) for k, v in self.b.items()},
+        a = _rational(a)
+        if a == 0:
+            return self._derived(ZERO, (ZERO,) * self.n, ZERO, dict.fromkeys(self.b, ZERO))
+        # lam and psi are exact by construction; only boundary slots carry bounds
+        _require_bound_kept(a, (self.b_irr, *self.b.values()))
+
+        def times(c):
+            return c if not c.value else Coefficient(c.kind, a * c.value)
+
+        return self._derived(
+            times(self.lam),
+            tuple(times(p) for p in self.psi),
+            times(self.b_irr),
+            {k: times(v) for k, v in self.b.items()},
         )
 
     def __rmul__(self, a):
@@ -190,8 +220,8 @@ class DivisorClass:
 
     def boundary_as_bounds(self) -> "DivisorClass":
         """Same class with every (i, s) slot downgraded to a lower bound."""
-        return DivisorClass(
-            self.g, self.n, self.lam, self.psi, self.b_irr,
+        return self._derived(
+            self.lam, self.psi, self.b_irr,
             {k: v.as_bound() for k, v in self.b.items()},
         )
 
@@ -243,7 +273,7 @@ def chern_pair(g: int, n: int) -> ChernPair:
     if g <= n:
         raise DomainError(f"need g > n for positive bundle rank, got g={g}, n={n}")
     c1_e = DivisorClass.build(g, n, lam=1, psi=-1)
-    ones = {key: 1 for key in boundary_indices(g, n)}
+    ones = dict.fromkeys(boundary_indices(g, n), Coefficient.exact(1))
     c1_f = DivisorClass.build(g, n, lam=13, psi=-5, b_irr=1, b=ones)
     return ChernPair(g, n, c1_e, c1_f, g - n, 3 * g - 3 - 2 * n)
 
@@ -451,7 +481,7 @@ def general_type_certificate(x, y, z) -> CertificateReport:
     certificate passes iff both residuals vanish and the delta_irr slack
     is nonnegative; boundary slots are informational.
     """
-    x, y, z = Fraction(x), Fraction(y), Fraction(z)
+    x, y, z = _rational(x), _rational(y), _rational(z)
     if x < 0 or y < 0 or z < 0:
         raise DomainError("certificate multipliers must be nonnegative")
     K = canonical_class(15, 9)
@@ -495,7 +525,7 @@ def general_type_certificate(x, y, z) -> CertificateReport:
 def solve_certificate_multipliers(z) -> tuple[Fraction, Fraction]:
     """Given z, solve the two exact coefficient equations
     351 y + 54 z = 13 and x + 136 y = 1 for (x, y)."""
-    z = Fraction(z)
+    z = _rational(z)
     Z = z_class_15_9()
     BN = bn_class_15()
     K = canonical_class(15, 9)

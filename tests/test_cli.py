@@ -52,6 +52,24 @@ def test_quad_class_json_payload(capsys):
     assert payload["class"]["g"] == 11
 
 
+def test_quad_class_builds_the_class_once(capsys, monkeypatch):
+    from qmod import picard
+
+    calls = []
+    quad_class = picard.quad_class
+
+    def counted(*args):
+        calls.append(args)
+        return quad_class(*args)
+
+    # Both names: the CLI's own import and the one quad_class_unscaled reads.
+    monkeypatch.setattr(cli, "quad_class", counted)
+    monkeypatch.setattr(picard, "quad_class", counted)
+    rc, _, _ = _run(capsys, "quad-class", "--g", "11", "--n", "4", "--k", "4")
+    assert rc == 0
+    assert calls == [(11, 4, 4)]
+
+
 def test_certificate_default_multipliers_pass(capsys):
     rc, payload, _ = _run_json(capsys, "certificate")
     assert rc == 0

@@ -27,6 +27,8 @@ GOLDEN = {
     "pencil_disc_seed0.json": ["pencil-disc", "--seed", "0", "--dump"],
     "rnc_i2_r5.json": ["rnc-i2", "--r", "5", "--dump"],
     "rnc_i2_r5_rational.json": ["rnc-i2", "--r", "5", "--rational", "--dump"],
+    "quad_class_g11_n4_k4.json": ["quad-class", "--g", "11", "--n", "4", "--k", "4"],
+    "quad_class_g40_n27_k6.json": ["quad-class", "--g", "40", "--n", "27", "--k", "6"],
 }
 
 

@@ -40,7 +40,11 @@ def test_coefficient_kind_mixing():
     assert e.scale(-2) == Coefficient.exact(-6)
     with pytest.raises(InternalCheckError):
         lo.scale(-1)
+    with pytest.raises(InternalCheckError):
+        Coefficient.at_least(0).scale(-1)
     assert e.as_bound().kind == AT_LEAST
+    assert ZERO + lo == lo + ZERO == lo
+    assert (ZERO + e).kind == EXACT
 
 
 def test_boundary_indices_respect_symmetry():
@@ -253,9 +257,9 @@ slot_coeff = st.one_of(
 
 
 @st.composite
-def symmetric_class(draw):
-    g = draw(st.integers(2, 8))
-    n = draw(st.integers(1, 5))
+def symmetric_class(draw, g=None, n=None):
+    g = draw(st.integers(2, 8)) if g is None else g
+    n = draw(st.integers(1, 5)) if n is None else n
     b = {key: draw(slot_coeff) for key in boundary_indices(g, n)}
     return DivisorClass.build(g, n, lam=draw(st.integers(-9, 9)),
                               psi=draw(st.integers(-9, 9)),
@@ -265,6 +269,62 @@ def symmetric_class(draw):
 @given(symmetric_class())
 def test_pullback_sum_matches_per_subset_oracle(c):
     assert symmetrized_pullback_sum(c) == brute_pullback_sum(c)
+
+
+scalar = st.one_of(st.just(Fraction(0)), st.integers(-5, 5).map(Fraction),
+                   st.fractions(min_value=-5, max_value=5, max_denominator=12))
+
+
+def _slotwise(op, *cs):
+    """Reference for class arithmetic: op applied coefficient by coefficient."""
+    c0 = cs[0]
+    return DivisorClass(c0.g, c0.n, op(*(c.lam for c in cs)),
+                        [op(*ps) for ps in zip(*(c.psi for c in cs))],
+                        op(*(c.b_irr for c in cs)),
+                        {k: op(*(c.b[k] for c in cs)) for k in c0.b})
+
+
+def _outcome(thunk):
+    try:
+        return thunk()
+    except InternalCheckError:
+        return InternalCheckError
+
+
+@given(symmetric_class(), scalar)
+def test_class_scale_matches_slotwise_scale(c, a):
+    assert _outcome(lambda: c.scale(a)) == _outcome(lambda: _slotwise(lambda v: v.scale(a), c))
+
+
+@given(st.data())
+def test_class_add_matches_slotwise_add(data):
+    c = data.draw(symmetric_class())
+    d = data.draw(symmetric_class(c.g, c.n))
+    assert c.add(d) == _slotwise(Coefficient.add, c, d)
+
+
+def test_negative_scale_refuses_a_zero_lower_bound():
+    c = DivisorClass.build(4, 1, lam=1, b={(1, 0): Coefficient.at_least(0)})
+    with pytest.raises(InternalCheckError):
+        c.scale(Fraction(-1, 2))
+    assert c.scale(3).b[(1, 0)] == Coefficient.at_least(0)
+    assert c.scale(0) == DivisorClass.build(4, 1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Coefficient.exact(0.1),
+    lambda: Coefficient.at_least(True),
+    lambda: Coefficient(EXACT, 0.5),
+    lambda: Coefficient.exact(1).scale(0.5),
+    lambda: DivisorClass.build(3, 1, lam=1).scale(0.1),
+    lambda: DivisorClass.build(3, 1, lam=1).scale(True),
+    lambda: general_type_certificate(25 / 297, Fraction(2, 297), Fraction(13, 66)),
+    lambda: solve_certificate_multipliers(13 / 66),
+], ids=["exact", "at_least", "constructor", "coeff-scale", "class-scale",
+        "class-scale-bool", "certificate", "solve"])
+def test_floats_and_bools_are_refused(make):
+    with pytest.raises(DomainError):
+        make()
 
 
 @pytest.mark.parametrize("g, n", [(4, 1), (4, 2), (6, 3), (2, 1)])
