@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import re
@@ -29,7 +30,7 @@ from .picard import (
     chern_pair,
     fr_dp_class,
     general_type_certificate,
-    quad_class,
+    quad_class_unscaled,
     solve_certificate_multipliers,
     z_class_15_9,
 )
@@ -61,17 +62,17 @@ def _coeff_str(c) -> str:
     return ("" if c.is_exact else ">= ") + str(c.value)
 
 
-def _class_lines(d) -> list:
-    lines = [f"g={d.g} n={d.n}", f"lambda: {_coeff_str(d.lam)}"]
+def _class_lines(d):
+    yield f"g={d.g} n={d.n}"
+    yield f"lambda: {_coeff_str(d.lam)}"
     if d.psi and all(p == d.psi[0] for p in d.psi):
-        lines.append(f"psi: {_coeff_str(d.psi[0])} on each of {d.n} markings")
+        yield f"psi: {_coeff_str(d.psi[0])} on each of {d.n} markings"
     else:
         for j, p in enumerate(d.psi, start=1):
-            lines.append(f"psi[{j}]: {_coeff_str(p)}")
-    lines.append(f"b_irr: {_coeff_str(d.b_irr)}")
+            yield f"psi[{j}]: {_coeff_str(p)}"
+    yield f"b_irr: {_coeff_str(d.b_irr)}"
     for key in boundary_indices(d.g, d.n):
-        lines.append(f"b[{key[0]},{key[1]}]: {_coeff_str(d.b[key])}")
-    return lines
+        yield f"b[{key[0]},{key[1]}]: {_coeff_str(d.b[key])}"
 
 
 def _cmd_expected_dim(field, args):
@@ -110,14 +111,14 @@ def _cmd_enumerate_cases(field, args):
 
 
 def _cmd_quad_class(field, args):
-    cls = quad_class(args.g, args.n, args.k)
+    uns = quad_class_unscaled(args.g, args.n, args.k)
     alpha = harris_tu_degree(args.g - args.n, args.k)
-    uns = cls.scale(Fraction(1, alpha))
+    cls = uns.scale(alpha)
     payload = {"alpha": str(alpha), "class": cls.to_json_dict(),
                "unscaled": uns.to_json_dict()}
-    lines = [f"alpha: {alpha}"] + _class_lines(cls)
-    lines.append("unscaled (divided by alpha):")
-    lines.extend("  " + ln for ln in _class_lines(uns))
+    lines = itertools.chain(
+        [f"alpha: {alpha}"], _class_lines(cls), ["unscaled (divided by alpha):"],
+        ("  " + ln for ln in _class_lines(uns)))
     return _emit(args, payload, lines)
 
 
@@ -143,6 +144,12 @@ def _cmd_certificate(field, args):
             print("error: --x and --y conflict with --solve", file=sys.stderr)
             return 2
         x, y = solve_certificate_multipliers(z)
+        # A negative z is the certificate's own refusal; a z >= 0 can
+        # still solve to a negative x or y.
+        for name, v in (("x", x), ("y", y)) if z >= 0 else ():
+            if v < 0:
+                raise DomainError(f"--solve at z={z} gives {name}={v}, "
+                                  "but certificate multipliers must be nonnegative")
     else:
         x = Fraction(25, 297) if args.x is None else args.x
         y = Fraction(2, 297) if args.y is None else args.y
@@ -452,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t2", type=int, default=None)
 
     sub.add_parser("genus4", parents=[common],
-                   help="rank of the quadric through a random genus-4 canonical curve")
+                   help="rank of one seeded random symmetric 4x4 matrix")
 
     sub.add_parser("genus5-net", parents=[common],
                    help="singular-locus scan of a random genus-5 quadric net")

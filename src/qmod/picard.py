@@ -204,9 +204,15 @@ class DivisorClass:
             return self._derived(ZERO, (ZERO,) * self.n, ZERO, dict.fromkeys(self.b, ZERO))
         # lam and psi are exact by construction; only boundary slots carry bounds
         _require_bound_kept(a, (self.b_irr, *self.b.values()))
+        # Slots often share one coefficient object (all boundary slots of
+        # c1(F) do): scale each once, keyed by the ids self keeps alive.
+        done = {}
 
         def times(c):
-            return c if not c.value else Coefficient(c.kind, a * c.value)
+            out = done.get(id(c))
+            if out is None:
+                out = done[id(c)] = c if not c.value else Coefficient(c.kind, a * c.value)
+            return out
 
         return self._derived(
             times(self.lam),
@@ -333,34 +339,29 @@ def tilde_b(g: int, n: int, i: int, s: int) -> Fraction:
 
 def quad_class(g: int, n: int, k: int) -> DivisorClass:
     """The rank-locus divisor class with its refined boundary knowledge,
-    scaled by alpha = A^k_e.
-
-    Boundary slots: b_irr is exactly alpha; for k = 4 the (0, s) slots are
-    exact; other slots with i < s carry the exact tilde-b value as a lower
-    bound; the remaining slots carry the generic lower bound alpha * 1.
+    scaled by alpha = A^k_e: ``quad_class_unscaled(g, n, k)`` times alpha.
     """
-    _require_family_member(g, n, k)
-    cp = chern_pair(g, n)
-    base = fr_sigma_class(cp, k)
-    alpha = Fraction(harris_tu_degree(g - n, k))
-    b = {}
-    for (i, s) in boundary_indices(g, n):
-        if i < s:
-            v = alpha * tilde_b(g, n, i, s)
-            if k == 4 and i == 0:
-                b[(i, s)] = Coefficient.exact(v)
-            else:
-                b[(i, s)] = Coefficient.at_least(v)
-        else:
-            b[(i, s)] = Coefficient.at_least(alpha)
-    return DivisorClass(g, n, base.lam, base.psi, Coefficient.exact(alpha), b)
+    return quad_class_unscaled(g, n, k).scale(harris_tu_degree(g - n, k))
 
 
 def quad_class_unscaled(g: int, n: int, k: int) -> DivisorClass:
-    """quad_class divided by alpha; exposes the (a, c) coefficients directly."""
-    cls = quad_class(g, n, k)
-    alpha = harris_tu_degree(g - n, k)
-    return cls.scale(Fraction(1, alpha))
+    """The rank-locus divisor class at unit scale (divided by alpha = A^k_e),
+    built once; ``quad_class`` scales it by alpha.  It exposes the (a, c)
+    coefficients directly: lam and psi are those of ``fr_sigma_class``
+    times 1/alpha, b_irr is exactly 1, the slots with i < s carry tilde_b
+    (exact for k = 4 and i = 0, a lower bound otherwise), and the rest
+    share one generic lower bound 1.
+    """
+    _require_family_member(g, n, k)
+    base = fr_sigma_class(chern_pair(g, n), k)
+    unit = Fraction(1, harris_tu_degree(g - n, k))
+    generic = Coefficient.at_least(1)
+    b = {}
+    for (i, s) in boundary_indices(g, n):
+        kind = EXACT if k == 4 and i == 0 else AT_LEAST
+        b[(i, s)] = Coefficient(kind, tilde_b(g, n, i, s)) if i < s else generic
+    return DivisorClass(g, n, base.lam.scale(unit), tuple(p.scale(unit) for p in base.psi),
+                        Coefficient.exact(1), b)
 
 
 def _require_family_member(g: int, n: int, k: int):

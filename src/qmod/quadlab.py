@@ -446,7 +446,9 @@ def _jacobian_rows(r: int, pd: PencilDecomposition) -> list[list]:
     """
     words = _PRODUCTS[pd.kind]
     partner = (1, 0, 3, 2)
-    products = {w: _product(pd, w).coeffs for w in words}
+    # A rest word such as "uh" serves several members, and a rank-3 word
+    # list repeats "fgh": multiply each distinct word once per call.
+    product = lru_cache(maxsize=None)(lambda word: _product(pd, word).coeffs)
     rows = []
     for name in "fguvh":
         form = getattr(pd, name)
@@ -459,7 +461,7 @@ def _jacobian_rows(r: int, pd: PencilDecomposition) -> list[list]:
                 if letter == name:
                     key = (word[:i] + word[i + 1:], words[partner[pos]])
                     weights[key] = weights.get(key, 0) + sign
-        terms = [(w, _product(pd, rest).coeffs, products[other])
+        terms = [(w, product(rest), product(other))
                  for (rest, other), w in weights.items()]
         rows.extend(_shifted_rows(r + 1, terms, range(form.degree + 1)))
     return rows
@@ -542,12 +544,8 @@ def _random_sym_quadric(field, size: int, rng) -> SymQuadric:
 
 
 def genus4_check(seed: int, field=None) -> int:
-    """Rank of a random symmetric 4 by 4 matrix.
-
-    The quadric through a canonical genus-4 curve is unique; for a general
-    curve it is smooth, so the expected rank is 4 and rank 3 or less
-    witnesses a cone.
-    """
+    """Rank of one seeded random symmetric 4 by 4 matrix; no curve is
+    built, and the expected rank is 4."""
     if field is None:
         field = PrimeField(DEFAULT_PRIME)
     require_sampling_prime(field)

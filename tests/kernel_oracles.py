@@ -1,4 +1,4 @@
-"""Test oracles for two packed kernels.
+"""Test oracles for two packed kernels and one class builder.
 
 ``unipoly.pow_mod`` multiplies residues packed into one int each, and
 ``quadlab._shifted_rows`` builds every quadric row of a member from one
@@ -7,10 +7,26 @@ product and a remainder per step, and one exact sum per (upper pair,
 term) entry.  They share no arithmetic with the kernels they judge.
 ``PACKED_PRIMES`` are the moduli the packed kernels and the field
 inverse are tested at.
+
+``picard.quad_class`` is built at unit scale and scaled by alpha once;
+``quad_class_by_slots`` is the route it replaced, which takes lam and psi
+from the alpha-scaled ``fr_sigma_class`` and scales every tilde-b slot by
+alpha on its own.
 """
+
+from fractions import Fraction
 
 from qmod import unipoly
 from qmod.fields import DEFAULT_PRIME
+from qmod.invariants import harris_tu_degree
+from qmod.picard import (
+    Coefficient,
+    DivisorClass,
+    boundary_indices,
+    chern_pair,
+    fr_sigma_class,
+    tilde_b,
+)
 
 # 2^64 + 13 is above one machine word; 3 and 7 make rank drops common.
 PACKED_PRIMES = [3, 7, 65537, DEFAULT_PRIME, 2 ** 64 + 13]
@@ -44,3 +60,23 @@ def combo_row(field, pairs, terms) -> list:
             acc = sum(w * (a[i] * b[j] + a[j] * b[i]) for w, a, b in terms)
         row.append(field.coerce(acc))
     return row
+
+
+def quad_class_by_slots(g: int, n: int, k: int) -> DivisorClass:
+    """The alpha-scaled rank-locus class, slot by slot: b_irr is exactly
+    alpha, the i < s slots are alpha * tilde_b (exact for k = 4, i = 0,
+    lower bounds otherwise) and the rest are the lower bound alpha."""
+    base = fr_sigma_class(chern_pair(g, n), k)
+    alpha = Fraction(harris_tu_degree(g - n, k))
+    b = {}
+    for (i, s) in boundary_indices(g, n):
+        if i < s:
+            v = alpha * tilde_b(g, n, i, s)
+            b[(i, s)] = Coefficient.exact(v) if k == 4 and i == 0 else Coefficient.at_least(v)
+        else:
+            b[(i, s)] = Coefficient.at_least(alpha)
+    return DivisorClass(g, n, base.lam, base.psi, Coefficient.exact(alpha), b)
+
+
+def quad_class_unscaled_by_slots(g: int, n: int, k: int) -> DivisorClass:
+    return quad_class_by_slots(g, n, k).scale(Fraction(1, harris_tu_degree(g - n, k)))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -56,18 +57,21 @@ def test_quad_class_builds_the_class_once(capsys, monkeypatch):
     from qmod import picard
 
     calls = []
-    quad_class = picard.quad_class
+    build = picard.quad_class_unscaled
 
     def counted(*args):
         calls.append(args)
-        return quad_class(*args)
+        return build(*args)
 
-    # Both names: the CLI's own import and the one quad_class_unscaled reads.
-    monkeypatch.setattr(cli, "quad_class", counted)
-    monkeypatch.setattr(picard, "quad_class", counted)
-    rc, _, _ = _run(capsys, "quad-class", "--g", "11", "--n", "4", "--k", "4")
-    assert rc == 0
-    assert calls == [(11, 4, 4)]
+    # Both names: the CLI's own import and the one quad_class reads.
+    monkeypatch.setattr(cli, "quad_class_unscaled", counted)
+    monkeypatch.setattr(picard, "quad_class_unscaled", counted)
+    for fmt in ("table", "json"):
+        calls.clear()
+        rc, _, _ = _run(capsys, "quad-class", "--g", "11", "--n", "4", "--k", "4",
+                        "--format", fmt)
+        assert rc == 0
+        assert calls == [(11, 4, 4)]
 
 
 def test_certificate_default_multipliers_pass(capsys):
@@ -120,6 +124,23 @@ def test_negative_multiplier_reaches_the_certificate_refusal(capsys, argv):
     assert rc == 2
     assert out == ""
     assert err == "error: certificate multipliers must be nonnegative\n"
+
+
+@pytest.mark.parametrize("z, solved", [("1", "y=-41/351"), ("1/100", "x=-33589/8775")])
+def test_solve_names_the_negative_solved_multiplier(capsys, z, solved):
+    # x and y solve to >= 0 only for 1417/7344 <= z <= 13/54.
+    rc, out, err = _run(capsys, "certificate", "--solve", "--z", z)
+    assert rc == 2
+    assert out == ""
+    assert err == (f"error: --solve at z={z} gives {solved}, "
+                   "but certificate multipliers must be nonnegative\n")
+
+
+@pytest.mark.parametrize("z", ["13/54", "1417/7344"])
+def test_solve_accepts_the_ends_of_the_nonnegative_range(capsys, z):
+    rc, payload, _ = _run_json(capsys, "certificate", "--solve", "--z", z)
+    assert rc in (0, 1)
+    assert min(Fraction(payload["multipliers"][v]) for v in "xy") == 0
 
 
 def test_negative_multiplier_reads_alike_in_both_option_forms(capsys):

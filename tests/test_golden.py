@@ -3,10 +3,12 @@ one seeded ``genus5-net`` run with two singular candidates, of one seeded
 ``blowup-verify --dump`` run, which holds every kernel basis the surface
 construction computes over F_p, of the quadric pencil that
 ``pencil-disc --dump`` reports, and of the quadrics through the rational
-normal quintic over F_p and over the rationals (``rnc-i2 --dump``).
+normal quintic over F_p and over the rationals (``rnc-i2 --dump``), and
+of the table output of the divisor-class commands.
 
-The files under tests/data were written by the command named in GOLDEN;
-any change to a coefficient, a slot kind or the serialization shows here.
+The files under tests/data were written by the command named in GOLDEN
+or TABLES; any change to a coefficient, a slot kind or the serialization
+shows here.
 """
 
 from pathlib import Path
@@ -35,6 +37,22 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_json_output_matches_golden_file(capsys, name):
     rc = main(GOLDEN[name] + ["--format", "json"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.encode() == (DATA / name).read_bytes()
+
+
+TABLES = {
+    "quad_class_g11_n4_k4.txt": ["quad-class", "--g", "11", "--n", "4", "--k", "4"],
+    "z_class.txt": ["z-class"],
+    "dp_class.txt": ["dp-class"],
+    "canonical_class_g15_n9.txt": ["canonical-class", "--g", "15", "--n", "9"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_table_output_matches_golden_file(capsys, name):
+    rc = main(TABLES[name])
     out = capsys.readouterr().out
     assert rc == 0
     assert out.encode() == (DATA / name).read_bytes()

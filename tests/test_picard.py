@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qmod.errors import DomainError, InternalCheckError
-from qmod.invariants import binom, harris_tu_degree
+from qmod.invariants import binom, enumerate_quad_cases, harris_tu_degree
 from qmod.picard import (
     AT_LEAST,
     EXACT,
@@ -28,6 +28,8 @@ from qmod.picard import (
     tilde_b,
     z_class_15_9,
 )
+
+from kernel_oracles import quad_class_by_slots, quad_class_unscaled_by_slots
 
 
 def test_coefficient_kind_mixing():
@@ -106,6 +108,30 @@ def test_quad_class_slot_kinds():
         else:
             assert c.kind == AT_LEAST
             assert c.value == cls.b_irr.value * 1
+
+
+@pytest.mark.parametrize("g, n, k", enumerate_quad_cases(40))
+def test_quad_class_matches_the_slot_by_slot_route(g, n, k):
+    # Coefficient equality compares the kind as well as the value.
+    assert quad_class(g, n, k) == quad_class_by_slots(g, n, k)
+    assert quad_class_unscaled(g, n, k) == quad_class_unscaled_by_slots(g, n, k)
+
+
+def test_class_scale_keeps_shared_slots_shared():
+    shared = Coefficient.at_least(Fraction(3, 2))
+    c = DivisorClass.build(9, 3, lam=1, psi=2, b=dict.fromkeys(boundary_indices(9, 3), shared))
+    scaled = c.scale(Fraction(2, 7))
+    assert len({id(v) for v in scaled.b.values()}) == 1
+    assert len({id(p) for p in scaled.psi}) == 1
+    assert scaled.b[(1, 0)] == Coefficient.at_least(Fraction(3, 7))
+
+
+def test_negative_scale_refuses_a_shared_lower_bound():
+    shared = Coefficient.at_least(1)
+    c = DivisorClass.build(9, 3, lam=1, b=dict.fromkeys(boundary_indices(9, 3), shared))
+    with pytest.raises(InternalCheckError):
+        c.scale(-1)
+    assert c.scale(2).b[(1, 0)] == Coefficient.at_least(2)
 
 
 def test_quad_class_requires_family_membership():
