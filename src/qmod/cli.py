@@ -65,11 +65,8 @@ def _coeff_str(c) -> str:
 def _class_lines(d):
     yield f"g={d.g} n={d.n}"
     yield f"lambda: {_coeff_str(d.lam)}"
-    if d.psi and all(p == d.psi[0] for p in d.psi):
-        yield f"psi: {_coeff_str(d.psi[0])} on each of {d.n} markings"
-    else:
-        for j, p in enumerate(d.psi, start=1):
-            yield f"psi[{j}]: {_coeff_str(p)}"
+    if d.n:
+        yield f"psi: {_coeff_str(d.psi)} on each of {d.n} markings"
     yield f"b_irr: {_coeff_str(d.b_irr)}"
     for key in boundary_indices(d.g, d.n):
         yield f"b[{key[0]},{key[1]}]: {_coeff_str(d.b[key])}"

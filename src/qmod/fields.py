@@ -238,8 +238,10 @@ def combine(field, vectors, weights) -> list:
 
 
 def require_sampling_prime(field) -> None:
-    """Guard for checks whose soundness needs a reasonably large p."""
-    if isinstance(field, PrimeField) and field.p < MIN_SAMPLING_PRIME:
+    """Guard for sampling checks: they run over F_p, with p reasonably large."""
+    if not isinstance(field, PrimeField):
+        raise ConfigurationError(f"sampling-based checks need a prime field, got {field!r}")
+    if field.p < MIN_SAMPLING_PRIME:
         raise ConfigurationError(
             f"prime {field.p} too small for sampling-based checks (need >= {MIN_SAMPLING_PRIME})"
         )

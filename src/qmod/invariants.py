@@ -22,6 +22,13 @@ def binom(n: int, k: int) -> int:
     return comb(n, k)
 
 
+def _require_ints(what: str, *values) -> None:
+    """Refuse a value that is not an int (a bool is not one), not round it."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise DomainError(f"{what} must be integers, got {v!r}")
+
+
 def _q_formula(g: int, r: int, d: int, k: int) -> int:
     return binom(r + 2, 2) - binom(r - k + 2, 2) - 2 * d + g - 2
 
@@ -32,9 +39,7 @@ def expected_dim_q(g: int, r: int, d: int, k: int) -> int:
 
     binom(r+2, 2) - binom(r-k+2, 2) - 2d + g - 2, exact integer.
     """
-    for name, v in (("g", g), ("r", r), ("d", d), ("k", k)):
-        if not isinstance(v, int):
-            raise DomainError(f"{name} must be an integer, got {v!r}")
+    _require_ints("g, r, d, k", g, r, d, k)
     if g < 0 or r < 0 or d < 0:
         raise DomainError("g, r, d must be nonnegative")
     if k > r + 1:
@@ -44,6 +49,7 @@ def expected_dim_q(g: int, r: int, d: int, k: int) -> int:
 
 def brill_noether_rho(g: int, r: int, d: int) -> int:
     """g - (r+1)(g - d + r)."""
+    _require_ints("g, r, d", g, r, d)
     if g < 0 or r < 0 or d < 0:
         raise DomainError("g, r, d must be nonnegative")
     return g - (r + 1) * (g - d + r)
@@ -55,7 +61,8 @@ class RamificationSequence:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        values = tuple(int(v) for v in values)
+        values = tuple(values)
+        _require_ints("ramification indices", *values)
         if any(v < 0 for v in values):
             raise DomainError("ramification indices must be nonnegative")
         if any(a > b for a, b in zip(values, values[1:])):
@@ -96,6 +103,7 @@ def harris_tu_degree(e: int, k: int) -> int:
     non-integer result would mean the formula is wired wrong, so it is
     treated as an internal failure rather than returned.
     """
+    _require_ints("e, k", e, k)
     if not 3 <= k <= e:
         raise DomainError(f"need 3 <= k <= e, got k={k}, e={e}")
     acc = Fraction(1)
@@ -113,6 +121,7 @@ def enumerate_quad_cases(g_max: int) -> list[tuple[int, int, int]]:
 
     Lexicographic in (g, n, k).
     """
+    _require_ints("g_max", g_max)
     if g_max < 0:
         raise DomainError("g_max must be nonnegative")
     out = []
@@ -133,6 +142,7 @@ def fiber_dim_identity(g: int, k: int) -> bool:
     Valid for k up to g+1: at k = g+1 the rank bound is vacuous and both
     sides still agree, so the closed forms are compared directly.
     """
+    _require_ints("g, k", g, k)
     if g < 1:
         raise DomainError("g must be positive")
     if k > g + 1:

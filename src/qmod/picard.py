@@ -1,9 +1,11 @@
 """Divisor-class bookkeeping on moduli of stable n-pointed genus-g curves.
 
-Classes are stored against the standard generators: lambda, the n point
-classes psi_j, and the boundary divisors.  Boundary coefficients are kept
-NEGATED (a class is lambda-part + psi-part - b_irr*delta_irr - sum of
-b_{i:s}*delta_{i:S}), matching how the results of interest are displayed.
+Classes are stored against the standard generators: lambda, the point
+classes psi_j, and the boundary divisors.  Every class here is
+S_n-symmetric, so one psi coefficient serves all n markings.  Boundary
+coefficients are kept NEGATED (a class is lambda-part + psi-part -
+b_irr*delta_irr - sum of b_{i:s}*delta_{i:S}), matching how the results
+of interest are displayed.
 
 Coefficients carry a kind: Exact, or AtLeast for slots where only a lower
 bound is proved.  Bound arithmetic is deliberately strict - anything
@@ -33,8 +35,8 @@ AT_LEAST = "at_least"
 
 
 def _rational(v) -> Fraction:
-    """v as an exact rational; floats and bools are refused, not rounded."""
-    if isinstance(v, (float, bool)):
+    """v as an exact rational; floats, bools and non-numbers are refused."""
+    if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
         raise DomainError(f"expected an exact rational, got {v!r}")
     return Fraction(v)
 
@@ -133,47 +135,37 @@ def canonical_pair(g: int, n: int, i: int, s: int) -> tuple[int, int]:
 
 
 class DivisorClass:
-    """A symmetric-boundary divisor class on (g, n)."""
+    """An S_n-symmetric class on (g, n): one psi for all markings, ZERO if n = 0."""
 
     __slots__ = ("g", "n", "lam", "psi", "b_irr", "b")
 
-    def __init__(self, g: int, n: int, lam: Coefficient, psi, b_irr: Coefficient, b: dict):
+    def __init__(self, g: int, n: int, lam: Coefficient, psi: Coefficient,
+                 b_irr: Coefficient, b: dict):
         if g < 2 or n < 0:
             raise DomainError("divisor classes are kept for g >= 2, n >= 0")
-        psi = tuple(psi)
-        if len(psi) != n:
-            raise DomainError(f"need {n} psi coefficients, got {len(psi)}")
-        if not lam.is_exact or any(not p.is_exact for p in psi):
+        if not lam.is_exact or not psi.is_exact:
             raise DomainError("lower-bound kinds are only legal in boundary slots")
         slots = boundary_indices(g, n)
-        bb = {}
-        for key in slots:
-            bb[key] = b.get(key, ZERO)
+        bb = {key: b.get(key, ZERO) for key in slots}
         extra = set(b) - set(slots)
         if extra:
             raise DomainError(f"coefficients at non-boundary slots: {sorted(extra)}")
         self.g = g
         self.n = n
         self.lam = lam
-        self.psi = psi
+        self.psi = psi if n else ZERO
         self.b_irr = b_irr
         self.b = bb
 
     @classmethod
     def build(cls, g: int, n: int, *, lam=0, psi=0, b_irr=ZERO, b=None) -> "DivisorClass":
-        """Convenience constructor: rationals become exact coefficients and
-        a scalar psi is broadcast to every point."""
-        lamc = lam if isinstance(lam, Coefficient) else Coefficient.exact(lam)
-        if isinstance(psi, (list, tuple)):
-            psic = tuple(p if isinstance(p, Coefficient) else Coefficient.exact(p) for p in psi)
-        else:
-            p = psi if isinstance(psi, Coefficient) else Coefficient.exact(psi)
-            psic = (p,) * n
-        birr = b_irr if isinstance(b_irr, Coefficient) else Coefficient.exact(b_irr)
-        bb = {}
-        for key, v in (b or {}).items():
-            bb[key] = v if isinstance(v, Coefficient) else Coefficient.exact(v)
-        return cls(g, n, lamc, psic, birr, bb)
+        """Convenience constructor: rationals become exact coefficients;
+        psi is the one coefficient of every marking."""
+        def coeff(v):
+            return v if isinstance(v, Coefficient) else Coefficient.exact(v)
+
+        bb = {key: coeff(v) for key, v in (b or {}).items()}
+        return cls(g, n, coeff(lam), coeff(psi), coeff(b_irr), bb)
 
     def _derived(self, lam, psi, b_irr, b) -> "DivisorClass":
         """A class on this (g, n) whose b has exactly the keys of self.b, so
@@ -190,7 +182,7 @@ class DivisorClass:
         self._require_same_space(other)
         return self._derived(
             self.lam + other.lam,
-            tuple(a + b for a, b in zip(self.psi, other.psi)),
+            self.psi + other.psi,
             self.b_irr + other.b_irr,
             {k: self.b[k] + other.b[k] for k in self.b},
         )
@@ -201,7 +193,7 @@ class DivisorClass:
     def scale(self, a) -> "DivisorClass":
         a = _rational(a)
         if a == 0:
-            return self._derived(ZERO, (ZERO,) * self.n, ZERO, dict.fromkeys(self.b, ZERO))
+            return self._derived(ZERO, ZERO, ZERO, dict.fromkeys(self.b, ZERO))
         # lam and psi are exact by construction; only boundary slots carry bounds
         _require_bound_kept(a, (self.b_irr, *self.b.values()))
         # Slots often share one coefficient object (all boundary slots of
@@ -216,7 +208,7 @@ class DivisorClass:
 
         return self._derived(
             times(self.lam),
-            tuple(times(p) for p in self.psi),
+            times(self.psi),
             times(self.b_irr),
             {k: times(v) for k, v in self.b.items()},
         )
@@ -249,7 +241,7 @@ class DivisorClass:
             "g": self.g,
             "n": self.n,
             "lambda": str(self.lam.value),
-            "psi": [str(p.value) for p in self.psi],
+            "psi": [str(self.psi.value)] * self.n,
             "b_irr": self.b_irr.to_json_dict(),
             "b": [
                 {"i": i, "s": s, **self.b[(i, s)].to_json_dict()}
@@ -360,7 +352,7 @@ def quad_class_unscaled(g: int, n: int, k: int) -> DivisorClass:
     for (i, s) in boundary_indices(g, n):
         kind = EXACT if k == 4 and i == 0 else AT_LEAST
         b[(i, s)] = Coefficient(kind, tilde_b(g, n, i, s)) if i < s else generic
-    return DivisorClass(g, n, base.lam.scale(unit), tuple(p.scale(unit) for p in base.psi),
+    return DivisorClass(g, n, base.lam.scale(unit), base.psi.scale(unit),
                         Coefficient.exact(1), b)
 
 
@@ -385,13 +377,9 @@ def symmetrized_pullback_sum(c: DivisorClass) -> DivisorClass:
         b'(i, t) = t b(i, t-1) + (n+1-t) b(i, t)   (+ 2 psi at (0, 2)),
 
     where b(i, x) is the slot of c representing (i, x) and is absent (not
-    zero-scaled) when no such divisor exists on (g, n).  Requires equal psi
-    coefficients.
+    zero-scaled) when no such divisor exists on (g, n).
     """
-    g, n = c.g, c.n
-    if any(p != c.psi[0] for p in c.psi):
-        raise DomainError("psi coefficients are not symmetric")
-    psi = c.psi[0] if c.psi else ZERO
+    g, n, psi = c.g, c.n, c.psi
     b = {}
     for i, t in boundary_indices(g, n + 1):
         coeff = psi.scale(2) if (i, t) == (0, 2) else ZERO
@@ -400,7 +388,7 @@ def symmetrized_pullback_sum(c: DivisorClass) -> DivisorClass:
             if 0 <= s <= n and (i > 0 or s >= 2):
                 coeff = coeff + c.b[canonical_pair(g, n, i, s)].scale(mult)
         b[(i, t)] = coeff
-    return DivisorClass(g, n + 1, c.lam.scale(n + 1), (psi.scale(n),) * (n + 1),
+    return DivisorClass(g, n + 1, c.lam.scale(n + 1), psi.scale(n),
                         c.b_irr.scale(n + 1), b)
 
 
@@ -490,12 +478,7 @@ def general_type_certificate(x, y, z) -> CertificateReport:
     BN = bn_class_15()
 
     lambda_residual = K.lam.value - (y * Z.lam.value + z * BN.lam.value)
-    psi_residuals = {
-        K.psi[j].value - (x + y * Z.psi[j].value + z * BN.psi[j].value) for j in range(9)
-    }
-    if len(psi_residuals) != 1:
-        raise InternalCheckError("psi residuals differ across marked points")
-    psi_residual = psi_residuals.pop()
+    psi_residual = K.psi.value - (x + y * Z.psi.value + z * BN.psi.value)
 
     # delta_irr coefficient of E = K - x sum(psi) - y Z - z BN, with the
     # stored b values being the negated boundary coefficients.
@@ -531,5 +514,5 @@ def solve_certificate_multipliers(z) -> tuple[Fraction, Fraction]:
     BN = bn_class_15()
     K = canonical_class(15, 9)
     y = (K.lam.value - z * BN.lam.value) / Z.lam.value
-    x = K.psi[0].value - y * Z.psi[0].value - z * BN.psi[0].value
+    x = K.psi.value - y * Z.psi.value - z * BN.psi.value
     return x, y

@@ -19,7 +19,7 @@ from operator import add
 
 from . import unipoly
 from .binforms import BinaryForm, binary_gcd
-from .errors import ConfigurationError, DomainError, InternalCheckError
+from .errors import DomainError, InternalCheckError
 from .fields import (DEFAULT_PRIME, PrimeField, checked, combine, derived_rng,
                      require_sampling_prime)
 from .linalg import Matrix, _rank_packed
@@ -485,8 +485,7 @@ def family_dimension(r: int, k: int, stratum, *, field=None, seed: int = 0) -> i
     its parametrization at one seeded parameter point, minus 1.
 
     A special point can only drop the rank, and the drop shows as a
-    failure, never redrawn; over QQ the small-height draws fail on about
-    1 % of strata.  Over F_p the exact Jacobian rows go straight to
+    failure, never redrawn.  The exact Jacobian rows go straight to
     ``linalg._rank_packed``, which reduces each entry once while packing.
     """
     if field is None:
@@ -497,9 +496,7 @@ def family_dimension(r: int, k: int, stratum, *, field=None, seed: int = 0) -> i
     ncols = len(upper_pairs(r + 1))
     rng = derived_rng(seed, "family-dim", *labels, 0)
     rows = _jacobian_rows(r, random_decomposition(field, r, k, stratum, rng))
-    if isinstance(field, PrimeField):
-        return _rank_packed(field, rows, ncols) - 1
-    return Matrix(field, len(rows), ncols, rows).rank() - 1
+    return _rank_packed(field, rows, ncols) - 1
 
 
 def random_chord(field, rng) -> tuple:
@@ -710,8 +707,6 @@ def genus5_net_check(seed: int, field=None) -> Genus5Report:
     """
     if field is None:
         field = PrimeField(DEFAULT_PRIME)
-    if not isinstance(field, PrimeField):
-        raise ConfigurationError("root extraction needs a prime field")
     require_sampling_prime(field)
     rng = derived_rng(seed, "genus5-net", 0)
     qs = [_random_sym_quadric(field, 5, rng) for _ in range(3)]

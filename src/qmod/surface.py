@@ -410,7 +410,7 @@ def blowup_report(seed: int, field=None) -> SurfaceReport:
     if field is None:
         field = PrimeField(DEFAULT_PRIME)
     require_sampling_prime(field)
-    prime = field.p if isinstance(field, PrimeField) else 0
+    prime = field.p
     h_dim = curve_dim = residual_dim = None
     try:
         cfg = PointConfig.sample(field, 15, seed)

@@ -122,8 +122,7 @@ def _check_closed_forms(field, seed):
         cls = fr_sigma_class(chern_pair(g, n), k)
         if cls.lam.value != alpha * Fraction(7 * g - 9 * n + 6, e):
             failures += 1
-        psi_coeff = alpha * Fraction(g + n - 6, e)
-        if any(p.value != psi_coeff for p in cls.psi):
+        if cls.psi.value != alpha * Fraction(g + n - 6, e):
             failures += 1
         if cls.b_irr.value != alpha:
             failures += 1
@@ -150,15 +149,15 @@ def _check_dp_class(field, seed):
     z = z_class_15_9()
     dp_ok = dp == expected
     z_ok = (z.lam.value == 351 and z.lam.is_exact
-            and len(z.psi) == 9
-            and all(p.value == 136 and p.is_exact for p in z.psi)
+            and z.n == 9
+            and z.psi.value == 136 and z.psi.is_exact
             and z.b_irr.value == 63 and z.b_irr.is_exact)
     data = {
         "dp_lambda": str(dp.lam.value),
-        "dp_psi": str(dp.psi[0].value),
+        "dp_psi": str(dp.psi.value),
         "dp_b_irr": str(dp.b_irr.value),
         "z_lambda": str(z.lam.value),
-        "z_psi": str(z.psi[0].value),
+        "z_psi": str(z.psi.value),
         "z_b_irr": str(z.b_irr.value),
     }
     return dp_ok and z_ok, data

@@ -55,7 +55,7 @@ def test_criterion_04_dp_and_pushforward_classes():
           and fr_dp_class(chern_pair(15, 8)) == expected
           and zc.lam.value == 351
           and zc.b_irr.value == 63
-          and all(p.value == 136 for p in zc.psi))
+          and zc.psi.value == 136)
     _report(4, "du Val rank-locus class and pushforward values", ok)
 
 

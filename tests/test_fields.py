@@ -151,8 +151,9 @@ def test_derived_rng_separates_labels():
 
 
 def test_sampling_prime_gate():
-    require_sampling_prime(QQ)
     require_sampling_prime(PrimeField(DEFAULT_PRIME))
     with pytest.raises(ConfigurationError):
         require_sampling_prime(PrimeField(101))
+    with pytest.raises(ConfigurationError):
+        require_sampling_prime(QQ)
     assert MIN_SAMPLING_PRIME == 2 ** 16

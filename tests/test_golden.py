@@ -31,6 +31,8 @@ GOLDEN = {
     "rnc_i2_r5_rational.json": ["rnc-i2", "--r", "5", "--rational", "--dump"],
     "quad_class_g11_n4_k4.json": ["quad-class", "--g", "11", "--n", "4", "--k", "4"],
     "quad_class_g40_n27_k6.json": ["quad-class", "--g", "40", "--n", "27", "--k", "6"],
+    "canonical_class_g4_n0.json": ["canonical-class", "--g", "4", "--n", "0"],
+    "canonical_class_g4_n1.json": ["canonical-class", "--g", "4", "--n", "1"],
 }
 
 
@@ -47,6 +49,8 @@ TABLES = {
     "z_class.txt": ["z-class"],
     "dp_class.txt": ["dp-class"],
     "canonical_class_g15_n9.txt": ["canonical-class", "--g", "15", "--n", "9"],
+    "canonical_class_g4_n0.txt": ["canonical-class", "--g", "4", "--n", "0"],
+    "canonical_class_g4_n1.txt": ["canonical-class", "--g", "4", "--n", "1"],
 }
 
 

@@ -123,3 +123,25 @@ def test_fiber_dimension_identity():
             assert fiber_dim_identity(g, k)
     with pytest.raises(DomainError):
         fiber_dim_identity(5, 7)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: expected_dim_q(True, 3, 3, 3),
+    lambda: expected_dim_q(15, 6, 20.0, 4),
+    lambda: brill_noether_rho(15.5, 1, 8),
+    lambda: brill_noether_rho(15, 1, False),
+    lambda: RamificationSequence([0.5, 1.9]),
+    lambda: RamificationSequence(["0", "1"]),
+    lambda: adjusted_rho(7, 2, 8, [0, 0, 0.0]),
+    lambda: adjusted_rho(7, 2.0, 8, [0, 0, 0]),
+    lambda: harris_tu_degree(5.0, 3),
+    lambda: harris_tu_degree(5, True),
+    lambda: enumerate_quad_cases(25.0),
+    lambda: fiber_dim_identity(5, 3.0),
+], ids=["expected-dim-bool", "expected-dim-float", "rho-float", "rho-bool",
+        "ramification-float", "ramification-str", "adjusted-rho-alpha",
+        "adjusted-rho-r", "harris-tu-float", "harris-tu-bool",
+        "enumerate-float", "fiber-float"])
+def test_non_integers_are_refused_not_rounded(call):
+    with pytest.raises(DomainError, match="must be integers"):
+        call()

@@ -59,7 +59,7 @@ def test_boundary_indices_respect_symmetry():
 
 def test_divisor_class_build_and_algebra():
     d = DivisorClass.build(15, 2, lam=1, psi=2, b_irr=3, b={(0, 2): 4})
-    assert d.psi == (Coefficient.exact(2),) * 2
+    assert d.psi == Coefficient.exact(2)
     assert d.b[(0, 2)] == Coefficient.exact(4)
     assert d.b[(1, 0)] == Coefficient.exact(0)
     doubled = 2 * d
@@ -75,11 +75,21 @@ def test_divisor_class_rejects_bad_slots():
         DivisorClass.build(15, 2, lam=0, psi=[1, 2, 3], b_irr=0, b={})
 
 
+def test_divisor_class_keeps_one_psi():
+    # With no markings there is no psi: any given value is dropped.
+    assert DivisorClass.build(7, 0, psi=5) == DivisorClass.build(7, 0, psi=0)
+    assert DivisorClass.build(7, 0, psi=5).psi is ZERO
+    with pytest.raises(DomainError):
+        DivisorClass.build(7, 2, psi=[1, 2])
+    with pytest.raises(DomainError):
+        DivisorClass.build(7, 2, psi=Coefficient.at_least(1))
+
+
 def test_chern_pair_shapes():
     cp = chern_pair(15, 8)
     assert (cp.e, cp.f) == (7, 26)
     assert cp.c1_e.lam == Coefficient.exact(1)
-    assert cp.c1_e.psi[0] == Coefficient.exact(-1)
+    assert cp.c1_e.psi == Coefficient.exact(-1)
     assert cp.c1_f.lam == Coefficient.exact(13)
     assert cp.c1_f.b_irr == Coefficient.exact(1)
     with pytest.raises(DomainError):
@@ -95,7 +105,7 @@ def test_quad_class_scaling_example():
     assert cls.lam.value == alpha * Fraction(47, 7)
     assert cls.b_irr == Coefficient.exact(alpha)
     # psi coefficient follows (g+n-6)/(g-n) scaled by alpha.
-    assert uns.psi[0].value == Fraction(11 + 4 - 6, 7)
+    assert uns.psi.value == Fraction(11 + 4 - 6, 7)
 
 
 def test_quad_class_slot_kinds():
@@ -122,7 +132,7 @@ def test_class_scale_keeps_shared_slots_shared():
     c = DivisorClass.build(9, 3, lam=1, psi=2, b=dict.fromkeys(boundary_indices(9, 3), shared))
     scaled = c.scale(Fraction(2, 7))
     assert len({id(v) for v in scaled.b.values()}) == 1
-    assert len({id(p) for p in scaled.psi}) == 1
+    assert scaled.psi == Coefficient.exact(Fraction(4, 7))
     assert scaled.b[(1, 0)] == Coefficient.at_least(Fraction(3, 7))
 
 
@@ -184,7 +194,7 @@ def test_sigma_class_calibration():
     cls = fr_sigma_class(cp, 4)
     alpha = Fraction(harris_tu_degree(9, 4))
     assert cls.lam.value == alpha * Fraction(7 * 15 - 9 * 6 + 6, 9)
-    assert cls.psi[0].value == alpha * Fraction(15 + 6 - 6, 9)
+    assert cls.psi.value == alpha * Fraction(15 + 6 - 6, 9)
     with pytest.raises(DomainError):
         fr_sigma_class(cp, 5)
 
@@ -192,7 +202,7 @@ def test_sigma_class_calibration():
 def test_z_class_values():
     z = z_class_15_9()
     assert z.lam == Coefficient.exact(351)
-    assert z.psi == (Coefficient.exact(136),) * 9
+    assert z.psi == Coefficient.exact(136)
     assert z.b_irr == Coefficient.exact(63)
     assert z.b[(0, 2)] == Coefficient.at_least(83)
     assert z.b[(0, 3)] == Coefficient.at_least(63)
@@ -202,7 +212,7 @@ def test_z_class_values():
 def test_canonical_class_values():
     k = canonical_class(15, 9)
     assert k.lam == Coefficient.exact(13)
-    assert k.psi == (Coefficient.exact(1),) * 9
+    assert k.psi == Coefficient.exact(1)
     assert k.b_irr == Coefficient.exact(2)
     assert k.b[(0, 2)] == Coefficient.exact(2)
     assert k.b[(1, 4)] == Coefficient.exact(3)
@@ -265,14 +275,15 @@ def brute_pullback_sum(c):
             for key in {_canon(g, pts, i, S), _canon(g, pts, i, S | {j})}:
                 b[key] = b[key] + coeff
         for k in base:
-            psi[k] = psi[k] + c.psi[0]
+            psi[k] = psi[k] + c.psi
             key = _canon(g, pts, 0, frozenset({k, j}))
-            b[key] = b[key] + c.psi[0]
+            b[key] = b[key] + c.psi
     slots = {}
     for (i, S), coeff in b.items():
         slots.setdefault(canonical_pair(g, n + 1, i, len(S)), set()).add(coeff)
     assert all(len(v) == 1 for v in slots.values()), "orbit not constant"
-    return DivisorClass(g, n + 1, c.lam.scale(n + 1), [psi[k] for k in sorted(pts)],
+    assert len(set(psi.values())) == 1, "markings differ in psi"
+    return DivisorClass(g, n + 1, c.lam.scale(n + 1), psi[1],
                         c.b_irr.scale(n + 1), {k: v.pop() for k, v in slots.items()})
 
 
@@ -305,7 +316,7 @@ def _slotwise(op, *cs):
     """Reference for class arithmetic: op applied coefficient by coefficient."""
     c0 = cs[0]
     return DivisorClass(c0.g, c0.n, op(*(c.lam for c in cs)),
-                        [op(*ps) for ps in zip(*(c.psi for c in cs))],
+                        op(*(c.psi for c in cs)),
                         op(*(c.b_irr for c in cs)),
                         {k: op(*(c.b[k] for c in cs)) for k in c0.b})
 
@@ -378,17 +389,11 @@ def test_pullback_sum_even_genus_values():
     assert out == DivisorClass.build(4, 3, lam=3, psi=2, b_irr=3, b=want)
 
 
-def test_pullback_sum_rejects_unequal_psi():
-    skew = DivisorClass.build(9, 3, lam=2, psi=[1, 4, 4], b_irr=5, b={(0, 2): 7})
-    with pytest.raises(DomainError):
-        symmetrized_pullback_sum(skew)
-
-
 def test_symmetrized_pullback_sum_stays_symmetric():
     d = DivisorClass.build(7, 2, lam=3, psi=1, b_irr=2, b={(0, 2): 5, (1, 1): 4})
     out = symmetrized_pullback_sum(d)
     assert out.g == 7 and out.n == 3
-    assert out.psi[0] == out.psi[1] == out.psi[2]
+    assert out.psi == Coefficient.exact(2)
 
 
 def test_certificate_holds_at_default_multipliers():
