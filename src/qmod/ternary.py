@@ -4,7 +4,7 @@ Coefficients are stored against the graded-lex monomial list (x > y > z)
 of the declared degree; the order is fixed so serialized coefficient
 matrices are reproducible bit for bit.  Only what the curve and surface
 labs need lives here: products, partials, evaluation and restriction to
-lines.  No Groebner machinery.
+lines, and one common-zero certificate.  No Groebner machinery.
 
 There is one evaluation kernel: ``coeffs_in`` substitutes two of the
 variables and leaves a univariate polynomial in the third, which
@@ -15,11 +15,11 @@ through (1, 0, 0) and (0, 1, 0).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import unipoly
 from .errors import ConfigurationError, DomainError, FieldMismatchError
-from .binforms import BinaryForm, Form
+from .binforms import BinaryForm, Form, binary_gcd
 from .fields import PrimeField
 
 
@@ -146,6 +146,29 @@ def eliminate(f: TernaryForm, g: TernaryForm, var: int) -> list:
                                     g.coeffs_in(var, a, field.one), f.degree, g.degree)
             for a in nodes]
     return unipoly.interpolate(field, nodes, vals)
+
+
+def no_common_zero(forms) -> tuple[bool, bool]:
+    """(chart_ok, line_ok) for three forms f, g, h; both True proves they
+    have no common zero in P^2 over the algebraic closure.
+
+    chart_ok: R1 = Res_y(f, g) and R2 = Res_y(f, h) are nonzero with a
+    constant gcd.  A common zero (a, b, 1) makes f(a, y, 1) and g(a, y, 1)
+    share the root b, so R1(a) = 0 (``eliminate`` keeps the declared
+    degrees), and likewise R2(a) = 0.  line_ok: the nonzero restrictions
+    to z = 0 have a constant gcd, and at least one is nonzero.  A failure
+    proves nothing: a chance common factor of R1 and R2 shows as one, and
+    so does a zero that f shares with g or h at (0:1:0), where both
+    y-leaders vanish and the resultant with them.
+    """
+    f, g, h = forms
+    r1, r2 = eliminate(f, g, 1), eliminate(f, h, 1)
+    chart_ok = (not unipoly.is_zero(r1) and not unipoly.is_zero(r2)
+                and unipoly.degree(unipoly.gcd(f.field, r1, r2)) == 0)
+    on_line = [b for b in (q.restrict_to_line((1, 0, 0), (0, 1, 0)) for q in forms)
+               if not b.is_zero()]
+    line_ok = bool(on_line) and reduce(binary_gcd, on_line).degree == 0
+    return chart_ok, line_ok
 
 
 def _powers(field, a, n: int) -> list:

@@ -14,7 +14,9 @@ multiplies residues packed into one int each with the ``linalg`` packing.
 Scope note: gcd, squarefree testing, resultants and prime-field root
 extraction.  Full factorization is deliberately out of scope; the root
 finder below only ever splits products of linear factors, which is a
-gcd-powered computation.
+gcd-powered computation.  Root finding (``rational_roots`` and its
+``pow_mod``) has no production caller: it stays only as a span target of
+the benchmark's layer map, which names it, until that map changes.
 """
 
 from __future__ import annotations
@@ -101,10 +103,11 @@ def derivative(field, f) -> list:
 
 
 def evaluate(field, f, x):
-    acc = field.zero
+    """f(x) by Horner on the exact sums, reduced once."""
+    acc = 0
     for c in reversed(f):
-        acc = field.coerce(acc * x + c)
-    return acc
+        acc = acc * x + c
+    return field.coerce(acc)
 
 
 def interpolate(field, xs, ys) -> list:

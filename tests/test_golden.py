@@ -1,7 +1,7 @@
 """Byte-for-byte pins of the JSON output of the divisor-class commands, of
-one seeded ``genus5-net`` run with two singular candidates, of one seeded
-``blowup-verify --dump`` run, which holds every kernel basis the surface
-construction computes over F_p, of the quadric pencil that
+one seeded ``genus5-net`` run that passes its smoothness certificate, of
+one seeded ``blowup-verify --dump`` run, which holds every kernel basis
+the surface construction computes over F_p, of the quadric pencil that
 ``pencil-disc --dump`` reports, and of the quadrics through the rational
 normal quintic over F_p and over the rationals (``rnc-i2 --dump``), and
 of the table output of the divisor-class commands.

@@ -18,6 +18,9 @@ REMOVED = [
     "random_rank3_decomposition", "random_rank4_decomposition",
     # The redraw wrapper: a seed's report is about the seed's own draw.
     "blowup_verify",
+    # The genus-5 net's line test, root scan and rank probes: one exact
+    # certificate, ternary.no_common_zero, replaces them.
+    "_random_line_squarefree", "_singular_candidates", "_net_rank_at",
 ]
 MODULES = sorted(m.name for m in pkgutil.iter_modules(qmod.__path__))
 

@@ -655,47 +655,104 @@ def test_form_determinant_empty_matrix():
 def test_genus5_report_shape():
     rep = genus5_net_check(1, field=FP)
     assert rep.passed
-    assert rep.discriminant_nonzero
-    assert rep.line_squarefree
-    assert rep.low_rank_points == 0
+    assert rep.discriminant_nonzero and rep.chart_coprime and rep.line_coprime
     payload = rep.to_json_dict()
+    assert set(payload) == {"seed", "prime", "discriminant_nonzero", "chart_coprime",
+                            "line_coprime", "passed"}
     assert payload["seed"] == 1
     assert payload["prime"] == DEFAULT_PRIME
     again = genus5_net_check(1, field=FP)
     assert again.to_json_dict() == payload
 
 
-class _ScriptedRng:
-    """Returns the scripted values first, then draws from ``rest``."""
-
-    def __init__(self, values, rest):
-        self.values = list(values)
-        self.rest = rest
-
-    def randrange(self, *args):
-        return self.values.pop(0) if self.values else self.rest.randrange(*args)
+def _quadric(terms) -> SymQuadric:
+    """The symmetric matrix of sum w l_u l_v over the (w, u, v) terms, where
+    l_u is the linear form with coefficient vector u."""
+    half = FP.inv(2)
+    return SymQuadric(FP, [[FP.coerce(half * sum(w * (u[i] * v[j] + v[i] * u[j])
+                                                 for w, u, v in terms))
+                            for j in range(5)] for i in range(5)])
 
 
-def test_degenerate_line_draw_is_not_redrawn():
-    # The two points are proportional, so the draw spans no line; the
-    # next values of the stream are never read.
-    rng = derived_rng(0, "unit-line")
-    disc = TernaryForm(FP, 5, [FP.random_element(rng) for _ in range(21)])
-    scripted = _ScriptedRng([1, 2, 3, 2, 4, 6], rng)
-    assert quadlab._random_line_squarefree(FP, disc, scripted) is None
-    assert scripted.values == []
-    assert quadlab._random_line_squarefree(
-        FP, disc, _ScriptedRng([1, 2, 3, 4, 5, 7], rng)) in (True, False)
+def _vectors(label, count):
+    rng = derived_rng(0, label)
+    return [[FP.random_element(rng) for _ in range(5)] for _ in range(count)]
+
+
+def _rank3(label) -> SymQuadric:
+    return _quadric([(1, v, v) for v in _vectors(label, 3)])
+
+
+def _random_quadric(label) -> SymQuadric:
+    return quadlab._random_sym_quadric(FP, 5, derived_rng(0, label))
+
+
+def _certify(monkeypatch, qs):
+    # The seed's net is the one given: the check draws its three members
+    # in order, and nothing else from the stream.
+    members = iter(qs)
+    monkeypatch.setattr(quadlab, "_random_sym_quadric", lambda field, size, rng: next(members))
+    rep = genus5_net_check(1, field=FP)
+    assert rep.discriminant_nonzero
+    return rep
+
+
+def test_genus5_fails_on_a_rank3_member_over_the_quadratic_extension(monkeypatch):
+    # p = 2^61 - 1 is 3 mod 4, so w^2 = -1 has no root in F_p.  With
+    # L_i = U_i + w V_i, A + w B = L_1^2 + L_2^2 + L_3^2 for
+    # A = sum U_i^2 - V_i^2 and B = sum 2 U_i V_i, both over F_p: the member
+    # (1 : w : 0) of <A, B, C> has rank 3 and no F_p-rational point of the
+    # net sees it.
+    assert pow(FP.p - 1, (FP.p - 1) // 2, FP.p) == FP.p - 1
+    us, vs = _vectors("unit-conj-u", 3), _vectors("unit-conj-v", 3)
+    a = _quadric([(1, u, u) for u in us] + [(-1, v, v) for v in vs])
+    b = _quadric([(2, u, v) for u, v in zip(us, vs)])
+    assert a.rank() == b.rank() == 5
+    rep = _certify(monkeypatch, [a, b, _random_quadric("unit-conj-c")])
+    assert not rep.line_coprime and not rep.passed
+
+
+def test_genus5_fails_on_a_rational_rank3_member(monkeypatch):
+    # The member (0 : 0 : 1) has rank 3; its point lies in the chart z = 1.
+    rep = _certify(monkeypatch, [_random_quadric("unit-rat-a"), _random_quadric("unit-rat-b"),
+                                 _rank3("unit-rat-c")])
+    assert not rep.chart_coprime and not rep.passed
+
+
+def test_genus5_fails_on_a_singular_base_point(monkeypatch):
+    # Every member vanishes at e_0 = (1:0:0:0:0), and the first column of
+    # Q3 is Q1 e_0 + 2 Q2 e_0, so the member (-1 : -2 : 1), of rank 4, is
+    # singular at a point of the base curve: no rank-3 member is needed.
+    m1, m2, m3 = ([row[:] for row in _random_quadric(f"unit-base-{i}").entries]
+                  for i in range(3))
+    m1[0][0] = m2[0][0] = 0
+    for i in range(5):
+        m3[0][i] = m3[i][0] = FP.coerce(m1[i][0] + 2 * m2[i][0])
+    q1, q2, q3 = (SymQuadric(FP, m) for m in (m1, m2, m3))
+    assert linear_combination(FP, [q1, q2, q3], [-1, -2, 1]).rank() == 4
+    rep = _certify(monkeypatch, [q1, q2, q3])
+    assert not rep.chart_coprime and not rep.passed
+
+
+def test_genus5_fails_on_a_rank3_member_on_the_line_z0(monkeypatch):
+    # Q1 + Q2 has rank 3, at (1 : 1 : 0): the chart z = 1 does not see
+    # it, and only the restriction to z = 0 can.
+    q1 = _random_quadric("unit-line-a")
+    r3 = _rank3("unit-line-r")
+    q2 = SymQuadric(FP, [[FP.coerce(x - y) for x, y in zip(rr, r1)]
+                         for rr, r1 in zip(r3.entries, q1.entries)])
+    rep = _certify(monkeypatch, [q1, q2, _random_quadric("unit-line-c")])
+    assert (rep.chart_coprime, rep.line_coprime, rep.passed) == (True, False, False)
 
 
 @pytest.mark.parametrize("name, degenerate", [
-    ("_random_line_squarefree", lambda field, disc, rng: None),
-    ("_singular_candidates", lambda field, disc, qs: None),
+    ("no_common_zero", lambda forms: (False, True)),
+    ("no_common_zero", lambda forms: (True, False)),
     ("net_discriminant", lambda *qs: TernaryForm(FP, 5, [0] * 21)),
-], ids=["line", "candidates", "discriminant"])
+], ids=["chart", "line", "discriminant"])
 def test_genus5_fails_on_a_degenerate_draw(monkeypatch, name, degenerate):
-    # Seed 1 passes on its own draw; forced degenerate, it fails on that
-    # same draw, and no other stream is read.
+    # Seed 1 passes on its own draw; forced degenerate at one step of the
+    # certificate, it fails on that same draw, and no other stream is read.
     streams = []
 
     def spy(seed, *labels):
@@ -705,9 +762,8 @@ def test_genus5_fails_on_a_degenerate_draw(monkeypatch, name, degenerate):
     monkeypatch.setattr(quadlab, "derived_rng", spy)
     monkeypatch.setattr(quadlab, name, degenerate)
     rep = genus5_net_check(1, field=FP)
-    payload = rep.to_json_dict()
     assert not rep.passed and rep.attempts == 1
-    assert (payload["passed"], payload["attempts"], payload["attempt_used"]) == (False, 1, 0)
+    assert rep.to_json_dict()["passed"] is False
     assert streams == [(1, "genus5-net", 0)]
 
 

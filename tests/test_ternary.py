@@ -9,7 +9,7 @@ from qmod import unipoly
 from qmod.errors import ConfigurationError, DomainError
 from qmod.fields import DEFAULT_PRIME, QQ, PrimeField
 from qmod.ternary import (TernaryForm, _powers, eliminate, monomial_count,
-                          monomial_index, monomials)
+                          monomial_index, monomials, no_common_zero)
 
 FP = PrimeField(DEFAULT_PRIME)
 FIELDS = [QQ, PrimeField(7), PrimeField(65537), PrimeField((1 << 61) - 1)]
@@ -173,3 +173,23 @@ def test_elimination_needs_more_elements_than_its_node_bound():
         eliminate(f, f, 0)
     g = TernaryForm(PrimeField(17), 4, [1] * monomial_count(4))
     assert eliminate(g, g, 1) == []
+
+
+# Graded-lex coefficients: degree 1 is (x, y, z); degree 2 is
+# (x^2, xy, xz, y^2, yz, z^2).  The first form carries y^d, so the
+# eliminations in y keep their declared degrees.
+@pytest.mark.parametrize("forms, want", [
+    ([(0, 1, 0), (1, 0, 0), (0, 0, 1)], (True, True)),
+    # y, x, x + y meet at (0:0:1), in the chart z = 1.
+    ([(0, 1, 0), (1, 0, 0), (1, 1, 0)], (False, True)),
+    # x - y, z, x - y + z meet at (1:1:0) only, on the line z = 0.
+    ([(1, -1, 0), (0, 0, 1), (1, -1, 1)], (True, False)),
+    # yz, xz, z^2 all restrict to 0 on z = 0: the line step fails.
+    ([(0, 0, 0, 0, 1, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 1)], (False, False)),
+    # y^2, x^2, xy + z^2 have no common zero.
+    ([(0, 0, 0, 1, 0, 0), (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 1)], (True, True)),
+])
+def test_no_common_zero_by_hand(forms, want):
+    forms = [TernaryForm(FP, 1 if len(cs) == 3 else 2, [FP.coerce(c) for c in cs])
+             for cs in forms]
+    assert no_common_zero(forms) == want

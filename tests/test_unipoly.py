@@ -54,6 +54,17 @@ def test_interpolation_round_trip():
         assert up.interpolate(FP, xs, ys) == up.normalize(FP, cs)
 
 
+def test_evaluation_reduces_once():
+    # Horner runs on the exact sums; the one stored value is reduced once.
+    rng = random.Random(4)
+    cs = [FP.random_element(rng) for _ in range(9)]
+    x = FP.random_element(rng)
+    with mock.patch.object(FP, "coerce", wraps=FP.coerce) as coerce:
+        value = up.evaluate(FP, cs, x)
+    assert coerce.call_count == 1
+    assert value == sum(c * pow(x, i, FP.p) for i, c in enumerate(cs)) % FP.p
+
+
 def test_interpolation_rejects_repeated_nodes():
     with pytest.raises(DomainError):
         up.interpolate(QQ, [Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)])
