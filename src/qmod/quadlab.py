@@ -20,7 +20,7 @@ from operator import add
 from . import unipoly
 from .binforms import BinaryForm, binary_gcd
 from .errors import DomainError, InternalCheckError
-from .fields import (DEFAULT_PRIME, PrimeField, checked, combine, derived_rng,
+from .fields import (DEFAULT_PRIME, PrimeField, checked, derived_rng,
                      require_sampling_prime)
 from .linalg import Matrix, _rank_packed
 from .ternary import TernaryForm, no_common_zero
@@ -127,22 +127,6 @@ class SymQuadric:
                 "entries": [[fmt(x) for x in row] for row in self.entries]}
 
 
-def linear_combination(field, quadrics, coeffs) -> SymQuadric:
-    if len(quadrics) != len(coeffs):
-        raise DomainError("one coefficient per quadric required")
-    if not quadrics:
-        raise DomainError("empty combination has no ambient size")
-    size = quadrics[0].size
-    for q in quadrics:
-        if q.field != field:
-            raise DomainError("quadrics live over different fields")
-        if q.size != size:
-            raise DomainError(f"size mismatch: {size} vs {q.size}")
-    weights = [field.coerce(c) for c in coeffs]
-    return SymQuadric(field, [combine(field, [q.entries[i] for q in quadrics], weights)
-                              for i in range(size)], _skip_check=True)
-
-
 def _unit_witnessed(rows) -> bool:
     """Each row alone is nonzero in some column, which forces its weight
     to 0 in any vanishing combination: the rows are independent."""
@@ -157,7 +141,9 @@ def _unit_witnessed(rows) -> bool:
 class QuadricSystem:
     """A linearly independent family of quadrics in one ambient space, proven
     so by a witness column per member (a column where it alone is nonzero, as
-    kernel bases have), else by the rank of the coefficient matrix."""
+    kernel bases have), else by the rank of the coefficient matrix.  Rows are
+    upper-triangle entries: half the form coefficients off the diagonal, with
+    the same zero pattern and rank, as no field here has characteristic 2."""
 
     __slots__ = ("field", "r", "basis")
 
@@ -169,10 +155,10 @@ class QuadricSystem:
             if q.size != r + 1:
                 raise DomainError("system members must share the ambient space")
         if basis:
-            rows = [q.upper_coeffs() for q in basis]
+            pairs = upper_pairs(r + 1)
+            rows = [[q.entries[i][j] for i, j in pairs] for q in basis]
             if not _unit_witnessed(rows) and Matrix(
-                    field, len(rows), len(upper_pairs(r + 1)), rows,
-                    _skip_check=True).rank() != len(basis):
+                    field, len(rows), len(pairs), rows, _skip_check=True).rank() != len(basis):
                 raise DomainError("system basis is linearly dependent")
         self.field = field
         self.r = r

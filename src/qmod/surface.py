@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from math import comb, perm
+from math import comb
 
 from .binforms import BinaryForm
-from .errors import (ConfigurationError, DomainError, FieldMismatchError,
-                     GenericityError, InternalCheckError)
+from .errors import DomainError, FieldMismatchError, GenericityError, InternalCheckError
 from .fields import DEFAULT_PRIME, PrimeField, derived_rng, require_sampling_prime
 from .linalg import Matrix
 from .quadlab import QuadricSystem, SymQuadric, _linear_family_det, _quadrics_through
@@ -256,6 +255,9 @@ class PlaneSystem:
 
 
 def _interpolation_kernel(cfg: PointConfig, cls: NSClass) -> PlaneSystem:
+    """Kernel of the Hasse-derivative rows: at (x0, y0, 1) of multiplicity m,
+    row (dx, dy), dx + dy < m, is the coefficient of u^dx v^dy in
+    f(x0 + u, y0 + v), binomial and exact in every characteristic."""
     field = cfg.field
     a = cls.a
     if a < 0:
@@ -264,9 +266,6 @@ def _interpolation_kernel(cfg: PointConfig, cls: NSClass) -> PlaneSystem:
         raise DomainError("one multiplicity per configured point required")
     if any(m < 0 for m in cls.mults):
         raise DomainError("assigned multiplicities must be nonnegative")
-    if isinstance(field, PrimeField) and field.p <= a:
-        raise ConfigurationError(
-            f"derivative conditions need p > {a}, prime {field.p} is too small")
     mons = monomials(a)
     zero = field.zero
     rows = []
@@ -285,7 +284,7 @@ def _interpolation_kernel(cfg: PointConfig, cls: NSClass) -> PlaneSystem:
                         row.append(zero)
                         continue
                     row.append(field.coerce(
-                        perm(al, dx) * perm(be, dy) * xp[al - dx] * yp[be - dy]))
+                        comb(al, dx) * comb(be, dy) * xp[al - dx] * yp[be - dy]))
                 rows.append(row)
     kern = Matrix(field, len(rows), len(mons), rows, _skip_check=True).kernel_basis()
     return PlaneSystem(field, cls, kern, cfg)

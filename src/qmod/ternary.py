@@ -18,9 +18,8 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 
 from . import unipoly
-from .errors import ConfigurationError, DomainError, FieldMismatchError
+from .errors import DomainError, FieldMismatchError
 from .binforms import BinaryForm, Form, binary_gcd
-from .fields import PrimeField
 
 
 @lru_cache(maxsize=None)
@@ -129,23 +128,19 @@ def eliminate(f: TernaryForm, g: TernaryForm, var: int) -> list:
     node is accounted for (``unipoly.resultant_fixed``).  That resultant
     has degree at most deg f * deg g in the remaining variable (Bezout;
     Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, Ch. 8 sec. 7),
-    so it is interpolated from the deg f * deg g + 1 nodes 0, 1, 2, ...;
-    over F_p they are distinct only when p > deg f * deg g.
+    so it is interpolated from its values at the deg f * deg g + 1 nodes
+    0, 1, 2, ...  Over F_p they are distinct only when p > deg f * deg g;
+    ``unipoly.interpolate`` refuses a smaller prime.
     """
     if f.field != g.field:
         raise FieldMismatchError("ternary forms over different fields")
     if var not in (0, 1):
         raise DomainError("eliminate x (var 0) or y (var 1)")
     field = f.field
-    bound = f.degree * g.degree
-    if isinstance(field, PrimeField) and field.p <= bound:
-        raise ConfigurationError(
-            f"resultant interpolation needs p > {bound}, prime {field.p} is too small")
-    nodes = [field.coerce(a) for a in range(bound + 1)]
     vals = [unipoly.resultant_fixed(field, f.coeffs_in(var, a, field.one),
                                     g.coeffs_in(var, a, field.one), f.degree, g.degree)
-            for a in nodes]
-    return unipoly.interpolate(field, nodes, vals)
+            for a in range(f.degree * g.degree + 1)]
+    return unipoly.interpolate(field, vals)
 
 
 def no_common_zero(forms) -> tuple[bool, bool]:

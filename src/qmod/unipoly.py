@@ -11,8 +11,9 @@ field call, and one path for both kinds of field.  The one exception is
 ``pow_mod``, the kernel behind root finding: it runs over F_p only and
 multiplies residues packed into one int each with the ``linalg`` packing.
 
-Scope note: gcd, squarefree testing, resultants and prime-field root
-extraction.  Full factorization is deliberately out of scope; the root
+Scope note: gcd, squarefree testing, resultants, interpolation at the
+nodes 0 .. n-1 that ``ternary.eliminate`` evaluates at, and prime-field
+root extraction.  Full factorization is deliberately out of scope; the root
 finder below only ever splits products of linear factors, which is a
 gcd-powered computation.  Root finding (``rational_roots`` and its
 ``pow_mod``) has no production caller: it stays only as a span target of
@@ -110,27 +111,27 @@ def evaluate(field, f, x):
     return field.coerce(acc)
 
 
-def interpolate(field, xs, ys) -> list:
-    """Newton-form interpolation through distinct nodes xs."""
-    if len(xs) != len(ys):
-        raise DomainError("node and value counts differ")
-    n = len(xs)
-    if n == 0:
-        return []
-    # Divided differences.
+def interpolate(field, ys) -> list:
+    """The polynomial of degree < n taking the value ys[a] at a = 0 .. n-1.
+
+    Newton form on consecutive nodes: a divided difference of order j
+    divides by the node gap j, so each order takes one ``field.inv(j)``.
+    The Newton form is expanded by Horner on exact sums,
+    poly <- x * poly - i * poly + c_i, and reduced once.  Over F_p the
+    nodes are distinct only when p >= n; a smaller prime is refused.
+    """
+    n = len(ys)
+    if 0 < field.char < n:
+        raise ConfigurationError(
+            f"interpolation at {n} nodes needs p >= {n}, prime {field.char} is too small")
     coeffs = [field.coerce(y) for y in ys]
-    xs = [field.coerce(x) for x in xs]
-    if len(set(xs)) != n:
-        raise DomainError("interpolation nodes must be distinct")
     for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coeffs[i] = field.coerce(
-                (coeffs[i] - coeffs[i - 1]) * field.inv(xs[i] - xs[i - j]))
+        inv = field.inv(j)
+        coeffs[j:] = [field.coerce((b - a) * inv) for a, b in zip(coeffs[j - 1:], coeffs[j:])]
     poly = []
     for i in range(n - 1, -1, -1):
-        poly = mul(field, poly, [field.coerce(-xs[i]), field.one])
-        poly = add(field, poly, [coeffs[i]])
-    return poly
+        poly = [a - i * b for a, b in zip_longest([coeffs[i]] + poly, poly, fillvalue=0)]
+    return normalize(field, poly)
 
 
 def squarefree_test(field, f) -> bool:

@@ -8,6 +8,9 @@ term) entry.  They share no arithmetic with the kernels they judge.
 ``PACKED_PRIMES`` are the moduli the packed kernels and the field
 inverse are tested at.
 
+``linear_combination`` builds combinations of quadrics for tests, one
+``fields.combine`` per matrix row; no production path combines quadrics.
+
 ``picard.quad_class`` is built at unit scale and scaled by alpha once;
 ``quad_class_by_slots`` is the route it replaced, which takes lam and psi
 from the alpha-scaled ``fr_sigma_class`` and scales every tilde-b slot by
@@ -17,7 +20,7 @@ alpha on its own.
 from fractions import Fraction
 
 from qmod import unipoly
-from qmod.fields import DEFAULT_PRIME
+from qmod.fields import DEFAULT_PRIME, combine
 from qmod.invariants import harris_tu_degree
 from qmod.picard import (
     Coefficient,
@@ -27,6 +30,7 @@ from qmod.picard import (
     fr_sigma_class,
     tilde_b,
 )
+from qmod.quadlab import SymQuadric
 
 # 2^64 + 13 is above one machine word; 3 and 7 make rank drops common.
 PACKED_PRIMES = [3, 7, 65537, DEFAULT_PRIME, 2 ** 64 + 13]
@@ -60,6 +64,13 @@ def combo_row(field, pairs, terms) -> list:
             acc = sum(w * (a[i] * b[j] + a[j] * b[i]) for w, a, b in terms)
         row.append(field.coerce(acc))
     return row
+
+
+def linear_combination(field, quadrics, coeffs) -> SymQuadric:
+    """sum_k coeffs[k] * quadrics[k]; each weight is coerced into the field."""
+    weights = [field.coerce(c) for c in coeffs]
+    return SymQuadric(field, [combine(field, [q.entries[i] for q in quadrics], weights)
+                              for i in range(quadrics[0].size)], _skip_check=True)
 
 
 def quad_class_by_slots(g: int, n: int, k: int) -> DivisorClass:

@@ -21,6 +21,8 @@ REMOVED = [
     # The genus-5 net's line test, root scan and rank probes: one exact
     # certificate, ternary.no_common_zero, replaces them.
     "_random_line_squarefree", "_singular_candidates", "_net_rank_at",
+    # Test-only: no production path combines quadrics.
+    "linear_combination",
 ]
 MODULES = sorted(m.name for m in pkgutil.iter_modules(qmod.__path__))
 

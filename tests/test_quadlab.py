@@ -28,7 +28,6 @@ from qmod.quadlab import (
     genus4_check,
     genus5_net_check,
     i2_basis,
-    linear_combination,
     net_discriminant,
     random_decomposition,
     rank3_strata,
@@ -40,7 +39,7 @@ from qmod.quadlab import (
 from qmod.surface import pencil_discriminant
 from qmod.ternary import TernaryForm
 
-from kernel_oracles import combo_row
+from kernel_oracles import combo_row, linear_combination
 
 FP = PrimeField(DEFAULT_PRIME)
 
@@ -254,6 +253,23 @@ def test_i2_basis_matches_evaluation_oracle(c):
 def test_i2_needs_honest_ambient_dimension():
     with pytest.raises(DomainError):
         i2_basis(ParamCurve.rational_normal(FP, 1))
+
+
+def test_independence_is_read_off_the_entries(monkeypatch):
+    # QuadricSystem tests the members' matrix entries, not their doubled
+    # form coefficients.
+    calls = []
+    original = SymQuadric.upper_coeffs
+
+    def spy(q):
+        calls.append(q)
+        return original(q)
+
+    monkeypatch.setattr(SymQuadric, "upper_coeffs", spy)
+    for r in (3, 4, 6):
+        for field in (FP, QQ):
+            assert i2_basis(ParamCurve.rational_normal(field, r)).dim == rnc_i2_dim(r)
+    assert calls == []
 
 
 def test_quadric_system_rejects_dependent_basis():

@@ -26,10 +26,12 @@ from hypothesis import strategies as st
 from qmod import unipoly as up
 from qmod.binforms import BinaryForm
 from qmod.fields import QQ, PrimeField, RationalField
-from qmod.quadlab import (ParamCurve, SymQuadric, linear_combination, secant_condition,
+from qmod.quadlab import (ParamCurve, SymQuadric, secant_condition,
                           upper_pairs)
 from qmod.surface import _det3, _normalize_point, pencil_discriminant
 from qmod.ternary import TernaryForm, _powers, monomials
+
+from kernel_oracles import linear_combination
 
 PRIMES = [PrimeField(7), PrimeField(65537), PrimeField((1 << 61) - 1)]
 FIELDS = PRIMES + [QQ]
@@ -64,11 +66,10 @@ def test_field_classes_define_no_per_step_methods():
 def test_unipoly_kernels_return_canonical_scalars(field, f, g, lead, x, ys):
     assume(field.coerce(lead))
     g = g + [lead]
-    nodes = [x + i for i in range(len(ys))]
     outs = [up.add(field, f, g), up.sub(field, f, g), up.mul(field, f, g),
             *up.divmod_poly(field, f, g), up.monic(field, g),
             up.derivative(field, f), [up.evaluate(field, f, x)],
-            up.interpolate(field, nodes, ys),
+            up.interpolate(field, ys),
             [up.resultant_prs(field, f, g)],
             [up.resultant_fixed(field, f, g, len(f), len(g) - 1)]]
     mult = up.root_multiplicity(field, g, x)
@@ -156,10 +157,9 @@ def test_unipoly_kernels_commute_with_reduction(pf, f, g, x, ys):
     m, n = len(f), len(g) - 1
     assert (pf.from_rational(up.resultant_fixed(QQ, fq, gq, m, n))
             == up.resultant_fixed(pf, fp, gp, m, n))
-    # Nodes 0 .. 5 differ by less than 7, so they stay distinct mod every p.
-    nodes = list(range(len(ys)))
-    assert (red(up.interpolate(QQ, nodes, ys))
-            == up.interpolate(pf, nodes, [pf.coerce(v) for v in ys]))
+    # At most 6 values: the nodes 0 .. 5 stay distinct mod every p.
+    assert (red(up.interpolate(QQ, ys))
+            == up.interpolate(pf, [pf.coerce(v) for v in ys]))
 
 
 @pytest.mark.parametrize("pf", PRIMES, ids=repr)
@@ -217,9 +217,8 @@ def test_unipoly_kernels_agree_with_plain_integers(pf, f, g, x, ys):
     if sylvester is not None:
         assert up.resultant_fixed(pf, fp, gp, m, n) == sylvester
         assert up.resultant_prs(pf, up.normalize(pf, fp), gp) in (sylvester, -sylvester % p)
-    nodes = [x + i for i in range(len(ys))]
-    poly = up.interpolate(pf, nodes, [pf.coerce(v) for v in ys])
-    assert [_plain(poly, u) % p for u in nodes] == [v % p for v in ys]
+    poly = up.interpolate(pf, [pf.coerce(v) for v in ys])
+    assert [_plain(poly, u) % p for u in range(len(ys))] == [v % p for v in ys]
 
 
 def _plain_det(rows) -> int:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kernel_oracles import linear_combination
 from multiplicity_oracle import partials_accept, taylor_accept
 from qmod import surface
 from qmod.cli import main
@@ -29,7 +30,7 @@ from qmod.surface import (
     residual_class,
 )
 from qmod.surface import _interpolation_kernel
-from qmod.quadlab import SymQuadric, linear_combination
+from qmod.quadlab import SymQuadric
 from qmod.ternary import TernaryForm
 
 FP = PrimeField(DEFAULT_PRIME)
@@ -152,10 +153,16 @@ def test_interpolation_dimensions_on_sampled_points():
     assert rs.dim == 0
 
 
-def test_interpolation_small_prime_guard():
-    cfg = PointConfig(PrimeField(31), [(1, 2, 1), (3, 5, 1)], seed=None)
-    with pytest.raises(ConfigurationError):
-        _interpolation_kernel(cfg, NSClass(31, (1, 1)))
+def test_interpolation_kernel_at_a_prime_below_the_degree():
+    # Hasse-derivative rows hold at p = 3 < 5.  Ordinary third derivatives
+    # carry al (al - 1) (al - 2), which 3 divides, so they would drop the
+    # third-order conditions of the quadruple point.
+    f3 = PrimeField(3)
+    cfg = PointConfig(f3, [(1, 1, 1), (1, 2, 1), (2, 0, 1), (2, 1, 1)])
+    cls = NSClass(5, (4, 1, 1, 1))
+    system = _interpolation_kernel(cfg, cls)
+    assert system.dim == expected_system_dim(cls) == 8
+    assert taylor_accept(f3, cls, [f.coeffs for f in system.forms], cfg)
 
 
 def test_members_vanish_to_order():

@@ -48,10 +48,31 @@ def test_interpolation_round_trip():
     rng = random.Random(3)
     for _ in range(20):
         deg = rng.randrange(0, 6)
-        cs = [FP.random_element(rng) for _ in range(deg + 1)]
-        xs = list(range(deg + 1))
-        ys = [up.evaluate(FP, cs, x) for x in xs]
-        assert up.interpolate(FP, xs, ys) == up.normalize(FP, cs)
+        for field in (FP, QQ):
+            cs = up.normalize(field, [field.coerce(rng.randrange(-50, 50))
+                                      for _ in range(deg + 1)])
+            ys = [up.evaluate(field, cs, field.coerce(a)) for a in range(deg + 1)]
+            assert up.interpolate(field, ys) == cs
+    assert up.interpolate(FP, []) == []
+
+
+def test_interpolation_inverts_once_per_order():
+    # Consecutive nodes: the divided differences of order j all divide by j.
+    rng = random.Random(5)
+    ys = [FP.random_element(rng) for _ in range(17)]
+    with mock.patch.object(FP, "inv", wraps=FP.inv) as inv:
+        poly = up.interpolate(FP, ys)
+    assert inv.call_count == 16
+    assert [up.evaluate(FP, poly, a) for a in range(17)] == ys
+
+
+def test_interpolation_refuses_more_values_than_the_field_has():
+    f13 = PrimeField(13)
+    with pytest.raises(ConfigurationError):
+        up.interpolate(f13, [1] * 14)
+    ys = list(range(13))[::-1]
+    poly = up.interpolate(f13, ys)
+    assert [up.evaluate(f13, poly, a) for a in range(13)] == ys
 
 
 def test_evaluation_reduces_once():
@@ -63,11 +84,6 @@ def test_evaluation_reduces_once():
         value = up.evaluate(FP, cs, x)
     assert coerce.call_count == 1
     assert value == sum(c * pow(x, i, FP.p) for i, c in enumerate(cs)) % FP.p
-
-
-def test_interpolation_rejects_repeated_nodes():
-    with pytest.raises(DomainError):
-        up.interpolate(QQ, [Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)])
 
 
 def test_resultant_of_known_pair():
