@@ -58,6 +58,15 @@ def _emit(args, payload: dict, lines) -> int:
     return 0
 
 
+def _field(args) -> PrimeField:
+    """F_p with p from --prime, else QMOD_PRIME, else 2^61 - 1."""
+    env = os.environ.get("QMOD_PRIME", str(DEFAULT_PRIME))
+    try:
+        return PrimeField(int(env) if args.prime is None else args.prime)
+    except ValueError:
+        raise ConfigurationError(f"QMOD_PRIME must be an integer, got {env!r}") from None
+
+
 def _coeff_str(c) -> str:
     return ("" if c.is_exact else ">= ") + str(c.value)
 
@@ -72,19 +81,19 @@ def _class_lines(d):
         yield f"b[{key[0]},{key[1]}]: {_coeff_str(d.b[key])}"
 
 
-def _cmd_expected_dim(field, args):
+def _cmd_expected_dim(args):
     v = expected_dim_q(args.g, args.r, args.d, args.k)
     payload = {"g": args.g, "r": args.r, "d": args.d, "k": args.k, "q": v}
     return _emit(args, payload, [str(v)])
 
 
-def _cmd_rho(field, args):
+def _cmd_rho(args):
     v = brill_noether_rho(args.g, args.r, args.d)
     payload = {"g": args.g, "r": args.r, "d": args.d, "rho": v}
     return _emit(args, payload, [str(v)])
 
 
-def _cmd_adjusted_rho(field, args):
+def _cmd_adjusted_rho(args):
     alpha = RamificationSequence(args.alpha)
     v = adjusted_rho(args.g, args.r, args.d, alpha)
     payload = {"g": args.g, "r": args.r, "d": args.d,
@@ -92,13 +101,13 @@ def _cmd_adjusted_rho(field, args):
     return _emit(args, payload, [str(v)])
 
 
-def _cmd_harris_tu(field, args):
+def _cmd_harris_tu(args):
     v = harris_tu_degree(args.e, args.k)
     payload = {"e": args.e, "k": args.k, "degree": v}
     return _emit(args, payload, [str(v)])
 
 
-def _cmd_enumerate_cases(field, args):
+def _cmd_enumerate_cases(args):
     cases = enumerate_quad_cases(args.g_max)
     payload = {"g_max": args.g_max, "count": len(cases),
                "cases": [list(c) for c in cases]}
@@ -107,7 +116,7 @@ def _cmd_enumerate_cases(field, args):
     return _emit(args, payload, lines)
 
 
-def _cmd_quad_class(field, args):
+def _cmd_quad_class(args):
     uns = quad_class_unscaled(args.g, args.n, args.k)
     alpha = harris_tu_degree(args.g - args.n, args.k)
     cls = uns.scale(alpha)
@@ -119,22 +128,22 @@ def _cmd_quad_class(field, args):
     return _emit(args, payload, lines)
 
 
-def _cmd_dp_class(field, args):
+def _cmd_dp_class(args):
     cls = fr_dp_class(chern_pair(args.g, args.n))
     return _emit(args, {"class": cls.to_json_dict()}, _class_lines(cls))
 
 
-def _cmd_z_class(field, args):
+def _cmd_z_class(args):
     cls = z_class_15_9()
     return _emit(args, {"class": cls.to_json_dict()}, _class_lines(cls))
 
 
-def _cmd_canonical_class(field, args):
+def _cmd_canonical_class(args):
     cls = canonical_class(args.g, args.n)
     return _emit(args, {"class": cls.to_json_dict()}, _class_lines(cls))
 
 
-def _cmd_certificate(field, args):
+def _cmd_certificate(args):
     z = args.z
     if args.solve:
         if args.x is not None or args.y is not None:
@@ -167,12 +176,12 @@ def _cmd_certificate(field, args):
     return 0 if rep.passed else 1
 
 
-def _cmd_rnc_i2(field, args):
+def _cmd_rnc_i2(args):
     if args.rational and args.prime is not None:
         # --rational works over QQ; a given prime would be dropped unseen.
         print("error: --prime conflicts with --rational", file=sys.stderr)
         return 2
-    field = QQ if args.rational else field
+    field = QQ if args.rational else _field(args)
     system = i2_basis(ParamCurve.rational_normal(field, args.r))
     expected = rnc_i2_dim(args.r)
     payload = {"r": args.r, "dim": system.dim, "expected": expected,
@@ -184,24 +193,24 @@ def _cmd_rnc_i2(field, args):
     return 0 if system.dim == expected else 1
 
 
-def _cmd_rank3_family(field, args):
-    got = family_dimension(args.r, 3, args.x, field=field, seed=args.seed)
+def _cmd_rank3_family(args):
+    got = family_dimension(args.r, 3, args.x, field=_field(args), seed=args.seed)
     want = expected_family_dim(args.r, 3, args.x)
     payload = {"r": args.r, "x": args.x, "dim": got, "expected": want}
     _emit(args, payload, [f"family dimension {got} (expected {want})"])
     return 0 if got == want else 1
 
 
-def _cmd_rank4_family(field, args):
+def _cmd_rank4_family(args):
     stratum = (args.m1, args.m2, args.x)
-    got = family_dimension(args.r, 4, stratum, field=field, seed=args.seed)
+    got = family_dimension(args.r, 4, stratum, field=_field(args), seed=args.seed)
     want = expected_family_dim(args.r, 4, stratum)
     payload = {"r": args.r, "stratum": list(stratum), "dim": got, "expected": want}
     _emit(args, payload, [f"family dimension {got} (expected {want})"])
     return 0 if got == want else 1
 
 
-def _cmd_secant(field, args):
+def _cmd_secant(args):
     if (args.t1 is None) != (args.t2 is None):
         print("error: --t1 and --t2 must be given together", file=sys.stderr)
         return 2
@@ -209,6 +218,7 @@ def _cmd_secant(field, args):
         # A given chord is evaluated once; more repeats would be dropped unseen.
         print("error: --repeat conflicts with --t1/--t2", file=sys.stderr)
         return 2
+    field = _field(args)
     curve = ParamCurve.rational_normal(field, args.r)
     system = i2_basis(curve)
     if args.t1 is not None:
@@ -216,8 +226,7 @@ def _cmd_secant(field, args):
     else:
         rng = derived_rng(args.seed, "secant-cli", args.r)
         chords = [random_chord(field, rng) for _ in range(args.repeat)]
-    codims = [secant_condition(curve, t1, t2, system=system)
-              for t1, t2 in chords]
+    codims = [secant_condition(curve, t1, t2, system=system) for t1, t2 in chords]
     payload = {"r": args.r, "chords": len(codims), "codims": codims}
     good = sum(1 for c in codims if c == 1)
     lines = [f"chords: {len(codims)}", f"codimension 1: {good}/{len(codims)}"]
@@ -225,8 +234,9 @@ def _cmd_secant(field, args):
     return 0 if good == len(codims) else 1
 
 
-def _cmd_genus4(field, args):
+def _cmd_genus4(args):
     seeds = list(range(args.seed, args.seed + args.repeat))
+    field = _field(args)
     ranks = [genus4_check(s, field=field) for s in seeds]
     payload = {"seeds": seeds, "ranks": ranks}
     good = sum(1 for rk in ranks if rk == 4)
@@ -236,8 +246,8 @@ def _cmd_genus4(field, args):
     return 0 if good == len(ranks) else 1
 
 
-def _cmd_genus5_net(field, args):
-    rep = genus5_net_check(args.seed, field=field)
+def _cmd_genus5_net(args):
+    rep = genus5_net_check(args.seed, field=_field(args))
     lines = [
         f"seed: {rep.seed}",
         f"discriminant nonzero: {rep.discriminant_nonzero}",
@@ -249,8 +259,8 @@ def _cmd_genus5_net(field, args):
     return 0 if rep.passed else 1
 
 
-def _cmd_blowup_verify(field, args):
-    rep = blowup_report(args.seed, field=field)
+def _cmd_blowup_verify(args):
+    rep = blowup_report(args.seed, field=_field(args))
     payload = rep.to_json_dict()
     if args.dump and rep.passed:
         payload["dump"] = {"points": rep.config.to_json_dict(),
@@ -270,8 +280,8 @@ def _cmd_blowup_verify(field, args):
     return 0 if rep.passed else 1
 
 
-def _cmd_pencil_disc(field, args):
-    rep = blowup_report(args.seed, field=field)
+def _cmd_pencil_disc(args):
+    rep = blowup_report(args.seed, field=_field(args))
     if rep.pencil is None:
         payload = {"seed": rep.seed, "stage": rep.stage, "pencil": None}
         _emit(args, payload, [f"construction stopped at stage {rep.stage}"])
@@ -291,7 +301,7 @@ def _cmd_pencil_disc(field, args):
     return 0 if pencil.nondegenerate else 1
 
 
-def _cmd_verify(field, args):
+def _cmd_verify(args):
     requested = args.checks or ["all"]
     for name in requested:
         if name != "all" and name not in CHECKS:
@@ -299,6 +309,7 @@ def _cmd_verify(field, args):
                   f"{', '.join(check_names())} or all", file=sys.stderr)
             return 2
     names = check_names() if "all" in requested else list(dict.fromkeys(requested))
+    field = _field(args)
     results = [run_check(name, seed=args.seed, field=field)
                for name in names]
     payload = {"seed": args.seed, "prime": field.p,
@@ -339,6 +350,12 @@ def _int_list(text: str) -> list:
             f"expected comma-separated integers, got {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -352,14 +369,10 @@ def _fraction(text: str) -> Fraction:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prime", type=int, default=None,
-                        help="working prime (default: QMOD_PRIME or 2^61-1)")
     common.add_argument("--seed", type=int, default=0,
                         help="base seed for sampling (default 0)")
     common.add_argument("--format", choices=("table", "json"), default="table",
                         help="output format (default table)")
-    common.add_argument("--repeat", type=int, default=1,
-                        help="number of sampling repetitions (default 1)")
 
     parser = argparse.ArgumentParser(
         prog="qmod",
@@ -453,9 +466,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--t1", type=int, default=None)
     p.add_argument("--t2", type=int, default=None)
+    p.add_argument("--repeat", type=_positive_int, default=1, help="chords to draw (default 1)")
 
-    sub.add_parser("genus4", parents=[common],
-                   help="rank of one seeded random symmetric 4x4 matrix")
+    p = sub.add_parser("genus4", parents=[common],
+                       help="rank of seeded random symmetric 4x4 matrices")
+    p.add_argument("--repeat", type=_positive_int, default=1, help="seeds to draw (default 1)")
 
     sub.add_parser("genus5-net", parents=[common],
                    help="smoothness certificate of a random genus-5 quadric net")
@@ -475,6 +490,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("checks", nargs="*",
                    help="check names, or 'all' (default)")
 
+    # Only the commands that compute over F_p read a working prime.
+    for name in ("rnc-i2", "rank3-family", "rank4-family", "secant", "genus4",
+                 "genus5-net", "blowup-verify", "pencil-disc", "verify"):
+        sub.choices[name].add_argument(
+            "--prime", type=int, help="working prime (default: QMOD_PRIME or 2^61-1)")
     return parser
 
 
@@ -484,29 +504,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
-    prime = args.prime
-    if prime is None:
-        env = os.environ.get("QMOD_PRIME")
-        if env is not None:
-            try:
-                prime = int(env)
-            except ValueError:
-                print(f"error: QMOD_PRIME must be an integer, got {env!r}",
-                      file=sys.stderr)
-                return 2
-        else:
-            prime = DEFAULT_PRIME
     try:
-        field = PrimeField(prime)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.repeat < 1:
-        print(f"error: --repeat must be >= 1, got {args.repeat}", file=sys.stderr)
-        return 2
-    handler = HANDLERS[args.command]
-    try:
-        return handler(field, args)
+        return HANDLERS[args.command](args)
     except GenericityError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1

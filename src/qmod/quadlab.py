@@ -370,7 +370,7 @@ def rank3_strata(r: int) -> list[int]:
 def rank4_strata(r: int) -> list[tuple[int, int, int]]:
     """Legal (deg f, deg u, deg h) triples for the rank-4 shape in P^r."""
     out = []
-    for m in range(1, r - 1):
+    for m in range(1, r):
         for mp in range(max(1, 3 - m), r - m + 1):
             x = r - m - mp
             if x >= 0:
@@ -494,8 +494,9 @@ def random_chord(field, rng) -> tuple:
     return t1, t2
 
 
-def secant_condition(c: ParamCurve, t1, t2, *, system: QuadricSystem | None = None) -> int:
-    """Codimension cut in I2 by vanishing on the chord through c(t1), c(t2).
+def secant_condition(c: ParamCurve, t1, t2, *, system: QuadricSystem) -> int:
+    """Codimension cut in ``system``, the I2 of c that ``i2_basis(c)``
+    returns, by vanishing on the chord through c(t1), c(t2).
 
     A quadric in the system already vanishes at the two chord points, so
     vanishing at the third point p1 + p2 is vanishing on the whole line.
@@ -506,8 +507,6 @@ def secant_condition(c: ParamCurve, t1, t2, *, system: QuadricSystem | None = No
     t2 = field.coerce(t2)
     if t1 == t2:
         raise DomainError("secant needs two distinct parameter values")
-    if system is None:
-        system = i2_basis(c)
     p1 = c.evaluate(t1)
     p2 = c.evaluate(t2)
     if Matrix.from_rows(field, [p1, p2]).rank() < 2:

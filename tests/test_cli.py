@@ -178,10 +178,9 @@ def test_certificate_solve_recovers_defaults(capsys):
 
 
 def test_composite_prime_is_rejected(capsys):
-    rc, _, err = _run(capsys, "rho", "--g", "15", "--r", "6", "--d", "20",
-                      "--prime", "16")
+    rc, _, err = _run(capsys, "genus4", "--prime", "16")
     assert rc == 2
-    assert "prime" in err
+    assert err == "error: 16 is not prime\n"
 
 
 @pytest.mark.parametrize("prime", ["318665857834031151167461", "3317044064679887385961981"])
@@ -203,22 +202,107 @@ def test_prime_environment_override(capsys, monkeypatch):
 
 def test_garbage_prime_environment_is_rejected(capsys, monkeypatch):
     monkeypatch.setenv("QMOD_PRIME", "twelve")
-    rc, _, err = _run(capsys, "rho", "--g", "15", "--r", "6", "--d", "20")
+    rc, _, err = _run(capsys, "genus4")
     assert rc == 2
     assert "QMOD_PRIME" in err
 
 
 def test_explicit_prime_beats_environment(capsys, monkeypatch):
     monkeypatch.setenv("QMOD_PRIME", "twelve")
-    rc, _, _ = _run(capsys, "rho", "--g", "15", "--r", "6", "--d", "20",
-                    "--prime", "65537")
+    rc, _, _ = _run(capsys, "genus4", "--prime", "65537")
     assert rc == 0
+
+
+def test_exact_commands_ignore_the_prime_environment(capsys, monkeypatch):
+    # rho computes over the integers, so no prime is resolved at all.
+    monkeypatch.setenv("QMOD_PRIME", "twelve")
+    rc, out, err = _run(capsys, "rho", "--g", "15", "--r", "6", "--d", "20")
+    assert (rc, out, err) == (0, "8\n", "")
 
 
 def test_zero_repeat_is_rejected(capsys):
     rc, _, err = _run(capsys, "genus4", "--repeat", "0")
     assert rc == 2
     assert "repeat" in err
+
+
+def _options(command) -> set:
+    """The option strings that the command's subparser declares, less --help."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {opt for action in sub.choices[command]._actions
+            for opt in action.option_strings} - {"-h", "--help"}
+
+
+# Each subcommand's options past the --seed and --format that all take.
+_OWN_OPTIONS = {
+    "expected-dim": {"--g", "--r", "--d", "--k"},
+    "rho": {"--g", "--r", "--d"},
+    "adjusted-rho": {"--g", "--r", "--d", "--alpha"},
+    "harris-tu": {"--e", "--k"},
+    "enumerate-cases": {"--g-max"},
+    "quad-class": {"--g", "--n", "--k"},
+    "dp-class": {"--g", "--n"},
+    "z-class": set(),
+    "canonical-class": {"--g", "--n"},
+    "certificate": {"--x", "--y", "--z", "--solve"},
+    "rnc-i2": {"--prime", "--r", "--rational", "--dump"},
+    "rank3-family": {"--prime", "--r", "--x"},
+    "rank4-family": {"--prime", "--r", "--m1", "--m2", "--x"},
+    "secant": {"--prime", "--repeat", "--r", "--t1", "--t2"},
+    "genus4": {"--prime", "--repeat"},
+    "genus5-net": {"--prime"},
+    "blowup-verify": {"--prime", "--dump"},
+    "pencil-disc": {"--prime", "--dump"},
+    "verify": {"--prime"},
+}
+
+# An argument list that each command in _UNREAD runs with, short of the
+# shared options.
+_VALID_ARGV = {
+    "expected-dim": ["--g", "15", "--r", "6", "--d", "22", "--k", "4"],
+    "rho": ["--g", "15", "--r", "6", "--d", "20"],
+    "adjusted-rho": ["--g", "5", "--r", "1", "--d", "4", "--alpha", "0,1"],
+    "harris-tu": ["--e", "6", "--k", "4"],
+    "enumerate-cases": [],
+    "quad-class": ["--g", "11", "--n", "4", "--k", "4"],
+    "dp-class": [],
+    "z-class": [],
+    "canonical-class": ["--g", "15", "--n", "9"],
+    "certificate": [],
+    "rnc-i2": ["--r", "4"],
+    "rank3-family": ["--r", "5", "--x", "1"],
+    "rank4-family": ["--r", "6", "--m1", "5", "--m2", "1", "--x", "0"],
+    "genus5-net": [],
+    "blowup-verify": [],
+    "pencil-disc": [],
+    "verify": ["01-identities"],
+}
+
+# The (command, option) pairs that a shared parent parser once accepted
+# and the command never read.
+_UNREAD = [(command, option) for command in _OWN_OPTIONS
+           for option in ("--prime", "--repeat")
+           if option not in _OWN_OPTIONS[command]]
+
+
+def test_each_subcommand_declares_only_the_options_it_reads():
+    assert set(_OWN_OPTIONS) == set(cli.HANDLERS)
+    for command, own in _OWN_OPTIONS.items():
+        assert _options(command) == own | {"--seed", "--format"}, command
+    shared = ("--prime", "--seed", "--format", "--repeat")
+    assert sum(len(_options(c) & set(shared)) for c in cli.HANDLERS) == 49
+    assert len(_UNREAD) == 27
+
+
+@pytest.mark.parametrize("command, option", _UNREAD)
+def test_an_unread_option_is_a_usage_error(capsys, command, option):
+    value = {"--prime": "65537", "--repeat": "2"}[option]
+    rc, out, err = _run(capsys, command, *_VALID_ARGV[command], option, value)
+    assert rc == 2
+    assert out == ""
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert "unrecognized arguments" in err
 
 
 def test_verify_unknown_check_is_a_usage_error(capsys):
@@ -298,6 +382,15 @@ def test_explicit_prime_conflicts_with_rational(capsys, monkeypatch):
     assert rc == 0 and payload["rational"] is True
 
 
+@pytest.mark.parametrize("env", ["twelve", "9"])
+def test_rational_rnc_i2_ignores_the_prime_environment(capsys, monkeypatch, env):
+    # The working prime is resolved on the F_p path only.
+    monkeypatch.setenv("QMOD_PRIME", env)
+    rc, payload, err = _run_json(capsys, "rnc-i2", "--r", "4", "--rational")
+    assert (rc, err) == (0, "")
+    assert payload["rational"] is True
+
+
 def test_rank3_family_dimension(capsys):
     rc, payload, _ = _run_json(capsys, "rank3-family", "--r", "5", "--x", "1")
     assert rc == 0
@@ -375,10 +468,13 @@ def _cheap_argv(draw):
         "enumerate-cases", "z-class", "certificate", "genus5-net", "blowup-verify",
         "pencil-disc"]))
     sampling = command in ("genus5-net", "blowup-verify", "pencil-disc")
-    prime = draw(st.sampled_from(_SAMPLING_PRIMES if sampling else _SWEEP_PRIMES))
-    argv = [command, "--prime", str(prime),
-            "--seed", str(draw(st.integers(0, 3))),
-            "--repeat", str(draw(st.integers(0, 2)))]
+    argv = [command, "--seed", str(draw(st.integers(0, 3)))]
+    # Each command gets only the options its parser declares.
+    if "--prime" in _options(command):
+        primes = _SAMPLING_PRIMES if sampling else _SWEEP_PRIMES
+        argv += ["--prime", str(draw(st.sampled_from(primes)))]
+    if "--repeat" in _options(command):
+        argv += ["--repeat", str(draw(st.integers(0, 2)))]
     if command == "harris-tu":
         return argv + ["--e", draw(_small), "--k", draw(_small)]
     if command in ("genus4", "z-class") or sampling:
@@ -419,6 +515,7 @@ def test_cheap_commands_exit_cleanly_on_edge_input(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     assert rc in (0, 1, 2), (argv, rc)
+    assert "unrecognized arguments" not in err.getvalue(), argv
     if rc == 2:
         assert out.getvalue() == "", argv
         assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, argv

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -520,9 +521,26 @@ def test_strata_enumeration():
     assert rank3_strata(5) == [3, 1]
     assert rank3_strata(8) == [6, 4, 2, 0]
     assert (1, 1, 2) not in rank4_strata(4)
-    assert rank4_strata(4) == [(1, 2, 1), (1, 3, 0), (2, 1, 1), (2, 2, 0)]
+    assert rank4_strata(4) == [(1, 2, 1), (1, 3, 0), (2, 1, 1), (2, 2, 0), (3, 1, 0)]
     for m, mp, x in rank4_strata(7):
         assert m + mp + x == 7 and m + mp >= 3
+
+
+def _accepted_rank4_shapes(r):
+    for stratum in itertools.product(range(r + 1), repeat=3):
+        try:
+            quadlab._shape(r, 4, stratum)
+        except DomainError:
+            continue
+        yield stratum
+
+
+@pytest.mark.parametrize("r", range(3, 10))
+def test_rank4_strata_lists_every_accepted_shape(r):
+    # (r - 1, 1, 0) is a legal shape too: rank4-family --r 6 --m1 5 --m2 1
+    # --x 0 certifies dimension 8 = 8.
+    assert sorted(rank4_strata(r)) == sorted(_accepted_rank4_shapes(r))
+    assert len(set(rank4_strata(r))) == len(rank4_strata(r))
 
 
 def test_empty_strata_raise():
@@ -606,9 +624,9 @@ def test_secant_conditions_on_twisted_cubic():
     c = ParamCurve.rational_normal(FP, 3)
     system = i2_basis(c)
     assert system.dim == 3
-    assert secant_condition(c, 2, 9) == 1
+    assert secant_condition(c, 2, 9, system=system) == 1
     with pytest.raises(DomainError):
-        secant_condition(c, 4, 4)
+        secant_condition(c, 4, 4, system=system)
 
 
 def test_secant_condition_via_supplied_system():

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from qmod import unipoly as up
 from qmod.binforms import BinaryForm
 from qmod.fields import QQ, PrimeField, RationalField
-from qmod.quadlab import (ParamCurve, SymQuadric, secant_condition,
+from qmod.quadlab import (ParamCurve, SymQuadric, i2_basis, secant_condition,
                           upper_pairs)
 from qmod.surface import _det3, _normalize_point, pencil_discriminant
 from qmod.ternary import TernaryForm, _powers, monomials
@@ -124,7 +124,7 @@ def test_quadric_and_plane_kernels_return_canonical_scalars(field, u1, u2, pt, p
             _normalize_point(field, pts[:3]),
             [_det3(field, pts[:3], pts[3:6], pts[6:])]]
     zero = not any(map(any, linear_combination(field, [q1], [0]).entries))
-    secant = secant_condition(curve, *chord)
+    secant = secant_condition(curve, *chord, system=i2_basis(curve))
     assert all(_canonical(field, out) for out in outs)
     assert zero is True
     assert secant in (0, 1)
