@@ -2,7 +2,12 @@
 
 Every subcommand prints either a human-readable table or a JSON payload
 (--format json, keys sorted, deterministic for a fixed seed and prime).
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+Each handler returns (passed, payload, lines): whether its check passed,
+a zero-argument callable that builds the JSON payload, and the table
+lines.  ``main`` alone prints, and it builds only the form it prints.
+Exit codes: 0 success, 1 verification failure, 2 usage, domain or
+configuration error.  A usage error is reported by the subcommand's own
+parser, so it prints that subcommand's usage line.
 """
 
 import argparse
@@ -49,24 +54,6 @@ from .surface import blowup_report
 from .verify import CHECKS, check_names, run_check
 
 
-def _emit(args, payload: dict, lines) -> int:
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-    return 0
-
-
-def _field(args) -> PrimeField:
-    """F_p with p from --prime, else QMOD_PRIME, else 2^61 - 1."""
-    env = os.environ.get("QMOD_PRIME", str(DEFAULT_PRIME))
-    try:
-        return PrimeField(int(env) if args.prime is None else args.prime)
-    except ValueError:
-        raise ConfigurationError(f"QMOD_PRIME must be an integer, got {env!r}") from None
-
-
 def _coeff_str(c) -> str:
     return ("" if c.is_exact else ">= ") + str(c.value)
 
@@ -81,74 +68,80 @@ def _class_lines(d):
         yield f"b[{key[0]},{key[1]}]: {_coeff_str(d.b[key])}"
 
 
+def _class_result(cls):
+    return True, lambda: {"class": cls.to_json_dict()}, _class_lines(cls)
+
+
 def _cmd_expected_dim(args):
     v = expected_dim_q(args.g, args.r, args.d, args.k)
-    payload = {"g": args.g, "r": args.r, "d": args.d, "k": args.k, "q": v}
-    return _emit(args, payload, [str(v)])
+    return True, lambda: {"g": args.g, "r": args.r, "d": args.d, "k": args.k, "q": v}, [str(v)]
 
 
 def _cmd_rho(args):
     v = brill_noether_rho(args.g, args.r, args.d)
-    payload = {"g": args.g, "r": args.r, "d": args.d, "rho": v}
-    return _emit(args, payload, [str(v)])
+    return True, lambda: {"g": args.g, "r": args.r, "d": args.d, "rho": v}, [str(v)]
 
 
 def _cmd_adjusted_rho(args):
     alpha = RamificationSequence(args.alpha)
     v = adjusted_rho(args.g, args.r, args.d, alpha)
-    payload = {"g": args.g, "r": args.r, "d": args.d,
-               "alpha": list(alpha), "rho": v}
-    return _emit(args, payload, [str(v)])
+    return True, lambda: {"g": args.g, "r": args.r, "d": args.d,
+                          "alpha": list(alpha), "rho": v}, [str(v)]
 
 
 def _cmd_harris_tu(args):
     v = harris_tu_degree(args.e, args.k)
-    payload = {"e": args.e, "k": args.k, "degree": v}
-    return _emit(args, payload, [str(v)])
+    return True, lambda: {"e": args.e, "k": args.k, "degree": v}, [str(v)]
 
 
 def _cmd_enumerate_cases(args):
     cases = enumerate_quad_cases(args.g_max)
-    payload = {"g_max": args.g_max, "count": len(cases),
-               "cases": [list(c) for c in cases]}
-    lines = [f"g={g} n={n} k={k}" for g, n, k in cases]
-    lines.append(f"count: {len(cases)}")
-    return _emit(args, payload, lines)
+    lines = itertools.chain((f"g={g} n={n} k={k}" for g, n, k in cases),
+                            [f"count: {len(cases)}"])
+    return True, lambda: {"g_max": args.g_max, "count": len(cases),
+                          "cases": [list(c) for c in cases]}, lines
 
 
 def _cmd_quad_class(args):
     uns = quad_class_unscaled(args.g, args.n, args.k)
     alpha = harris_tu_degree(args.g - args.n, args.k)
     cls = uns.scale(alpha)
-    payload = {"alpha": str(alpha), "class": cls.to_json_dict(),
-               "unscaled": uns.to_json_dict()}
     lines = itertools.chain(
         [f"alpha: {alpha}"], _class_lines(cls), ["unscaled (divided by alpha):"],
         ("  " + ln for ln in _class_lines(uns)))
-    return _emit(args, payload, lines)
+    return True, lambda: {"alpha": str(alpha), "class": cls.to_json_dict(),
+                          "unscaled": uns.to_json_dict()}, lines
 
 
 def _cmd_dp_class(args):
-    cls = fr_dp_class(chern_pair(args.g, args.n))
-    return _emit(args, {"class": cls.to_json_dict()}, _class_lines(cls))
+    return _class_result(fr_dp_class(chern_pair(args.g, args.n)))
 
 
 def _cmd_z_class(args):
-    cls = z_class_15_9()
-    return _emit(args, {"class": cls.to_json_dict()}, _class_lines(cls))
+    return _class_result(z_class_15_9())
 
 
 def _cmd_canonical_class(args):
-    cls = canonical_class(args.g, args.n)
-    return _emit(args, {"class": cls.to_json_dict()}, _class_lines(cls))
+    return _class_result(canonical_class(args.g, args.n))
+
+
+def _certificate_lines(rep):
+    needed = [s for s in rep.boundary if s.required_bound is not None]
+    yield f"multipliers: x={rep.x} y={rep.y} z={rep.z}"
+    yield f"lambda residual: {rep.lambda_residual}"
+    yield f"psi residual: {rep.psi_residual}"
+    yield f"E_irr: {rep.e_irr}"
+    yield f"boundary slots needing a bound: {len(needed)}/{len(rep.boundary)}"
+    for slot in needed:
+        yield f"  b[{slot.i},{slot.s}] needs >= {slot.required_bound}"
+    yield f"passed: {rep.passed}"
 
 
 def _cmd_certificate(args):
     z = args.z
     if args.solve:
         if args.x is not None or args.y is not None:
-            print("error: --x and --y conflict with --solve", file=sys.stderr)
-            return 2
+            raise argparse.ArgumentError(None, "--x and --y conflict with --solve")
         x, y = solve_certificate_multipliers(z)
         # A negative z is the certificate's own refusal; a z >= 0 can
         # still solve to a negative x or y.
@@ -160,65 +153,47 @@ def _cmd_certificate(args):
         x = Fraction(25, 297) if args.x is None else args.x
         y = Fraction(2, 297) if args.y is None else args.y
     rep = general_type_certificate(x, y, z)
-    bound_slots = sum(1 for s in rep.boundary if s.required_bound is not None)
-    lines = [
-        f"multipliers: x={rep.x} y={rep.y} z={rep.z}",
-        f"lambda residual: {rep.lambda_residual}",
-        f"psi residual: {rep.psi_residual}",
-        f"E_irr: {rep.e_irr}",
-        f"boundary slots needing a bound: {bound_slots}/{len(rep.boundary)}",
-    ]
-    for slot in rep.boundary:
-        if slot.required_bound is not None:
-            lines.append(f"  b[{slot.i},{slot.s}] needs >= {slot.required_bound}")
-    lines.append(f"passed: {rep.passed}")
-    _emit(args, rep.to_json_dict(), lines)
-    return 0 if rep.passed else 1
+    return rep.passed, rep.to_json_dict, _certificate_lines(rep)
 
 
 def _cmd_rnc_i2(args):
-    if args.rational and args.prime is not None:
-        # --rational works over QQ; a given prime would be dropped unseen.
-        print("error: --prime conflicts with --rational", file=sys.stderr)
-        return 2
-    field = QQ if args.rational else _field(args)
+    field = QQ if args.rational else PrimeField(args.prime)
     system = i2_basis(ParamCurve.rational_normal(field, args.r))
     expected = rnc_i2_dim(args.r)
-    payload = {"r": args.r, "dim": system.dim, "expected": expected,
-               "rational": bool(args.rational)}
-    if args.dump:
-        payload["system"] = system.to_json_dict()
-    lines = [f"dim I2 = {system.dim} (expected {expected})"]
-    _emit(args, payload, lines)
-    return 0 if system.dim == expected else 1
+
+    def payload():
+        out = {"r": args.r, "dim": system.dim, "expected": expected,
+               "rational": args.rational}
+        if args.dump:
+            out["system"] = system.to_json_dict()
+        return out
+
+    return system.dim == expected, payload, [f"dim I2 = {system.dim} (expected {expected})"]
+
+
+def _family_result(args, k, stratum, key):
+    got = family_dimension(args.r, k, stratum, field=PrimeField(args.prime), seed=args.seed)
+    want = expected_family_dim(args.r, k, stratum)
+    return (got == want,
+            lambda: {"r": args.r, key: stratum, "dim": got, "expected": want},
+            [f"family dimension {got} (expected {want})"])
 
 
 def _cmd_rank3_family(args):
-    got = family_dimension(args.r, 3, args.x, field=_field(args), seed=args.seed)
-    want = expected_family_dim(args.r, 3, args.x)
-    payload = {"r": args.r, "x": args.x, "dim": got, "expected": want}
-    _emit(args, payload, [f"family dimension {got} (expected {want})"])
-    return 0 if got == want else 1
+    return _family_result(args, 3, args.x, "x")
 
 
 def _cmd_rank4_family(args):
-    stratum = (args.m1, args.m2, args.x)
-    got = family_dimension(args.r, 4, stratum, field=_field(args), seed=args.seed)
-    want = expected_family_dim(args.r, 4, stratum)
-    payload = {"r": args.r, "stratum": list(stratum), "dim": got, "expected": want}
-    _emit(args, payload, [f"family dimension {got} (expected {want})"])
-    return 0 if got == want else 1
+    return _family_result(args, 4, [args.m1, args.m2, args.x], "stratum")
 
 
 def _cmd_secant(args):
     if (args.t1 is None) != (args.t2 is None):
-        print("error: --t1 and --t2 must be given together", file=sys.stderr)
-        return 2
+        raise argparse.ArgumentError(None, "--t1 and --t2 must be given together")
     if args.t1 is not None and args.repeat != 1:
         # A given chord is evaluated once; more repeats would be dropped unseen.
-        print("error: --repeat conflicts with --t1/--t2", file=sys.stderr)
-        return 2
-    field = _field(args)
+        raise argparse.ArgumentError(None, "--repeat conflicts with --t1/--t2")
+    field = PrimeField(args.prime)
     curve = ParamCurve.rational_normal(field, args.r)
     system = i2_basis(curve)
     if args.t1 is not None:
@@ -227,96 +202,88 @@ def _cmd_secant(args):
         rng = derived_rng(args.seed, "secant-cli", args.r)
         chords = [random_chord(field, rng) for _ in range(args.repeat)]
     codims = [secant_condition(curve, t1, t2, system=system) for t1, t2 in chords]
-    payload = {"r": args.r, "chords": len(codims), "codims": codims}
-    good = sum(1 for c in codims if c == 1)
-    lines = [f"chords: {len(codims)}", f"codimension 1: {good}/{len(codims)}"]
-    _emit(args, payload, lines)
-    return 0 if good == len(codims) else 1
+    good = codims.count(1)
+    return (good == len(codims),
+            lambda: {"r": args.r, "chords": len(codims), "codims": codims},
+            [f"chords: {len(codims)}", f"codimension 1: {good}/{len(codims)}"])
 
 
 def _cmd_genus4(args):
     seeds = list(range(args.seed, args.seed + args.repeat))
-    field = _field(args)
+    field = PrimeField(args.prime)
     ranks = [genus4_check(s, field=field) for s in seeds]
-    payload = {"seeds": seeds, "ranks": ranks}
-    good = sum(1 for rk in ranks if rk == 4)
-    lines = [f"seed {s}: rank {rk}" for s, rk in zip(seeds, ranks)]
-    lines.append(f"rank 4: {good}/{len(ranks)}")
-    _emit(args, payload, lines)
-    return 0 if good == len(ranks) else 1
+    good = ranks.count(4)
+    lines = itertools.chain((f"seed {s}: rank {rk}" for s, rk in zip(seeds, ranks)),
+                            [f"rank 4: {good}/{len(ranks)}"])
+    return good == len(ranks), lambda: {"seeds": seeds, "ranks": ranks}, lines
 
 
 def _cmd_genus5_net(args):
-    rep = genus5_net_check(args.seed, field=_field(args))
-    lines = [
+    rep = genus5_net_check(args.seed, field=PrimeField(args.prime))
+    return rep.passed, rep.to_json_dict, [
         f"seed: {rep.seed}",
         f"discriminant nonzero: {rep.discriminant_nonzero}",
         f"partials coprime in the chart z = 1: {rep.chart_coprime}",
         f"partials coprime on the line z = 0: {rep.line_coprime}",
         f"passed: {rep.passed}",
     ]
-    _emit(args, rep.to_json_dict(), lines)
-    return 0 if rep.passed else 1
+
+
+def _blowup_lines(rep):
+    yield f"seed: {rep.seed}"
+    yield f"stage reached: {rep.stage}"
+    yield f"h^0: hyperplane {rep.h_dim}, curve {rep.curve_dim}, residual {rep.residual_dim}"
+    yield f"dim I2: {rep.i2_dim}"
+    if rep.pencil is not None:
+        yield (f"pencil discriminant: degree {rep.pencil.degree}, "
+               f"squarefree {rep.pencil.squarefree}")
+    yield f"passed: {rep.passed}"
 
 
 def _cmd_blowup_verify(args):
-    rep = blowup_report(args.seed, field=_field(args))
-    payload = rep.to_json_dict()
-    if args.dump and rep.passed:
-        payload["dump"] = {"points": rep.config.to_json_dict(),
+    rep = blowup_report(args.seed, field=PrimeField(args.prime))
+
+    def payload():
+        out = rep.to_json_dict()
+        if args.dump and rep.passed:
+            out["dump"] = {"points": rep.config.to_json_dict(),
                            "hyperplane_system": rep.hyperplane.to_json_dict(),
                            "quadrics": rep.quadrics.to_json_dict()}
-    lines = [
-        f"seed: {rep.seed}",
-        f"stage reached: {rep.stage}",
-        f"h^0: hyperplane {rep.h_dim}, curve {rep.curve_dim}, residual {rep.residual_dim}",
-        f"dim I2: {rep.i2_dim}",
-    ]
-    if rep.pencil is not None:
-        lines.append(f"pencil discriminant: degree {rep.pencil.degree}, "
-                     f"squarefree {rep.pencil.squarefree}")
-    lines.append(f"passed: {rep.passed}")
-    _emit(args, payload, lines)
-    return 0 if rep.passed else 1
+        return out
+
+    return rep.passed, payload, _blowup_lines(rep)
 
 
 def _cmd_pencil_disc(args):
-    rep = blowup_report(args.seed, field=_field(args))
-    if rep.pencil is None:
-        payload = {"seed": rep.seed, "stage": rep.stage, "pencil": None}
-        _emit(args, payload, [f"construction stopped at stage {rep.stage}"])
-        return 1
-    payload = {"seed": rep.seed, "pencil": rep.pencil.to_json_dict()}
-    if args.dump:
-        payload["dump"] = rep.quadrics.to_json_dict()
+    rep = blowup_report(args.seed, field=PrimeField(args.prime))
     pencil = rep.pencil
-    lines = [
+    if pencil is None:
+        return (False, lambda: {"seed": rep.seed, "stage": rep.stage, "pencil": None},
+                [f"construction stopped at stage {rep.stage}"])
+
+    def payload():
+        out = {"seed": rep.seed, "pencil": pencil.to_json_dict()}
+        if args.dump:
+            out["dump"] = rep.quadrics.to_json_dict()
+        return out
+
+    return pencil.nondegenerate, payload, [
         f"seed: {rep.seed}",
         f"degree: {pencil.degree}",
         f"nonzero: {pencil.nonzero}",
         f"squarefree: {pencil.squarefree}",
         f"nondegenerate: {pencil.nondegenerate}",
     ]
-    _emit(args, payload, lines)
-    return 0 if pencil.nondegenerate else 1
 
 
 def _cmd_verify(args):
-    requested = args.checks or ["all"]
-    for name in requested:
-        if name != "all" and name not in CHECKS:
-            print(f"error: unknown check {name!r}; known: "
-                  f"{', '.join(check_names())} or all", file=sys.stderr)
-            return 2
-    names = check_names() if "all" in requested else list(dict.fromkeys(requested))
-    field = _field(args)
-    results = [run_check(name, seed=args.seed, field=field)
-               for name in names]
-    payload = {"seed": args.seed, "prime": field.p,
-               "results": [r.to_json_dict() for r in results]}
-    lines = [f"{r.check}: {'pass' if r.passed else 'FAIL'}" for r in results]
-    _emit(args, payload, lines)
-    return 0 if all(r.passed for r in results) else 1
+    names = check_names() if "all" in args.checks else list(dict.fromkeys(args.checks))
+    field = PrimeField(args.prime)
+    results = [run_check(name, seed=args.seed, field=field) for name in names]
+    return (all(r.passed for r in results),
+            lambda: {"seed": args.seed, "prime": field.p,
+                     "results": [r.to_json_dict() for r in results]},
+            (f"{r.check}: {'pass' if r.passed else 'FAIL'}" for r in results))
 
 
 HANDLERS = {
@@ -356,6 +323,13 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _check_name(text: str) -> str:
+    if text != "all" and text not in CHECKS:
+        raise argparse.ArgumentTypeError(
+            f"unknown check {text!r}; known: {', '.join(check_names())} or all")
+    return text
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -364,7 +338,7 @@ def _fraction(text: str) -> Fraction:
             f"expected a rational number such as 13/66, got {text!r}") from None
 
 
-# Built once per process: parse_args keeps no state between calls, and no
+# Built once per process: parsing keeps no state between calls, and no
 # action appends to or mutates a default, so every call can share it.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -373,6 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="base seed for sampling (default 0)")
     common.add_argument("--format", choices=("table", "json"), default="table",
                         help="output format (default table)")
+    prime = {"type": int, "default": DEFAULT_PRIME,
+             "help": "working prime (default 2^61-1)"}
 
     parser = argparse.ArgumentParser(
         prog="qmod",
@@ -442,8 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rnc-i2", parents=[common],
                        help="quadrics through the rational normal curve")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--rational", action="store_true",
-                   help="compute over the rationals instead of F_p")
+    # --rational works over QQ; a given --prime would be dropped unseen.
+    over = p.add_mutually_exclusive_group()
+    over.add_argument("--rational", action="store_true",
+                      help="compute over the rationals instead of F_p")
+    over.add_argument("--prime", **prime)
     p.add_argument("--dump", action="store_true",
                    help="include the basis matrices in the payload")
 
@@ -487,31 +466,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run named verification checks")
-    p.add_argument("checks", nargs="*",
+    p.add_argument("checks", nargs="*", type=_check_name, default=["all"],
                    help="check names, or 'all' (default)")
 
     # Only the commands that compute over F_p read a working prime.
-    for name in ("rnc-i2", "rank3-family", "rank4-family", "secant", "genus4",
+    for name in ("rank3-family", "rank4-family", "secant", "genus4",
                  "genus5-net", "blowup-verify", "pencil-disc", "verify"):
-        sub.choices[name].add_argument(
-            "--prime", type=int, help="working prime (default: QMOD_PRIME or 2^61-1)")
+        sub.choices[name].add_argument("--prime", **prime)
+    # main reports a usage error that the parser cannot see through the
+    # subcommand's own parser, so it prints that subcommand's usage.
+    for p in sub.choices.values():
+        p.set_defaults(command_parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = build_parser().parse_known_args(argv)
+        if extras:
+            args.command_parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        try:
+            passed, payload, lines = HANDLERS[args.command](args)
+        except argparse.ArgumentError as exc:
+            args.command_parser.error(str(exc))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
-    try:
-        return HANDLERS[args.command](args)
     except GenericityError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
     except (DomainError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.format == "json":
+        print(json.dumps(payload(), sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    return 0 if passed else 1
 
 
 def entry() -> None:

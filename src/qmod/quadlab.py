@@ -22,6 +22,7 @@ from .binforms import BinaryForm, binary_gcd
 from .errors import DomainError, InternalCheckError
 from .fields import (DEFAULT_PRIME, PrimeField, checked, derived_rng,
                      require_sampling_prime)
+from .invariants import _require_ints
 from .linalg import Matrix, _rank_packed
 from .ternary import TernaryForm, no_common_zero
 
@@ -341,7 +342,8 @@ def _shape(r: int, k: int, stratum) -> tuple[int, int, int]:
     shape is (m, m, x); a rank-4 stratum is the triple itself.
     """
     if k == 3:
-        x = int(stratum)
+        _require_ints("r, k and the stratum degrees", r, k, stratum)
+        x = stratum
         if x < 0 or (r - x) % 2 != 0 or r - x < 2:
             raise DomainError(f"empty stratum: no rank-3 shape with r={r}, x={x}")
         m = (r - x) // 2
@@ -349,9 +351,10 @@ def _shape(r: int, k: int, stratum) -> tuple[int, int, int]:
     if k != 4:
         raise DomainError("rank bound must be 3 or 4")
     try:
-        m, mp, x = (int(v) for v in stratum)
+        m, mp, x = stratum
     except (TypeError, ValueError):
         raise DomainError("rank-4 stratum is a triple (deg f, deg u, deg h)") from None
+    _require_ints("r, k and the stratum degrees", r, k, m, mp, x)
     if m < 1 or mp < 1 or x < 0 or m + mp + x != r:
         raise DomainError(f"empty stratum: no rank-4 shape with r={r}, stratum={stratum}")
     if m + mp < 3:

@@ -26,6 +26,19 @@ def _run_json(capsys, *argv):
     return rc, json.loads(out), err
 
 
+def _subparser(command) -> argparse.ArgumentParser:
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+def _usage_error(command, message) -> str:
+    """The stderr of a usage error: the subcommand's usage, one error line."""
+    usage = _subparser(command).format_usage()
+    assert usage.startswith(f"usage: qmod {command} ")
+    return f"{usage}qmod {command}: error: {message}\n"
+
+
 def test_no_arguments_is_a_usage_error(capsys):
     rc, _, _ = _run(capsys)
     assert rc == 2
@@ -72,6 +85,22 @@ def test_quad_class_builds_the_class_once(capsys, monkeypatch):
                         "--format", fmt)
         assert rc == 0
         assert calls == [(11, 4, 4)]
+
+
+def test_table_mode_builds_no_json_payload(capsys, monkeypatch):
+    from qmod.picard import CertificateReport, DivisorClass
+
+    def refuse(self):
+        raise AssertionError("table mode built a JSON payload")
+
+    monkeypatch.setattr(DivisorClass, "to_json_dict", refuse)
+    monkeypatch.setattr(CertificateReport, "to_json_dict", refuse)
+    for argv in (["quad-class", "--g", "11", "--n", "4", "--k", "4"], ["dp-class"],
+                 ["z-class"], ["canonical-class", "--g", "4", "--n", "1"],
+                 ["certificate"]):
+        rc, out, err = _run(capsys, *argv)
+        assert (rc, err) == (0, ""), argv
+        assert out.endswith("\n") and out.count("\n") > 3, argv
 
 
 def test_certificate_default_multipliers_pass(capsys):
@@ -161,7 +190,7 @@ def test_given_multipliers_conflict_with_solve(capsys, argv):
     rc, out, err = _run(capsys, *argv)
     assert rc == 2
     assert out == ""
-    assert err == "error: --x and --y conflict with --solve\n"
+    assert err == _usage_error("certificate", "--x and --y conflict with --solve")
 
 
 def test_given_multipliers_without_solve_replace_the_defaults(capsys):
@@ -193,24 +222,28 @@ def test_unproven_prime_is_a_configuration_error(capsys, prime):
     assert "Traceback" not in err
 
 
-def test_prime_environment_override(capsys, monkeypatch):
+def test_prime_environment_is_not_read(capsys, monkeypatch):
+    # --prime is the only source of the working prime; QMOD_PRIME overrides nothing.
     monkeypatch.setenv("QMOD_PRIME", "2147483647")
     rc, payload, _ = _run_json(capsys, "verify", "05-certificate")
-    assert rc == 0
-    assert payload["prime"] == 2147483647
+    assert (rc, payload["prime"]) == (0, (1 << 61) - 1)
 
 
-def test_garbage_prime_environment_is_rejected(capsys, monkeypatch):
+def test_garbage_prime_environment_is_ignored(capsys, monkeypatch):
+    monkeypatch.delenv("QMOD_PRIME", raising=False)
+    default = _run(capsys, "genus4", "--prime", str((1 << 61) - 1), "--format", "json")
     monkeypatch.setenv("QMOD_PRIME", "twelve")
-    rc, _, err = _run(capsys, "genus4")
-    assert rc == 2
-    assert "QMOD_PRIME" in err
+    assert _run(capsys, "genus4", "--format", "json") == default
+    assert default[0] == 0
 
 
 def test_explicit_prime_beats_environment(capsys, monkeypatch):
     monkeypatch.setenv("QMOD_PRIME", "twelve")
     rc, _, _ = _run(capsys, "genus4", "--prime", "65537")
     assert rc == 0
+    monkeypatch.setenv("QMOD_PRIME", "2147483647")
+    rc, payload, _ = _run_json(capsys, "verify", "05-certificate", "--prime", "65537")
+    assert (rc, payload["prime"]) == (0, 65537)
 
 
 def test_exact_commands_ignore_the_prime_environment(capsys, monkeypatch):
@@ -228,9 +261,7 @@ def test_zero_repeat_is_rejected(capsys):
 
 def _options(command) -> set:
     """The option strings that the command's subparser declares, less --help."""
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return {opt for action in sub.choices[command]._actions
+    return {opt for action in _subparser(command)._actions
             for opt in action.option_strings} - {"-h", "--help"}
 
 
@@ -299,19 +330,29 @@ def test_each_subcommand_declares_only_the_options_it_reads():
 def test_an_unread_option_is_a_usage_error(capsys, command, option):
     value = {"--prime": "65537", "--repeat": "2"}[option]
     rc, out, err = _run(capsys, command, *_VALID_ARGV[command], option, value)
-    assert rc == 2
-    assert out == ""
-    assert sum("error:" in line for line in err.splitlines()) == 1
-    assert "unrecognized arguments" in err
+    assert (rc, out) == (2, "")
+    assert err == _usage_error(command, f"unrecognized arguments: {option} {value}")
+
+
+def test_undeclared_option_prints_the_subcommand_usage(capsys, monkeypatch):
+    # Usage wraps at the terminal width; pin it.
+    monkeypatch.setenv("COLUMNS", "80")
+    rc, out, err = _run(capsys, "genus5-net", "--repeat", "5")
+    assert (rc, out) == (2, "")
+    assert err == ("usage: qmod genus5-net [-h] [--seed SEED] [--format {table,json}]\n"
+                   "                       [--prime PRIME]\n"
+                   "qmod genus5-net: error: unrecognized arguments: --repeat 5\n")
 
 
 def test_verify_unknown_check_is_a_usage_error(capsys):
     # Every name is checked before "all" expands, so a bad one next to it
     # is refused too.
+    known = ", ".join(cli.check_names())
     for argv in (("verify", "frobnicate"), ("verify", "all", "frobnicate")):
-        rc, _, err = _run(capsys, *argv)
-        assert rc == 2
-        assert "unknown check" in err
+        rc, out, err = _run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err == _usage_error(
+            "verify", f"argument checks: unknown check 'frobnicate'; known: {known} or all")
 
 
 def test_verify_subset_passes(capsys):
@@ -334,9 +375,9 @@ def test_verify_runs_each_name_once_in_first_seen_order(capsys, checks, names):
 
 
 def test_secant_requires_both_parameters(capsys):
-    rc, _, err = _run(capsys, "secant", "--r", "4", "--t1", "2")
-    assert rc == 2
-    assert "--t2" in err
+    rc, out, err = _run(capsys, "secant", "--r", "4", "--t1", "2")
+    assert (rc, out) == (2, "")
+    assert err == _usage_error("secant", "--t1 and --t2 must be given together")
 
 
 def test_secant_explicit_chord(capsys):
@@ -350,7 +391,8 @@ def test_secant_repeat_conflicts_with_explicit_chord(capsys):
     # A given chord is evaluated once; --repeat would be dropped unseen.
     rc, out, err = _run(capsys, "secant", "--r", "4", "--t1", "2", "--t2", "5",
                         "--repeat", "7")
-    assert (rc, out, err) == (2, "", "error: --repeat conflicts with --t1/--t2\n")
+    assert (rc, out) == (2, "")
+    assert err == _usage_error("secant", "--repeat conflicts with --t1/--t2")
     rc, payload, _ = _run_json(capsys, "secant", "--r", "4", "--repeat", "7")
     assert rc == 0 and payload["chords"] == 7
 
@@ -373,11 +415,14 @@ def test_rnc_i2_matches_expected_dimension(capsys):
     assert payload["dim"] == payload["expected"] == 10
 
 
-def test_explicit_prime_conflicts_with_rational(capsys, monkeypatch):
-    # --rational works over QQ; a given --prime would be dropped unseen.
-    rc, out, err = _run(capsys, "rnc-i2", "--r", "4", "--rational", "--prime", "3")
-    assert (rc, out, err) == (2, "", "error: --prime conflicts with --rational\n")
-    monkeypatch.setenv("QMOD_PRIME", "3")
+def test_explicit_prime_conflicts_with_rational(capsys):
+    # --rational works over QQ; a given --prime would be dropped unseen,
+    # even one equal to the default.
+    for prime in ("3", str((1 << 61) - 1)):
+        rc, out, err = _run(capsys, "rnc-i2", "--r", "4", "--rational", "--prime", prime)
+        assert (rc, out) == (2, "")
+        assert err == _usage_error(
+            "rnc-i2", "argument --prime: not allowed with argument --rational")
     rc, payload, _ = _run_json(capsys, "rnc-i2", "--r", "4", "--rational")
     assert rc == 0 and payload["rational"] is True
 

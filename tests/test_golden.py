@@ -4,7 +4,8 @@ one seeded ``blowup-verify --dump`` run, which holds every kernel basis
 the surface construction computes over F_p, of the quadric pencil that
 ``pencil-disc --dump`` reports, and of the quadrics through the rational
 normal quintic over F_p and over the rationals (``rnc-i2 --dump``), and
-of the table output of the divisor-class commands.
+of the table output of the divisor-class commands, the certificate, the
+seeded F_p checks and a ``verify`` subset.
 
 The files under tests/data were written by the command named in GOLDEN
 or TABLES; any change to a coefficient, a slot kind or the serialization
@@ -51,6 +52,14 @@ TABLES = {
     "canonical_class_g15_n9.txt": ["canonical-class", "--g", "15", "--n", "9"],
     "canonical_class_g4_n0.txt": ["canonical-class", "--g", "4", "--n", "0"],
     "canonical_class_g4_n1.txt": ["canonical-class", "--g", "4", "--n", "1"],
+    "certificate.txt": ["certificate"],
+    "certificate_solve.txt": ["certificate", "--solve", "--z", "13/66"],
+    "genus5_net_seed1.txt": ["genus5-net", "--seed", "1"],
+    "blowup_verify_seed0.txt": ["blowup-verify", "--seed", "0"],
+    "pencil_disc_seed0.txt": ["pencil-disc", "--seed", "0"],
+    "secant_r4_t1_2_t2_9.txt": ["secant", "--r", "4", "--t1", "2", "--t2", "9"],
+    "rnc_i2_r5.txt": ["rnc-i2", "--r", "5"],
+    "verify_dp_class_certificate.txt": ["verify", "04-dp-class", "05-certificate"],
 }
 
 

@@ -552,6 +552,19 @@ def test_empty_strata_raise():
         expected_family_dim(6, 5, 0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: expected_family_dim(5, 3, 1.9),
+    lambda: expected_family_dim(5.0, 3, 1),
+    lambda: quadlab._shape(5, 3, "1"),
+    lambda: family_dimension(5, 3, True, field=FP),
+    lambda: expected_family_dim(6, 4, (2, 2, 2.0)),
+    lambda: expected_family_dim(6, 4, ("2", 2, 2)),
+], ids=["float-x", "float-r", "str-x", "bool-x", "float-in-triple", "str-in-triple"])
+def test_non_integer_strata_are_refused_not_truncated(call):
+    with pytest.raises(DomainError, match="must be integers"):
+        call()
+
+
 def test_family_dimension_rank3():
     for x in (1, 3):
         assert family_dimension(5, 3, x, field=FP, seed=0) == 3
