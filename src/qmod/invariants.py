@@ -37,13 +37,13 @@ def expected_dim_q(g: int, r: int, d: int, k: int) -> int:
     """Expected dimension of the rank-<=k quadric locus attached to a
     general series of degree d and rank r on a genus-g curve.
 
-    binom(r+2, 2) - binom(r-k+2, 2) - 2d + g - 2, exact integer.
+    binom(r+2, 2) - binom(r-k+2, 2) - 2d + g - 2 for 1 <= k <= r+1, exact.
     """
     _require_ints("g, r, d, k", g, r, d, k)
     if g < 0 or r < 0 or d < 0:
         raise DomainError("g, r, d must be nonnegative")
-    if k > r + 1:
-        raise DomainError(f"rank bound k={k} exceeds r+1={r + 1}")
+    if not 1 <= k <= r + 1:
+        raise DomainError(f"rank bound k={k} is outside 1..r+1={r + 1}")
     return _q_formula(g, r, d, k)
 
 
@@ -139,14 +139,14 @@ def fiber_dim_identity(g: int, k: int) -> bool:
     """Check binom(g+1,2) - binom(g+1-k,2) - 3g + 2 against the expected
     dimension for the canonical series (r = g-1, d = 2g-2).
 
-    Valid for k up to g+1: at k = g+1 the rank bound is vacuous and both
+    Valid for 1 <= k <= g+1: at k = g+1 the rank bound is vacuous and both
     sides still agree, so the closed forms are compared directly.
     """
     _require_ints("g, k", g, k)
     if g < 1:
         raise DomainError("g must be positive")
-    if k > g + 1:
-        raise DomainError(f"k={k} exceeds g+1={g + 1}")
+    if not 1 <= k <= g + 1:
+        raise DomainError(f"k={k} is outside 1..g+1={g + 1}")
     lhs = binom(g + 1, 2) - binom(g + 1 - k, 2) - 3 * g + 2
     rhs = _q_formula(g, g - 1, 2 * g - 2, k)
     return lhs == rhs

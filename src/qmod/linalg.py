@@ -24,7 +24,8 @@ every tail drops slot 0, which is 0 mod p on each row not yet a pivot
 take the same updates, so the bound, and w, are unchanged.  Pivots, and
 so every reduced form, are those of the generic loop.  ``_pack`` and
 ``_unpack`` also serve ``unipoly.pow_mod``, which packs polynomial
-residues the same way under its own width bound.
+residues, and ``surface``'s multiplicity re-check, which packs one slot
+per system member, each under its own width bound.
 
 ``Matrix.rank`` over F_p needs only the pivot count, so ``_rank_packed``
 runs the forward sweep alone (rank-profile elimination: Jeannerod, Pernet

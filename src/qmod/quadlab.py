@@ -24,7 +24,7 @@ from .fields import (DEFAULT_PRIME, PrimeField, checked, derived_rng,
                      require_sampling_prime)
 from .invariants import _require_ints
 from .linalg import Matrix, _rank_packed
-from .ternary import TernaryForm, no_common_zero
+from .ternary import TernaryForm, monomial_index, monomials, no_common_zero
 
 
 @lru_cache(maxsize=None)
@@ -539,21 +539,26 @@ def genus4_check(seed: int, field=None) -> int:
 
 
 def form_matrix_det(entries, unit):
-    """Determinant of a square matrix of forms, DP over column subsets.
+    """Determinant of a square matrix of linear forms, DP over column subsets.
 
-    The entries are ``Form`` instances of one class (binary or ternary);
-    unit is the degree-0 form 1 of that class.  Column-subset minors are
-    built one row at a time, so the work is 2^n small form products
-    instead of n! expansion terms; the signed products that land on one
-    column subset are summed once, by ``Form.combination``.
+    The entries are degree-1 ``Form`` instances of one class (binary or
+    ternary); unit is the degree-0 form 1 of that class.  Column-subset
+    minors are built one row at a time as coefficient lists, so the work
+    is n 2^(n-1) products by a linear entry instead of n! expansion terms.
+    Such a product adds a times the minor into shifted positions, one
+    variable at a time (``_variable_shifts``), and each stored minor
+    coefficient is reduced once per row.
     """
     n = len(entries)
     if any(len(r) != n for r in entries):
         raise DomainError("determinant of a non-square matrix")
-    if n == 0:
-        return unit
-    states = {0: unit}
+    form, F = type(unit), unit.field
+    if unit.degree != 0 or any(type(e) is not form or e.degree != 1 or e.field != F
+                               for r in entries for e in r):
+        raise DomainError("form determinant needs a degree-0 unit and linear entries like it")
+    states = {0: unit.coeffs}
     for row in range(n):
+        shifts, width = _variable_shifts(form, row), form.width(row + 1)
         nxt: dict = {}
         for mask, minor in states.items():
             below = 0
@@ -561,12 +566,26 @@ def form_matrix_det(entries, unit):
                 if mask >> j & 1:
                     below += 1
                     continue
-                terms, signs = nxt.setdefault(mask | (1 << j), ([], []))
-                terms.append(entries[row][j].mul(minor))
-                signs.append(-1 if (row - below) % 2 else 1)
-        states = {key: type(unit).combination(terms, signs)
-                  for key, (terms, signs) in nxt.items()}
-    return states[(1 << n) - 1]
+                acc = nxt.setdefault(mask | (1 << j), [0] * width)
+                sign = -1 if (row - below) % 2 else 1
+                for a, shift in zip(entries[row][j].coeffs, shifts):
+                    if a:
+                        a *= sign
+                        for k, c in zip(shift, minor):
+                            acc[k] += a * c
+        states = {key: [F.coerce(c) for c in acc] for key, acc in nxt.items()}
+    return form(F, n, states[(1 << n) - 1], _skip_check=True)
+
+
+@lru_cache(maxsize=None)
+def _variable_shifts(form, degree: int) -> tuple:
+    """Per variable k of ``form``, the index in degree + 1 of each
+    degree-``degree`` monomial times that variable."""
+    if form is BinaryForm:
+        return tuple(range(degree + 1)), tuple(range(1, degree + 2))
+    idx = monomial_index(degree + 1)
+    return tuple(tuple(idx[tuple(x + (t == k) for t, x in enumerate(e))]
+                       for e in monomials(degree)) for k in range(3))
 
 
 def _linear_family_det(form, quadrics):

@@ -15,11 +15,12 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 
 from .binforms import BinaryForm
 from .errors import DomainError, FieldMismatchError, GenericityError, InternalCheckError
 from .fields import DEFAULT_PRIME, PrimeField, derived_rng, require_sampling_prime
-from .linalg import Matrix
+from .linalg import Matrix, _pack, _unpack
 from .quadlab import QuadricSystem, SymQuadric, _linear_family_det, _quadrics_through
 from .ternary import TernaryForm, _powers, monomials
 
@@ -96,20 +97,6 @@ def _det3(field, p, q, r):
     return field.coerce(p[0] * (q[1] * r[2] - q[2] * r[1])
                         - p[1] * (q[0] * r[2] - q[2] * r[0])
                         + p[2] * (q[0] * r[1] - q[1] * r[0]))
-
-
-def _taylor(coeffs, x0, n: int) -> list:
-    """The first n coefficients of p(x0 + u), p given highest power first:
-    repeated synthetic division by x - x0 with unreduced scalars."""
-    out = []
-    for _ in range(n):
-        acc, quot = 0, []
-        for c in coeffs:
-            acc = acc * x0 + c
-            quot.append(acc)
-        out.append(quot.pop() if quot else 0)
-        coeffs = quot
-    return out
 
 
 class NSClass:
@@ -207,6 +194,9 @@ class PlaneSystem:
     the chart of each point, f(x0 + u, y0 + v) has no term u^a v^b with
     a + b < m.  Those coefficients are the Hasse derivatives of f at the
     point, so the check holds in every characteristic, with no p > a bound.
+    The shift runs in two stages on Pascal's-rule weights, not on the
+    kernel's binomial rows, so the two paths share no table; over F_p the
+    members ride packed in one int per monomial (``_multiplicity_miss``).
     """
 
     __slots__ = ("field", "cls", "forms", "config")
@@ -227,31 +217,83 @@ class PlaneSystem:
         return len(self.forms)
 
     def _verify_multiplicities(self):
-        F, d = self.field, self.cls.a
-        for f in self.forms:
-            # Per chart (the last nonzero coordinate, which PointConfig
-            # scales to 1), cols[d - j] holds the coefficient of v^j: a
-            # polynomial in u, highest power first.
-            columns = {}
-            for pt, m in zip(self.config.points, self.cls.mults):
-                chart = max(i for i in range(3) if pt[i])
-                x0, y0 = (pt[i] for i in range(3) if i != chart)
-                if chart not in columns:
-                    cols = columns[chart] = [[0] * (k + 1) for k in range(d + 1)]
-                    for e, c in zip(monomials(d), f.coeffs):
-                        cols[d - e[1 if chart == 2 else 2]][e[chart]] = c
-                top = min(m, d + 1)
-                shifted = [_taylor(col, x0, top) for col in columns[chart]]
-                for a in range(top):
-                    for c in _taylor([s[a] for s in shifted], y0, top - a):
-                        if F.coerce(c):
-                            raise InternalCheckError(
-                                "system member misses an assigned multiplicity")
+        miss = _multiplicity_miss(self.field, self.cls, self.config.points, self.forms)
+        if miss:
+            point, member, a, b = miss
+            raise InternalCheckError(
+                f"system member {member} misses multiplicity {self.cls.mults[point]} "
+                f"at point {point}: its u^{a} v^{b} Taylor coefficient is nonzero")
 
     def to_json_dict(self) -> dict:
         fmt = self.field.format
         return {"class": self.cls.to_json_dict(), "dim": self.dim,
                 "basis": [[fmt(c) for c in f.coeffs] for f in self.forms]}
+
+
+def _shift_weights(field, x0, d: int, top: int) -> list:
+    """xs[a][i] = [u^a](x0 + u)^i for a < top and i <= d, by Pascal's rule
+    (zero for i < a), each entry reduced once."""
+    rows, prev = [], [field.zero] * (d + 1)
+    for a in range(top):
+        row = [field.zero] * (d + 1)
+        row[a] = field.one
+        for i in range(a + 1, d + 1):
+            row[i] = field.coerce(prev[i - 1] + x0 * row[i - 1])
+        rows.append(row)
+        prev = row
+    return rows
+
+
+def _shifted_terms(cols, xs, ys) -> list:
+    """(a, b, t), a + b < len(xs), t the exact coefficient of u^a v^b in
+    sum c_ij (x0 + u)^i (y0 + v)^j, cols[j][i] = c_ij: stage 1 sums
+    s1[a][j] = sum_i xs[a][i] c_ij, stage 2 t = sum_j ys[b][j] s1[a][j]."""
+    s1 = [[sum(map(mul, xa, col)) for col in cols] for xa in xs]
+    return [(a, b, sum(map(mul, ys[b], s1[a])))
+            for a in range(len(xs)) for b in range(len(xs) - a)]
+
+
+def _slot_width(p: int, d: int) -> int:
+    """Bits per packed member: a slot of t stays below (d + 1)^2 p^3."""
+    return 3 * p.bit_length() + 2 * (d + 1).bit_length() + 1
+
+
+def _multiplicity_miss(field, cls, points, forms):
+    """(point, member, a, b) of the first nonzero coefficient of u^a v^b,
+    a + b < min(m, d + 1), in the chart of each point's last nonzero
+    coordinate, or None.  Over F_p member k rides in slot k of one int per
+    monomial, so each stage step serves the whole system: with reduced
+    coefficients and weights, s1 sums d + 1 products below p^2 and t d + 1
+    below (d + 1) p^3, so no carry crosses a ``_slot_width`` slot.  Over QQ
+    the stages run member by member."""
+    if not forms:
+        return None
+    d, packed = cls.a, isinstance(field, PrimeField)
+    if packed:
+        w = _slot_width(field.p, d)
+        batches = [(0, [_pack(c, w) for c in zip(*(f.coeffs for f in forms))])]
+    else:
+        batches = list(enumerate(f.coeffs for f in forms))
+    columns = {}
+    for n, (pt, m) in enumerate(zip(points, cls.mults)):
+        top = min(m, d + 1)
+        if top <= 0:
+            continue
+        chart = max(i for i in range(3) if pt[i])
+        u, v = (i for i in range(3) if i != chart)
+        if chart not in columns:
+            columns[chart] = [[[0] * (d + 1 - j) for j in range(d + 1)] for _ in batches]
+            for cols, (_, coeffs) in zip(columns[chart], batches):
+                for e, c in zip(monomials(d), coeffs):
+                    cols[e[v]][e[u]] = c
+        xs, ys = _shift_weights(field, pt[u], d, top), _shift_weights(field, pt[v], d, top)
+        for (first, _), cols in zip(batches, columns[chart]):
+            for a, b, t in _shifted_terms(cols, xs, ys):
+                slots = _unpack(t, len(forms), w, (1 << w) - 1) if packed else (t,)
+                for k, x in enumerate(slots):
+                    if field.coerce(x):
+                        return n, first + k, a, b
+    return None
 
 
 def _interpolation_kernel(cfg: PointConfig, cls: NSClass) -> PlaneSystem:

@@ -8,6 +8,14 @@ term) entry.  They share no arithmetic with the kernels they judge.
 ``PACKED_PRIMES`` are the moduli the packed kernels and the field
 inverse are tested at.
 
+``surface.PlaneSystem`` re-checks multiplicities in two stages on Pascal
+weights, packed across members over F_p; ``taylor_misses`` is the route
+it replaced, a synthetic-division Taylor shift per member, point and
+column on unreduced scalars.  ``quadlab.form_matrix_det`` builds its
+minors as coefficient lists; ``form_matrix_det_by_forms`` is the route it
+replaced, one form product per (minor, entry) and one
+``Form.combination`` per column subset.
+
 ``linear_combination`` builds combinations of quadrics for tests, one
 ``fields.combine`` per matrix row; no production path combines quadrics.
 
@@ -31,6 +39,7 @@ from qmod.picard import (
     tilde_b,
 )
 from qmod.quadlab import SymQuadric
+from qmod.ternary import monomials
 
 # 2^64 + 13 is above one machine word; 3 and 7 make rank drops common.
 PACKED_PRIMES = [3, 7, 65537, DEFAULT_PRIME, 2 ** 64 + 13]
@@ -91,3 +100,64 @@ def quad_class_by_slots(g: int, n: int, k: int) -> DivisorClass:
 
 def quad_class_unscaled_by_slots(g: int, n: int, k: int) -> DivisorClass:
     return quad_class_by_slots(g, n, k).scale(Fraction(1, harris_tu_degree(g - n, k)))
+
+
+def taylor(coeffs, x0, n: int) -> list:
+    """The first n coefficients of p(x0 + u), p given highest power first:
+    repeated synthetic division by x - x0 with unreduced scalars."""
+    out = []
+    for _ in range(n):
+        acc, quot = 0, []
+        for c in coeffs:
+            acc = acc * x0 + c
+            quot.append(acc)
+        out.append(quot.pop() if quot else 0)
+        coeffs = quot
+    return out
+
+
+def taylor_misses(field, cls, forms, points) -> set:
+    """Every (point, member, a, b) with a + b < min(m, deg + 1) whose
+    coefficient of u^a v^b in f(x0 + u, y0 + v) is nonzero, in the chart
+    of the point's last nonzero coordinate."""
+    d, misses = cls.a, set()
+    for k, f in enumerate(forms):
+        # Per chart, cols[d - j] holds the coefficient of v^j: a polynomial
+        # in u, highest power first.
+        columns = {}
+        for n, (pt, m) in enumerate(zip(points, cls.mults)):
+            chart = max(i for i in range(3) if pt[i])
+            x0, y0 = (pt[i] for i in range(3) if i != chart)
+            if chart not in columns:
+                cols = columns[chart] = [[0] * (i + 1) for i in range(d + 1)]
+                for e, c in zip(monomials(d), f.coeffs):
+                    cols[d - e[1 if chart == 2 else 2]][e[chart]] = c
+            top = min(m, d + 1)
+            shifted = [taylor(col, x0, top) for col in columns[chart]]
+            for a in range(top):
+                for b, c in enumerate(taylor([s[a] for s in shifted], y0, top - a)):
+                    if field.coerce(c):
+                        misses.add((n, k, a, b))
+    return misses
+
+
+def form_matrix_det_by_forms(entries, unit):
+    """Determinant of a square matrix of forms by the column-subset DP,
+    with one ``Form.mul`` per (minor, entry) and the signed products of
+    one subset summed by ``Form.combination``."""
+    n = len(entries)
+    states = {0: unit}
+    for row in range(n):
+        nxt: dict = {}
+        for mask, minor in states.items():
+            below = 0
+            for j in range(n):
+                if mask >> j & 1:
+                    below += 1
+                    continue
+                terms, signs = nxt.setdefault(mask | (1 << j), ([], []))
+                terms.append(entries[row][j].mul(minor))
+                signs.append(-1 if (row - below) % 2 else 1)
+        states = {key: type(unit).combination(terms, signs)
+                  for key, (terms, signs) in nxt.items()}
+    return states[(1 << n) - 1]

@@ -1,12 +1,14 @@
 """Test oracle for the multiplicity check of ``PlaneSystem``.
 
-``PlaneSystem`` re-checks every assigned multiplicity by a Taylor shift at
-each point.  The route here is the one it replaced: every iterated partial
-derivative of order below m, evaluated at the point.  With p greater than
-the degree (or over QQ) the two routes decide alike, so each judges the
-other.
+``PlaneSystem`` re-checks every assigned multiplicity at each point by
+the Taylor coefficients of f(x0 + u, y0 + v), taken in two stages on
+weights built by Pascal's rule.  The route here is an older one: every
+iterated partial derivative of order below m, evaluated at the point.
+With p greater than the degree (or over QQ) the two routes decide alike,
+so each judges the other.  ``kernel_oracles.taylor_misses`` is a third,
+the synthetic-division shift the two-stage check replaced.
 
-The replaced route always differentiated in x and y.  That is exact in
+Its first version always differentiated in x and y.  That is exact in
 the chart z = 1, but at a point on z = 0 it misses the conditions in z
 (it took the line z = 0 as double at (0, 1, 0)).  Here the two
 differentiation variables are the affine ones of the point's chart: all

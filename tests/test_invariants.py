@@ -1,5 +1,6 @@
 import pytest
 
+from qmod.cli import main
 from qmod.errors import DomainError, InternalCheckError
 from qmod.invariants import (
     RamificationSequence,
@@ -113,6 +114,18 @@ def test_enumerate_cases_structure():
         assert 4 <= k <= g - n
         if k == 4:
             assert g == 2 * n + 3
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_rank_bound_below_one_is_refused(k, capsys):
+    with pytest.raises(DomainError):
+        expected_dim_q(4, 3, 6, k)
+    with pytest.raises(DomainError):
+        fiber_dim_identity(4, k)
+    assert main(["expected-dim", "--g", "4", "--r", "3", "--d", "6", "--k", str(k)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert sum("error:" in line for line in err.splitlines()) == 1
 
 
 def test_fiber_dimension_identity():

@@ -23,6 +23,8 @@ REMOVED = [
     "_random_line_squarefree", "_singular_candidates", "_net_rank_at",
     # Test-only: no production path combines quadrics.
     "linear_combination",
+    # The synthetic-division re-check: a test oracle now (kernel_oracles).
+    "_taylor",
 ]
 MODULES = sorted(m.name for m in pkgutil.iter_modules(qmod.__path__))
 

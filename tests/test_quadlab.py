@@ -21,6 +21,7 @@ from qmod.quadlab import (
     SymQuadric,
     _PRODUCTS,
     _jacobian_rows,
+    _linear_family_det,
     _product,
     bounded_rank_quadric,
     expected_family_dim,
@@ -40,7 +41,7 @@ from qmod.quadlab import (
 from qmod.surface import pencil_discriminant
 from qmod.ternary import TernaryForm
 
-from kernel_oracles import combo_row, linear_combination
+from kernel_oracles import combo_row, form_matrix_det_by_forms, linear_combination
 
 FP = PrimeField(DEFAULT_PRIME)
 
@@ -697,6 +698,42 @@ def test_family_discriminants_reject_mismatched_members():
 def test_form_determinant_empty_matrix():
     one = TernaryForm(FP, 0, [1])
     assert form_matrix_det([], one) == one
+
+
+_DET_FIELDS = [PrimeField(7), PrimeField(65537), FP, QQ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_family_determinant_matches_form_product_oracle(data):
+    # Pencils (binary) and nets (ternary) of size 0..7; F_7 makes zero
+    # entries, which the coefficient-list products skip, common.
+    field = data.draw(st.sampled_from(_DET_FIELDS))
+    form, members = data.draw(st.sampled_from([(BinaryForm, 2), (TernaryForm, 3)]))
+    n = data.draw(st.integers(0, 7))
+    coord = st.integers(-5, 5) if field is QQ else st.integers(0, field.p - 1)
+    qs = [SymQuadric.from_upper_coeffs(field, n, [field.coerce(c) for c in data.draw(
+        st.lists(coord, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))])
+        for _ in range(members)]
+    lin = [[form(field, 1, [q.entries[i][j] for q in qs]) for j in range(n)]
+           for i in range(n)]
+    got = _linear_family_det(form, qs)
+    assert got.degree == n
+    assert got == form_matrix_det_by_forms(lin, form(field, 0, [field.one]))
+
+
+def test_form_determinant_takes_only_linear_entries():
+    one = BinaryForm(FP, 0, [1])
+    for entry in (BinaryForm(FP, 2, [1, 2, 3]), BinaryForm(FP, 0, [5]),
+                  TernaryForm(FP, 1, [1, 2, 3]), BinaryForm(PrimeField(101), 1, [1, 2])):
+        with pytest.raises(DomainError):
+            form_matrix_det([[entry]], one)
+    # A unit of positive degree would give minors of the wrong width.
+    for unit in (BinaryForm(FP, 1, [1, 0]), TernaryForm(FP, 2, [1, 0, 0, 0, 0, 0])):
+        with pytest.raises(DomainError):
+            form_matrix_det([], unit)
+    with pytest.raises(DomainError):
+        form_matrix_det([[BinaryForm(FP, 1, [1, 2])]], BinaryForm(FP, 1, [1, 0]))
 
 
 def test_genus5_report_shape():

@@ -1,16 +1,19 @@
 import json
 
 import pytest
-from hypothesis import given
+from math import comb
+
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_oracles import linear_combination
+from kernel_oracles import PACKED_PRIMES, linear_combination, taylor_misses
 from multiplicity_oracle import partials_accept, taylor_accept
 from qmod import surface
 from qmod.cli import main
 from qmod.errors import (ConfigurationError, DomainError, FieldMismatchError,
                          GenericityError, InternalCheckError)
-from qmod.fields import DEFAULT_PRIME, QQ, PrimeField, derived_rng
+from qmod.fields import DEFAULT_PRIME, MIN_SAMPLING_PRIME, QQ, PrimeField, derived_rng
+from qmod.linalg import _pack, _unpack
 from qmod.quadlab import i2_basis, ParamCurve
 from qmod.surface import (
     NSClass,
@@ -29,7 +32,8 @@ from qmod.surface import (
     pencil_nondegeneracy,
     residual_class,
 )
-from qmod.surface import _interpolation_kernel
+from qmod.surface import (_interpolation_kernel, _multiplicity_miss, _normalize_point,
+                          _shift_weights, _shifted_terms, _slot_width)
 from qmod.quadlab import SymQuadric
 from qmod.ternary import TernaryForm
 
@@ -224,7 +228,7 @@ def test_plane_system_refuses_a_configuration_over_another_field():
         PlaneSystem(FP, hs.cls, [f.coeffs for f in hs.forms], other)
 
 
-def _systems_built_by(seed, monkeypatch):
+def _systems_built_by(seed, monkeypatch, field=FP):
     # Every PlaneSystem that blowup_report builds, in order, as it checks it.
     built = []
     check = PlaneSystem._verify_multiplicities
@@ -235,7 +239,7 @@ def _systems_built_by(seed, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(PlaneSystem, "_verify_multiplicities", record)
-        blowup_report(seed, field=FP)
+        blowup_report(seed, field=field)
     return built
 
 
@@ -316,6 +320,125 @@ def test_taylor_check_works_in_the_chart_of_a_point_at_infinity(raw):
         forms = [TernaryForm(FP, cls.a, v) for v in basis]
         assert taylor_accept(FP, cls, basis, cfg) is holds
         assert partials_accept(cls, forms, cfg.points) is holds
+
+
+def _routes_agree(field, cls, forms, points) -> bool:
+    # The re-check (packed over F_p, member by member over QQ) and the
+    # synthetic-division oracle decide alike; a reported miss is one the
+    # oracle sees, at the first point where it sees any.  True on a pass.
+    misses = taylor_misses(field, cls, forms, points)
+    miss = _multiplicity_miss(field, cls, points, forms)
+    assert (miss is None) == (not misses), miss
+    if miss is not None:
+        assert miss in misses
+        assert miss[0] == min(n for n, _, _, _ in misses)
+    return not misses
+
+
+_RECHECK_FIELDS = [PrimeField(p) for p in PACKED_PRIMES] + [QQ]
+
+
+@pytest.mark.parametrize("p", [p for p in PACKED_PRIMES if p >= MIN_SAMPLING_PRIME])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_recheck_routes_agree_on_report_systems(seed, p, monkeypatch):
+    field = PrimeField(p)
+    systems = _systems_built_by(seed, monkeypatch, field)
+    assert systems[0].cls == hyperplane_class()
+    rng = derived_rng(seed, "unit-recheck-mutation")
+    for s in systems:
+        assert _routes_agree(field, s.cls, s.forms, s.config.points)
+        for _ in range(4 if s.dim else 0):
+            basis = [f.coeffs[:] for f in s.forms]
+            i, j = rng.randrange(len(basis)), rng.randrange(len(basis[0]))
+            basis[i][j] = field.coerce(basis[i][j] + 1 + rng.randrange(p - 1))
+            moved = [TernaryForm(field, s.cls.a, v) for v in basis]
+            assert not _routes_agree(field, s.cls, moved, s.config.points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_recheck_routes_agree_on_forced_systems(data):
+    # Up to three points in any chart, each of multiplicity m forced by m
+    # lines through it in every member; then one coefficient moved and one
+    # multiplicity raised, which the three routes must judge alike.
+    field = data.draw(st.sampled_from(_RECHECK_FIELDS))
+    coord = st.integers(-4, 4) if field is QQ else st.integers(0, field.p - 1)
+    vector = st.tuples(coord, coord, st.one_of(st.just(0), coord)).filter(
+        lambda v: any(field.coerce(c) for c in v))
+    points = [_normalize_point(field, v) for v in data.draw(st.lists(vector, min_size=1,
+                                                                     max_size=3))]
+    mults = [data.draw(st.integers(0, 3)) for _ in points]
+    g = data.draw(st.integers(0, 2))
+    width = (g + 1) * (g + 2) // 2
+    forms = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        f = TernaryForm(field, g, [field.coerce(c) for c in data.draw(
+            st.lists(coord, min_size=width, max_size=width))])
+        for pt, m in zip(points, mults):
+            for _ in range(m):
+                f = f.mul(_line_through(field, pt, _normalize_point(field, data.draw(vector))))
+        forms.append(f)
+    cls = NSClass(sum(mults) + g, mults)
+    assert _routes_agree(field, cls, forms, points)
+    if forms:
+        k = data.draw(st.integers(0, len(forms) - 1))
+        j = data.draw(st.integers(0, len(forms[k].coeffs) - 1))
+        moved = [f.coeffs[:] for f in forms]
+        moved[k][j] = field.coerce(moved[k][j] + data.draw(coord.filter(field.coerce)))
+        _routes_agree(field, cls, [TernaryForm(field, cls.a, v) for v in moved], points)
+    raise_at = data.draw(st.integers(0, len(points) - 1))
+    raised = NSClass(cls.a, [m + (i == raise_at) for i, m in enumerate(mults)])
+    _routes_agree(field, raised, forms, points)
+
+
+@pytest.mark.parametrize("field", _RECHECK_FIELDS, ids=str)
+def test_recheck_routes_agree_on_empty_and_single_member_systems(field):
+    # (y - 2z) z passes through (1, 2, 1) once and is double at (1, 0, 0).
+    points = [_normalize_point(field, v) for v in [(1, 2, 1), (1, 0, 0)]]
+    conic = _line_through(field, points[0], points[1]).mul(TernaryForm(field, 1, [0, 0, 1]))
+    for cls, holds in [(NSClass(2, (1, 2)), True), (NSClass(2, (2, 1)), False),
+                       (NSClass(2, (1, 3)), False)]:
+        assert _routes_agree(field, cls, [], points)
+        assert _routes_agree(field, cls, [conic], points) is holds
+    assert _multiplicity_miss(field, NSClass(-1, (1, 1)), points, []) is None
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_packed_slots_hold_the_worst_case_exactly(p):
+    # Every coefficient and weight p - 1 on a full (d + 1) x (d + 1) grid at
+    # d = 10: each slot of every t reaches (d + 1)^2 (p - 1)^3, the bound
+    # _slot_width is sized for, and must unpack to the exact per-member sum.
+    d, members = 10, 3
+    w = _slot_width(p, d)
+    table = [[p - 1] * (d + 1) for _ in range(d + 1)]
+    worst = (d + 1) ** 2 * (p - 1) ** 3
+    assert worst < 1 << w
+    packed = [[_pack([c] * members, w) for c in col] for col in table]
+    for (a, b, t), (_, _, single) in zip(_shifted_terms(packed, table, table),
+                                         _shifted_terms(table, table, table)):
+        assert single == worst
+        assert _unpack(t, members, w, (1 << w) - 1) == [worst] * members
+
+
+@pytest.mark.parametrize("field", _RECHECK_FIELDS, ids=str)
+def test_shift_weights_are_binomial(field):
+    for x0 in (0, 1, 2, 5, -3):
+        x0 = field.coerce(x0)
+        xs = _shift_weights(field, x0, 10, 11)
+        for a in range(11):
+            assert xs[a] == [field.coerce(comb(i, a) * x0 ** (i - a)) if i >= a else 0
+                             for i in range(11)]
+
+
+def test_failed_recheck_names_point_member_and_order():
+    points = [(1, 2, 1), (1, 0, 0)]
+    cfg = PointConfig(FP, points)
+    double = _line_through(FP, points[0], points[1]).mul(
+        _line_through(FP, points[0], (0, 0, 1)))
+    simple = _line_through(FP, points[0], points[1]).mul(TernaryForm(FP, 1, [0, 0, 1]))
+    with pytest.raises(InternalCheckError,
+                       match=r"member 1 misses multiplicity 2 at point 0: its u\^0 v\^1"):
+        PlaneSystem(FP, NSClass(2, (2, 1)), [double.coeffs, simple.coeffs], cfg)
 
 
 def test_multiplicity_above_degree_plus_one_admits_only_zero():
