@@ -17,6 +17,8 @@ and ``combination``, the one linear combination of forms.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import DomainError, FieldMismatchError, ZeroPolynomialError
 from .fields import checked, combine
 from . import unipoly
@@ -26,8 +28,9 @@ class Form:
     """A form of a declared degree: a field and the canonical coefficient
     list whose length ``width(degree)`` fixes.
 
-    Each subclass supplies the static method ``width`` and its own
-    algebra.  Linear combinations go through ``fields.combine``.
+    Each subclass supplies the static methods ``width`` and
+    ``product_table`` and its own algebra.  Linear combinations go
+    through ``fields.combine``.
     """
 
     __slots__ = ("field", "degree", "coeffs")
@@ -98,6 +101,12 @@ class BinaryForm(Form):
     @staticmethod
     def width(degree: int) -> int:
         return degree + 1
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def product_table(d1: int, d2: int) -> tuple[tuple[int, int, int], ...]:
+        """(index1, index2, output index) triples for a degree d1 * d2 product."""
+        return tuple((i, j, i + j) for i in range(d1 + 1) for j in range(d2 + 1))
 
     @classmethod
     def monomial(cls, field, degree: int, i: int) -> "BinaryForm":

@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 from .errors import ConfigurationError, DomainError, FieldMismatchError
@@ -46,6 +47,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981
 
 
+@lru_cache
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin to the prime bases 2..41.
 
@@ -53,6 +55,8 @@ def is_prime(n: int) -> bool:
     (psi_13, about 3.3e24).  Larger n raise ``ConfigurationError``: the
     test could only guess there, and a composite modulus is no field:
     ``pow(x, -1, p)`` fails on every x that shares a factor with it.
+    An answer is proven once per process and cached; a refusal raises,
+    so it is never cached.
     """
     if n >= _PSI_13:
         raise ConfigurationError(
@@ -160,7 +164,8 @@ class PrimeField:
         self.char = p
 
     def coerce(self, x) -> int:
-        if isinstance(x, int) and not isinstance(x, bool):
+        # Exact ints first; an int subclass other than bool passes too.
+        if type(x) is int or isinstance(x, int) and not isinstance(x, bool):
             return x % self.p
         # A Fraction is refused too: it reduces only through the explicit
         # ``from_rational``, so no rational leaks into F_p by accident.

@@ -6,9 +6,14 @@ algebra on coefficients: a quadric sum c_ij x_i x_j contains the image of
 forms f_0 .. f_r exactly when sum c_ij f_i f_j is the zero form, so the
 quadrics are the kernel of the matrix whose columns are the products
 f_i f_j.  No evaluation nodes, hence no bound on the characteristic, and
-no Groebner machinery.  Randomness enters only where genericity is itself
-the question, as one draw per seed from a derived stream; a degenerate
-draw is reported, never redrawn.
+no Groebner machinery.  Over F_p that matrix is built packed, as
+``linalg`` packs rows: pair (i, j) rides in slot j - i of form i's
+ints, one per monomial, so one pass per form over the product table
+gives all its pairs; a slot sums at most width(d) products below p^2,
+so 2 bitlen(p) + bitlen(width(d)) + 1 bits hold it with no carry.
+Randomness enters only where genericity is itself the question, as one
+draw per seed from a derived stream; a degenerate draw is reported,
+never redrawn.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .errors import DomainError, InternalCheckError
 from .fields import (DEFAULT_PRIME, PrimeField, checked, derived_rng,
                      require_sampling_prime)
 from .invariants import _require_ints
-from .linalg import Matrix, _rank_packed
+from .linalg import Matrix, _rank_packed, _unpack
 from .ternary import TernaryForm, monomial_index, monomials, no_common_zero
 
 
@@ -226,16 +231,59 @@ class ParamCurve:
         return [unipoly.evaluate(F, comp.coeffs, t) for comp in self.components]
 
 
+def _pair_width(p: int, form, degree: int) -> int:
+    """Bits per pair slot: a slot sums at most width(degree) products below p^2."""
+    return 2 * p.bit_length() + form.width(degree).bit_length() + 1
+
+
+def _packed_pair_rows(forms, w: int) -> list[int]:
+    """Per product monomial, one int whose slot k holds the exact
+    coefficient of the k-th upper pair's product."""
+    form, d, n = type(forms[0]), forms[0].degree, len(forms)
+    table = form.product_table(d, d)
+    rows = [0] * form.width(2 * d)
+    packed = [0] * form.width(d)
+    for i in range(n - 1, -1, -1):
+        a = forms[i].coeffs
+        packed = [x + (y << w) for x, y in zip(a, packed)]
+        acc = [0] * len(rows)
+        for n1, n2, no in table:
+            acc[no] += a[n1] * packed[n2]
+        shift = (i * n - i * (i - 1) // 2) * w
+        rows = [x + (y << shift) for x, y in zip(rows, acc)]
+    return rows
+
+
+def _pair_product_rows(field, forms) -> list[list]:
+    """The matrix whose column k holds the coefficients of the k-th upper
+    pair's product: over F_p ``_packed_pair_rows``, each slot unpacked and
+    reduced once, over QQ one ``Form.mul`` per pair."""
+    pairs = upper_pairs(len(forms))
+    if not isinstance(field, PrimeField):
+        return [list(row) for row in zip(*(forms[i].mul(forms[j]).coeffs
+                                           for i, j in pairs))]
+    p = field.p
+    w = _pair_width(p, type(forms[0]), forms[0].degree)
+    mask = (1 << w) - 1
+    return [[x % p for x in _unpack(v, len(pairs), w, mask)]
+            for v in _packed_pair_rows(forms, w)]
+
+
 def _quadrics_through(field, r: int, forms) -> QuadricSystem:
     """Quadrics in P^r containing the image of the r + 1 forms.
 
     The products forms[i] * forms[j], in upper_pairs order, are the
-    columns and their coefficients the rows; a kernel vector is the
-    upper-pair coefficient list of a quadric that pulls back to zero.
+    columns and their coefficients the rows (``_pair_product_rows``); a
+    kernel vector is the upper-pair coefficient list of a quadric that
+    pulls back to zero.  Over F_p form i packs forms i.. into one int per
+    monomial, pair (i, j) in slot j - i, so one pass over the product
+    table, acc[no] += f_i[n1] * P[n2], forms every pair (i, j >= i); acc,
+    shifted to the slot of pair (i, i), is added into the rows.  A slot
+    sums at most width(d) products below p^2, so slots of
+    w = 2 bitlen(p) + bitlen(width(d)) + 1 bits never carry.
     """
     pairs = upper_pairs(r + 1)
-    prods = [forms[i].mul(forms[j]).coeffs for (i, j) in pairs]
-    rows = [list(row) for row in zip(*prods)]
+    rows = _pair_product_rows(field, forms)
     kern = Matrix(field, len(rows), len(pairs), rows, _skip_check=True).kernel_basis()
     return QuadricSystem(field, r, [SymQuadric.from_upper_coeffs(field, r + 1, v)
                                     for v in kern])
@@ -305,6 +353,13 @@ def _product(pd: PencilDecomposition, word: str) -> BinaryForm:
     return acc
 
 
+def _products(pd: PencilDecomposition):
+    """``_product`` on pd, multiplying each distinct word once per call: a
+    rank-3 word list repeats "fgh", and a rest word such as "uh" serves
+    several Jacobian members."""
+    return lru_cache(maxsize=None)(lambda word: _product(pd, word))
+
+
 def bounded_rank_quadric(pd: PencilDecomposition, c: ParamCurve) -> SymQuadric:
     """The quadric l(A) l(B) - l(C) l(D) on the monomial curve, with the
     products spelled by ``_PRODUCTS[pd.kind]``.
@@ -324,7 +379,7 @@ def bounded_rank_quadric(pd: PencilDecomposition, c: ParamCurve) -> SymQuadric:
     # multiplicative identity the pulled-back linear forms satisfy, and its
     # matrix has rank at most 4 (3 when C = D) by construction.
     k = pd.kind
-    a, b, cc, d = (_product(pd, w) for w in _PRODUCTS[k])
+    a, b, cc, d = map(_products(pd), _PRODUCTS[k])
     if a.mul(b) != cc.mul(d):
         raise InternalCheckError(f"rank-{k} product identity failed")
     n = len(a.coeffs)
@@ -435,9 +490,7 @@ def _jacobian_rows(r: int, pd: PencilDecomposition) -> list[list]:
     """
     words = _PRODUCTS[pd.kind]
     partner = (1, 0, 3, 2)
-    # A rest word such as "uh" serves several members, and a rank-3 word
-    # list repeats "fgh": multiply each distinct word once per call.
-    product = lru_cache(maxsize=None)(lambda word: _product(pd, word).coeffs)
+    product = _products(pd)
     rows = []
     for name in "fguvh":
         form = getattr(pd, name)
@@ -450,7 +503,7 @@ def _jacobian_rows(r: int, pd: PencilDecomposition) -> list[list]:
                 if letter == name:
                     key = (word[:i] + word[i + 1:], words[partner[pos]])
                     weights[key] = weights.get(key, 0) + sign
-        terms = [(w, product(rest), product(other))
+        terms = [(w, product(rest).coeffs, product(other).coeffs)
                  for (rest, other), w in weights.items()]
         rows.extend(_shifted_rows(r + 1, terms, range(form.degree + 1)))
     return rows

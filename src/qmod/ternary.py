@@ -60,6 +60,7 @@ class TernaryForm(Form):
     __slots__ = ()
 
     width = staticmethod(monomial_count)
+    product_table = staticmethod(_product_table)
 
     def mul(self, other: "TernaryForm") -> "TernaryForm":
         if self.field != other.field:

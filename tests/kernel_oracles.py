@@ -1,4 +1,4 @@
-"""Test oracles for two packed kernels and one class builder.
+"""Test oracles for the packed kernels and one class builder.
 
 ``unipoly.pow_mod`` multiplies residues packed into one int each, and
 ``quadlab._shifted_rows`` builds every quadric row of a member from one
@@ -15,6 +15,10 @@ column on unreduced scalars.  ``quadlab.form_matrix_det`` builds its
 minors as coefficient lists; ``form_matrix_det_by_forms`` is the route it
 replaced, one form product per (minor, entry) and one
 ``Form.combination`` per column subset.
+
+``quadlab._quadrics_through`` builds its product matrix over F_p with
+every pair of a form riding in one packed int; ``pair_product_rows`` is
+the route it replaced, one ``Form.mul`` per upper pair.
 
 ``linear_combination`` builds combinations of quadrics for tests, one
 ``fields.combine`` per matrix row; no production path combines quadrics.
@@ -38,7 +42,7 @@ from qmod.picard import (
     fr_sigma_class,
     tilde_b,
 )
-from qmod.quadlab import SymQuadric
+from qmod.quadlab import SymQuadric, upper_pairs
 from qmod.ternary import monomials
 
 # 2^64 + 13 is above one machine word; 3 and 7 make rank drops common.
@@ -73,6 +77,13 @@ def combo_row(field, pairs, terms) -> list:
             acc = sum(w * (a[i] * b[j] + a[j] * b[i]) for w, a, b in terms)
         row.append(field.coerce(acc))
     return row
+
+
+def pair_product_rows(forms) -> list[list]:
+    """The matrix whose columns are the products forms[i] * forms[j], one
+    per upper pair, in ``upper_pairs`` order."""
+    pairs = upper_pairs(len(forms))
+    return [list(row) for row in zip(*(forms[i].mul(forms[j]).coeffs for i, j in pairs))]
 
 
 def linear_combination(field, quadrics, coeffs) -> SymQuadric:

@@ -57,6 +57,19 @@ def test_is_prime_refuses_moduli_it_cannot_prove():
         PrimeField(psi_13)
 
 
+def test_a_modulus_is_proven_once_per_process():
+    # The second field over the same modulus is a cache hit; a refusal
+    # raises every time, so it is never cached.
+    is_prime.cache_clear()
+    assert PrimeField(1000003) == PrimeField(1000003)
+    info = is_prime.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    for _ in range(2):
+        with pytest.raises(ConfigurationError):
+            PrimeField(2 ** 89 - 1)
+    assert is_prime.cache_info().currsize == 1
+
+
 def test_default_prime_is_mersenne():
     assert DEFAULT_PRIME == 2 ** 61 - 1
 
@@ -71,9 +84,18 @@ def test_prime_field_rejects_composite_modulus():
 def test_prime_field_coercion(fp):
     assert fp.coerce(-1) == fp.p - 1
     assert fp.coerce(fp.p + 12) == 12
-    for bad in (True, Fraction(1, 2), "12", 12.0):
+    for bad in (True, False, Fraction(1, 2), Fraction(4), "12", 12.0):
         with pytest.raises(FieldMismatchError):
             fp.coerce(bad)
+
+
+def test_prime_field_coerces_int_subclasses_like_ints(fp):
+    class Residue(int):
+        pass
+
+    for x in (-1, 0, fp.p + 12, 3 * fp.p):
+        got = fp.coerce(Residue(x))
+        assert type(got) is int and got == fp.coerce(x) == x % fp.p
 
 
 def test_prime_field_explicit_rational_reduction(fp):

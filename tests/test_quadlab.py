@@ -22,6 +22,7 @@ from qmod.quadlab import (
     _PRODUCTS,
     _jacobian_rows,
     _linear_family_det,
+    _pair_product_rows,
     _product,
     bounded_rank_quadric,
     expected_family_dim,
@@ -41,7 +42,8 @@ from qmod.quadlab import (
 from qmod.surface import pencil_discriminant
 from qmod.ternary import TernaryForm
 
-from kernel_oracles import combo_row, form_matrix_det_by_forms, linear_combination
+from kernel_oracles import (PACKED_PRIMES, combo_row, form_matrix_det_by_forms,
+                            linear_combination, pair_product_rows)
 
 FP = PrimeField(DEFAULT_PRIME)
 
@@ -250,6 +252,81 @@ def _param_curves(draw):
 @given(_param_curves())
 def test_i2_basis_matches_evaluation_oracle(c):
     assert [q.entries for q in i2_basis(c).basis] == _i2_by_evaluation(c)
+
+
+_PAIR_FIELDS = [PrimeField(3), PrimeField(7), PrimeField(65537), FP]
+_PAIR_SHAPES = ([(TernaryForm, d) for d in range(9)]
+                + [(BinaryForm, d) for d in range(1, 13)])
+
+
+@st.composite
+def _form_lists(draw, field):
+    form, d = draw(st.sampled_from(_PAIR_SHAPES))
+    coord = (st.integers(0, field.p - 1) if isinstance(field, PrimeField)
+             else st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)))
+    width = form.width(d)
+    forms = []
+    for _ in range(draw(st.integers(1, 9))):
+        coeffs = draw(st.one_of(st.just([0] * width),
+                                st.lists(coord, min_size=width, max_size=width)))
+        forms.append(form(field, d, [field.coerce(c) for c in coeffs]))
+    return forms
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_packed_pair_rows_match_per_pair_oracle(data):
+    # Ternary degrees 0..8 and binary degrees 1..12, with 1..9 forms, any
+    # of them zero: every slot of every row unpacks to the pair's product.
+    field = data.draw(st.sampled_from(_PAIR_FIELDS), label="field")
+    forms = data.draw(_form_lists(field))
+    assert _pair_product_rows(field, forms) == pair_product_rows(forms)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_form_lists(QQ))
+def test_rational_pair_rows_match_per_pair_oracle(forms):
+    assert _pair_product_rows(QQ, forms) == pair_product_rows(forms)
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+@pytest.mark.parametrize("form, d", [(TernaryForm, 8), (BinaryForm, 12)])
+def test_packed_pair_slots_hold_the_worst_case_exactly(form, d, p):
+    # Every coefficient p - 1: a slot holds (p - 1)^2 times the number of
+    # table entries landing on its monomial, width(d) at the middle
+    # binary monomial, and must unpack to that exact, unreduced sum.
+    field, n = PrimeField(p), 4
+    forms = [form(field, d, [p - 1] * form.width(d)) for _ in range(n)]
+    w = quadlab._pair_width(p, form, d)
+    hits = [0] * form.width(2 * d)
+    for _, _, no in form.product_table(d, d):
+        hits[no] += 1
+    npairs = len(upper_pairs(n))
+    slots = [linalg._unpack(v, npairs, w, (1 << w) - 1)
+             for v in quadlab._packed_pair_rows(forms, w)]
+    assert slots == [[h * (p - 1) ** 2] * npairs for h in hits]
+    assert max(hits) <= form.width(d) and form.width(d) * (p - 1) ** 2 < 1 << w
+    if form is BinaryForm:
+        assert max(hits) == form.width(d)
+
+
+def test_quadrics_through_multiplies_no_form_pair_over_fp(monkeypatch):
+    # Over F_p the product matrix comes from the packed pass alone; over
+    # QQ the same I2 is built from one Form.mul per pair.
+    def forbidden(*args):
+        raise AssertionError("Form.mul called on the F_p route")
+
+    rng = random.Random(5)
+    forms = [TernaryForm(FP, 2, [FP.random_element(rng) for _ in range(6)])
+             for _ in range(7)]
+    curve = ParamCurve.rational_normal(FP, 5)
+    expected = (quadlab._quadrics_through(FP, 6, forms).to_json_dict(), i2_basis(curve).dim)
+    monkeypatch.setattr(BinaryForm, "mul", forbidden)
+    monkeypatch.setattr(TernaryForm, "mul", forbidden)
+    assert quadlab._quadrics_through(FP, 6, forms).to_json_dict() == expected[0]
+    assert i2_basis(curve).dim == expected[1] == rnc_i2_dim(5)
+    with pytest.raises(AssertionError):
+        i2_basis(ParamCurve.rational_normal(QQ, 5))
 
 
 def test_i2_needs_honest_ambient_dimension():
@@ -516,6 +593,21 @@ def test_bounded_rank_quadric_matches_combo_row_oracle(field, k):
             a, b, c, d = (_product(pd, w).coeffs for w in _PRODUCTS[k])
             expected = combo_row(field, upper_pairs(r + 1), [(1, a, b), (-1, c, d)])
             assert bounded_rank_quadric(pd, curve).upper_coeffs() == expected
+
+
+@pytest.mark.parametrize("k, stratum", [(3, 2), (4, (2, 2, 2))])
+def test_bounded_rank_quadric_multiplies_each_word_once(monkeypatch, k, stratum):
+    # The rank-3 word list spells fgh twice; it is built once.
+    words = []
+
+    def counted(pd, word):
+        words.append(word)
+        return _product(pd, word)
+
+    pd = random_decomposition(FP, 6, k, stratum, derived_rng(0, "word-memo", k))
+    monkeypatch.setattr(quadlab, "_product", counted)
+    bounded_rank_quadric(pd, ParamCurve.rational_normal(FP, 6))
+    assert sorted(words) == sorted(set(_PRODUCTS[k]))
 
 
 def test_strata_enumeration():
