@@ -5,28 +5,28 @@ scalars there is nothing to gain from magnitude pivoting, and a fixed rule
 keeps every reduced form (and therefore every serialized kernel)
 reproducible bit for bit.
 
-Over a prime field ``Matrix.rref`` (and through it ``kernel_basis`` and
-``solve``) packs each row into one Python int, after
-the delayed-reduction idea of Dumas, Giorgi and Pernet (FFLAS-FFPACK, ACM
-TOMS 2008).  Entry j sits in bits [j*w, (j+1)*w) with
+Over a prime field Gauss-Jordan runs on rows packed into one Python int
+each, after the delayed-reduction idea of Dumas, Giorgi and Pernet
+(FFLAS-FFPACK, ACM TOMS 2008).  Entry j sits in bits [j*w, (j+1)*w) with
 
-    w = 2*bitlen(p) + bitlen(min(rows, cols)) + 1.
+    w = 2*bitlen(p) + bitlen(load + min(rows, cols)) + 1    (packed_width)
 
-Entries are reduced mod p when packed and when their row becomes a pivot;
-in between, each of at most min(rows, cols) eliminations adds at most
-(p-1)^2 to a slot, so a slot stays under p + min(rows, cols)*(p-1)^2 < 2^w
-and no carry crosses into the next slot.  A row update is then one big-int
-multiply-add instead of one field call per entry.  While column c is
-eliminated each row is kept as its tail, column c on, with column c in
-slot 0, so an update multiplies only the pivot's tail.  After the column
-every tail drops slot 0, which is 0 mod p on each row not yet a pivot
-(pivot rows record it first).  The slots left hold the same entries and
-take the same updates, so the bound, and w, are unchanged.  Pivots, and
-so every reduced form, are those of the generic loop.  ``_pack`` and
-``_unpack`` also serve ``unipoly.pow_mod``, which packs polynomial
-residues, ``surface``'s multiplicity re-check, which packs one slot per
-system member, and ``quadlab``'s product matrix, which packs one slot
-per pair of forms, each under its own width bound.
+where whoever packs the rows promises that every slot starts below
+load*p^2.  Entries are reduced mod p when their row becomes a pivot; in
+between, each of at most min(rows, cols) eliminations adds at most
+(p-1)^2 to a slot, so a slot stays under (load + min(rows, cols))*p^2 <
+2^w and no carry crosses into the next slot.  A row update is then one
+big-int multiply-add instead of one field call per entry.  While column
+c is eliminated each row is kept as its tail, column c on, with column c
+in slot 0, so an update multiplies only the pivot's tail.  After the
+column every tail drops slot 0, which is 0 mod p on each row not yet a
+pivot (pivot rows record it first).  The slots left hold the same
+entries and take the same updates, so the bound, and w, are unchanged.
+Pivots, and so every reduced form, are those of the generic loop.
+``Matrix.rref`` packs its reduced entries at load 1; producers hand
+``packed_kernel_basis`` rows already packed: ``surface``'s interpolation
+at load 1, ``quadlab``'s product matrix at load width(d).  ``_pack`` and
+``_unpack`` also serve ``unipoly.pow_mod`` and ``surface``'s re-check.
 
 ``Matrix.rank`` over F_p needs only the pivot count, so ``_rank_packed``
 runs the forward sweep alone (rank-profile elimination: Jeannerod, Pernet
@@ -107,18 +107,8 @@ class Matrix:
         free slot; the pivot slots are filled by back substitution.  Sorted
         by free column, so the basis is canonical for a given matrix.
         """
-        F = self.field
         red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
-        basis = []
-        for f in free:
-            v = [F.zero] * self.cols
-            v[f] = F.one
-            for k, pc in enumerate(pivots):
-                v[pc] = F.coerce(-red.data[k][f])
-            basis.append(v)
-        return basis
+        return _kernel_from_rref(self.field, red.data, pivots, self.cols)
 
     def det(self):
         if self.rows != self.cols:
@@ -198,7 +188,36 @@ def _rref_generic(F, data, cols: int):
     return m, pivots
 
 
+def packed_width(p: int, load: int, rows: int, cols: int) -> int:
+    """Slot bits that no carry crosses for slots starting below load*p^2."""
+    return 2 * p.bit_length() + (load + min(rows, cols)).bit_length() + 1
+
+
 def _rref_packed(F, data, cols: int):
+    """Gauss-Jordan over F_p of entry lists, reduced and packed at load 1."""
+    w = packed_width(F.p, 1, len(data), cols)
+    return _gauss_jordan_packed(F, [_pack([x % F.p for x in r], w) for r in data], cols, w)
+
+
+def packed_kernel_basis(F, rows, cols: int, w: int) -> list[list]:
+    """``Matrix.kernel_basis`` over F_p of rows already packed at width w,
+    from ``packed_width`` with the producer's load."""
+    red, pivots = _gauss_jordan_packed(F, rows, cols, w)
+    return _kernel_from_rref(F, red, pivots, cols)
+
+
+def _kernel_from_rref(F, red, pivots, cols: int) -> list[list]:
+    basis = []
+    for f in sorted(set(range(cols)) - set(pivots)):
+        v = [F.zero] * cols
+        v[f] = F.one
+        for k, pc in enumerate(pivots):
+            v[pc] = F.coerce(-red[k][f])
+        basis.append(v)
+    return basis
+
+
+def _gauss_jordan_packed(F, tails, cols: int, w: int):
     """Gauss-Jordan over F_p on rows packed as tails (module docstring).
 
     Eliminating the column from a row is one big-int multiply-add,
@@ -208,10 +227,9 @@ def _rref_packed(F, data, cols: int):
     pivot's 1, are written into it.
     """
     p = F.p
-    rows = len(data)
-    w = 2 * p.bit_length() + min(rows, cols).bit_length() + 1
+    rows = len(tails)
     mask = (1 << w) - 1
-    tails = [_pack([x % p for x in r], w) for r in data]
+    tails = list(tails)
     out = [[0] * cols for _ in range(rows)]
     pivots = []
     prow = 0
@@ -257,7 +275,7 @@ def _rank_packed(F, rows, cols: int) -> int:
     dropped, so the rows left are exactly those not yet pivots.
     """
     p = F.p
-    w = 2 * p.bit_length() + min(len(rows), cols).bit_length() + 1
+    w = packed_width(p, 1, len(rows), cols)
     mask = (1 << w) - 1
     tails = [_pack([x % p for x in r], w) for r in rows]
     rank = 0

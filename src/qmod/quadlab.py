@@ -10,7 +10,7 @@ no Groebner machinery.  Over F_p that matrix is built packed, as
 ``linalg`` packs rows: pair (i, j) rides in slot j - i of form i's
 ints, one per monomial, so one pass per form over the product table
 gives all its pairs; a slot sums at most width(d) products below p^2,
-so 2 bitlen(p) + bitlen(width(d)) + 1 bits hold it with no carry.
+so the rows go to the elimination packed at its width for that load.
 Randomness enters only where genericity is itself the question, as one
 draw per seed from a derived stream; a degenerate draw is reported,
 never redrawn.
@@ -28,7 +28,7 @@ from .errors import DomainError, InternalCheckError
 from .fields import (DEFAULT_PRIME, PrimeField, checked, derived_rng,
                      require_sampling_prime)
 from .invariants import _require_ints
-from .linalg import Matrix, _rank_packed, _unpack
+from .linalg import Matrix, _rank_packed, packed_kernel_basis, packed_width
 from .ternary import TernaryForm, monomial_index, monomials, no_common_zero
 
 
@@ -231,11 +231,6 @@ class ParamCurve:
         return [unipoly.evaluate(F, comp.coeffs, t) for comp in self.components]
 
 
-def _pair_width(p: int, form, degree: int) -> int:
-    """Bits per pair slot: a slot sums at most width(degree) products below p^2."""
-    return 2 * p.bit_length() + form.width(degree).bit_length() + 1
-
-
 def _packed_pair_rows(forms, w: int) -> list[int]:
     """Per product monomial, one int whose slot k holds the exact
     coefficient of the k-th upper pair's product."""
@@ -254,37 +249,34 @@ def _packed_pair_rows(forms, w: int) -> list[int]:
     return rows
 
 
-def _pair_product_rows(field, forms) -> list[list]:
+def _pair_product_rows(forms) -> list[list]:
     """The matrix whose column k holds the coefficients of the k-th upper
-    pair's product: over F_p ``_packed_pair_rows``, each slot unpacked and
-    reduced once, over QQ one ``Form.mul`` per pair."""
-    pairs = upper_pairs(len(forms))
-    if not isinstance(field, PrimeField):
-        return [list(row) for row in zip(*(forms[i].mul(forms[j]).coeffs
-                                           for i, j in pairs))]
-    p = field.p
-    w = _pair_width(p, type(forms[0]), forms[0].degree)
-    mask = (1 << w) - 1
-    return [[x % p for x in _unpack(v, len(pairs), w, mask)]
-            for v in _packed_pair_rows(forms, w)]
+    pair's product, one ``Form.mul`` per pair: the QQ route."""
+    return [list(row) for row in zip(*(forms[i].mul(forms[j]).coeffs
+                                       for i, j in upper_pairs(len(forms))))]
 
 
 def _quadrics_through(field, r: int, forms) -> QuadricSystem:
     """Quadrics in P^r containing the image of the r + 1 forms.
 
     The products forms[i] * forms[j], in upper_pairs order, are the
-    columns and their coefficients the rows (``_pair_product_rows``); a
-    kernel vector is the upper-pair coefficient list of a quadric that
-    pulls back to zero.  Over F_p form i packs forms i.. into one int per
-    monomial, pair (i, j) in slot j - i, so one pass over the product
-    table, acc[no] += f_i[n1] * P[n2], forms every pair (i, j >= i); acc,
+    columns and their coefficients the rows; a kernel vector is the
+    upper-pair coefficient list of a quadric that pulls back to zero.
+    Over F_p form i packs forms i.. into one int per monomial, pair
+    (i, j) in slot j - i, so one pass over the product table,
+    acc[no] += f_i[n1] * P[n2], forms every pair (i, j >= i); acc,
     shifted to the slot of pair (i, i), is added into the rows.  A slot
-    sums at most width(d) products below p^2, so slots of
-    w = 2 bitlen(p) + bitlen(width(d)) + 1 bits never carry.
+    sums at most width(d) products below p^2, so the rows are packed at
+    ``linalg.packed_width`` for load width(d) and eliminated as they are.
     """
-    pairs = upper_pairs(r + 1)
-    rows = _pair_product_rows(field, forms)
-    kern = Matrix(field, len(rows), len(pairs), rows, _skip_check=True).kernel_basis()
+    npairs = len(upper_pairs(r + 1))
+    if isinstance(field, PrimeField):
+        form, d = type(forms[0]), forms[0].degree
+        w = packed_width(field.p, form.width(d), form.width(2 * d), npairs)
+        kern = packed_kernel_basis(field, _packed_pair_rows(forms, w), npairs, w)
+    else:
+        rows = _pair_product_rows(forms)
+        kern = Matrix(field, len(rows), npairs, rows, _skip_check=True).kernel_basis()
     return QuadricSystem(field, r, [SymQuadric.from_upper_coeffs(field, r + 1, v)
                                     for v in kern])
 

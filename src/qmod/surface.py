@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 from operator import mul
 
 from .binforms import BinaryForm
 from .errors import DomainError, FieldMismatchError, GenericityError, InternalCheckError
 from .fields import DEFAULT_PRIME, PrimeField, derived_rng, require_sampling_prime
-from .linalg import Matrix, _pack, _unpack
+from .linalg import Matrix, _pack, _unpack, packed_kernel_basis, packed_width
 from .quadlab import QuadricSystem, SymQuadric, _linear_family_det, _quadrics_through
 from .ternary import TernaryForm, _powers, monomials
 
@@ -195,8 +196,9 @@ class PlaneSystem:
     a + b < m.  Those coefficients are the Hasse derivatives of f at the
     point, so the check holds in every characteristic, with no p > a bound.
     The shift runs in two stages on Pascal's-rule weights, not on the
-    kernel's binomial rows, so the two paths share no table; over F_p the
-    members ride packed in one int per monomial (``_multiplicity_miss``).
+    binomial tables whose outer products are the kernel's rows, so the two
+    paths share no table; over F_p the members ride packed in one int per
+    monomial (``_multiplicity_miss``).
     """
 
     __slots__ = ("field", "cls", "forms", "config")
@@ -296,39 +298,57 @@ def _multiplicity_miss(field, cls, points, forms):
     return None
 
 
+def _hasse_table(field, x0, a: int, top: int) -> list:
+    """X[dx][al] = C(al, dx) x0^(al - dx), dx < top, al <= a, reduced once."""
+    xp = _powers(field, x0, a)
+    return [[field.coerce(comb(al, dx) * xp[al - dx]) if al >= dx else field.zero
+             for al in range(a + 1)] for dx in range(top)]
+
+
+def _hasse_rows(field, points, cls: NSClass, w=None) -> list:
+    """Hasse-derivative rows at affine points, packed at width w over F_p,
+    entry lists over QQ (w None).  Row (dx, dy) is the outer product
+    X[dx][al] Y[dy][be] of ``_hasse_table``s; in ``monomials(a)`` order
+    the block of x-exponent al is contiguous, y-exponents descending, so a
+    packed row is one multiply-add per x-exponent, each slot below p^2."""
+    a, rows = cls.a, []
+    for pt, m in zip(points, cls.mults):
+        if m and pt[2] != field.one:
+            raise DomainError("interpolation works in the affine chart z = 1")
+        xs, ys = (_hasse_table(field, c, a, m) for c in pt[:2])
+        # Block k is x-exponent a - k: X[dx][a - k] times Y[dy][k], ..., Y[dy][0].
+        if w is None:
+            blocks = [[y[k::-1] for k in range(a + 1)] for y in ys]
+        else:
+            blocks = [[b << k * (k + 1) // 2 * w
+                       for k, b in enumerate(accumulate(y, lambda b, c: c + (b << w)))]
+                      for y in ys]
+        for dx in range(m):
+            xr = xs[dx][::-1]
+            rows += [[x * y for x, c in zip(xr, b) for y in c] if w is None
+                     else sum(map(mul, xr, b)) for b in blocks[:m - dx]]
+    return rows
+
+
 def _interpolation_kernel(cfg: PointConfig, cls: NSClass) -> PlaneSystem:
     """Kernel of the Hasse-derivative rows: at (x0, y0, 1) of multiplicity m,
     row (dx, dy), dx + dy < m, is the coefficient of u^dx v^dy in
-    f(x0 + u, y0 + v), binomial and exact in every characteristic."""
+    f(x0 + u, y0 + v), binomial and exact in every characteristic, built
+    by ``_hasse_rows`` apart from the re-check's Pascal's-rule weights."""
     field = cfg.field
-    a = cls.a
-    if a < 0:
+    if cls.a < 0:
         raise DomainError("negative degree carries no forms")
     if len(cls.mults) != cfg.n:
         raise DomainError("one multiplicity per configured point required")
     if any(m < 0 for m in cls.mults):
         raise DomainError("assigned multiplicities must be nonnegative")
-    mons = monomials(a)
-    zero = field.zero
-    rows = []
-    for pt, m in zip(cfg.points, cls.mults):
-        if m == 0:
-            continue
-        if pt[2] != field.one:
-            raise DomainError("interpolation works in the affine chart z = 1")
-        xp = _powers(field, pt[0], a)
-        yp = _powers(field, pt[1], a)
-        for dx in range(m):
-            for dy in range(m - dx):
-                row = []
-                for (al, be, _) in mons:
-                    if al < dx or be < dy:
-                        row.append(zero)
-                        continue
-                    row.append(field.coerce(
-                        comb(al, dx) * comb(be, dy) * xp[al - dx] * yp[be - dy]))
-                rows.append(row)
-    kern = Matrix(field, len(rows), len(mons), rows, _skip_check=True).kernel_basis()
+    ncols = len(monomials(cls.a))
+    if isinstance(field, PrimeField):
+        w = packed_width(field.p, 1, sum(comb(m + 1, 2) for m in cls.mults), ncols)
+        kern = packed_kernel_basis(field, _hasse_rows(field, cfg.points, cls, w), ncols, w)
+    else:
+        rows = _hasse_rows(field, cfg.points, cls)
+        kern = Matrix(field, len(rows), ncols, rows, _skip_check=True).kernel_basis()
     return PlaneSystem(field, cls, kern, cfg)
 
 

@@ -19,6 +19,11 @@ replaced, one form product per (minor, entry) and one
 ``quadlab._quadrics_through`` builds its product matrix over F_p with
 every pair of a form riding in one packed int; ``pair_product_rows`` is
 the route it replaced, one ``Form.mul`` per upper pair.
+``surface._interpolation_kernel`` builds its Hasse-derivative rows over
+F_p packed, one multiply-add per x-exponent; ``hasse_rows`` is the route
+it replaced, one product of binomials and powers and one ``coerce`` per
+entry.  Both packed producers hand their rows to the elimination as they
+are; ``packed_slots`` reads such rows back slot by slot, unreduced.
 
 ``linear_combination`` builds combinations of quadrics for tests, one
 ``fields.combine`` per matrix row; no production path combines quadrics.
@@ -30,6 +35,7 @@ alpha on its own.
 """
 
 from fractions import Fraction
+from math import comb
 
 from qmod import unipoly
 from qmod.fields import DEFAULT_PRIME, combine
@@ -84,6 +90,27 @@ def pair_product_rows(forms) -> list[list]:
     per upper pair, in ``upper_pairs`` order."""
     pairs = upper_pairs(len(forms))
     return [list(row) for row in zip(*(forms[i].mul(forms[j]).coeffs for i, j in pairs))]
+
+
+def hasse_rows(field, points, cls) -> list[list]:
+    """Per affine point (x0, y0, 1) of multiplicity m, the rows (dx, dy),
+    dx + dy < m: entry C(al, dx) C(be, dy) x0^(al - dx) y0^(be - dy) at
+    monomial x^al y^be z^ga, zero where al < dx or be < dy."""
+    rows = []
+    for (x0, y0, _), m in zip(points, cls.mults):
+        for dx in range(m):
+            for dy in range(m - dx):
+                rows.append([field.coerce(comb(al, dx) * comb(be, dy)
+                                          * x0 ** (al - dx) * y0 ** (be - dy))
+                             if al >= dx and be >= dy else field.zero
+                             for al, be, _ in monomials(cls.a)])
+    return rows
+
+
+def packed_slots(rows, n: int, w: int) -> list[list]:
+    """The n slots of w bits of each packed row, as ints, unreduced."""
+    mask = (1 << w) - 1
+    return [[v >> k * w & mask for k in range(n)] for v in rows]
 
 
 def linear_combination(field, quadrics, coeffs) -> SymQuadric:

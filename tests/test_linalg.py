@@ -292,3 +292,28 @@ def test_packed_elimination_when_every_row_is_a_pivot_early(p):
     red, pivots = linalg._rref_packed(fp, m, cols)
     assert pivots == list(range(rows))
     assert (red, pivots) == linalg._rref_generic(fp, m, cols)
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+@pytest.mark.parametrize("rows, cols, load", [(120, 28, 36), (54, 66, 1), (29, 36, 1),
+                                              (15, 15, 1)])
+def test_packed_kernel_holds_the_worst_case_load(p, rows, cols, load):
+    # The shapes of the blow-up chain: its I2 matrix, whose slots a producer
+    # hands over below width(7) p^2 = 36 p^2, and its three interpolation
+    # matrices, one product below p^2 per slot.  Every slot starts at the
+    # largest value of its residue up to load (p - 1)^2, then takes up to
+    # min(rows, cols) updates of up to (p - 1)^2 at the width packed_width
+    # gives for that load.
+    fp = PrimeField(p)
+    top = load * (p - 1) ** 2
+    m = _dense(p, rows, cols, seed=rows * cols + p)
+    lifted = [[x + (top - x) // p * p for x in row] for row in m]
+    assert all(top - p < x <= top for row in lifted for x in row)
+    w = linalg.packed_width(p, load, rows, cols)
+    red, pivots = linalg._rref_generic(fp, m, cols)
+    packed = [linalg._pack(row, w) for row in lifted]
+    assert linalg._gauss_jordan_packed(fp, packed, cols, w) == (red, pivots)
+    assert (linalg.packed_kernel_basis(fp, packed, cols, w)
+            == linalg._kernel_from_rref(fp, red, pivots, cols))
+    # Most columns are pivots, so most slots take many updates.
+    assert len(pivots) > min(rows, cols) // 2

@@ -43,7 +43,7 @@ from qmod.surface import pencil_discriminant
 from qmod.ternary import TernaryForm
 
 from kernel_oracles import (PACKED_PRIMES, combo_row, form_matrix_det_by_forms,
-                            linear_combination, pair_product_rows)
+                            linear_combination, packed_slots, pair_product_rows)
 
 FP = PrimeField(DEFAULT_PRIME)
 
@@ -273,20 +273,31 @@ def _form_lists(draw, field):
     return forms
 
 
+def _pair_rows_width(forms) -> int:
+    # The elimination's width for the product matrix: width(2d) rows, one
+    # column per upper pair, every slot below width(d) p^2.
+    form, d = type(forms[0]), forms[0].degree
+    return linalg.packed_width(forms[0].field.p, form.width(d), form.width(2 * d),
+                               len(upper_pairs(len(forms))))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_packed_pair_rows_match_per_pair_oracle(data):
     # Ternary degrees 0..8 and binary degrees 1..12, with 1..9 forms, any
-    # of them zero: every slot of every row unpacks to the pair's product.
+    # of them zero: packed at the elimination's width, every slot of every
+    # row reduces to the pair's product.
     field = data.draw(st.sampled_from(_PAIR_FIELDS), label="field")
     forms = data.draw(_form_lists(field))
-    assert _pair_product_rows(field, forms) == pair_product_rows(forms)
+    w = _pair_rows_width(forms)
+    slots = packed_slots(quadlab._packed_pair_rows(forms, w), len(upper_pairs(len(forms))), w)
+    assert [[x % field.p for x in row] for row in slots] == pair_product_rows(forms)
 
 
 @settings(max_examples=30, deadline=None)
 @given(_form_lists(QQ))
 def test_rational_pair_rows_match_per_pair_oracle(forms):
-    assert _pair_product_rows(QQ, forms) == pair_product_rows(forms)
+    assert _pair_product_rows(forms) == pair_product_rows(forms)
 
 
 @pytest.mark.parametrize("p", PACKED_PRIMES)
@@ -294,18 +305,19 @@ def test_rational_pair_rows_match_per_pair_oracle(forms):
 def test_packed_pair_slots_hold_the_worst_case_exactly(form, d, p):
     # Every coefficient p - 1: a slot holds (p - 1)^2 times the number of
     # table entries landing on its monomial, width(d) at the middle
-    # binary monomial, and must unpack to that exact, unreduced sum.
+    # binary monomial, and must unpack to that exact, unreduced sum at the
+    # width the elimination takes for load width(d).
     field, n = PrimeField(p), 4
     forms = [form(field, d, [p - 1] * form.width(d)) for _ in range(n)]
-    w = quadlab._pair_width(p, form, d)
+    w = _pair_rows_width(forms)
     hits = [0] * form.width(2 * d)
     for _, _, no in form.product_table(d, d):
         hits[no] += 1
     npairs = len(upper_pairs(n))
-    slots = [linalg._unpack(v, npairs, w, (1 << w) - 1)
-             for v in quadlab._packed_pair_rows(forms, w)]
+    slots = packed_slots(quadlab._packed_pair_rows(forms, w), npairs, w)
     assert slots == [[h * (p - 1) ** 2] * npairs for h in hits]
-    assert max(hits) <= form.width(d) and form.width(d) * (p - 1) ** 2 < 1 << w
+    bound = (form.width(d) + min(form.width(2 * d), npairs)) * p ** 2
+    assert max(hits) <= form.width(d) and bound < 1 << w
     if form is BinaryForm:
         assert max(hits) == form.width(d)
 
@@ -394,19 +406,26 @@ def test_quadric_system_accepts_exactly_the_independent_bases(fb):
 
 
 def test_i2_basis_runs_one_elimination(monkeypatch):
-    # The kernel's own rref; its free columns prove the basis independent.
+    # The kernel's own elimination; its free columns prove the basis
+    # independent.  Over F_p the packed rows go straight to the packed
+    # elimination, so Matrix.rref runs only over QQ.
     calls = []
-    rref = Matrix.rref
+    rref, eliminate = Matrix.rref, linalg._gauss_jordan_packed
 
-    def counted(self):
-        calls.append((self.rows, self.cols))
+    def counted_rref(self):
+        calls.append(("rref", self.rows, self.cols))
         return rref(self)
 
-    monkeypatch.setattr(Matrix, "rref", counted)
-    for field in (QQ, FP):
+    def counted_packed(field, rows, cols, w):
+        calls.append(("packed", len(rows), cols))
+        return eliminate(field, rows, cols, w)
+
+    monkeypatch.setattr(Matrix, "rref", counted_rref)
+    monkeypatch.setattr(linalg, "_gauss_jordan_packed", counted_packed)
+    for field, kind in ((QQ, "rref"), (FP, "packed")):
         calls.clear()
         assert i2_basis(ParamCurve.rational_normal(field, 6)).dim == 15
-        assert calls == [(13, 28)]
+        assert calls == [(kind, 13, 28)]
 
 
 def test_quadric_system_accepts_independent_basis_without_witnesses():

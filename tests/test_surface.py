@@ -6,14 +6,15 @@ from math import comb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_oracles import PACKED_PRIMES, linear_combination, taylor_misses
+from kernel_oracles import (PACKED_PRIMES, hasse_rows, linear_combination, packed_slots,
+                            taylor_misses)
 from multiplicity_oracle import partials_accept, taylor_accept
-from qmod import surface
+from qmod import linalg, quadlab, surface
 from qmod.cli import main
 from qmod.errors import (ConfigurationError, DomainError, FieldMismatchError,
                          GenericityError, InternalCheckError)
 from qmod.fields import DEFAULT_PRIME, MIN_SAMPLING_PRIME, QQ, PrimeField, derived_rng
-from qmod.linalg import _pack, _unpack
+from qmod.linalg import Matrix, _pack, _unpack, packed_width
 from qmod.quadlab import i2_basis, ParamCurve
 from qmod.surface import (
     NSClass,
@@ -32,8 +33,8 @@ from qmod.surface import (
     pencil_nondegeneracy,
     residual_class,
 )
-from qmod.surface import (_interpolation_kernel, _multiplicity_miss, _normalize_point,
-                          _shift_weights, _shifted_terms, _slot_width)
+from qmod.surface import (_hasse_rows, _interpolation_kernel, _multiplicity_miss,
+                          _normalize_point, _shift_weights, _shifted_terms, _slot_width)
 from qmod.quadlab import SymQuadric
 from qmod.ternary import TernaryForm
 
@@ -167,6 +168,76 @@ def test_interpolation_kernel_at_a_prime_below_the_degree():
     system = _interpolation_kernel(cfg, cls)
     assert system.dim == expected_system_dim(cls) == 8
     assert taylor_accept(f3, cls, [f.coeffs for f in system.forms], cfg)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_packed_hasse_rows_match_per_entry_oracle(data):
+    # Degrees 0..7, multiplicities 0..a + 3 (rows past dx = a are zero), and
+    # p = 3, where most binomials vanish: each packed slot holds one product
+    # below p^2 and reduces to the oracle's entry; over QQ the list rows are
+    # the oracle's rows.
+    field = data.draw(st.sampled_from([PrimeField(p) for p in PACKED_PRIMES] + [QQ]))
+    coord = (st.integers(-9, 9) if field is QQ else st.integers(0, field.p - 1)).map(
+        field.coerce)
+    a = data.draw(st.integers(0, 7))
+    mults = data.draw(st.lists(st.integers(0, a + 3), min_size=1, max_size=4))
+    points = [(data.draw(coord), data.draw(coord), field.one) for _ in mults]
+    cls = NSClass(a, mults)
+    expected = hasse_rows(field, points, cls)
+    if field is QQ:
+        assert _hasse_rows(field, points, cls) == expected
+        return
+    p, ncols = field.p, len(expected[0]) if expected else 0
+    w = packed_width(p, 1, len(expected), ncols)
+    slots = packed_slots(_hasse_rows(field, points, cls, w), ncols, w)
+    assert all(x < p * p for row in slots for x in row)
+    assert [[x % p for x in row] for row in slots] == expected
+
+
+def _events_before_elimination(monkeypatch, run) -> list:
+    # What run() calls of Matrix and _unpack before its first packed
+    # elimination, and whether one ran at all.
+    events = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as m:
+        for module in (surface, quadlab):
+            m.setattr(module, "Matrix", spy("Matrix", Matrix))
+        for module in (linalg, surface, quadlab):
+            m.setattr(module, "_unpack", spy("_unpack", _unpack), raising=False)
+        m.setattr(linalg, "_gauss_jordan_packed",
+                  spy("eliminate", linalg._gauss_jordan_packed))
+        run()
+    return events[:events.index("eliminate") + 1] if "eliminate" in events else events
+
+
+def test_fp_producers_hand_packed_rows_to_the_elimination(monkeypatch):
+    cfg = PointConfig.sample(FP, 15, 3)
+    hs = _interpolation_kernel(cfg, hyperplane_class())
+    for run in (lambda: _interpolation_kernel(cfg, hyperplane_class()),
+                lambda: _interpolation_kernel(cfg, curve_class()),
+                lambda: quadlab._quadrics_through(FP, hs.dim - 1, hs.forms)):
+        assert _events_before_elimination(monkeypatch, run) == ["eliminate"]
+
+
+def test_rational_interpolation_reaches_matrix_kernel_basis(monkeypatch):
+    calls = []
+    kernel_basis = Matrix.kernel_basis
+
+    def counted(self):
+        calls.append((self.field, self.rows, self.cols))
+        return kernel_basis(self)
+
+    monkeypatch.setattr(Matrix, "kernel_basis", counted)
+    cfg = PointConfig(QQ, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (2, 3, 1)])
+    assert _interpolation_kernel(cfg, NSClass(3, (2, 1, 1, 1))).dim == 4
+    assert calls == [(QQ, 6, 10)]
 
 
 def test_members_vanish_to_order():
