@@ -23,10 +23,12 @@ column every tail drops slot 0, which is 0 mod p on each row not yet a
 pivot (pivot rows record it first).  The slots left hold the same
 entries and take the same updates, so the bound, and w, are unchanged.
 Pivots, and so every reduced form, are those of the generic loop.
-``Matrix.rref`` packs its reduced entries at load 1; producers hand
-``packed_kernel_basis`` rows already packed: ``surface``'s interpolation
-at load 1, ``quadlab``'s product matrix at load width(d).  ``_pack`` and
-``_unpack`` also serve ``unipoly.pow_mod`` and ``surface``'s re-check.
+``rows_kernel`` alone picks the elimination for a row producer, whose
+``build(w)`` packs its rows at width w over F_p or, w None, gives the
+entry lists ``Matrix.kernel_basis`` takes over QQ: ``surface``'s
+interpolation at load 1, ``quadlab``'s product matrix at load width(d).
+``_pack`` and ``_unpack`` also serve ``unipoly.pow_mod`` and
+``surface``'s re-check.
 
 ``Matrix.rank`` over F_p needs only the pivot count, so ``_rank_packed``
 runs the forward sweep alone (rank-profile elimination: Jeannerod, Pernet
@@ -36,11 +38,13 @@ reduced when chosen and cancels its column from the rows not yet pivots
 with a coefficient p - c*inv % p in [1, p - 1], so each update still adds
 at most (p-1)^2 to a slot and w holds.
 
-Over QQ there is no fixed width to pack into, so rationals keep the
-generic loop, which is also the reference the packed path is tested
-against.  ``det`` is the test oracle of the resultants.  Both use the
-one idiom of ``fields``: the scalars' own ``+ - *``, ``F.inv``, one
-``F.coerce`` per stored value, and truth tests only on reduced values.
+``Matrix.rref``, and with it ``kernel_basis`` and ``solve``, runs the
+generic loop over every field: over QQ there is no fixed width to pack
+into, and no production path reduces an F_p ``Matrix``.  The generic loop
+is also the reference the packed loops are tested against.  ``det`` is
+the test oracle of the resultants.  Both use the one idiom of ``fields``:
+the scalars' own ``+ - *``, ``F.inv``, one ``F.coerce`` per stored value,
+and truth tests only on reduced values.
 """
 
 from __future__ import annotations
@@ -89,10 +93,7 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column tuple."""
-        if isinstance(self.field, PrimeField):
-            m, pivots = _rref_packed(self.field, self.data, self.cols)
-        else:
-            m, pivots = _rref_generic(self.field, self.data, self.cols)
+        m, pivots = _rref_generic(self.field, self.data, self.cols)
         return Matrix(self.field, self.rows, self.cols, m, _skip_check=True), tuple(pivots)
 
     def rank(self) -> int:
@@ -160,8 +161,8 @@ class Matrix:
 
 
 def _rref_generic(F, data, cols: int):
-    """Gauss-Jordan with the scalars' own operators: the QQ path, and the
-    reference the packed prime-field path is tested against."""
+    """Gauss-Jordan with the scalars' own operators: ``Matrix.rref`` over
+    every field, and the reference the packed loops are tested against."""
     m = [list(r) for r in data]
     rows = len(m)
     pivots = []
@@ -193,17 +194,14 @@ def packed_width(p: int, load: int, rows: int, cols: int) -> int:
     return 2 * p.bit_length() + (load + min(rows, cols)).bit_length() + 1
 
 
-def _rref_packed(F, data, cols: int):
-    """Gauss-Jordan over F_p of entry lists, reduced and packed at load 1."""
-    w = packed_width(F.p, 1, len(data), cols)
-    return _gauss_jordan_packed(F, [_pack([x % F.p for x in r], w) for r in data], cols, w)
-
-
-def packed_kernel_basis(F, rows, cols: int, w: int) -> list[list]:
-    """``Matrix.kernel_basis`` over F_p of rows already packed at width w,
-    from ``packed_width`` with the producer's load."""
-    red, pivots = _gauss_jordan_packed(F, rows, cols, w)
-    return _kernel_from_rref(F, red, pivots, cols)
+def rows_kernel(field, build, nrows: int, cols: int, load: int) -> list[list]:
+    """``Matrix.kernel_basis`` of the nrows x cols rows ``build`` makes,
+    over F_p packed at ``packed_width`` for load (module docstring)."""
+    if isinstance(field, PrimeField):
+        w = packed_width(field.p, load, nrows, cols)
+        red, pivots = _gauss_jordan_packed(field, build(w), cols, w)
+        return _kernel_from_rref(field, red, pivots, cols)
+    return Matrix(field, nrows, cols, build(None), _skip_check=True).kernel_basis()
 
 
 def _kernel_from_rref(F, red, pivots, cols: int) -> list[list]:

@@ -6,14 +6,15 @@ algebra on coefficients: a quadric sum c_ij x_i x_j contains the image of
 forms f_0 .. f_r exactly when sum c_ij f_i f_j is the zero form, so the
 quadrics are the kernel of the matrix whose columns are the products
 f_i f_j.  No evaluation nodes, hence no bound on the characteristic, and
-no Groebner machinery.  Over F_p that matrix is built packed, as
-``linalg`` packs rows: pair (i, j) rides in slot j - i of form i's
-ints, one per monomial, so one pass per form over the product table
-gives all its pairs; a slot sums at most width(d) products below p^2,
-so the rows go to the elimination packed at its width for that load.
-Randomness enters only where genericity is itself the question, as one
-draw per seed from a derived stream; a degenerate draw is reported,
-never redrawn.
+no Groebner machinery.  ``linalg.rows_kernel`` alone picks how that
+matrix is eliminated.  Over F_p it is built packed, as ``linalg`` packs
+rows: pair (i, j) rides in slot j - i of form i's ints, one per
+monomial, so one pass per form over the product table gives all its
+pairs; a slot sums at most width(d) products below p^2, so the rows are
+handed over as they are, at load width(d).  Over QQ each pair's column
+is one ``Form.mul``.  Randomness enters only where genericity is itself
+the question, as one draw per seed from a derived stream; a degenerate
+draw is reported, never redrawn.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import DomainError, InternalCheckError
 from .fields import (DEFAULT_PRIME, PrimeField, checked, derived_rng,
                      require_sampling_prime)
 from .invariants import _require_ints
-from .linalg import Matrix, _rank_packed, packed_kernel_basis, packed_width
+from .linalg import Matrix, _rank_packed, rows_kernel
 from .ternary import TernaryForm, monomial_index, monomials, no_common_zero
 
 
@@ -231,9 +232,14 @@ class ParamCurve:
         return [unipoly.evaluate(F, comp.coeffs, t) for comp in self.components]
 
 
-def _packed_pair_rows(forms, w: int) -> list[int]:
-    """Per product monomial, one int whose slot k holds the exact
-    coefficient of the k-th upper pair's product."""
+def _pair_rows(forms, w=None) -> list:
+    """Per product monomial, the coefficients of the upper pairs' products:
+    one int whose slot k, of width w, holds the exact coefficient of the
+    k-th pair's product, or (w None) an entry list from one ``Form.mul``
+    per pair."""
+    if w is None:
+        return [list(row) for row in zip(*(forms[i].mul(forms[j]).coeffs
+                                           for i, j in upper_pairs(len(forms))))]
     form, d, n = type(forms[0]), forms[0].degree, len(forms)
     table = form.product_table(d, d)
     rows = [0] * form.width(2 * d)
@@ -249,34 +255,22 @@ def _packed_pair_rows(forms, w: int) -> list[int]:
     return rows
 
 
-def _pair_product_rows(forms) -> list[list]:
-    """The matrix whose column k holds the coefficients of the k-th upper
-    pair's product, one ``Form.mul`` per pair: the QQ route."""
-    return [list(row) for row in zip(*(forms[i].mul(forms[j]).coeffs
-                                       for i, j in upper_pairs(len(forms))))]
-
-
 def _quadrics_through(field, r: int, forms) -> QuadricSystem:
     """Quadrics in P^r containing the image of the r + 1 forms.
 
     The products forms[i] * forms[j], in upper_pairs order, are the
     columns and their coefficients the rows; a kernel vector is the
     upper-pair coefficient list of a quadric that pulls back to zero.
-    Over F_p form i packs forms i.. into one int per monomial, pair
-    (i, j) in slot j - i, so one pass over the product table,
-    acc[no] += f_i[n1] * P[n2], forms every pair (i, j >= i); acc,
-    shifted to the slot of pair (i, i), is added into the rows.  A slot
-    sums at most width(d) products below p^2, so the rows are packed at
-    ``linalg.packed_width`` for load width(d) and eliminated as they are.
+    ``linalg.rows_kernel`` picks the elimination.  Packed, form i packs
+    forms i.. into one int per monomial, pair (i, j) in slot j - i, so
+    one pass over the product table, acc[no] += f_i[n1] * P[n2], forms
+    every pair (i, j >= i); acc, shifted to the slot of pair (i, i), is
+    added into the rows.  A slot sums at most width(d) products below
+    p^2, so the rows are handed over at load width(d).
     """
-    npairs = len(upper_pairs(r + 1))
-    if isinstance(field, PrimeField):
-        form, d = type(forms[0]), forms[0].degree
-        w = packed_width(field.p, form.width(d), form.width(2 * d), npairs)
-        kern = packed_kernel_basis(field, _packed_pair_rows(forms, w), npairs, w)
-    else:
-        rows = _pair_product_rows(forms)
-        kern = Matrix(field, len(rows), npairs, rows, _skip_check=True).kernel_basis()
+    form, d = type(forms[0]), forms[0].degree
+    kern = rows_kernel(field, lambda w: _pair_rows(forms, w), form.width(2 * d),
+                       len(upper_pairs(r + 1)), form.width(d))
     return QuadricSystem(field, r, [SymQuadric.from_upper_coeffs(field, r + 1, v)
                                     for v in kern])
 

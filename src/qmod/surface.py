@@ -21,7 +21,7 @@ from operator import mul
 from .binforms import BinaryForm
 from .errors import DomainError, FieldMismatchError, GenericityError, InternalCheckError
 from .fields import DEFAULT_PRIME, PrimeField, derived_rng, require_sampling_prime
-from .linalg import Matrix, _pack, _unpack, packed_kernel_basis, packed_width
+from .linalg import _pack, _unpack, rows_kernel
 from .quadlab import QuadricSystem, SymQuadric, _linear_family_det, _quadrics_through
 from .ternary import TernaryForm, _powers, monomials
 
@@ -334,7 +334,9 @@ def _interpolation_kernel(cfg: PointConfig, cls: NSClass) -> PlaneSystem:
     """Kernel of the Hasse-derivative rows: at (x0, y0, 1) of multiplicity m,
     row (dx, dy), dx + dy < m, is the coefficient of u^dx v^dy in
     f(x0 + u, y0 + v), binomial and exact in every characteristic, built
-    by ``_hasse_rows`` apart from the re-check's Pascal's-rule weights."""
+    by ``_hasse_rows`` apart from the re-check's Pascal's-rule weights.
+    ``linalg.rows_kernel`` picks the elimination; packed, each slot holds
+    one product below p^2, so the rows are handed over at load 1."""
     field = cfg.field
     if cls.a < 0:
         raise DomainError("negative degree carries no forms")
@@ -342,13 +344,8 @@ def _interpolation_kernel(cfg: PointConfig, cls: NSClass) -> PlaneSystem:
         raise DomainError("one multiplicity per configured point required")
     if any(m < 0 for m in cls.mults):
         raise DomainError("assigned multiplicities must be nonnegative")
-    ncols = len(monomials(cls.a))
-    if isinstance(field, PrimeField):
-        w = packed_width(field.p, 1, sum(comb(m + 1, 2) for m in cls.mults), ncols)
-        kern = packed_kernel_basis(field, _hasse_rows(field, cfg.points, cls, w), ncols, w)
-    else:
-        rows = _hasse_rows(field, cfg.points, cls)
-        kern = Matrix(field, len(rows), ncols, rows, _skip_check=True).kernel_basis()
+    kern = rows_kernel(field, lambda w: _hasse_rows(field, cfg.points, cls, w),
+                       sum(comb(m + 1, 2) for m in cls.mults), len(monomials(cls.a)), 1)
     return PlaneSystem(field, cls, kern, cfg)
 
 

@@ -1,5 +1,8 @@
 """The package has no runtime dependencies: ``src/qmod`` imports only the
-standard library and itself, and ``pyproject.toml`` declares none."""
+standard library and itself, and ``pyproject.toml`` declares none.  Inside
+it, ``linalg`` alone picks the elimination: the packed loop and its width
+are named nowhere else, and the private ``linalg`` names other modules
+import are pinned, so the list can only shrink."""
 
 import ast
 import sys
@@ -30,3 +33,37 @@ def test_source_imports_only_the_standard_library(path):
 def test_pyproject_declares_no_dependencies():
     project = PYPROJECT.read_text().split("[project]\n", 1)[1].split("\n[", 1)[0]
     assert "\ndependencies = []\n" in project
+
+
+# The packed Gauss-Jordan loop and its slot width, reached only through
+# linalg.rows_kernel.
+LINALG_ONLY = {"packed_width", "_gauss_jordan_packed"}
+PRIVATE_LINALG_IMPORTS = {("surface", "_pack"), ("surface", "_unpack"),
+                          ("unipoly", "_pack"), ("unipoly", "_unpack"),
+                          ("quadlab", "_rank_packed")}
+
+
+def _names(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_packed_elimination_is_named_only_in_linalg():
+    assert sorted((path.name, name) for path in SOURCES if path.stem != "linalg"
+                  for name in _names(path) if name in LINALG_ONLY) == []
+
+
+def test_private_linalg_imports_are_pinned():
+    imported = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[-1] == "linalg"):
+                imported.update((path.stem, a.name) for a in node.names
+                                if a.name.startswith("_"))
+    assert imported == PRIVATE_LINALG_IMPORTS

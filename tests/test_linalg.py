@@ -136,14 +136,19 @@ def test_kernel_basis_is_echelonized():
 # Packed prime-field elimination against the generic one.
 
 
-def _generic(m, rhs):
-    """rref, rank, kernel_basis and solve of ``m`` on the generic path.
+def _packed_rref(F, data, cols: int):
+    """Gauss-Jordan of entry lists by the packed loop: each entry reduced
+    mod p and packed at load 1."""
+    w = linalg.packed_width(F.p, 1, len(data), cols)
+    return linalg._gauss_jordan_packed(
+        F, [linalg._pack([x % F.p for x in r], w) for r in data], cols, w)
 
-    ``Matrix.rank`` over F_p never reaches ``_rref_packed``, so the rank
-    is the generic loop's pivot count.
-    """
+
+def _packed(m, rhs):
+    """rref, rank, kernel_basis and solve of ``m`` with ``Matrix.rref``
+    running the packed loop; the rank is that loop's pivot count."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_rref_packed", linalg._rref_generic)
+        mp.setattr(linalg, "_rref_generic", _packed_rref)
         red = m.rref()
         return red, len(red[1]), m.kernel_basis(), m.solve(rhs)
 
@@ -176,14 +181,14 @@ def fp_systems(draw):
 @given(fp_systems())
 def test_packed_elimination_matches_generic(system):
     m, rhs = system
-    packed = (m.rref(), m.rank(), m.kernel_basis(), m.solve(rhs))
-    assert packed == _generic(m, rhs)
+    generic = (m.rref(), m.rank(), m.kernel_basis(), m.solve(rhs))
+    assert _packed(m, rhs) == generic
 
 
 @given(st.sampled_from(PACKED_PRIMES), st.data())
 def test_packed_elimination_reduces_unreduced_entries(p, data):
-    # _skip_check lets entries outside [0, p) through.  Packing reduces
-    # them; a negative slot would otherwise borrow from its neighbour.
+    # Entries outside [0, p): packing reduces them; a negative slot would
+    # otherwise borrow from its neighbour.
     fp = PrimeField(p)
     nrows, ncols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
     lift = st.sampled_from([-2, -1, 1, 2])
@@ -191,19 +196,18 @@ def test_packed_elimination_reduces_unreduced_entries(p, data):
              for x in data.draw(st.lists(st.integers(0, p - 1),
                                          min_size=ncols, max_size=ncols))]
             for _ in range(nrows)]
-    m = Matrix(fp, nrows, ncols, rows, _skip_check=True)
-    assert m.rref() == _generic(m, [0] * nrows)[0]
+    reduced = [[x % p for x in r] for r in rows]
+    assert _packed_rref(fp, rows, ncols) == linalg._rref_generic(fp, reduced, ncols)
 
 
 def test_packed_elimination_of_negative_and_oversized_entries():
     fp = PrimeField(DEFAULT_PRIME)
     p = fp.p
     rows = [[-1, p + 3, 0, 5], [p + 3, -1, 2, -1], [2 * p + 2, 2, 2, p + 4]]
-    m = Matrix(fp, 3, 4, rows, _skip_check=True)
-    assert m.rref() == _generic(m, [0, 0, 0])[0]
+    reduced = [[x % p for x in r] for r in rows]
+    assert _packed_rref(fp, rows, 4) == linalg._rref_generic(fp, reduced, 4)
     # A row of multiples of p is a zero row, returned as canonical zeros.
-    zero_row = Matrix(fp, 2, 2, [[p, -p], [-1, 1]], _skip_check=True)
-    assert zero_row.rref()[0].data == [[1, p - 1], [0, 0]]
+    assert _packed_rref(fp, [[p, -p], [-1, 1]], 2)[0] == [[1, p - 1], [0, 0]]
 
 
 def _dense(p, rows, cols, seed):
@@ -226,7 +230,7 @@ def test_packed_slots_hold_every_update(p, rows, cols):
     # that many updates of up to (p - 1)^2 before its row is reduced.
     m = _dense(p, rows, cols, seed=rows * cols + p)
     fp = PrimeField(p)
-    assert linalg._rref_packed(fp, m, cols) == linalg._rref_generic(fp, m, cols)
+    assert _packed_rref(fp, m, cols) == linalg._rref_generic(fp, m, cols)
 
 
 @pytest.mark.parametrize("p", [3, 7, 65537, DEFAULT_PRIME])
@@ -264,9 +268,33 @@ def test_prime_field_rank_takes_the_forward_sweep(monkeypatch):
     def forbidden(*args):
         raise AssertionError("Matrix.rank ran Gauss-Jordan")
 
-    monkeypatch.setattr(linalg, "_rref_packed", forbidden)
+    monkeypatch.setattr(linalg, "_rref_generic", forbidden)
+    monkeypatch.setattr(linalg, "_gauss_jordan_packed", forbidden)
     fp = PrimeField(7)
     assert Matrix.from_rows(fp, [[1, 2, 3], [2, 4, 6], [0, 0, 1]]).rank() == 2
+
+
+def test_prime_field_matrix_runs_one_loop_per_job(monkeypatch):
+    # Over F_p rref, kernel_basis and solve run the generic Gauss-Jordan
+    # loop alone, and rank the forward sweep alone.
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("_rref_generic", "_gauss_jordan_packed", "_rank_packed"):
+        monkeypatch.setattr(linalg, name, spy(name, getattr(linalg, name)))
+    m = Matrix.from_rows(PrimeField(7), [[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+    for run in (m.rref, m.kernel_basis, lambda: m.solve([1, 2, 0])):
+        calls.clear()
+        run()
+        assert calls == ["_rref_generic"]
+    calls.clear()
+    assert m.rank() == 2
+    assert calls == ["_rank_packed"]
 
 
 @pytest.mark.parametrize("p", [3, DEFAULT_PRIME])
@@ -289,7 +317,7 @@ def test_packed_elimination_when_every_row_is_a_pivot_early(p):
     m = [[dense[i][j] if j < i else int(i == j) for j in range(rows)] + dense[i][rows:]
          for i in range(rows)]
     fp = PrimeField(p)
-    red, pivots = linalg._rref_packed(fp, m, cols)
+    red, pivots = _packed_rref(fp, m, cols)
     assert pivots == list(range(rows))
     assert (red, pivots) == linalg._rref_generic(fp, m, cols)
 
@@ -313,7 +341,8 @@ def test_packed_kernel_holds_the_worst_case_load(p, rows, cols, load):
     red, pivots = linalg._rref_generic(fp, m, cols)
     packed = [linalg._pack(row, w) for row in lifted]
     assert linalg._gauss_jordan_packed(fp, packed, cols, w) == (red, pivots)
-    assert (linalg.packed_kernel_basis(fp, packed, cols, w)
+    assert (linalg.rows_kernel(fp, lambda width: [linalg._pack(r, width) for r in lifted],
+                               rows, cols, load)
             == linalg._kernel_from_rref(fp, red, pivots, cols))
     # Most columns are pivots, so most slots take many updates.
     assert len(pivots) > min(rows, cols) // 2

@@ -25,6 +25,9 @@ REMOVED = [
     "linear_combination",
     # The synthetic-division re-check: a test oracle now (kernel_oracles).
     "_taylor",
+    # One kernel entry, linalg.rows_kernel, picks the elimination, and one
+    # pair-row builder serves both fields; Matrix.rref keeps one loop.
+    "packed_kernel_basis", "_rref_packed", "_packed_pair_rows", "_pair_product_rows",
 ]
 MODULES = sorted(m.name for m in pkgutil.iter_modules(qmod.__path__))
 

@@ -22,7 +22,7 @@ from qmod.quadlab import (
     _PRODUCTS,
     _jacobian_rows,
     _linear_family_det,
-    _pair_product_rows,
+    _pair_rows,
     _product,
     bounded_rank_quadric,
     expected_family_dim,
@@ -290,14 +290,14 @@ def test_packed_pair_rows_match_per_pair_oracle(data):
     field = data.draw(st.sampled_from(_PAIR_FIELDS), label="field")
     forms = data.draw(_form_lists(field))
     w = _pair_rows_width(forms)
-    slots = packed_slots(quadlab._packed_pair_rows(forms, w), len(upper_pairs(len(forms))), w)
+    slots = packed_slots(_pair_rows(forms, w), len(upper_pairs(len(forms))), w)
     assert [[x % field.p for x in row] for row in slots] == pair_product_rows(forms)
 
 
 @settings(max_examples=30, deadline=None)
 @given(_form_lists(QQ))
 def test_rational_pair_rows_match_per_pair_oracle(forms):
-    assert _pair_product_rows(forms) == pair_product_rows(forms)
+    assert _pair_rows(forms, None) == pair_product_rows(forms)
 
 
 @pytest.mark.parametrize("p", PACKED_PRIMES)
@@ -314,7 +314,7 @@ def test_packed_pair_slots_hold_the_worst_case_exactly(form, d, p):
     for _, _, no in form.product_table(d, d):
         hits[no] += 1
     npairs = len(upper_pairs(n))
-    slots = packed_slots(quadlab._packed_pair_rows(forms, w), npairs, w)
+    slots = packed_slots(_pair_rows(forms, w), npairs, w)
     assert slots == [[h * (p - 1) ** 2] * npairs for h in hits]
     bound = (form.width(d) + min(form.width(2 * d), npairs)) * p ** 2
     assert max(hits) <= form.width(d) and bound < 1 << w
@@ -724,7 +724,7 @@ def test_family_dimension_ranks_by_the_forward_sweep(monkeypatch):
         raise AssertionError("family_dimension left the forward rank path")
 
     monkeypatch.setattr(quadlab, "_rank_packed", spy)
-    monkeypatch.setattr(linalg, "_rref_packed", forbidden)
+    monkeypatch.setattr(linalg, "_gauss_jordan_packed", forbidden)
     monkeypatch.setattr(quadlab, "Matrix", forbidden)
     assert family_dimension(6, 4, (2, 2, 2), field=FP, seed=0) == 6
     assert len(seen) == 1 and seen[0]

@@ -195,49 +195,53 @@ def test_packed_hasse_rows_match_per_entry_oracle(data):
     assert [[x % p for x in row] for row in slots] == expected
 
 
-def _events_before_elimination(monkeypatch, run) -> list:
-    # What run() calls of Matrix and _unpack before its first packed
-    # elimination, and whether one ran at all.
+def _kernel_events(monkeypatch, run) -> list:
+    # What run() calls, in order, of rows_kernel, the packed elimination,
+    # Matrix.kernel_basis (with its shape), the Matrix constructor and
+    # _unpack.
     events = []
 
-    def spy(name, fn):
+    def spy(name, fn, shape=False):
         def wrapper(*args, **kwargs):
-            events.append(name)
+            events.append((name, args[0].rows, args[0].cols) if shape else name)
             return fn(*args, **kwargs)
         return wrapper
 
     with monkeypatch.context() as m:
         for module in (surface, quadlab):
-            m.setattr(module, "Matrix", spy("Matrix", Matrix))
+            m.setattr(module, "rows_kernel", spy("rows_kernel", linalg.rows_kernel))
         for module in (linalg, surface, quadlab):
             m.setattr(module, "_unpack", spy("_unpack", _unpack), raising=False)
         m.setattr(linalg, "_gauss_jordan_packed",
                   spy("eliminate", linalg._gauss_jordan_packed))
+        m.setattr(Matrix, "__init__", spy("Matrix", Matrix.__init__))
+        m.setattr(Matrix, "kernel_basis", spy("kernel_basis", Matrix.kernel_basis, True))
         run()
-    return events[:events.index("eliminate") + 1] if "eliminate" in events else events
+    return events
 
 
-def test_fp_producers_hand_packed_rows_to_the_elimination(monkeypatch):
-    cfg = PointConfig.sample(FP, 15, 3)
-    hs = _interpolation_kernel(cfg, hyperplane_class())
-    for run in (lambda: _interpolation_kernel(cfg, hyperplane_class()),
-                lambda: _interpolation_kernel(cfg, curve_class()),
-                lambda: quadlab._quadrics_through(FP, hs.dim - 1, hs.forms)):
-        assert _events_before_elimination(monkeypatch, run) == ["eliminate"]
-
-
-def test_rational_interpolation_reaches_matrix_kernel_basis(monkeypatch):
-    calls = []
-    kernel_basis = Matrix.kernel_basis
-
-    def counted(self):
-        calls.append((self.field, self.rows, self.cols))
-        return kernel_basis(self)
-
-    monkeypatch.setattr(Matrix, "kernel_basis", counted)
-    cfg = PointConfig(QQ, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (2, 3, 1)])
-    assert _interpolation_kernel(cfg, NSClass(3, (2, 1, 1, 1))).dim == 4
-    assert calls == [(QQ, 6, 10)]
+def test_each_producer_takes_one_rows_kernel_call(monkeypatch):
+    # Over F_p the one call hands its packed rows to one packed elimination,
+    # with no Matrix built and nothing unpacked before it; over QQ it makes
+    # one Matrix.kernel_basis call of the producer's shape.
+    fp_cfg = PointConfig.sample(FP, 15, 3)
+    qq_cfg = PointConfig(QQ, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (2, 3, 1)])
+    for cfg, h, c, shapes in (
+            (fp_cfg, hyperplane_class(), curve_class(), None),
+            (qq_cfg, NSClass(3, (2, 1, 1, 1)), NSClass(3, (1, 1, 1, 1)),
+             [(6, 10), (4, 10), (28, 10)])):
+        hs = _interpolation_kernel(cfg, h)
+        runs = (lambda: _interpolation_kernel(cfg, h),
+                lambda: _interpolation_kernel(cfg, c),
+                lambda: quadlab._quadrics_through(cfg.field, hs.dim - 1, hs.forms))
+        for k, run in enumerate(runs):
+            events = _kernel_events(monkeypatch, run)
+            routed = [e for e in events if e not in ("Matrix", "_unpack")]
+            if shapes:
+                assert routed == ["rows_kernel", ("kernel_basis",) + shapes[k]]
+            else:
+                assert routed == ["rows_kernel", "eliminate"]
+                assert events[:events.index("eliminate") + 1] == routed
 
 
 def test_members_vanish_to_order():
