@@ -220,28 +220,36 @@ def _kernel_events(monkeypatch, run) -> list:
     return events
 
 
-def test_each_producer_takes_one_rows_kernel_call(monkeypatch):
-    # Over F_p the one call hands its packed rows to one packed elimination,
-    # with no Matrix built and nothing unpacked before it; over QQ it makes
-    # one Matrix.kernel_basis call of the producer's shape.
-    fp_cfg = PointConfig.sample(FP, 15, 3)
-    qq_cfg = PointConfig(QQ, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (2, 3, 1)])
-    for cfg, h, c, shapes in (
-            (fp_cfg, hyperplane_class(), curve_class(), None),
-            (qq_cfg, NSClass(3, (2, 1, 1, 1)), NSClass(3, (1, 1, 1, 1)),
-             [(6, 10), (4, 10), (28, 10)])):
-        hs = _interpolation_kernel(cfg, h)
-        runs = (lambda: _interpolation_kernel(cfg, h),
-                lambda: _interpolation_kernel(cfg, c),
-                lambda: quadlab._quadrics_through(cfg.field, hs.dim - 1, hs.forms))
-        for k, run in enumerate(runs):
-            events = _kernel_events(monkeypatch, run)
-            routed = [e for e in events if e not in ("Matrix", "_unpack")]
-            if shapes:
-                assert routed == ["rows_kernel", ("kernel_basis",) + shapes[k]]
-            else:
-                assert routed == ["rows_kernel", "eliminate"]
-                assert events[:events.index("eliminate") + 1] == routed
+def _producer_runs(cfg, h, c):
+    # The row producers of the blow-up chain on |H|, the curve class and the
+    # quadrics through |H|, in that order.
+    hs = _interpolation_kernel(cfg, h)
+    return (lambda: _interpolation_kernel(cfg, h),
+            lambda: _interpolation_kernel(cfg, c),
+            lambda: quadlab._quadrics_through(cfg.field, hs.dim - 1, hs.forms))
+
+
+def test_fp_producers_hand_packed_rows_to_the_elimination(monkeypatch):
+    # Over F_p each producer's one rows_kernel call hands its packed rows to
+    # one packed elimination, with no Matrix built and nothing unpacked
+    # before it.
+    cfg = PointConfig.sample(FP, 15, 3)
+    for run in _producer_runs(cfg, hyperplane_class(), curve_class()):
+        events = _kernel_events(monkeypatch, run)
+        routed = [e for e in events if e not in ("Matrix", "_unpack")]
+        assert routed == ["rows_kernel", "eliminate"]
+        assert events[:events.index("eliminate") + 1] == routed
+
+
+def test_rational_interpolation_reaches_matrix_kernel_basis(monkeypatch):
+    # Over QQ each producer's one rows_kernel call makes one
+    # Matrix.kernel_basis call of the producer's shape.
+    cfg = PointConfig(QQ, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (2, 3, 1)])
+    runs = _producer_runs(cfg, NSClass(3, (2, 1, 1, 1)), NSClass(3, (1, 1, 1, 1)))
+    for run, shape in zip(runs, [(6, 10), (4, 10), (28, 10)]):
+        events = _kernel_events(monkeypatch, run)
+        routed = [e for e in events if e not in ("Matrix", "_unpack")]
+        assert routed == ["rows_kernel", ("kernel_basis",) + shape]
 
 
 def test_members_vanish_to_order():
