@@ -7,36 +7,33 @@ reproducible bit for bit.
 
 Over a prime field Gauss-Jordan runs on rows packed into one Python int
 each, after the delayed-reduction idea of Dumas, Giorgi and Pernet
-(FFLAS-FFPACK, ACM TOMS 2008).  Entry j sits in bits [j*w, (j+1)*w) with
-
-    w = 2*bitlen(p) + bitlen(load + min(rows, cols)) + 1    (packed_width)
-
-where whoever packs the rows promises that every slot starts below
-load*p^2.  Entries are reduced mod p when their row becomes a pivot; in
-between, each of at most min(rows, cols) eliminations adds at most
-(p-1)^2 to a slot, so a slot stays under (load + min(rows, cols))*p^2 <
-2^w and no carry crosses into the next slot.  A row update is then one
-big-int multiply-add instead of one field call per entry.  While column
-c is eliminated each row is kept as its tail, column c on, with column c
-in slot 0, so an update multiplies only the pivot's tail.  After the
-column every tail drops slot 0, which is 0 mod p on each row not yet a
-pivot (pivot rows record it first).  The slots left hold the same
-entries and take the same updates, so the bound, and w, are unchanged.
-Pivots, and so every reduced form, are those of the generic loop.
+(FFLAS-FFPACK, ACM TOMS 2008).  Entry j sits in bits [j*w, (j+1)*w).
+Every packed kernel, here and in ``unipoly.pow_mod`` and ``surface``'s
+re-check, states top, the largest value a slot can reach, next to its
+bound, and packs at w = ``slot_width(top)``, so no carry crosses a slot.
 ``rows_kernel`` alone picks the elimination for a row producer, whose
 ``build(w)`` packs its rows at width w over F_p or, w None, gives the
 entry lists ``Matrix.kernel_basis`` takes over QQ: ``surface``'s
-interpolation at load 1, ``quadlab``'s product matrix at load width(d).
-``_pack`` and ``_unpack`` also serve ``unipoly.pow_mod`` and
-``surface``'s re-check.
+interpolation at load 1, ``quadlab``'s product matrix at load width(d),
+each slot starting at most load*(p-1)^2.  Entries are reduced mod p when
+their row becomes a pivot; in between, each of at most min(nrows, cols)
+eliminations adds at most (p-1)^2 to a slot, so top is
+(load + min(nrows, cols))*(p-1)^2.  A row update is then one big-int
+multiply-add instead of one field call per entry.  While column c is
+eliminated each row is kept as its tail, column c on, with column c in
+slot 0, so an update multiplies only the pivot's tail.  After the column
+every tail drops slot 0, which is 0 mod p on each row not yet a pivot
+(pivot rows record it first).  The slots left hold the same entries and
+take the same updates, so top is unchanged.  Pivots, and so every
+reduced form, are those of the generic loop.
 
 ``Matrix.rank`` over F_p needs only the pivot count, so ``_rank_packed``
 runs the forward sweep alone (rank-profile elimination: Jeannerod, Pernet
 and Storjohann, J. Symbolic Comput. 56, 2013).  Its rows may hold any
 ints; each entry is reduced mod p once, while packing.  A pivot's tail is
 reduced when chosen and cancels its column from the rows not yet pivots
-with a coefficient p - c*inv % p in [1, p - 1], so each update still adds
-at most (p-1)^2 to a slot and w holds.
+with a coefficient p - c*inv % p in [1, p - 1], so each update adds at
+most (p-1)^2 to a slot: top is (p-1) + min(rows, cols)*(p-1)^2.
 
 ``Matrix.rref``, and with it ``kernel_basis`` and ``solve``, runs the
 generic loop over every field: over QQ there is no fixed width to pack
@@ -189,16 +186,17 @@ def _rref_generic(F, data, cols: int):
     return m, pivots
 
 
-def packed_width(p: int, load: int, rows: int, cols: int) -> int:
-    """Slot bits that no carry crosses for slots starting below load*p^2."""
-    return 2 * p.bit_length() + (load + min(rows, cols)).bit_length() + 1
+def slot_width(top: int) -> int:
+    """Bits of a packed slot that holds every value up to top."""
+    return top.bit_length()
 
 
 def rows_kernel(field, build, nrows: int, cols: int, load: int) -> list[list]:
-    """``Matrix.kernel_basis`` of the nrows x cols rows ``build`` makes,
-    over F_p packed at ``packed_width`` for load (module docstring)."""
+    """``Matrix.kernel_basis`` of the nrows x cols rows ``build`` makes;
+    over F_p slots start at most load*(p-1)^2 and reach at most
+    top = (load + min(nrows, cols))*(p-1)^2."""
     if isinstance(field, PrimeField):
-        w = packed_width(field.p, load, nrows, cols)
+        w = slot_width((load + min(nrows, cols)) * (field.p - 1) ** 2)
         red, pivots = _gauss_jordan_packed(field, build(w), cols, w)
         return _kernel_from_rref(field, red, pivots, cols)
     return Matrix(field, nrows, cols, build(None), _skip_check=True).kernel_basis()
@@ -273,7 +271,7 @@ def _rank_packed(F, rows, cols: int) -> int:
     dropped, so the rows left are exactly those not yet pivots.
     """
     p = F.p
-    w = packed_width(p, 1, len(rows), cols)
+    w = slot_width(p - 1 + min(len(rows), cols) * (p - 1) ** 2)
     mask = (1 << w) - 1
     tails = [_pack([x % p for x in r], w) for r in rows]
     rank = 0

@@ -10,11 +10,11 @@ no Groebner machinery.  ``linalg.rows_kernel`` alone picks how that
 matrix is eliminated.  Over F_p it is built packed, as ``linalg`` packs
 rows: pair (i, j) rides in slot j - i of form i's ints, one per
 monomial, so one pass per form over the product table gives all its
-pairs; a slot sums at most width(d) products below p^2, so the rows are
-handed over as they are, at load width(d).  Over QQ each pair's column
-is one ``Form.mul``.  Randomness enters only where genericity is itself
-the question, as one draw per seed from a derived stream; a degenerate
-draw is reported, never redrawn.
+pairs; a slot sums at most width(d) products of at most (p-1)^2, which
+binary forms reach, so the rows are handed over at load width(d).  Over
+QQ each pair's column is one ``Form.mul``.  Randomness enters only where
+genericity is itself the question, as one draw per seed from a derived
+stream; a degenerate draw is reported, never redrawn.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .fields import (DEFAULT_PRIME, PrimeField, checked, derived_rng,
                      require_sampling_prime)
 from .invariants import _require_ints
 from .linalg import Matrix, _rank_packed, rows_kernel
-from .ternary import TernaryForm, monomial_index, monomials, no_common_zero
+from .ternary import TernaryForm, no_common_zero
 
 
 @lru_cache(maxsize=None)
@@ -265,8 +265,8 @@ def _quadrics_through(field, r: int, forms) -> QuadricSystem:
     forms i.. into one int per monomial, pair (i, j) in slot j - i, so
     one pass over the product table, acc[no] += f_i[n1] * P[n2], forms
     every pair (i, j >= i); acc, shifted to the slot of pair (i, i), is
-    added into the rows.  A slot sums at most width(d) products below
-    p^2, so the rows are handed over at load width(d).
+    added into the rows.  A slot sums at most width(d) products of at
+    most (p-1)^2, so the rows are handed over at load width(d).
     """
     form, d = type(forms[0]), forms[0].degree
     kern = rows_kernel(field, lambda w: _pair_rows(forms, w), form.width(2 * d),
@@ -619,12 +619,11 @@ def form_matrix_det(entries, unit):
 @lru_cache(maxsize=None)
 def _variable_shifts(form, degree: int) -> tuple:
     """Per variable k of ``form``, the index in degree + 1 of each
-    degree-``degree`` monomial times that variable."""
-    if form is BinaryForm:
-        return tuple(range(degree + 1)), tuple(range(1, degree + 2))
-    idx = monomial_index(degree + 1)
-    return tuple(tuple(idx[tuple(x + (t == k) for t, x in enumerate(e))]
-                       for e in monomials(degree)) for k in range(3))
+    degree-``degree`` monomial times that variable: slice k of the
+    degree 1 x ``degree`` product table."""
+    table, n = form.product_table(1, degree), form.width(degree)
+    return tuple(tuple(no for _, _, no in table[k * n:(k + 1) * n])
+                 for k in range(form.width(1)))
 
 
 def _linear_family_det(form, quadrics):

@@ -21,7 +21,7 @@ from operator import mul
 from .binforms import BinaryForm
 from .errors import DomainError, FieldMismatchError, GenericityError, InternalCheckError
 from .fields import DEFAULT_PRIME, PrimeField, derived_rng, require_sampling_prime
-from .linalg import _pack, _unpack, rows_kernel
+from .linalg import _pack, _unpack, rows_kernel, slot_width
 from .quadlab import QuadricSystem, SymQuadric, _linear_family_det, _quadrics_through
 from .ternary import TernaryForm, _powers, monomials
 
@@ -255,24 +255,19 @@ def _shifted_terms(cols, xs, ys) -> list:
             for a in range(len(xs)) for b in range(len(xs) - a)]
 
 
-def _slot_width(p: int, d: int) -> int:
-    """Bits per packed member: a slot of t stays below (d + 1)^2 p^3."""
-    return 3 * p.bit_length() + 2 * (d + 1).bit_length() + 1
-
-
 def _multiplicity_miss(field, cls, points, forms):
     """(point, member, a, b) of the first nonzero coefficient of u^a v^b,
     a + b < min(m, d + 1), in the chart of each point's last nonzero
     coordinate, or None.  Over F_p member k rides in slot k of one int per
     monomial, so each stage step serves the whole system: with reduced
-    coefficients and weights, s1 sums d + 1 products below p^2 and t d + 1
-    below (d + 1) p^3, so no carry crosses a ``_slot_width`` slot.  Over QQ
-    the stages run member by member."""
+    coefficients and weights, s1 sums d + 1 products of at most (p-1)^2
+    and t d + 1 of those times a weight, so top is (d + 1)^2 (p-1)^3.
+    Over QQ the stages run member by member."""
     if not forms:
         return None
     d, packed = cls.a, isinstance(field, PrimeField)
     if packed:
-        w = _slot_width(field.p, d)
+        w = slot_width((d + 1) ** 2 * (field.p - 1) ** 3)
         batches = [(0, [_pack(c, w) for c in zip(*(f.coeffs for f in forms))])]
     else:
         batches = list(enumerate(f.coeffs for f in forms))
@@ -310,7 +305,7 @@ def _hasse_rows(field, points, cls: NSClass, w=None) -> list:
     entry lists over QQ (w None).  Row (dx, dy) is the outer product
     X[dx][al] Y[dy][be] of ``_hasse_table``s; in ``monomials(a)`` order
     the block of x-exponent al is contiguous, y-exponents descending, so a
-    packed row is one multiply-add per x-exponent, each slot below p^2."""
+    packed row is one multiply-add per x-exponent, each slot <= (p-1)^2."""
     a, rows = cls.a, []
     for pt, m in zip(points, cls.mults):
         if m and pt[2] != field.one:
@@ -336,7 +331,7 @@ def _interpolation_kernel(cfg: PointConfig, cls: NSClass) -> PlaneSystem:
     f(x0 + u, y0 + v), binomial and exact in every characteristic, built
     by ``_hasse_rows`` apart from the re-check's Pascal's-rule weights.
     ``linalg.rows_kernel`` picks the elimination; packed, each slot holds
-    one product below p^2, so the rows are handed over at load 1."""
+    one product of at most (p-1)^2, so the rows are handed over at load 1."""
     field = cfg.field
     if cls.a < 0:
         raise DomainError("negative degree carries no forms")

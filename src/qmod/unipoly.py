@@ -26,7 +26,7 @@ from itertools import zip_longest
 
 from .errors import ConfigurationError, DomainError, GenericityError, ZeroPolynomialError
 from .fields import PrimeField
-from .linalg import Matrix, _pack, _unpack
+from .linalg import Matrix, _pack, _unpack, slot_width
 
 
 def normalize(field, cs) -> list:
@@ -268,15 +268,15 @@ def pow_mod(pf: PrimeField, base, e: int, m) -> list:
     2009) on the ``linalg`` packing: coefficient i of a residue sits in bits
     [i*w, (i+1)*w), so a product is one big-int multiply.  Its slots k = n
     .. 2n-2, n = deg m, are reduced mod p and folded back onto the packed
-    x^k mod m, so a slot sums at most 2n - 1 terms below p^2.  That stays
-    under 2^w for w = 2*bitlen(p) + bitlen(n) + 1: no carry crosses slots.
+    x^k mod m, so a slot sums at most 2n - 1 terms of at most (p-1)^2:
+    top is (2n - 1)(p-1)^2.
     """
     if not isinstance(pf, PrimeField):
         raise DomainError("pow_mod runs over a prime field")
     n = degree(m)
     if n < 1:
         raise DomainError("modulus must have positive degree")
-    p, w = pf.p, 2 * pf.p.bit_length() + n.bit_length() + 1
+    p, w = pf.p, slot_width((2 * n - 1) * (pf.p - 1) ** 2)
     mask, low_mask, inv = (1 << w) - 1, (1 << n * w) - 1, pf.inv(m[-1])
     # x^n mod m, then x^(k+1) = x * x^k with its top slot folded onto x^n.
     x_k = x_n = [-inv * c % p for c in m[:-1]]

@@ -1,8 +1,9 @@
 """The package has no runtime dependencies: ``src/qmod`` imports only the
 standard library and itself, and ``pyproject.toml`` declares none.  Inside
-it, ``linalg`` alone picks the elimination: the packed loop and its width
-are named nowhere else, and the private ``linalg`` names other modules
-import are pinned, so the list can only shrink."""
+it, ``linalg`` alone picks the elimination: the packed loop is named
+nowhere else, a bit length is taken only in ``linalg.slot_width``, the one
+slot-width rule, and the private ``linalg`` names other modules import
+are pinned, so the list can only shrink."""
 
 import ast
 import sys
@@ -35,16 +36,19 @@ def test_pyproject_declares_no_dependencies():
     assert "\ndependencies = []\n" in project
 
 
-# The packed Gauss-Jordan loop and its slot width, reached only through
-# linalg.rows_kernel.
-LINALG_ONLY = {"packed_width", "_gauss_jordan_packed"}
+# The packed Gauss-Jordan loop, reached only through linalg.rows_kernel.
+LINALG_ONLY = {"_gauss_jordan_packed"}
 PRIVATE_LINALG_IMPORTS = {("surface", "_pack"), ("surface", "_unpack"),
                           ("unipoly", "_pack"), ("unipoly", "_unpack"),
                           ("quadlab", "_rank_packed")}
 
 
-def _names(path):
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+def _tree(path):
+    return ast.parse(path.read_text(), str(path))
+
+
+def _names(tree):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
@@ -55,13 +59,21 @@ def _names(path):
 
 def test_packed_elimination_is_named_only_in_linalg():
     assert sorted((path.name, name) for path in SOURCES if path.stem != "linalg"
-                  for name in _names(path) if name in LINALG_ONLY) == []
+                  for name in _names(_tree(path)) if name in LINALG_ONLY) == []
+
+
+def test_bit_length_is_taken_only_by_the_width_rule():
+    # Every packed kernel states its largest slot value and takes its width
+    # from linalg.slot_width, so no other top-level definition sizes a slot.
+    assert sorted((path.name, getattr(top, "name", None)) for path in SOURCES
+                  for top in _tree(path).body
+                  for name in _names(top) if name == "bit_length") == [("linalg.py", "slot_width")]
 
 
 def test_private_linalg_imports_are_pinned():
     imported = set()
     for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        for node in ast.walk(_tree(path)):
             if (isinstance(node, ast.ImportFrom) and node.module
                     and node.module.split(".")[-1] == "linalg"):
                 imported.update((path.stem, a.name) for a in node.names

@@ -138,8 +138,8 @@ def test_kernel_basis_is_echelonized():
 
 def _packed_rref(F, data, cols: int):
     """Gauss-Jordan of entry lists by the packed loop: each entry reduced
-    mod p and packed at load 1."""
-    w = linalg.packed_width(F.p, 1, len(data), cols)
+    mod p and packed at load 1, by ``rows_kernel``'s width rule."""
+    w = linalg.slot_width((1 + min(len(data), cols)) * (F.p - 1) ** 2)
     return linalg._gauss_jordan_packed(
         F, [linalg._pack([x % F.p for x in r], w) for r in data], cols, w)
 
@@ -322,27 +322,80 @@ def test_packed_elimination_when_every_row_is_a_pivot_early(p):
     assert (red, pivots) == linalg._rref_generic(fp, m, cols)
 
 
+def _kernel_and_width(fp, rows, cols: int, load: int):
+    """``rows_kernel`` of integer rows packed at the width it asks for at
+    ``load``, and that width."""
+    widths = []
+
+    def build(w):
+        widths.append(w)
+        return [linalg._pack(r, w) for r in rows]
+
+    return linalg.rows_kernel(fp, build, len(rows), cols, load), widths[0]
+
+
+def _filling_rows(p, rows: int, cols: int, load: int):
+    """Rows of integers whose slots take the most updates, and k: the
+    first k = min(rows, cols) - 1 rows are e_i with p - 1 on every column
+    from k on; each row after them is 1 mod p on every column before k, so
+    it takes k updates of exactly (p - 1)^2 on every later slot.  Entries
+    start at the largest value of their residue up to load (p - 1)^2."""
+    k, top = min(rows, cols) - 1, load * (p - 1) ** 2
+    unit = [[int(i == j) for j in range(k)] + [p - 1] * (cols - k) for i in range(k)]
+    rest = [[1] * k + row for row in _dense(p, rows - k, cols - k, seed=rows + cols + p)]
+    return unit + [[x + (top - x) // p * p for x in row] for row in rest], k
+
+
 @pytest.mark.parametrize("p", PACKED_PRIMES)
-@pytest.mark.parametrize("rows, cols, load", [(120, 28, 36), (54, 66, 1), (29, 36, 1),
-                                              (15, 15, 1)])
+@pytest.mark.parametrize("rows, cols, load", [(120, 28, 36), (120, 6, 36), (54, 66, 1),
+                                              (29, 36, 1), (15, 15, 1)])
 def test_packed_kernel_holds_the_worst_case_load(p, rows, cols, load):
     # The shapes of the blow-up chain: its I2 matrix, whose slots a producer
-    # hands over below width(7) p^2 = 36 p^2, and its three interpolation
-    # matrices, one product below p^2 per slot.  Every slot starts at the
-    # largest value of its residue up to load (p - 1)^2, then takes up to
-    # min(rows, cols) updates of up to (p - 1)^2 at the width packed_width
-    # gives for that load.
+    # hands over at most width(7) (p - 1)^2 = 36 (p - 1)^2, the same for
+    # three degree-7 plane forms (load > min(rows, cols)), and its three
+    # interpolation matrices, one product of at most (p - 1)^2 per slot.
+    # Every slot starts at the largest value of its residue up to
+    # load (p - 1)^2, then takes up to min(rows, cols) updates of up to
+    # (p - 1)^2 at the width rows_kernel takes for that load.
     fp = PrimeField(p)
     top = load * (p - 1) ** 2
     m = _dense(p, rows, cols, seed=rows * cols + p)
     lifted = [[x + (top - x) // p * p for x in row] for row in m]
     assert all(top - p < x <= top for row in lifted for x in row)
-    w = linalg.packed_width(p, load, rows, cols)
     red, pivots = linalg._rref_generic(fp, m, cols)
+    kernel, w = _kernel_and_width(fp, lifted, cols, load)
+    assert kernel == linalg._kernel_from_rref(fp, red, pivots, cols)
     packed = [linalg._pack(row, w) for row in lifted]
     assert linalg._gauss_jordan_packed(fp, packed, cols, w) == (red, pivots)
-    assert (linalg.rows_kernel(fp, lambda width: [linalg._pack(r, width) for r in lifted],
-                               rows, cols, load)
-            == linalg._kernel_from_rref(fp, red, pivots, cols))
     # Most columns are pivots, so most slots take many updates.
     assert len(pivots) > min(rows, cols) // 2
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+@pytest.mark.parametrize("rows, cols, load", [(120, 6, 36), (45, 3, 9), (54, 66, 1)])
+def test_packed_kernel_slots_fill_the_width(p, rows, cols, load):
+    # A row after the unit rows reaches (load + m - 1) (p - 1)^2 at column
+    # k, m = min(rows, cols), which needs every bit of the width rows_kernel
+    # takes for top = (load + m) (p - 1)^2 at these shapes: a width one bit
+    # short, or one without the load term, carries into the next slot.
+    fp = PrimeField(p)
+    m, k = _filling_rows(p, rows, cols, load)
+    kernel, w = _kernel_and_width(fp, m, cols, load)
+    assert (max(row[k] for row in m[k:]) + k * (p - 1) ** 2).bit_length() == w
+    assert kernel == Matrix(fp, rows, cols, [[x % p for x in row] for row in m]).kernel_basis()
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+@pytest.mark.parametrize("rows, cols", [(40, 10), (10, 10), (40, 12)])
+def test_forward_rank_slots_fill_the_width(p, rows, cols, monkeypatch):
+    # Reduced while packing, a row after the unit rows starts at most p - 1
+    # and reaches (p - 1) + (m - 1) (p - 1)^2 at column k, which needs every
+    # bit of the width _rank_packed takes for top = (p - 1) + m (p - 1)^2.
+    fp = PrimeField(p)
+    m, k = _filling_rows(p, rows, cols, 1)
+    widths, pack = set(), linalg._pack
+    monkeypatch.setattr(linalg, "_pack", lambda entries, w: widths.add(w) or pack(entries, w))
+    rank = linalg._rank_packed(fp, m, cols)
+    monkeypatch.undo()
+    assert [(max(row[k] % p for row in m[k:]) + k * (p - 1) ** 2).bit_length()] == list(widths)
+    assert rank == len(linalg._rref_generic(fp, [[x % p for x in row] for row in m], cols)[1])

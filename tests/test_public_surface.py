@@ -28,6 +28,9 @@ REMOVED = [
     # One kernel entry, linalg.rows_kernel, picks the elimination, and one
     # pair-row builder serves both fields; Matrix.rref keeps one loop.
     "packed_kernel_basis", "_rref_packed", "_packed_pair_rows", "_pair_product_rows",
+    # One slot-width rule: each packed kernel takes linalg.slot_width of
+    # the largest value its slots reach.
+    "packed_width", "_slot_width",
 ]
 MODULES = sorted(m.name for m in pkgutil.iter_modules(qmod.__path__))
 

@@ -24,6 +24,7 @@ from qmod.quadlab import (
     _linear_family_det,
     _pair_rows,
     _product,
+    _quadrics_through,
     bounded_rank_quadric,
     expected_family_dim,
     family_dimension,
@@ -273,23 +274,31 @@ def _form_lists(draw, field):
     return forms
 
 
-def _pair_rows_width(forms) -> int:
-    # The elimination's width for the product matrix: width(2d) rows, one
-    # column per upper pair, every slot below width(d) p^2.
-    form, d = type(forms[0]), forms[0].degree
-    return linalg.packed_width(forms[0].field.p, form.width(d), form.width(2 * d),
-                               len(upper_pairs(len(forms))))
+def _load_width(forms) -> int:
+    # The narrowest width that holds the load _quadrics_through states:
+    # every slot at most width(d) (p - 1)^2.
+    return linalg.slot_width(type(forms[0]).width(forms[0].degree) * (forms[0].field.p - 1) ** 2)
+
+
+def _production_width(forms) -> int:
+    # The width _quadrics_through packs the pair rows at: the elimination's
+    # for the product matrix, at the load it states.
+    widths = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(quadlab, "_pair_rows", lambda fs, w: widths.append(w) or _pair_rows(fs, w))
+        _quadrics_through(forms[0].field, len(forms) - 1, forms)
+    return widths[0]
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_packed_pair_rows_match_per_pair_oracle(data):
     # Ternary degrees 0..8 and binary degrees 1..12, with 1..9 forms, any
-    # of them zero: packed at the elimination's width, every slot of every
-    # row reduces to the pair's product.
+    # of them zero: packed at the narrowest width of the stated load, every
+    # slot of every row reduces to the pair's product.
     field = data.draw(st.sampled_from(_PAIR_FIELDS), label="field")
     forms = data.draw(_form_lists(field))
-    w = _pair_rows_width(forms)
+    w = _load_width(forms)
     slots = packed_slots(_pair_rows(forms, w), len(upper_pairs(len(forms))), w)
     assert [[x % field.p for x in row] for row in slots] == pair_product_rows(forms)
 
@@ -306,20 +315,34 @@ def test_packed_pair_slots_hold_the_worst_case_exactly(form, d, p):
     # Every coefficient p - 1: a slot holds (p - 1)^2 times the number of
     # table entries landing on its monomial, width(d) at the middle
     # binary monomial, and must unpack to that exact, unreduced sum at the
-    # width the elimination takes for load width(d).
+    # width _quadrics_through packs at, the elimination's for load width(d).
     field, n = PrimeField(p), 4
     forms = [form(field, d, [p - 1] * form.width(d)) for _ in range(n)]
-    w = _pair_rows_width(forms)
+    w = _production_width(forms)
     hits = [0] * form.width(2 * d)
     for _, _, no in form.product_table(d, d):
         hits[no] += 1
     npairs = len(upper_pairs(n))
     slots = packed_slots(_pair_rows(forms, w), npairs, w)
     assert slots == [[h * (p - 1) ** 2] * npairs for h in hits]
-    bound = (form.width(d) + min(form.width(2 * d), npairs)) * p ** 2
-    assert max(hits) <= form.width(d) and bound < 1 << w
+    top = (form.width(d) + min(form.width(2 * d), npairs)) * (p - 1) ** 2
+    assert max(hits) <= form.width(d) and top.bit_length() == w
     if form is BinaryForm:
         assert max(hits) == form.width(d)
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+@pytest.mark.parametrize("form, d, n", [(BinaryForm, 12, 2), (TernaryForm, 7, 3)])
+def test_quadrics_through_holds_the_worst_case_forms(form, d, n, p):
+    # Every coefficient p - 1: the product matrix starts at its full load,
+    # width(d) (p - 1)^2 at the middle binary monomial, and with few pairs
+    # the load term decides the width rows_kernel packs at.  The quadrics
+    # must be the kernel of the per-pair oracle's rows.
+    field = PrimeField(p)
+    forms = [form(field, d, [p - 1] * form.width(d)) for _ in range(n)]
+    kernel = Matrix.from_rows(field, pair_product_rows(forms)).kernel_basis()
+    assert _quadrics_through(field, n - 1, forms).basis == [
+        SymQuadric.from_upper_coeffs(field, n, v) for v in kernel]
 
 
 def test_quadrics_through_multiplies_no_form_pair_over_fp(monkeypatch):

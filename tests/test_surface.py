@@ -14,7 +14,7 @@ from qmod.cli import main
 from qmod.errors import (ConfigurationError, DomainError, FieldMismatchError,
                          GenericityError, InternalCheckError)
 from qmod.fields import DEFAULT_PRIME, MIN_SAMPLING_PRIME, QQ, PrimeField, derived_rng
-from qmod.linalg import Matrix, _pack, _unpack, packed_width
+from qmod.linalg import Matrix, _pack, _unpack, slot_width
 from qmod.quadlab import i2_basis, ParamCurve
 from qmod.surface import (
     NSClass,
@@ -34,7 +34,7 @@ from qmod.surface import (
     residual_class,
 )
 from qmod.surface import (_hasse_rows, _interpolation_kernel, _multiplicity_miss,
-                          _normalize_point, _shift_weights, _shifted_terms, _slot_width)
+                          _normalize_point, _shift_weights, _shifted_terms)
 from qmod.quadlab import SymQuadric
 from qmod.ternary import TernaryForm
 
@@ -175,8 +175,9 @@ def test_interpolation_kernel_at_a_prime_below_the_degree():
 def test_packed_hasse_rows_match_per_entry_oracle(data):
     # Degrees 0..7, multiplicities 0..a + 3 (rows past dx = a are zero), and
     # p = 3, where most binomials vanish: each packed slot holds one product
-    # below p^2 and reduces to the oracle's entry; over QQ the list rows are
-    # the oracle's rows.
+    # of at most (p - 1)^2, so it fits the narrowest width of load 1, and
+    # reduces to the oracle's entry; over QQ the list rows are the oracle's
+    # rows.
     field = data.draw(st.sampled_from([PrimeField(p) for p in PACKED_PRIMES] + [QQ]))
     coord = (st.integers(-9, 9) if field is QQ else st.integers(0, field.p - 1)).map(
         field.coerce)
@@ -189,9 +190,9 @@ def test_packed_hasse_rows_match_per_entry_oracle(data):
         assert _hasse_rows(field, points, cls) == expected
         return
     p, ncols = field.p, len(expected[0]) if expected else 0
-    w = packed_width(p, 1, len(expected), ncols)
+    w = slot_width((p - 1) ** 2)
     slots = packed_slots(_hasse_rows(field, points, cls, w), ncols, w)
-    assert all(x < p * p for row in slots for x in row)
+    assert all(x <= (p - 1) ** 2 for row in slots for x in row)
     assert [[x % p for x in row] for row in slots] == expected
 
 
@@ -486,16 +487,27 @@ def test_recheck_routes_agree_on_empty_and_single_member_systems(field):
     assert _multiplicity_miss(field, NSClass(-1, (1, 1)), points, []) is None
 
 
+def _recheck_width(field, d: int) -> int:
+    # The width the re-check packs a degree-d system's members at.
+    widths = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(surface, "_pack", lambda entries, w: widths.append(w) or _pack(entries, w))
+        _multiplicity_miss(field, NSClass(d, (1,)), [(field.one,) * 3],
+                           [TernaryForm(field, d, [field.one] * comb(d + 2, 2))])
+    return widths[0]
+
+
 @pytest.mark.parametrize("p", PACKED_PRIMES)
 def test_packed_slots_hold_the_worst_case_exactly(p):
     # Every coefficient and weight p - 1 on a full (d + 1) x (d + 1) grid at
-    # d = 10: each slot of every t reaches (d + 1)^2 (p - 1)^3, the bound
-    # _slot_width is sized for, and must unpack to the exact per-member sum.
+    # d = 10: each slot of every t reaches (d + 1)^2 (p - 1)^3, the top the
+    # re-check states, which needs every bit of the width it packs at, and
+    # must unpack to the exact per-member sum.
     d, members = 10, 3
-    w = _slot_width(p, d)
+    w = _recheck_width(PrimeField(p), d)
     table = [[p - 1] * (d + 1) for _ in range(d + 1)]
     worst = (d + 1) ** 2 * (p - 1) ** 3
-    assert worst < 1 << w
+    assert worst.bit_length() == w
     packed = [[_pack([c] * members, w) for c in col] for col in table]
     for (a, b, t), (_, _, single) in zip(_shifted_terms(packed, table, table),
                                          _shifted_terms(table, table, table)):

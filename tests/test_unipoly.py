@@ -253,6 +253,28 @@ def test_pow_mod_matches_the_list_oracle(pf, data):
         assert up.pow_mod(pf, base, e, m) == direct
 
 
+@pytest.mark.parametrize("p", [3, 7, 65537, 2 ** 64 + 13])
+def test_pow_mod_slots_fill_the_width(p, monkeypatch):
+    # Squaring the residue whose n = 4 coefficients are all p - 1 puts
+    # n (p - 1)^2 in slot n - 1 before the fold, which at these primes
+    # needs every bit of the width pow_mod takes for top = (2n - 1) (p - 1)^2
+    # (at 2^61 - 1 it stays one bit short for every n).
+    pf, m = PrimeField(p), [1, 2, 3, 4, 1]
+    seen, unpack = [], up._unpack
+
+    def spy(v, n, w, mask):
+        slots = unpack(v, n, w, mask)
+        seen.append((w, max(slots)))
+        return slots
+
+    monkeypatch.setattr(up, "_unpack", spy)
+    got = up.pow_mod(pf, [p - 1] * 4, 2, m)
+    monkeypatch.undo()
+    (w,) = {w for w, _ in seen}
+    assert max(x for _, x in seen).bit_length() == w
+    assert got == oracle.pow_mod(pf, [p - 1] * 4, 2, m)
+
+
 def test_pow_mod_packs_only_prime_field_residues():
     with pytest.raises(DomainError, match="prime field"):
         up.pow_mod(QQ, [Fraction(1), Fraction(1)], 3, [Fraction(1), Fraction(0), Fraction(1)])
