@@ -12,8 +12,8 @@ Every packed kernel, here and in ``unipoly.pow_mod`` and ``surface``'s
 re-check, states top, the largest value a slot can reach, next to its
 bound, and packs at w = ``slot_width(top)``, so no carry crosses a slot.
 ``rows_kernel`` alone picks the elimination for a row producer, whose
-``build(w)`` packs its rows at width w over F_p or, w None, gives the
-entry lists ``Matrix.kernel_basis`` takes over QQ: ``surface``'s
+``build(w)`` packs its rows at width w over F_p or, w None (``quadlab``
+over QQ), gives entry lists for ``Matrix.kernel_basis``: ``surface``'s
 interpolation at load 1, ``quadlab``'s product matrix at load width(d),
 each slot starting at most load*(p-1)^2.  Entries are reduced mod p when
 their row becomes a pivot; in between, each of at most min(nrows, cols)
@@ -194,7 +194,7 @@ def slot_width(top: int) -> int:
 def rows_kernel(field, build, nrows: int, cols: int, load: int) -> list[list]:
     """``Matrix.kernel_basis`` of the nrows x cols rows ``build`` makes;
     over F_p slots start at most load*(p-1)^2 and reach at most
-    top = (load + min(nrows, cols))*(p-1)^2."""
+    top = (load + min(nrows, cols))*(p-1)^2; only ``quadlab`` reaches QQ."""
     if isinstance(field, PrimeField):
         w = slot_width((load + min(nrows, cols)) * (field.p - 1) ** 2)
         red, pivots = _gauss_jordan_packed(field, build(w), cols, w)

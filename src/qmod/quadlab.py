@@ -529,6 +529,7 @@ def family_dimension(r: int, k: int, stratum, *, field=None, seed: int = 0) -> i
 
 def random_chord(field, rng) -> tuple:
     """Two distinct random parameter values, the second redrawn on a tie."""
+    require_sampling_prime(field)
     t1 = field.random_element(rng)
     t2 = field.random_element(rng)
     while t2 == t1:
@@ -577,25 +578,23 @@ def genus4_check(seed: int, field=None) -> int:
     return _random_sym_quadric(field, 4, rng).rank()
 
 
-def form_matrix_det(entries, unit):
-    """Determinant of a square matrix of linear forms, DP over column subsets.
+def form_matrix_det(form, quadrics):
+    """det(sum_k l_k Q_k) as a ``form`` (BinaryForm for a pencil,
+    TernaryForm for a net) in the l_k, of degree = matrix size.
 
-    The entries are degree-1 ``Form`` instances of one class (binary or
-    ternary); unit is the degree-0 form 1 of that class.  Column-subset
-    minors are built one row at a time as coefficient lists, so the work
-    is n 2^(n-1) products by a linear entry instead of n! expansion terms.
-    Such a product adds a times the minor into shifted positions, one
+    DP over column subsets: minors are built one row at a time as
+    coefficient lists, so the work is n 2^(n-1) products by the linear
+    entry sum_k Q_k[row][j] l_k instead of n! expansion terms.  Such a
+    product adds Q_k[row][j] times the minor into shifted positions, one
     variable at a time (``_variable_shifts``), and each stored minor
     coefficient is reduced once per row.
     """
-    n = len(entries)
-    if any(len(r) != n for r in entries):
-        raise DomainError("determinant of a non-square matrix")
-    form, F = type(unit), unit.field
-    if unit.degree != 0 or any(type(e) is not form or e.degree != 1 or e.field != F
-                               for r in entries for e in r):
-        raise DomainError("form determinant needs a degree-0 unit and linear entries like it")
-    states = {0: unit.coeffs}
+    if len(quadrics) != form.width(1):
+        raise DomainError(f"a {form.__name__} family has {form.width(1)} members")
+    F, n = quadrics[0].field, quadrics[0].size
+    if any(q.size != n or q.field != F for q in quadrics):
+        raise DomainError("family members must share the ambient space and field")
+    states = {0: [F.one]}
     for row in range(n):
         shifts, width = _variable_shifts(form, row), form.width(row + 1)
         nxt: dict = {}
@@ -607,7 +606,8 @@ def form_matrix_det(entries, unit):
                     continue
                 acc = nxt.setdefault(mask | (1 << j), [0] * width)
                 sign = -1 if (row - below) % 2 else 1
-                for a, shift in zip(entries[row][j].coeffs, shifts):
+                for q, shift in zip(quadrics, shifts):
+                    a = q.entries[row][j]
                     if a:
                         a *= sign
                         for k, c in zip(shift, minor):
@@ -626,24 +626,9 @@ def _variable_shifts(form, degree: int) -> tuple:
                  for k in range(form.width(1)))
 
 
-def _linear_family_det(form, quadrics):
-    """det(sum_k l_k Q_k) as a form of class ``form`` in the l_k, of
-    degree = matrix size; ``form`` is BinaryForm for a pencil and
-    TernaryForm for a net."""
-    field = quadrics[0].field
-    n = quadrics[0].size
-    if any(q.size != n for q in quadrics):
-        raise DomainError("family members must share the ambient space")
-    if any(q.field != field for q in quadrics):
-        raise DomainError("family members must share the field")
-    lin = [[form(field, 1, [q.entries[i][j] for q in quadrics]) for j in range(n)]
-           for i in range(n)]
-    return form_matrix_det(lin, form(field, 0, [field.one]))
-
-
 def net_discriminant(q1: SymQuadric, q2: SymQuadric, q3: SymQuadric) -> TernaryForm:
     """det(x Q1 + y Q2 + z Q3) as a ternary form of degree = matrix size."""
-    return _linear_family_det(TernaryForm, (q1, q2, q3))
+    return form_matrix_det(TernaryForm, (q1, q2, q3))
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ degree-13 class embedding it into projective 6-space and a pencil of
 quadrics through the image.  Linear systems with assigned base
 multiplicities are exact kernels of derivative-evaluation matrices;
 everything downstream (quadrics through the image, the discriminant of
-their pencil) is exact linear algebra over the same field.  Genericity of
-sampled data is the only probabilistic ingredient: each seed makes one
-draw, and a degenerate draw is reported for that seed, never redrawn.
+their pencil) is exact linear algebra over the same field, F_p: the lab
+takes no other.  Genericity of sampled data is the only probabilistic
+ingredient: each seed makes one draw, and a degenerate draw is reported
+for that seed, never redrawn.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from math import comb
 from operator import mul
 
 from .binforms import BinaryForm
-from .errors import DomainError, FieldMismatchError, GenericityError, InternalCheckError
+from .errors import (ConfigurationError, DomainError, FieldMismatchError, GenericityError,
+                     InternalCheckError)
 from .fields import DEFAULT_PRIME, PrimeField, derived_rng, require_sampling_prime
 from .linalg import _pack, _unpack, rows_kernel, slot_width
-from .quadlab import QuadricSystem, SymQuadric, _linear_family_det, _quadrics_through
+from .quadlab import QuadricSystem, SymQuadric, _quadrics_through, form_matrix_det
 from .ternary import TernaryForm, _powers, monomials
 
 
@@ -42,7 +44,7 @@ def _normalize_point(field, p):
 
 
 class PointConfig:
-    """General points of the plane, held as normalized representatives.
+    """General points of the plane over F_p, as normalized representatives.
 
     The genericity the interpolation matrices rely on is checked at
     construction time: pairwise distinct, no three collinear.  The
@@ -53,6 +55,8 @@ class PointConfig:
     __slots__ = ("field", "points", "seed")
 
     def __init__(self, field, points, *, seed=None):
+        if not isinstance(field, PrimeField):
+            raise ConfigurationError(f"the blow-up lab runs over F_p, got {field!r}")
         pts = [_normalize_point(field, p) for p in points]
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
@@ -197,8 +201,8 @@ class PlaneSystem:
     point, so the check holds in every characteristic, with no p > a bound.
     The shift runs in two stages on Pascal's-rule weights, not on the
     binomial tables whose outer products are the kernel's rows, so the two
-    paths share no table; over F_p the members ride packed in one int per
-    monomial (``_multiplicity_miss``).
+    paths share no table; the members ride packed in one int per monomial
+    (``_multiplicity_miss``).
     """
 
     __slots__ = ("field", "cls", "forms", "config")
@@ -258,19 +262,16 @@ def _shifted_terms(cols, xs, ys) -> list:
 def _multiplicity_miss(field, cls, points, forms):
     """(point, member, a, b) of the first nonzero coefficient of u^a v^b,
     a + b < min(m, d + 1), in the chart of each point's last nonzero
-    coordinate, or None.  Over F_p member k rides in slot k of one int per
-    monomial, so each stage step serves the whole system: with reduced
-    coefficients and weights, s1 sums d + 1 products of at most (p-1)^2
-    and t d + 1 of those times a weight, so top is (d + 1)^2 (p-1)^3.
-    Over QQ the stages run member by member."""
+    coordinate, or None.  Member k rides in slot k of one int per
+    monomial, so each stage step serves the whole system.  The columns are
+    triangular (c_ij = 0 for i + j > d): with reduced coefficients and
+    weights, s1[a][j] sums d + 1 - j products of at most (p-1)^2, and t
+    sums those times a weight, so top is (d + 1)(d + 2)/2 (p-1)^3."""
     if not forms:
         return None
-    d, packed = cls.a, isinstance(field, PrimeField)
-    if packed:
-        w = slot_width((d + 1) ** 2 * (field.p - 1) ** 3)
-        batches = [(0, [_pack(c, w) for c in zip(*(f.coeffs for f in forms))])]
-    else:
-        batches = list(enumerate(f.coeffs for f in forms))
+    d = cls.a
+    w = slot_width((d + 1) * (d + 2) // 2 * (field.p - 1) ** 3)
+    packed = [_pack(c, w) for c in zip(*(f.coeffs for f in forms))]
     columns = {}
     for n, (pt, m) in enumerate(zip(points, cls.mults)):
         top = min(m, d + 1)
@@ -279,17 +280,14 @@ def _multiplicity_miss(field, cls, points, forms):
         chart = max(i for i in range(3) if pt[i])
         u, v = (i for i in range(3) if i != chart)
         if chart not in columns:
-            columns[chart] = [[[0] * (d + 1 - j) for j in range(d + 1)] for _ in batches]
-            for cols, (_, coeffs) in zip(columns[chart], batches):
-                for e, c in zip(monomials(d), coeffs):
-                    cols[e[v]][e[u]] = c
+            cols = columns[chart] = [[0] * (d + 1 - j) for j in range(d + 1)]
+            for e, c in zip(monomials(d), packed):
+                cols[e[v]][e[u]] = c
         xs, ys = _shift_weights(field, pt[u], d, top), _shift_weights(field, pt[v], d, top)
-        for (first, _), cols in zip(batches, columns[chart]):
-            for a, b, t in _shifted_terms(cols, xs, ys):
-                slots = _unpack(t, len(forms), w, (1 << w) - 1) if packed else (t,)
-                for k, x in enumerate(slots):
-                    if field.coerce(x):
-                        return n, first + k, a, b
+        for a, b, t in _shifted_terms(columns[chart], xs, ys):
+            for k, x in enumerate(_unpack(t, len(forms), w, (1 << w) - 1)):
+                if field.coerce(x):
+                    return n, k, a, b
     return None
 
 
@@ -300,28 +298,24 @@ def _hasse_table(field, x0, a: int, top: int) -> list:
              for al in range(a + 1)] for dx in range(top)]
 
 
-def _hasse_rows(field, points, cls: NSClass, w=None) -> list:
-    """Hasse-derivative rows at affine points, packed at width w over F_p,
-    entry lists over QQ (w None).  Row (dx, dy) is the outer product
-    X[dx][al] Y[dy][be] of ``_hasse_table``s; in ``monomials(a)`` order
-    the block of x-exponent al is contiguous, y-exponents descending, so a
-    packed row is one multiply-add per x-exponent, each slot <= (p-1)^2."""
+def _hasse_rows(field, points, cls: NSClass, w: int) -> list:
+    """Hasse-derivative rows at affine points, packed at width w.  Row
+    (dx, dy) is the outer product X[dx][al] Y[dy][be] of ``_hasse_table``s;
+    in ``monomials(a)`` order the block of x-exponent al is contiguous,
+    y-exponents descending, so a row is one multiply-add per x-exponent,
+    each slot <= (p-1)^2."""
     a, rows = cls.a, []
     for pt, m in zip(points, cls.mults):
         if m and pt[2] != field.one:
             raise DomainError("interpolation works in the affine chart z = 1")
         xs, ys = (_hasse_table(field, c, a, m) for c in pt[:2])
         # Block k is x-exponent a - k: X[dx][a - k] times Y[dy][k], ..., Y[dy][0].
-        if w is None:
-            blocks = [[y[k::-1] for k in range(a + 1)] for y in ys]
-        else:
-            blocks = [[b << k * (k + 1) // 2 * w
-                       for k, b in enumerate(accumulate(y, lambda b, c: c + (b << w)))]
-                      for y in ys]
+        blocks = [[b << k * (k + 1) // 2 * w
+                   for k, b in enumerate(accumulate(y, lambda b, c: c + (b << w)))]
+                  for y in ys]
         for dx in range(m):
             xr = xs[dx][::-1]
-            rows += [[x * y for x, c in zip(xr, b) for y in c] if w is None
-                     else sum(map(mul, xr, b)) for b in blocks[:m - dx]]
+            rows += [sum(map(mul, xr, b)) for b in blocks[:m - dx]]
     return rows
 
 
@@ -330,8 +324,8 @@ def _interpolation_kernel(cfg: PointConfig, cls: NSClass) -> PlaneSystem:
     row (dx, dy), dx + dy < m, is the coefficient of u^dx v^dy in
     f(x0 + u, y0 + v), binomial and exact in every characteristic, built
     by ``_hasse_rows`` apart from the re-check's Pascal's-rule weights.
-    ``linalg.rows_kernel`` picks the elimination; packed, each slot holds
-    one product of at most (p-1)^2, so the rows are handed over at load 1."""
+    ``linalg.rows_kernel`` eliminates them packed; each slot holds one
+    product of at most (p-1)^2, so the rows are handed over at load 1."""
     field = cfg.field
     if cls.a < 0:
         raise DomainError("negative degree carries no forms")
@@ -363,7 +357,7 @@ def interpolation_basis(cfg: PointConfig, cls: NSClass) -> PlaneSystem:
 
 def pencil_discriminant(q1: SymQuadric, q2: SymQuadric) -> BinaryForm:
     """det(s Q1 + t Q2) as a binary form of degree = matrix size."""
-    return _linear_family_det(BinaryForm, (q1, q2))
+    return form_matrix_det(BinaryForm, (q1, q2))
 
 
 @dataclass(frozen=True)

@@ -398,9 +398,14 @@ def test_secant_repeat_conflicts_with_explicit_chord(capsys):
 
 
 def test_small_prime_sampling_is_a_configuration_error(capsys):
-    rc, _, err = _run(capsys, "genus5-net", "--prime", "101")
-    assert rc == 2
-    assert "error" in err
+    # 65521 is the largest prime below 2^16.
+    for argv in (["genus5-net", "--prime", "101"], ["secant", "--r", "3", "--prime", "65521"]):
+        rc, out, err = _run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+    # An explicit chord samples nothing, so any prime serves it.
+    rc, _, _ = _run(capsys, "secant", "--r", "3", "--t1", "1", "--t2", "2", "--prime", "5")
+    assert rc == 0
 
 
 def test_json_output_is_deterministic(capsys):

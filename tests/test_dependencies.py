@@ -3,7 +3,8 @@ standard library and itself, and ``pyproject.toml`` declares none.  Inside
 it, ``linalg`` alone picks the elimination: the packed loop is named
 nowhere else, a bit length is taken only in ``linalg.slot_width``, the one
 slot-width rule, and the private ``linalg`` names other modules import
-are pinned, so the list can only shrink."""
+are pinned, so the list can only shrink.  ``surface`` runs over F_p
+alone: one guard tests for ``PrimeField`` and nothing names QQ."""
 
 import ast
 import sys
@@ -79,3 +80,24 @@ def test_private_linalg_imports_are_pinned():
                 imported.update((path.stem, a.name) for a in node.names
                                 if a.name.startswith("_"))
     assert imported == PRIVATE_LINALG_IMPORTS
+
+
+def _prime_field_tests(node, scope=""):
+    # The qualified scope of each isinstance(..., PrimeField) under node.
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            yield from _prime_field_tests(child, f"{scope}{child.name}.")
+        elif (isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance"
+              and "PrimeField" in _names(child.args[1])):
+            yield scope.rstrip(".")
+        else:
+            yield from _prime_field_tests(child, scope)
+
+
+def test_surface_names_no_rational_field():
+    # PointConfig.__init__ refuses every field but F_p, which covers the
+    # whole blow-up chain, so no surface kernel needs a QQ twin; one that
+    # came back would name QQ or test for PrimeField again.
+    tree = _tree(Path(qmod.__file__).parent / "surface.py")
+    assert {"QQ", "RationalField"} & set(_names(tree)) == set()
+    assert list(_prime_field_tests(tree)) == ["PointConfig.__init__"]

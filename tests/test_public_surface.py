@@ -31,6 +31,8 @@ REMOVED = [
     # One slot-width rule: each packed kernel takes linalg.slot_width of
     # the largest value its slots reach.
     "packed_width", "_slot_width",
+    # One discriminant entry: form_matrix_det takes the quadric family itself.
+    "_linear_family_det",
 ]
 MODULES = sorted(m.name for m in pkgutil.iter_modules(qmod.__path__))
 

@@ -21,7 +21,6 @@ from qmod.quadlab import (
     SymQuadric,
     _PRODUCTS,
     _jacobian_rows,
-    _linear_family_det,
     _pair_rows,
     _product,
     _quadrics_through,
@@ -827,11 +826,17 @@ def test_family_discriminants_reject_mismatched_members():
             pencil_discriminant(*bad)
         with pytest.raises(DomainError):
             net_discriminant(q3, *bad)
+    # A family has one member per variable: zip must not silently drop one.
+    for form, count in ((BinaryForm, 0), (BinaryForm, 1), (BinaryForm, 3),
+                        (TernaryForm, 2), (TernaryForm, 4)):
+        with pytest.raises(DomainError):
+            form_matrix_det(form, [q3] * count)
 
 
 def test_form_determinant_empty_matrix():
-    one = TernaryForm(FP, 0, [1])
-    assert form_matrix_det([], one) == one
+    empty = SymQuadric(FP, [])
+    assert form_matrix_det(TernaryForm, [empty] * 3) == TernaryForm(FP, 0, [1])
+    assert form_matrix_det(BinaryForm, [empty] * 2) == BinaryForm(FP, 0, [1])
 
 
 _DET_FIELDS = [PrimeField(7), PrimeField(65537), FP, QQ]
@@ -851,23 +856,9 @@ def test_family_determinant_matches_form_product_oracle(data):
         for _ in range(members)]
     lin = [[form(field, 1, [q.entries[i][j] for q in qs]) for j in range(n)]
            for i in range(n)]
-    got = _linear_family_det(form, qs)
+    got = form_matrix_det(form, qs)
     assert got.degree == n
     assert got == form_matrix_det_by_forms(lin, form(field, 0, [field.one]))
-
-
-def test_form_determinant_takes_only_linear_entries():
-    one = BinaryForm(FP, 0, [1])
-    for entry in (BinaryForm(FP, 2, [1, 2, 3]), BinaryForm(FP, 0, [5]),
-                  TernaryForm(FP, 1, [1, 2, 3]), BinaryForm(PrimeField(101), 1, [1, 2])):
-        with pytest.raises(DomainError):
-            form_matrix_det([[entry]], one)
-    # A unit of positive degree would give minors of the wrong width.
-    for unit in (BinaryForm(FP, 1, [1, 0]), TernaryForm(FP, 2, [1, 0, 0, 0, 0, 0])):
-        with pytest.raises(DomainError):
-            form_matrix_det([], unit)
-    with pytest.raises(DomainError):
-        form_matrix_det([[BinaryForm(FP, 1, [1, 2])]], BinaryForm(FP, 1, [1, 0]))
 
 
 def test_genus5_report_shape():

@@ -146,6 +146,10 @@ def test_point_config_rejects_degenerate_sets():
 def test_point_config_needs_sampling_prime():
     with pytest.raises(ConfigurationError):
         PointConfig.sample(PrimeField(101), 15, 0)
+    # The blow-up lab runs over F_p; this one guard covers PlaneSystem,
+    # interpolation_basis and blowup_report.
+    with pytest.raises(ConfigurationError):
+        PointConfig(QQ, [(0, 0, 1), (1, 0, 1), (0, 1, 1)])
 
 
 def test_interpolation_dimensions_on_sampled_points():
@@ -176,19 +180,14 @@ def test_packed_hasse_rows_match_per_entry_oracle(data):
     # Degrees 0..7, multiplicities 0..a + 3 (rows past dx = a are zero), and
     # p = 3, where most binomials vanish: each packed slot holds one product
     # of at most (p - 1)^2, so it fits the narrowest width of load 1, and
-    # reduces to the oracle's entry; over QQ the list rows are the oracle's
-    # rows.
-    field = data.draw(st.sampled_from([PrimeField(p) for p in PACKED_PRIMES] + [QQ]))
-    coord = (st.integers(-9, 9) if field is QQ else st.integers(0, field.p - 1)).map(
-        field.coerce)
+    # reduces to the oracle's entry.
+    field = data.draw(st.sampled_from([PrimeField(p) for p in PACKED_PRIMES]))
+    coord = st.integers(0, field.p - 1)
     a = data.draw(st.integers(0, 7))
     mults = data.draw(st.lists(st.integers(0, a + 3), min_size=1, max_size=4))
     points = [(data.draw(coord), data.draw(coord), field.one) for _ in mults]
     cls = NSClass(a, mults)
     expected = hasse_rows(field, points, cls)
-    if field is QQ:
-        assert _hasse_rows(field, points, cls) == expected
-        return
     p, ncols = field.p, len(expected[0]) if expected else 0
     w = slot_width((p - 1) ** 2)
     slots = packed_slots(_hasse_rows(field, points, cls, w), ncols, w)
@@ -198,13 +197,12 @@ def test_packed_hasse_rows_match_per_entry_oracle(data):
 
 def _kernel_events(monkeypatch, run) -> list:
     # What run() calls, in order, of rows_kernel, the packed elimination,
-    # Matrix.kernel_basis (with its shape), the Matrix constructor and
-    # _unpack.
+    # Matrix.kernel_basis, the Matrix constructor and _unpack.
     events = []
 
-    def spy(name, fn, shape=False):
+    def spy(name, fn):
         def wrapper(*args, **kwargs):
-            events.append((name, args[0].rows, args[0].cols) if shape else name)
+            events.append(name)
             return fn(*args, **kwargs)
         return wrapper
 
@@ -216,14 +214,15 @@ def _kernel_events(monkeypatch, run) -> list:
         m.setattr(linalg, "_gauss_jordan_packed",
                   spy("eliminate", linalg._gauss_jordan_packed))
         m.setattr(Matrix, "__init__", spy("Matrix", Matrix.__init__))
-        m.setattr(Matrix, "kernel_basis", spy("kernel_basis", Matrix.kernel_basis, True))
+        m.setattr(Matrix, "kernel_basis", spy("kernel_basis", Matrix.kernel_basis))
         run()
     return events
 
 
-def _producer_runs(cfg, h, c):
+def _producer_runs(cfg):
     # The row producers of the blow-up chain on |H|, the curve class and the
     # quadrics through |H|, in that order.
+    h, c = hyperplane_class(), curve_class()
     hs = _interpolation_kernel(cfg, h)
     return (lambda: _interpolation_kernel(cfg, h),
             lambda: _interpolation_kernel(cfg, c),
@@ -235,22 +234,11 @@ def test_fp_producers_hand_packed_rows_to_the_elimination(monkeypatch):
     # one packed elimination, with no Matrix built and nothing unpacked
     # before it.
     cfg = PointConfig.sample(FP, 15, 3)
-    for run in _producer_runs(cfg, hyperplane_class(), curve_class()):
+    for run in _producer_runs(cfg):
         events = _kernel_events(monkeypatch, run)
         routed = [e for e in events if e not in ("Matrix", "_unpack")]
         assert routed == ["rows_kernel", "eliminate"]
         assert events[:events.index("eliminate") + 1] == routed
-
-
-def test_rational_interpolation_reaches_matrix_kernel_basis(monkeypatch):
-    # Over QQ each producer's one rows_kernel call makes one
-    # Matrix.kernel_basis call of the producer's shape.
-    cfg = PointConfig(QQ, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (2, 3, 1)])
-    runs = _producer_runs(cfg, NSClass(3, (2, 1, 1, 1)), NSClass(3, (1, 1, 1, 1)))
-    for run, shape in zip(runs, [(6, 10), (4, 10), (28, 10)]):
-        events = _kernel_events(monkeypatch, run)
-        routed = [e for e in events if e not in ("Matrix", "_unpack")]
-        assert routed == ["rows_kernel", ("kernel_basis",) + shape]
 
 
 def test_members_vanish_to_order():
@@ -344,16 +332,18 @@ def test_taylor_check_agrees_with_partials_oracle_on_report_systems(seed, monkey
             assert not taylor_accept(FP, s.cls, basis, s.config)
 
 
-def test_taylor_check_agrees_with_partials_oracle_over_qq():
-    cfg = PointConfig(QQ, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (2, 3, 1), (-1, 5, 2)])
+def test_taylor_check_agrees_with_partials_oracle_above_the_degree():
+    # Ordinary partials decide multiplicity once p exceeds the degree.
+    field = PrimeField(10007)
+    cfg = PointConfig(field, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (2, 3, 1), (-1, 5, 2)])
     cls = NSClass(4, (2, 2, 1, 1, 1))
     system = interpolation_basis(cfg, cls)
     assert system.dim == expected_system_dim(cls) == 6
     assert partials_accept(cls, system.forms, cfg.points)
     basis = [f.coeffs[:] for f in system.forms]
-    basis[0][3] += 1
-    assert not taylor_accept(QQ, cls, basis, cfg)
-    assert not partials_accept(cls, [TernaryForm(QQ, 4, v) for v in basis], cfg.points)
+    basis[0][3] = field.coerce(basis[0][3] + 1)
+    assert not taylor_accept(field, cls, basis, cfg)
+    assert not partials_accept(cls, [TernaryForm(field, 4, v) for v in basis], cfg.points)
 
 
 def _line_through(field, p, q):
@@ -363,7 +353,7 @@ def _line_through(field, p, q):
                                   field.coerce(p[0] * q[1] - p[1] * q[0])])
 
 
-_PROPERTY_FIELDS = [PrimeField(11), PrimeField(10007), FP, QQ]
+_PROPERTY_FIELDS = [PrimeField(11), PrimeField(10007), FP]
 
 
 @given(st.data())
@@ -371,7 +361,7 @@ def test_forced_multiplicity_is_seen_by_both_routes(data):
     # f = L_1 ... L_m G with every L_i through the point has multiplicity
     # at least m there, whatever the chart of the point.
     field = data.draw(st.sampled_from(_PROPERTY_FIELDS))
-    coord = st.integers(-4, 4) if field is QQ else st.integers(0, field.p - 1)
+    coord = st.integers(0, field.p - 1)
     vector = st.tuples(coord, coord, st.one_of(st.just(0), coord))
     raw = data.draw(vector.filter(any))
     cfg = PointConfig(field, [tuple(field.coerce(c) for c in raw)])
@@ -407,9 +397,9 @@ def test_taylor_check_works_in_the_chart_of_a_point_at_infinity(raw):
 
 
 def _routes_agree(field, cls, forms, points) -> bool:
-    # The re-check (packed over F_p, member by member over QQ) and the
-    # synthetic-division oracle decide alike; a reported miss is one the
-    # oracle sees, at the first point where it sees any.  True on a pass.
+    # The packed re-check and the synthetic-division oracle decide alike; a
+    # reported miss is one the oracle sees, at the first point where it sees
+    # any.  True on a pass.
     misses = taylor_misses(field, cls, forms, points)
     miss = _multiplicity_miss(field, cls, points, forms)
     assert (miss is None) == (not misses), miss
@@ -419,7 +409,7 @@ def _routes_agree(field, cls, forms, points) -> bool:
     return not misses
 
 
-_RECHECK_FIELDS = [PrimeField(p) for p in PACKED_PRIMES] + [QQ]
+_RECHECK_FIELDS = [PrimeField(p) for p in PACKED_PRIMES]
 
 
 @pytest.mark.parametrize("p", [p for p in PACKED_PRIMES if p >= MIN_SAMPLING_PRIME])
@@ -446,7 +436,7 @@ def test_recheck_routes_agree_on_forced_systems(data):
     # lines through it in every member; then one coefficient moved and one
     # multiplicity raised, which the three routes must judge alike.
     field = data.draw(st.sampled_from(_RECHECK_FIELDS))
-    coord = st.integers(-4, 4) if field is QQ else st.integers(0, field.p - 1)
+    coord = st.integers(0, field.p - 1)
     vector = st.tuples(coord, coord, st.one_of(st.just(0), coord)).filter(
         lambda v: any(field.coerce(c) for c in v))
     points = [_normalize_point(field, v) for v in data.draw(st.lists(vector, min_size=1,
@@ -499,20 +489,22 @@ def _recheck_width(field, d: int) -> int:
 
 @pytest.mark.parametrize("p", PACKED_PRIMES)
 def test_packed_slots_hold_the_worst_case_exactly(p):
-    # Every coefficient and weight p - 1 on a full (d + 1) x (d + 1) grid at
-    # d = 10: each slot of every t reaches (d + 1)^2 (p - 1)^3, the top the
-    # re-check states, which needs every bit of the width it packs at, and
-    # must unpack to the exact per-member sum.
+    # Every coefficient and weight p - 1 on the triangular grid the re-check
+    # builds (c_ij = 0 for i + j > d) at d = 10: each slot of every t
+    # reaches (d + 1)(d + 2)/2 (p - 1)^3, the top the re-check states, which
+    # needs every bit of the width it packs at, and must unpack to the exact
+    # per-member sum.
     d, members = 10, 3
     w = _recheck_width(PrimeField(p), d)
-    table = [[p - 1] * (d + 1) for _ in range(d + 1)]
-    worst = (d + 1) ** 2 * (p - 1) ** 3
-    assert worst.bit_length() == w
-    packed = [[_pack([c] * members, w) for c in col] for col in table]
-    for (a, b, t), (_, _, single) in zip(_shifted_terms(packed, table, table),
-                                         _shifted_terms(table, table, table)):
-        assert single == worst
-        assert _unpack(t, members, w, (1 << w) - 1) == [worst] * members
+    grid = [[p - 1] * (d + 1 - j) for j in range(d + 1)]
+    weights = [[p - 1] * (d + 1) for _ in range(d + 1)]
+    top = (d + 1) * (d + 2) // 2 * (p - 1) ** 3
+    assert top.bit_length() == w
+    packed = [[_pack([c] * members, w) for c in col] for col in grid]
+    for (a, b, t), (_, _, single) in zip(_shifted_terms(packed, weights, weights),
+                                         _shifted_terms(grid, weights, weights)):
+        assert single == top
+        assert _unpack(t, members, w, (1 << w) - 1) == [top] * members
 
 
 @pytest.mark.parametrize("field", _RECHECK_FIELDS, ids=str)

@@ -33,9 +33,10 @@ def test_result_serialization_shape():
 
 def test_small_prime_failure_is_captured_not_raised():
     # Sampling below the size gate must surface as a failed result.
-    result = run_check("08-canonical-curves", field=PrimeField(101))
-    assert not result.passed
-    assert "error" in result.data
+    for name in ("07-secant", "08-canonical-curves"):
+        result = run_check(name, field=PrimeField(101))
+        assert not result.passed
+        assert "error" in result.data
 
 
 def test_repeat_run_is_identical():
