@@ -31,9 +31,9 @@ from operator import mul
 
 from .errors import ConfigurationError, DomainError, FieldMismatchError
 
-# Default modulus: the Mersenne prime 2^61 - 1.  Far above every degree and
-# minor bound that appears in this package, so genericity arguments that
-# need "p large" hold with room to spare.
+# Default of the CLI's --prime: the Mersenne prime 2^61 - 1.  Far above
+# every degree and minor bound that appears in this package, so genericity
+# arguments that need "p large" hold with room to spare.
 DEFAULT_PRIME = (1 << 61) - 1
 
 # Sampling-based checks (random matrices, random points) refuse to run below
@@ -155,7 +155,7 @@ class PrimeField:
     is a configuration error, not a silent wrong answer.
     """
 
-    def __init__(self, p: int = DEFAULT_PRIME):
+    def __init__(self, p: int):
         if not isinstance(p, int) or p < 3:
             raise ConfigurationError(f"prime field modulus must be an odd prime, got {p!r}")
         if not is_prime(p):

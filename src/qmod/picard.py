@@ -423,10 +423,13 @@ def bn_class_15() -> DivisorClass:
 class BoundarySlotReport:
     i: int
     s: int
-    status: str  # "nonnegative" | "requires_bound"
     slack_kind: str
     slack_value: Fraction
     required_bound: Fraction | None
+
+    @property
+    def status(self) -> str:
+        return "nonnegative" if self.slack_value >= 0 else "requires_bound"
 
     def to_json_dict(self) -> dict:
         out = {
@@ -448,7 +451,10 @@ class CertificateReport:
     psi_residual: Fraction
     e_irr: Fraction
     boundary: tuple[BoundarySlotReport, ...]
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.lambda_residual == 0 and self.psi_residual == 0 and self.e_irr >= 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -489,21 +495,10 @@ def general_type_certificate(x, y, z) -> CertificateReport:
         kc, zc, bc = K.b[(i, s)], Z.b[(i, s)], BN.b[(i, s)]
         slack_value = -kc.value + y * zc.value + z * bc.value
         slack_kind = EXACT if (kc.is_exact and zc.is_exact and bc.is_exact) else AT_LEAST
-        if slack_value >= 0:
-            slots.append(BoundarySlotReport(i, s, "nonnegative", slack_kind, slack_value, None))
-        else:
-            if y > 0:
-                required = (kc.value - z * bc.value) / y
-            else:
-                required = None
-            slots.append(
-                BoundarySlotReport(i, s, "requires_bound", slack_kind, slack_value, required)
-            )
+        required = (kc.value - z * bc.value) / y if slack_value < 0 and y > 0 else None
+        slots.append(BoundarySlotReport(i, s, slack_kind, slack_value, required))
 
-    passed = lambda_residual == 0 and psi_residual == 0 and e_irr >= 0
-    return CertificateReport(
-        x, y, z, lambda_residual, psi_residual, e_irr, tuple(slots), passed
-    )
+    return CertificateReport(x, y, z, lambda_residual, psi_residual, e_irr, tuple(slots))
 
 
 def solve_certificate_multipliers(z) -> tuple[Fraction, Fraction]:

@@ -26,8 +26,7 @@ from operator import add
 from . import unipoly
 from .binforms import BinaryForm, binary_gcd
 from .errors import DomainError, InternalCheckError
-from .fields import (DEFAULT_PRIME, PrimeField, checked, derived_rng,
-                     require_sampling_prime)
+from .fields import checked, derived_rng, require_sampling_prime
 from .invariants import _require_ints
 from .linalg import Matrix, _rank_packed, rows_kernel
 from .ternary import TernaryForm, no_common_zero
@@ -186,13 +185,11 @@ class ParamCurve:
 
     __slots__ = ("field", "r", "degree", "components")
 
-    def __init__(self, field, r: int, components, *, _trusted=False):
+    def __init__(self, components, *, _trusted=False):
         components = list(components)
-        if r < 1:
+        if len(components) < 2:
             raise DomainError("ambient projective space needs r >= 1")
-        if len(components) != r + 1:
-            raise DomainError(f"expected {r + 1} components, got {len(components)}")
-        d = components[0].degree
+        field, d = components[0].field, components[0].degree
         for comp in components:
             if comp.field != field:
                 raise DomainError("curve components must share the field")
@@ -201,7 +198,7 @@ class ParamCurve:
         if d < 1:
             raise DomainError("curve degree must be positive")
         self.field = field
-        self.r = r
+        self.r = len(components) - 1
         self.degree = d
         self.components = components
         if not _trusted:
@@ -216,14 +213,7 @@ class ParamCurve:
     def rational_normal(cls, field, r: int) -> "ParamCurve":
         """The degree-r monomial curve; s^r and t^r rule out common roots."""
         comps = [BinaryForm.monomial(field, r, i) for i in range(r + 1)]
-        return cls(field, r, comps, _trusted=True)
-
-    def is_monomial_basis(self) -> bool:
-        if self.degree != self.r:
-            return False
-        # Component i must be s^(r-i) t^i: its coefficients the i-th unit vector.
-        return all(c == int(i == j) for i, comp in enumerate(self.components)
-                   for j, c in enumerate(comp.coeffs))
+        return cls(comps, _trusted=True)
 
     def evaluate(self, t) -> list:
         """Affine-chart point c(1, t) as a coordinate list."""
@@ -255,7 +245,7 @@ def _pair_rows(forms, w=None) -> list:
     return rows
 
 
-def _quadrics_through(field, r: int, forms) -> QuadricSystem:
+def _quadrics_through(forms) -> QuadricSystem:
     """Quadrics in P^r containing the image of the r + 1 forms.
 
     The products forms[i] * forms[j], in upper_pairs order, are the
@@ -268,11 +258,11 @@ def _quadrics_through(field, r: int, forms) -> QuadricSystem:
     added into the rows.  A slot sums at most width(d) products of at
     most (p-1)^2, so the rows are handed over at load width(d).
     """
-    form, d = type(forms[0]), forms[0].degree
+    form, d, field, n = type(forms[0]), forms[0].degree, forms[0].field, len(forms)
     kern = rows_kernel(field, lambda w: _pair_rows(forms, w), form.width(2 * d),
-                       len(upper_pairs(r + 1)), form.width(d))
-    return QuadricSystem(field, r, [SymQuadric.from_upper_coeffs(field, r + 1, v)
-                                    for v in kern])
+                       len(upper_pairs(n)), form.width(d))
+    return QuadricSystem(field, n - 1, [SymQuadric.from_upper_coeffs(field, n, v)
+                                        for v in kern])
 
 
 def i2_basis(c: ParamCurve) -> QuadricSystem:
@@ -284,7 +274,7 @@ def i2_basis(c: ParamCurve) -> QuadricSystem:
     """
     if c.r < 3:
         raise DomainError("quadric systems need ambient dimension r >= 3")
-    return _quadrics_through(c.field, c.r, c.components)
+    return _quadrics_through(c.components)
 
 
 def rnc_i2_dim(r: int) -> int:
@@ -346,19 +336,14 @@ def _products(pd: PencilDecomposition):
     return lru_cache(maxsize=None)(lambda word: _product(pd, word))
 
 
-def bounded_rank_quadric(pd: PencilDecomposition, c: ParamCurve) -> SymQuadric:
-    """The quadric l(A) l(B) - l(C) l(D) on the monomial curve, with the
+def bounded_rank_quadric(pd: PencilDecomposition) -> SymQuadric:
+    """The quadric l(A) l(B) - l(C) l(D) on the deg A monomial curve,
     products spelled by ``_PRODUCTS[pd.kind]``.
 
     Rank is at most 4, and at most 3 without a second pencil, which is the
     (u, v) = (f, g) case; it degenerates to zero when f = g or u = v.
     """
-    if not c.is_monomial_basis():
-        raise DomainError("construction is written against the monomial curve")
     u = pd.f if pd.u is None else pd.u
-    if pd.f.degree + u.degree + pd.h.degree != c.degree:
-        raise DomainError(
-            "component degrees must satisfy deg f + deg u + deg h = curve degree")
     if pd.f.degree < 1 or u.degree < 1:
         raise DomainError("pencil degrees must be at least 1")
     # It vanishes on the curve because AB = CD as binary forms, the same
@@ -369,7 +354,7 @@ def bounded_rank_quadric(pd: PencilDecomposition, c: ParamCurve) -> SymQuadric:
     if a.mul(b) != cc.mul(d):
         raise InternalCheckError(f"rank-{k} product identity failed")
     n = len(a.coeffs)
-    q = SymQuadric.from_upper_coeffs(c.field, n, _shifted_rows(
+    q = SymQuadric.from_upper_coeffs(pd.f.field, n, _shifted_rows(
         n, [(1, a.coeffs, b.coeffs), (-1, cc.coeffs, d.coeffs)], [0])[0])
     if q.rank() > k:
         raise InternalCheckError(f"rank-{k} construction exceeded rank {k}")
@@ -382,13 +367,13 @@ def _shape(r: int, k: int, stratum) -> tuple[int, int, int]:
     A rank-3 stratum is its residual degree x and reads u as f, so its
     shape is (m, m, x); a rank-4 stratum is the triple itself.
     """
+    # The strata lists decide which shapes exist.  Ints first: a bool or
+    # 2.0 would pass their membership test by equality.
     if k == 3:
         _require_ints("r, k and the stratum degrees", r, k, stratum)
-        x = stratum
-        if x < 0 or (r - x) % 2 != 0 or r - x < 2:
-            raise DomainError(f"empty stratum: no rank-3 shape with r={r}, x={x}")
-        m = (r - x) // 2
-        return m, m, x
+        if stratum in rank3_strata(r):
+            return (r - stratum) // 2, (r - stratum) // 2, stratum
+        raise DomainError(f"empty stratum: no rank-3 shape with r={r}, x={stratum}")
     if k != 4:
         raise DomainError("rank bound must be 3 or 4")
     try:
@@ -396,30 +381,22 @@ def _shape(r: int, k: int, stratum) -> tuple[int, int, int]:
     except (TypeError, ValueError):
         raise DomainError("rank-4 stratum is a triple (deg f, deg u, deg h)") from None
     _require_ints("r, k and the stratum degrees", r, k, m, mp, x)
-    if m < 1 or mp < 1 or x < 0 or m + mp + x != r:
+    if (m, mp, x) not in rank4_strata(r):
         raise DomainError(f"empty stratum: no rank-4 shape with r={r}, stratum={stratum}")
-    if m + mp < 3:
-        # With both pencils linear the four cross products live in the
-        # 3-dimensional space of quadratics, so the quadric never
-        # reaches rank 4; the shape is a disguised rank-3 one.
-        raise DomainError(f"empty stratum: pencil degrees {m}+{mp} give rank <= 3")
     return m, mp, x
 
 
 def rank3_strata(r: int) -> list[int]:
     """Legal residual degrees x for the rank-3 shape in P^r."""
-    return [x for x in range(r - 2, -1, -2)]
+    return list(range(r - 2, -1, -2))
 
 
 def rank4_strata(r: int) -> list[tuple[int, int, int]]:
     """Legal (deg f, deg u, deg h) triples for the rank-4 shape in P^r."""
-    out = []
-    for m in range(1, r):
-        for mp in range(max(1, 3 - m), r - m + 1):
-            x = r - m - mp
-            if x >= 0:
-                out.append((m, mp, x))
-    return out
+    # With both pencils linear the four cross products live in the
+    # 3-dimensional space of quadratics, so the quadric never reaches rank
+    # 4: m + mp >= 3.
+    return [(m, mp, r - m - mp) for m in range(1, r) for mp in range(max(1, 3 - m), r - m + 1)]
 
 
 def _random_form(field, degree: int, rng) -> BinaryForm:
@@ -508,7 +485,7 @@ def expected_family_dim(r: int, k: int, stratum) -> int:
     return r - 2 if k == 3 else 2 * r - x - 4
 
 
-def family_dimension(r: int, k: int, stratum, *, field=None, seed: int = 0) -> int:
+def family_dimension(r: int, k: int, stratum, *, field, seed: int = 0) -> int:
     """Projective dimension of a bounded-rank stratum: the Jacobian rank of
     its parametrization at one seeded parameter point, minus 1.
 
@@ -516,8 +493,6 @@ def family_dimension(r: int, k: int, stratum, *, field=None, seed: int = 0) -> i
     failure, never redrawn.  The exact Jacobian rows go straight to
     ``linalg._rank_packed``, which reduces each entry once while packing.
     """
-    if field is None:
-        field = PrimeField(DEFAULT_PRIME)
     require_sampling_prime(field)
     m, mp, x = _shape(r, k, stratum)
     labels = (3, r, x) if k == 3 else (4, r, m, mp, x)
@@ -568,11 +543,9 @@ def _random_sym_quadric(field, size: int, rng) -> SymQuadric:
     return SymQuadric(field, rows, _skip_check=True)
 
 
-def genus4_check(seed: int, field=None) -> int:
+def genus4_check(seed: int, field) -> int:
     """Rank of one seeded random symmetric 4 by 4 matrix; no curve is
     built, and the expected rank is 4."""
-    if field is None:
-        field = PrimeField(DEFAULT_PRIME)
     require_sampling_prime(field)
     rng = derived_rng(seed, "genus4")
     return _random_sym_quadric(field, 4, rng).rank()
@@ -659,7 +632,7 @@ class Genus5Report:
         }
 
 
-def genus5_net_check(seed: int, field=None) -> Genus5Report:
+def genus5_net_check(seed: int, field) -> Genus5Report:
     """Smoothness certificate for the seed's random net of quadrics in P^4.
 
     Passes when the discriminant quintic D = det(x Q1 + y Q2 + z Q3) is
@@ -671,8 +644,6 @@ def genus5_net_check(seed: int, field=None) -> Genus5Report:
     that the base locus is a smooth canonical curve of genus 5.  One net
     per seed: a degenerate draw fails.
     """
-    if field is None:
-        field = PrimeField(DEFAULT_PRIME)
     require_sampling_prime(field)
     rng = derived_rng(seed, "genus5-net", 0)
     qs = [_random_sym_quadric(field, 5, rng) for _ in range(3)]

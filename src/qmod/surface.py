@@ -20,9 +20,8 @@ from math import comb
 from operator import mul
 
 from .binforms import BinaryForm
-from .errors import (ConfigurationError, DomainError, FieldMismatchError, GenericityError,
-                     InternalCheckError)
-from .fields import DEFAULT_PRIME, PrimeField, derived_rng, require_sampling_prime
+from .errors import ConfigurationError, DomainError, GenericityError, InternalCheckError
+from .fields import PrimeField, derived_rng, require_sampling_prime
 from .linalg import _pack, _unpack, rows_kernel, slot_width
 from .quadlab import QuadricSystem, SymQuadric, _quadrics_through, form_matrix_det
 from .ternary import TernaryForm, _powers, monomials
@@ -207,12 +206,10 @@ class PlaneSystem:
 
     __slots__ = ("field", "cls", "forms", "config")
 
-    def __init__(self, field, cls: NSClass, basis, config: PointConfig):
-        if config.field != field:
-            raise FieldMismatchError("configuration points live over another field")
+    def __init__(self, cls: NSClass, basis, config: PointConfig):
         if len(cls.mults) != config.n:
             raise DomainError("one multiplicity per configured point required")
-        self.field = field
+        self.field = field = config.field
         self.cls = cls
         self.forms = [TernaryForm(field, cls.a, v) for v in basis]
         self.config = config
@@ -335,7 +332,7 @@ def _interpolation_kernel(cfg: PointConfig, cls: NSClass) -> PlaneSystem:
         raise DomainError("assigned multiplicities must be nonnegative")
     kern = rows_kernel(field, lambda w: _hasse_rows(field, cfg.points, cls, w),
                        sum(comb(m + 1, 2) for m in cls.mults), len(monomials(cls.a)), 1)
-    return PlaneSystem(field, cls, kern, cfg)
+    return PlaneSystem(cls, kern, cfg)
 
 
 def interpolation_basis(cfg: PointConfig, cls: NSClass) -> PlaneSystem:
@@ -367,8 +364,11 @@ class PencilReport:
     degree: int
     nonzero: bool
     squarefree: bool
-    nondegenerate: bool
     coeffs: tuple
+
+    @property
+    def nondegenerate(self) -> bool:
+        return self.nonzero and self.squarefree
 
     def to_json_dict(self) -> dict:
         return {"degree": self.degree, "nonzero": self.nonzero,
@@ -391,7 +391,6 @@ def pencil_nondegeneracy(sys: QuadricSystem) -> PencilReport:
     sf = disc.squarefree() if nonzero else False
     fmt = sys.field.format
     return PencilReport(degree=disc.degree, nonzero=nonzero, squarefree=sf,
-                        nondegenerate=nonzero and sf,
                         coeffs=tuple(fmt(c) for c in disc.coeffs))
 
 
@@ -417,10 +416,15 @@ class SurfaceReport:
     residual_dim: int | None
     i2_dim: int | None
     pencil: PencilReport | None
-    passed: bool
     config: PointConfig | None = _carried()
     hyperplane: PlaneSystem | None = _carried()
     quadrics: QuadricSystem | None = _carried()
+
+    @property
+    def passed(self) -> bool:
+        # Only a complete chain carries a pencil.
+        return (self.pencil is not None and self.pencil.nondegenerate and self.pencil.degree == 7
+                and (self.h_dim, self.curve_dim, self.residual_dim) == (7, 12, 0))
 
     def to_json_dict(self) -> dict:
         return {
@@ -446,7 +450,7 @@ def lattice_checks() -> dict:
             "genus_conic": ns_genus(NSClass(2, (0,) * 15))}
 
 
-def blowup_report(seed: int, field=None) -> SurfaceReport:
+def blowup_report(seed: int, field) -> SurfaceReport:
     """One full pass of the construction for one point configuration.
 
     No internal reseeding: the seed decides the configuration and the
@@ -454,30 +458,22 @@ def blowup_report(seed: int, field=None) -> SurfaceReport:
     measurable.  Stages fail in order; a report carries the dimensions
     reached before the failing stage.
     """
-    if field is None:
-        field = PrimeField(DEFAULT_PRIME)
     require_sampling_prime(field)
-    prime = field.p
     h_dim = curve_dim = residual_dim = None
     try:
         cfg = PointConfig.sample(field, 15, seed)
     except GenericityError:
-        return SurfaceReport(seed, prime, "points", None, None, None, None, None, False)
+        return SurfaceReport(seed, field.p, "points", None, None, None, None, None)
     try:
         hs = interpolation_basis(cfg, hyperplane_class())
         h_dim = hs.dim
         curve_dim = interpolation_basis(cfg, curve_class()).dim
         residual_dim = interpolation_basis(cfg, residual_class()).dim
     except GenericityError:
-        return SurfaceReport(seed, prime, "linear-systems", h_dim, curve_dim,
-                             residual_dim, None, None, False, cfg)
-    qs = _quadrics_through(field, hs.dim - 1, hs.forms)
-    if qs.dim != 2:
-        return SurfaceReport(seed, prime, "quadrics", h_dim, curve_dim,
-                             residual_dim, qs.dim, None, False, cfg, hs, qs)
-    pencil = pencil_nondegeneracy(qs)
-    passed = (h_dim == 7 and curve_dim == 12 and residual_dim == 0
-              and pencil.nondegenerate and pencil.degree == 7)
-    return SurfaceReport(seed, prime, "complete", h_dim, curve_dim,
-                         residual_dim, qs.dim, pencil, passed, cfg, hs, qs)
+        return SurfaceReport(seed, field.p, "linear-systems", h_dim, curve_dim,
+                             residual_dim, None, None, cfg)
+    qs = _quadrics_through(hs.forms)
+    pencil = pencil_nondegeneracy(qs) if qs.dim == 2 else None
+    return SurfaceReport(seed, field.p, "quadrics" if pencil is None else "complete",
+                         h_dim, curve_dim, residual_dim, qs.dim, pencil, cfg, hs, qs)
 

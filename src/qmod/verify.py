@@ -9,8 +9,8 @@ must produce identical output.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, QmodError
-from .fields import QQ, DEFAULT_PRIME, PrimeField, derived_rng
+from .errors import ConfigurationError, DomainError, QmodError
+from .fields import QQ, PrimeField, derived_rng
 from .invariants import (
     binom,
     enumerate_quad_cases,
@@ -196,14 +196,13 @@ def _check_quadric_lab(field, seed):
     instances = 0
     rank_drops = 0
     for r in range(4, 9):
-        curve = ParamCurve.rational_normal(field, r)
         strata = {3: rank3_strata(r), 4: rank4_strata(r)}
         rng = derived_rng(seed, "qlab-instances", r)
         exact = 0
         for idx in range(100):
             k = 3 + idx % 2
             pd = random_decomposition(field, r, k, rng.choice(strata[k]), rng)
-            quad = bounded_rank_quadric(pd, curve)
+            quad = bounded_rank_quadric(pd)
             # On the monomial curve Q pulls back to the binary form whose
             # t^s coefficient is the anti-diagonal sum of Q[i][j], i + j = s;
             # Q contains the curve exactly when all 2r + 1 sums vanish.
@@ -301,13 +300,13 @@ def check_names() -> list[str]:
     return sorted(CHECKS)
 
 
-def run_check(name: str, *, seed: int = 0, field=None) -> CheckResult:
+def run_check(name: str, *, seed: int = 0, field) -> CheckResult:
     if name not in CHECKS:
         raise DomainError(f"unknown check {name!r}; known: {', '.join(check_names())}")
-    if field is None:
-        field = PrimeField(DEFAULT_PRIME)
     try:
         passed, data = CHECKS[name](field, seed)
+    except ConfigurationError:
+        raise  # bad usage, such as a prime too small to sample over, not a failed check
     except QmodError as exc:
         passed, data = False, {"error": f"{type(exc).__name__}: {exc}"}
     prime = field.p if isinstance(field, PrimeField) else 0

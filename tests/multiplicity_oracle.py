@@ -51,10 +51,10 @@ def partials_accept(cls, forms, points) -> bool:
     return True
 
 
-def taylor_accept(field, cls, basis, config) -> bool:
+def taylor_accept(cls, basis, config) -> bool:
     """True when ``PlaneSystem`` takes ``basis`` for ``cls`` on ``config``."""
     try:
-        PlaneSystem(field, cls, basis, config)
+        PlaneSystem(cls, basis, config)
     except InternalCheckError:
         return False
     return True

@@ -10,14 +10,17 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+from qmod.fields import DEFAULT_PRIME, PrimeField
 from qmod.invariants import harris_tu_degree
 from qmod.picard import DivisorClass, boundary_indices, chern_pair, fr_dp_class, z_class_15_9
 from qmod.verify import run_check
 
+FP = PrimeField(DEFAULT_PRIME)
+
 
 def _timed(name):
     start = time.perf_counter()
-    result = run_check(name, seed=0)
+    result = run_check(name, seed=0, field=FP)
     return result, time.perf_counter() - start
 
 

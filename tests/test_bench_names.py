@@ -61,8 +61,8 @@ FP = PrimeField(DEFAULT_PRIME)
 TAG_ARGS = {
     "linalg.Matrix.rref": lambda: (Matrix.from_rows(FP, [[1, 2, 3], [4, 5, 6]]),),
     "linalg.Matrix.det": lambda: (Matrix.from_rows(FP, [[1, 2], [3, 4]]),),
-    "quadlab.genus5_net_check": lambda: (1,),
-    "surface.blowup_report": lambda: (0,),
+    "quadlab.genus5_net_check": lambda: (1, FP),
+    "surface.blowup_report": lambda: (0, FP),
 }
 
 

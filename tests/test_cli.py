@@ -398,8 +398,11 @@ def test_secant_repeat_conflicts_with_explicit_chord(capsys):
 
 
 def test_small_prime_sampling_is_a_configuration_error(capsys):
-    # 65521 is the largest prime below 2^16.
-    for argv in (["genus5-net", "--prime", "101"], ["secant", "--r", "3", "--prime", "65521"]):
+    # 65521 is the largest prime below 2^16.  A check that passed before the
+    # refusal prints nothing either.
+    for argv in (["genus5-net", "--prime", "101"], ["secant", "--r", "3", "--prime", "65521"],
+                 ["verify", "07-secant", "--prime", "3"],
+                 ["verify", "01-identities", "08-canonical-curves", "--prime", "101"]):
         rc, out, err = _run(capsys, *argv)
         assert (rc, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1

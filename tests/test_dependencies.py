@@ -4,7 +4,9 @@ it, ``linalg`` alone picks the elimination: the packed loop is named
 nowhere else, a bit length is taken only in ``linalg.slot_width``, the one
 slot-width rule, and the private ``linalg`` names other modules import
 are pinned, so the list can only shrink.  ``surface`` runs over F_p
-alone: one guard tests for ``PrimeField`` and nothing names QQ."""
+alone: one guard tests for ``PrimeField`` and nothing names QQ.  The
+caller names the field: no ``field`` parameter has a default, and only the
+CLI and the package's exports name ``DEFAULT_PRIME`` outside ``fields``."""
 
 import ast
 import sys
@@ -101,3 +103,21 @@ def test_surface_names_no_rational_field():
     tree = _tree(Path(qmod.__file__).parent / "surface.py")
     assert {"QQ", "RationalField"} & set(_names(tree)) == set()
     assert list(_prime_field_tests(tree)) == ["PointConfig.__init__"]
+
+
+def test_default_prime_is_named_only_by_the_cli_and_the_exports():
+    assert sorted(path.name for path in SOURCES
+                  if "DEFAULT_PRIME" in _names(_tree(path))) == [
+        "__init__.py", "cli.py", "fields.py"]
+
+
+def _defaulted_params(args):
+    positional = args.posonlyargs + args.args
+    yield from positional[len(positional) - len(args.defaults):]
+    yield from (a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+
+
+def test_no_field_parameter_has_a_default():
+    assert sorted((path.name, node.name) for path in SOURCES for node in ast.walk(_tree(path))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and any(a.arg == "field" for a in _defaulted_params(node.args))) == []

@@ -4,6 +4,7 @@ import pkgutil
 import pytest
 
 import qmod
+from qmod.quadlab import ParamCurve
 from qmod.surface import PlaneSystem
 
 # Entry points removed from the package; none of them may come back
@@ -54,3 +55,9 @@ def test_removed_names_stay_removed(module):
 def test_plane_system_keeps_no_evidence_methods():
     assert not hasattr(PlaneSystem, "impose_point")
     assert not hasattr(PlaneSystem, "random_member")
+
+
+def test_param_curve_keeps_no_monomial_basis_test():
+    # bounded_rank_quadric reads its size off the decomposition; the curve
+    # it once took only to test for the monomial basis is gone.
+    assert not hasattr(ParamCurve, "is_monomial_basis")

@@ -106,27 +106,30 @@ def test_rank_of_diagonal():
 
 def test_rational_normal_curve_is_monomial():
     c = ParamCurve.rational_normal(FP, 5)
-    assert c.is_monomial_basis()
+    assert [comp.coeffs for comp in c.components] == [
+        [int(i == j) for j in range(6)] for i in range(6)]
     t = FP.coerce(7)
     assert c.evaluate(t) == [pow(7, i, FP.p) for i in range(6)]
-
-
-@pytest.mark.parametrize("field", [FP, QQ])
-def test_monomial_basis_rejects_scaled_or_swapped_components(field):
-    r = 4
-    comps = ParamCurve.rational_normal(field, r).components
-    scaled = comps[:2] + [comps[2].scale(field.coerce(3))] + comps[3:]
-    swapped = [comps[1], comps[0]] + comps[2:]
-    assert ParamCurve(field, r, comps).is_monomial_basis()
-    assert not ParamCurve(field, r, scaled).is_monomial_basis()
-    assert not ParamCurve(field, r, swapped).is_monomial_basis()
 
 
 def test_curve_rejects_shared_component_root():
     t = BinaryForm(FP, 1, [0, 1])
     comps = [t.mul(BinaryForm(FP, 1, [i + 1, 1])) for i in range(4)]
     with pytest.raises(DomainError):
-        ParamCurve(FP, 3, comps)
+        ParamCurve(comps)
+
+
+def test_curve_reads_its_space_and_field_off_the_components():
+    # r is len(components) - 1 and the field is the first component's.
+    c = ParamCurve([BinaryForm.monomial(QQ, 2, i) for i in range(3)])
+    assert (c.field, c.r, c.degree) == (QQ, 2, 2)
+    s, t = BinaryForm.monomial(FP, 1, 0), BinaryForm.monomial(FP, 1, 1)
+    for comps, reason in [([s], "r >= 1"),
+                          ([s, BinaryForm.monomial(QQ, 1, 1)], "share the field"),
+                          ([s, t.mul(t)], "share one degree"),
+                          ([BinaryForm(FP, 0, [1]), BinaryForm(FP, 0, [2])], "positive")]:
+        with pytest.raises(DomainError, match=reason):
+            ParamCurve(comps)
 
 
 def test_curve_over_small_field_with_constant_gcd_is_accepted():
@@ -134,7 +137,7 @@ def test_curve_over_small_field_with_constant_gcd_is_accepted():
     # although the components do not; only their gcd decides.
     f3 = PrimeField(3)
     comps = [BinaryForm(f3, 2, c) for c in ([0, 1, 1], [0, 0, 2], [2, 2, 1], [1, 2, 2])]
-    ParamCurve(f3, 3, comps)
+    ParamCurve(comps)
 
 
 @pytest.mark.parametrize("field", [PrimeField(3), FP, QQ])
@@ -143,7 +146,7 @@ def test_curve_rejects_zero_or_lone_components(field):
     lone = BinaryForm(field, 2, [1, 0, 1])
     for comps in ([zero] * 4, [zero, lone, zero, zero]):
         with pytest.raises(DomainError):
-            ParamCurve(field, 3, comps)
+            ParamCurve(comps)
 
 
 @given(st.sampled_from([3, 5, 7]), st.integers(1, 2),
@@ -156,7 +159,7 @@ def test_curve_rejects_every_common_factor(p, k, coeffs):
     comps = [shared.mul(BinaryForm(field, 2, [field.coerce(c) for c in coeffs[3 * i:3 * i + 3]]))
              for i in range(4)]
     with pytest.raises(DomainError):
-        ParamCurve(field, 3, comps)
+        ParamCurve(comps)
 
 
 def _plain_kernel_dim(rows):
@@ -242,10 +245,10 @@ def _param_curves(draw):
     comps = [BinaryForm(field, d, [field.coerce(x) for x in draw(coeffs)])
              for _ in range(r + 1)]
     try:
-        c = ParamCurve(field, r, comps)
+        c = ParamCurve(comps)
     except DomainError:  # the components share a root
         assume(False)
-    assume(not c.is_monomial_basis())
+    assume(comps != ParamCurve.rational_normal(field, r).components)
     return c
 
 
@@ -285,7 +288,7 @@ def _production_width(forms) -> int:
     widths = []
     with pytest.MonkeyPatch.context() as m:
         m.setattr(quadlab, "_pair_rows", lambda fs, w: widths.append(w) or _pair_rows(fs, w))
-        _quadrics_through(forms[0].field, len(forms) - 1, forms)
+        _quadrics_through(forms)
     return widths[0]
 
 
@@ -340,7 +343,7 @@ def test_quadrics_through_holds_the_worst_case_forms(form, d, n, p):
     field = PrimeField(p)
     forms = [form(field, d, [p - 1] * form.width(d)) for _ in range(n)]
     kernel = Matrix.from_rows(field, pair_product_rows(forms)).kernel_basis()
-    assert _quadrics_through(field, n - 1, forms).basis == [
+    assert _quadrics_through(forms).basis == [
         SymQuadric.from_upper_coeffs(field, n, v) for v in kernel]
 
 
@@ -354,10 +357,10 @@ def test_quadrics_through_multiplies_no_form_pair_over_fp(monkeypatch):
     forms = [TernaryForm(FP, 2, [FP.random_element(rng) for _ in range(6)])
              for _ in range(7)]
     curve = ParamCurve.rational_normal(FP, 5)
-    expected = (quadlab._quadrics_through(FP, 6, forms).to_json_dict(), i2_basis(curve).dim)
+    expected = (quadlab._quadrics_through(forms).to_json_dict(), i2_basis(curve).dim)
     monkeypatch.setattr(BinaryForm, "mul", forbidden)
     monkeypatch.setattr(TernaryForm, "mul", forbidden)
-    assert quadlab._quadrics_through(FP, 6, forms).to_json_dict() == expected[0]
+    assert quadlab._quadrics_through(forms).to_json_dict() == expected[0]
     assert i2_basis(curve).dim == expected[1] == rnc_i2_dim(5)
     with pytest.raises(AssertionError):
         i2_basis(ParamCurve.rational_normal(QQ, 5))
@@ -482,49 +485,45 @@ def test_rank3_construction_on_split_pencil():
     pd = PencilDecomposition(
         BinaryForm(FP, 1, [1, 0]), BinaryForm(FP, 1, [0, 1]), None, None,
         BinaryForm(FP, 2, [0, 1, 0]))
-    q = bounded_rank_quadric(pd, c)
+    q = bounded_rank_quadric(pd)
     assert q.rank() <= 3
     for t in range(9):
         assert q.evaluate(c.evaluate(t)) == 0
 
 
 def test_rank3_degenerate_pencil_collapses():
-    c = ParamCurve.rational_normal(FP, 4)
     f = BinaryForm(FP, 1, [2, 3])
     pd = PencilDecomposition(f, f, None, None, BinaryForm(FP, 2, [1, 1, 1]))
-    assert bounded_rank_quadric(pd, c).rank() <= 1
+    assert bounded_rank_quadric(pd).rank() <= 1
 
 
 def test_rank3_generic_rank_is_three():
-    c = ParamCurve.rational_normal(FP, 6)
     rng = derived_rng(0, "unit-rank3")
     hits = 0
     for _ in range(20):
         pd = random_decomposition(FP, 6, 3, 0, rng)
-        if bounded_rank_quadric(pd, c).rank() == 3:
+        if bounded_rank_quadric(pd).rank() == 3:
             hits += 1
     assert hits == 20
 
 
 def test_rank4_equal_second_pencil_gives_zero():
-    c = ParamCurve.rational_normal(FP, 6)
     rng = derived_rng(0, "unit-rank4-zero")
     f = BinaryForm(FP, 2, [FP.random_element(rng) for _ in range(3)])
     g = BinaryForm(FP, 2, [FP.random_element(rng) for _ in range(3)])
     u = BinaryForm(FP, 2, [FP.random_element(rng) for _ in range(3)])
     h = BinaryForm(FP, 2, [FP.random_element(rng) for _ in range(3)])
     pd = PencilDecomposition(f, g, u, u, h)
-    assert not any(map(any, bounded_rank_quadric(pd, c).entries))
+    assert not any(map(any, bounded_rank_quadric(pd).entries))
 
 
 def test_rank4_with_matching_pencils_reduces_to_rank3():
-    c = ParamCurve.rational_normal(FP, 6)
     rng = derived_rng(0, "unit-rank4-match")
     f = BinaryForm(FP, 2, [FP.random_element(rng) for _ in range(3)])
     g = BinaryForm(FP, 2, [FP.random_element(rng) for _ in range(3)])
     h = BinaryForm(FP, 2, [FP.random_element(rng) for _ in range(3)])
-    four = bounded_rank_quadric(PencilDecomposition(f, g, f, g, h), c)
-    three = bounded_rank_quadric(PencilDecomposition(f, g, None, None, h), c)
+    four = bounded_rank_quadric(PencilDecomposition(f, g, f, g, h))
+    three = bounded_rank_quadric(PencilDecomposition(f, g, None, None, h))
     assert four == three
 
 
@@ -534,7 +533,7 @@ def test_rank4_generic_rank_is_four():
     for stratum in ((2, 2, 2), (1, 2, 3), (3, 3, 0)):
         for _ in range(5):
             pd = random_decomposition(FP, 6, 4, stratum, rng)
-            q = bounded_rank_quadric(pd, c)
+            q = bounded_rank_quadric(pd)
             assert q.rank() == 4
             for t in range(13):
                 assert q.evaluate(c.evaluate(t)) == 0
@@ -570,23 +569,15 @@ def test_random_decomposition_keeps_the_draw_order(k, stratum):
 
 
 def test_bounded_rank_quadric_refusals():
-    # One degree condition for both ranks, deg f + deg u + deg h = deg c,
-    # with u read as f when there is no second pencil.
-    c = ParamCurve.rational_normal(FP, 6)
+    # Both pencils need positive degree, with u read as f when there is no
+    # second pencil; the quadric's size is deg f + deg u + deg h + 1.
     lin, quad = BinaryForm(FP, 1, [1, 2]), BinaryForm(FP, 2, [1, 0, 3])
-    with pytest.raises(DomainError, match="deg f \\+ deg u \\+ deg h"):
-        bounded_rank_quadric(PencilDecomposition(lin, lin, None, None, quad), c)
-    with pytest.raises(DomainError, match="deg f \\+ deg u \\+ deg h"):
-        bounded_rank_quadric(PencilDecomposition(lin, lin, quad, quad, lin), c)
-    assert bounded_rank_quadric(PencilDecomposition(quad, quad, None, None, quad),
-                                c).rank() <= 1
+    q = bounded_rank_quadric(PencilDecomposition(quad, quad, None, None, quad))
+    assert q.size == 7 and q.rank() <= 1
     quintic = BinaryForm(FP, 5, [0, 1, 0, 0, 0, 0])
     with pytest.raises(DomainError, match="at least 1"):
         bounded_rank_quadric(PencilDecomposition(
-            BinaryForm(FP, 0, [1]), BinaryForm(FP, 0, [2]), lin, lin, quintic), c)
-    twisted = ParamCurve(FP, 6, [BinaryForm.monomial(FP, 6, 6 - i) for i in range(7)])
-    with pytest.raises(DomainError, match="monomial curve"):
-        bounded_rank_quadric(PencilDecomposition(quad, quad, None, None, quad), twisted)
+            BinaryForm(FP, 0, [1]), BinaryForm(FP, 0, [2]), lin, lin, quintic))
 
 
 def _perturbation_jacobian_rows(field, r, pd):
@@ -595,7 +586,6 @@ def _perturbation_jacobian_rows(field, r, pd):
     # A member occurs at most twice in A B and at most twice in C D, so Q
     # has degree at most 2 in t and its t-linear part is the central
     # difference (Q(1) - Q(-1)) / 2.
-    curve = ParamCurve.rational_normal(field, r)
     half = field.inv(2)
     rows = []
     for name in ("f", "g", "u", "v", "h"):
@@ -604,8 +594,8 @@ def _perturbation_jacobian_rows(field, r, pd):
             continue
         for j in range(form.degree + 1):
             step = BinaryForm.monomial(field, form.degree, j)
-            plus, minus = (bounded_rank_quadric(replace(pd, **{name: form.add(step.scale(t))}),
-                                                curve).upper_coeffs() for t in (1, -1))
+            plus, minus = (bounded_rank_quadric(replace(pd, **{name: form.add(step.scale(t))}))
+                           .upper_coeffs() for t in (1, -1))
             rows.append([field.coerce((x - y) * half) for x, y in zip(plus, minus)])
     return rows
 
@@ -628,12 +618,11 @@ def test_bounded_rank_quadric_matches_combo_row_oracle(field, k):
     # l(A) l(B) - l(C) l(D), on random decompositions of every stratum.
     rng = derived_rng(0, "unit-combo-oracle", k)
     for r in range(3, 10):
-        curve = ParamCurve.rational_normal(field, r)
         for s in rank3_strata(r) if k == 3 else rank4_strata(r):
             pd = random_decomposition(field, r, k, s, rng)
             a, b, c, d = (_product(pd, w).coeffs for w in _PRODUCTS[k])
             expected = combo_row(field, upper_pairs(r + 1), [(1, a, b), (-1, c, d)])
-            assert bounded_rank_quadric(pd, curve).upper_coeffs() == expected
+            assert bounded_rank_quadric(pd).upper_coeffs() == expected
 
 
 @pytest.mark.parametrize("k, stratum", [(3, 2), (4, (2, 2, 2))])
@@ -647,7 +636,7 @@ def test_bounded_rank_quadric_multiplies_each_word_once(monkeypatch, k, stratum)
 
     pd = random_decomposition(FP, 6, k, stratum, derived_rng(0, "word-memo", k))
     monkeypatch.setattr(quadlab, "_product", counted)
-    bounded_rank_quadric(pd, ParamCurve.rational_normal(FP, 6))
+    bounded_rank_quadric(pd)
     assert sorted(words) == sorted(set(_PRODUCTS[k]))
 
 
@@ -679,9 +668,9 @@ def test_rank4_strata_lists_every_accepted_shape(r):
 
 def test_empty_strata_raise():
     with pytest.raises(DomainError):
-        family_dimension(5, 3, 2)  # parity violation: 2m + 2 = 5 impossible
+        family_dimension(5, 3, 2, field=FP)  # parity violation: 2m + 2 = 5 impossible
     with pytest.raises(DomainError):
-        family_dimension(6, 4, (1, 1, 4))
+        family_dimension(6, 4, (1, 1, 4), field=FP)
     with pytest.raises(DomainError):
         expected_family_dim(6, 5, 0)
 
@@ -984,7 +973,6 @@ def test_genus5_requires_prime_field():
 def test_bounded_rank_quadric_rank_is_computed_once(monkeypatch):
     # The construction checks the rank bound and a caller that asks for
     # the rank again, as the quadric-lab check does, gets the same value.
-    c = ParamCurve.rational_normal(FP, 6)
     pd = random_decomposition(FP, 6, 4, (2, 2, 2), derived_rng(0, "unit-rank-once"))
     calls = []
     rank = Matrix.rank
@@ -994,7 +982,7 @@ def test_bounded_rank_quadric_rank_is_computed_once(monkeypatch):
         return rank(self)
 
     monkeypatch.setattr(Matrix, "rank", counted)
-    q = bounded_rank_quadric(pd, c)
+    q = bounded_rank_quadric(pd)
     assert q.rank() == 4
     assert q.rank() == 4
     assert calls == [7]

@@ -171,7 +171,7 @@ def test_interpolation_kernel_at_a_prime_below_the_degree():
     cls = NSClass(5, (4, 1, 1, 1))
     system = _interpolation_kernel(cfg, cls)
     assert system.dim == expected_system_dim(cls) == 8
-    assert taylor_accept(f3, cls, [f.coeffs for f in system.forms], cfg)
+    assert taylor_accept(cls, [f.coeffs for f in system.forms], cfg)
 
 
 @settings(max_examples=120, deadline=None)
@@ -226,7 +226,7 @@ def _producer_runs(cfg):
     hs = _interpolation_kernel(cfg, h)
     return (lambda: _interpolation_kernel(cfg, h),
             lambda: _interpolation_kernel(cfg, c),
-            lambda: quadlab._quadrics_through(cfg.field, hs.dim - 1, hs.forms))
+            lambda: quadlab._quadrics_through(hs.forms))
 
 
 def test_fp_producers_hand_packed_rows_to_the_elimination(monkeypatch):
@@ -261,10 +261,10 @@ def test_plane_system_refuses_a_perturbed_basis():
     cfg = PointConfig.sample(FP, 15, 3)
     hs = interpolation_basis(cfg, hyperplane_class())
     basis = [f.coeffs[:] for f in hs.forms]
-    assert PlaneSystem(FP, hs.cls, basis, cfg).forms == hs.forms
+    assert PlaneSystem(hs.cls, basis, cfg).forms == hs.forms
     basis[2][4] = FP.coerce(basis[2][4] + 1)
     with pytest.raises(InternalCheckError):
-        PlaneSystem(FP, hs.cls, basis, cfg)
+        PlaneSystem(hs.cls, basis, cfg)
 
 
 def test_plane_system_refuses_an_unreduced_coefficient():
@@ -275,7 +275,7 @@ def test_plane_system_refuses_an_unreduced_coefficient():
     basis = [f.coeffs[:] for f in hs.forms]
     basis[1][0] += FP.p
     with pytest.raises(FieldMismatchError):
-        PlaneSystem(FP, hs.cls, basis, cfg)
+        PlaneSystem(hs.cls, basis, cfg)
 
 
 def test_plane_system_refuses_a_short_configuration():
@@ -288,16 +288,7 @@ def test_plane_system_refuses_a_short_configuration():
     assert doubles.dim == 15
     basis = [f.coeffs for f in doubles.forms]
     with pytest.raises(DomainError):
-        PlaneSystem(FP, hyperplane_class(), basis, first7)
-
-
-def test_plane_system_refuses_a_configuration_over_another_field():
-    # The same points over another prime field would be reduced silently.
-    cfg = PointConfig.sample(FP, 15, 3)
-    hs = interpolation_basis(cfg, hyperplane_class())
-    other = PointConfig(PrimeField(2305843009213693967), cfg.points)
-    with pytest.raises(FieldMismatchError):
-        PlaneSystem(FP, hs.cls, [f.coeffs for f in hs.forms], other)
+        PlaneSystem(hyperplane_class(), basis, first7)
 
 
 def _systems_built_by(seed, monkeypatch, field=FP):
@@ -329,7 +320,7 @@ def test_taylor_check_agrees_with_partials_oracle_on_report_systems(seed, monkey
             basis[i][j] = FP.coerce(basis[i][j] + 1 + rng.randrange(FP.p - 1))
             moved = [TernaryForm(FP, s.cls.a, v) for v in basis]
             assert not partials_accept(s.cls, moved, s.config.points)
-            assert not taylor_accept(FP, s.cls, basis, s.config)
+            assert not taylor_accept(s.cls, basis, s.config)
 
 
 def test_taylor_check_agrees_with_partials_oracle_above_the_degree():
@@ -342,7 +333,7 @@ def test_taylor_check_agrees_with_partials_oracle_above_the_degree():
     assert partials_accept(cls, system.forms, cfg.points)
     basis = [f.coeffs[:] for f in system.forms]
     basis[0][3] = field.coerce(basis[0][3] + 1)
-    assert not taylor_accept(field, cls, basis, cfg)
+    assert not taylor_accept(cls, basis, cfg)
     assert not partials_accept(cls, [TernaryForm(field, 4, v) for v in basis], cfg.points)
 
 
@@ -374,9 +365,9 @@ def test_forced_multiplicity_is_seen_by_both_routes(data):
         f = f.mul(_line_through(field, pt, other))
     at_m = NSClass(f.degree, (m,))
     assert partials_accept(at_m, [f], cfg.points)
-    assert taylor_accept(field, at_m, [f.coeffs], cfg)
+    assert taylor_accept(at_m, [f.coeffs], cfg)
     above = NSClass(f.degree, (m + 1,))
-    assert taylor_accept(field, above, [f.coeffs], cfg) == partials_accept(
+    assert taylor_accept(above, [f.coeffs], cfg) == partials_accept(
         above, [f], cfg.points)
 
 
@@ -392,7 +383,7 @@ def test_taylor_check_works_in_the_chart_of_a_point_at_infinity(raw):
                               ([line_at_infinity], NSClass(1, (1,)), True),
                               ([line_at_infinity], NSClass(1, (2,)), False)]:
         forms = [TernaryForm(FP, cls.a, v) for v in basis]
-        assert taylor_accept(FP, cls, basis, cfg) is holds
+        assert taylor_accept(cls, basis, cfg) is holds
         assert partials_accept(cls, forms, cfg.points) is holds
 
 
@@ -525,7 +516,7 @@ def test_failed_recheck_names_point_member_and_order():
     simple = _line_through(FP, points[0], points[1]).mul(TernaryForm(FP, 1, [0, 0, 1]))
     with pytest.raises(InternalCheckError,
                        match=r"member 1 misses multiplicity 2 at point 0: its u\^0 v\^1"):
-        PlaneSystem(FP, NSClass(2, (2, 1)), [double.coeffs, simple.coeffs], cfg)
+        PlaneSystem(NSClass(2, (2, 1)), [double.coeffs, simple.coeffs], cfg)
 
 
 def test_multiplicity_above_degree_plus_one_admits_only_zero():
@@ -534,9 +525,9 @@ def test_multiplicity_above_degree_plus_one_admits_only_zero():
     pt = cfg.points[0]
     square = _line_through(FP, pt, (1, 1, 0)).mul(_line_through(FP, pt, (0, 1, 1)))
     cls = NSClass(2, (5,))
-    assert not taylor_accept(FP, cls, [square.coeffs], cfg)
+    assert not taylor_accept(cls, [square.coeffs], cfg)
     assert not partials_accept(cls, [square], cfg.points)
-    assert taylor_accept(FP, cls, [[0] * 6], cfg)
+    assert taylor_accept(cls, [[0] * 6], cfg)
     assert partials_accept(cls, [TernaryForm.zero(FP, 2)], cfg.points)
 
 
@@ -551,7 +542,7 @@ def test_plane_system_refuses_a_kernel_with_missing_derivative_rows():
     assert loose.dim == expected_system_dim(h) + 2
     assert not partials_accept(h, loose.forms, cfg.points)
     with pytest.raises(InternalCheckError):
-        PlaneSystem(FP, h, [f.coeffs for f in loose.forms], cfg)
+        PlaneSystem(h, [f.coeffs for f in loose.forms], cfg)
 
 
 def test_surface_quadric_pair():

@@ -3,10 +3,12 @@ import json
 import pytest
 
 from qmod import verify
-from qmod.errors import DomainError
+from qmod.errors import ConfigurationError, DomainError
 from qmod.fields import DEFAULT_PRIME, PrimeField
 from qmod.quadlab import SymQuadric
 from qmod.verify import check_names, run_check
+
+FP = PrimeField(DEFAULT_PRIME)
 
 
 def test_check_names_are_sorted_and_stable():
@@ -18,11 +20,11 @@ def test_check_names_are_sorted_and_stable():
 
 def test_unknown_check_is_rejected():
     with pytest.raises(DomainError):
-        run_check("99-nonsense")
+        run_check("99-nonsense", field=FP)
 
 
 def test_result_serialization_shape():
-    result = run_check("02-harris-tu", seed=7)
+    result = run_check("02-harris-tu", seed=7, field=FP)
     d = result.to_json_dict()
     assert d["check"] == "02-harris-tu"
     assert d["seed"] == 7
@@ -31,17 +33,18 @@ def test_result_serialization_shape():
     json.dumps(d, sort_keys=True)
 
 
-def test_small_prime_failure_is_captured_not_raised():
-    # Sampling below the size gate must surface as a failed result.
+def test_small_prime_sampling_is_raised_not_reported_as_a_failure():
+    # Sampling below the size gate is bad usage, not a failed theorem; a
+    # check that samples nothing still runs at that prime.
     for name in ("07-secant", "08-canonical-curves"):
-        result = run_check(name, field=PrimeField(101))
-        assert not result.passed
-        assert "error" in result.data
+        with pytest.raises(ConfigurationError, match="too small"):
+            run_check(name, field=PrimeField(101))
+    assert run_check("01-identities", field=PrimeField(3)).passed
 
 
 def test_repeat_run_is_identical():
-    first = run_check("05-certificate", seed=3)
-    second = run_check("05-certificate", seed=3)
+    first = run_check("05-certificate", seed=3, field=FP)
+    second = run_check("05-certificate", seed=3, field=FP)
     assert first.to_json_dict() == second.to_json_dict()
 
 
@@ -50,14 +53,14 @@ def test_quadric_lab_fails_on_a_quadric_off_the_curve(monkeypatch):
     # of the pullback by 2, so every one of the 500 quadrics must fail.
     real = verify.bounded_rank_quadric
 
-    def perturbed(pd, curve):
-        q = real(pd, curve)
+    def perturbed(pd):
+        q = real(pd)
         rows = [row[:] for row in q.entries]
         rows[0][1] = rows[1][0] = q.field.coerce(rows[0][1] + 1)
         return SymQuadric(q.field, rows)
 
     monkeypatch.setattr(verify, "bounded_rank_quadric", perturbed)
-    result = run_check("06-quadric-lab", seed=0)
+    result = run_check("06-quadric-lab", seed=0, field=FP)
     assert not result.passed
     membership = [f for f in result.data["failures"] if f.startswith("membership-")]
     assert len(membership) == result.data["instances"] == 500
