@@ -11,16 +11,17 @@ are padded back with ``BinaryForm.from_unipoly``; those lists are already
 canonical, so they skip the constructor's check.
 
 ``Form`` is the container both form classes share (this one and
-``ternary.TernaryForm``): the checked constructor, equality, sums, scaling
-and ``combination``, the one linear combination of forms.
+``ternary.TernaryForm``): the checked constructor, equality and
+``combination``, the one weighted sum of forms.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
 from .errors import DomainError, FieldMismatchError, ZeroPolynomialError
-from .fields import checked, combine
+from .fields import checked
 from . import unipoly
 
 
@@ -29,8 +30,7 @@ class Form:
     list whose length ``width(degree)`` fixes.
 
     Each subclass supplies the static methods ``width`` and
-    ``product_table`` and its own algebra.  Linear combinations go
-    through ``fields.combine``.
+    ``product_table`` and its own algebra.
     """
 
     __slots__ = ("field", "degree", "coeffs")
@@ -67,30 +67,24 @@ class Form:
     def __repr__(self):
         return f"{type(self).__name__}(deg={self.degree}, {self.coeffs})"
 
-    def _require_same_shape(self, other) -> None:
-        if self.field != other.field:
-            raise FieldMismatchError("forms over different fields")
-        if self.degree != other.degree:
-            raise DomainError("forms of different declared degrees")
-
-    def add(self, other):
-        return self.combination([self, other], [1, 1])
-
-    def scale(self, a):
-        return self.combination([self], [self.field.coerce(a)])
-
     @classmethod
     def combination(cls, forms, weights):
-        """sum_k weights[k] * forms[k]; weights as ``fields.combine`` takes them."""
-        forms = list(forms)
+        """sum_k weights[k] * forms[k], the one weighted sum of forms: each
+        coefficient is summed exactly and reduced once.  A weight is any exact
+        value of the field's kind (an ``int`` serves every field)."""
+        forms, weights = list(forms), list(weights)
         if not forms:
             raise DomainError("empty combination has no declared degree")
-        first = forms[0]
-        for f in forms:
-            first._require_same_shape(f)
-        F = first.field
-        return cls(F, first.degree, combine(F, [f.coeffs for f in forms], weights),
-                   _skip_check=True)
+        F, degree = forms[0].field, forms[0].degree
+        if any(f.field != F for f in forms):
+            raise FieldMismatchError("forms over different fields")
+        if any(f.degree != degree for f in forms):
+            raise DomainError("forms of different declared degrees")
+        if len(forms) != len(weights):
+            raise DomainError("one weight per vector required")
+        coeffs = [F.coerce(sum(map(mul, weights, column)))
+                  for column in zip(*(f.coeffs for f in forms))]
+        return cls(F, degree, coeffs, _skip_check=True)
 
 
 class BinaryForm(Form):

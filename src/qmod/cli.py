@@ -30,6 +30,7 @@ from .invariants import (
     harris_tu_degree,
 )
 from .picard import (
+    DEFAULT_MULTIPLIERS,
     boundary_indices,
     canonical_class,
     chern_pair,
@@ -150,8 +151,9 @@ def _cmd_certificate(args):
                 raise DomainError(f"--solve at z={z} gives {name}={v}, "
                                   "but certificate multipliers must be nonnegative")
     else:
-        x = Fraction(25, 297) if args.x is None else args.x
-        y = Fraction(2, 297) if args.y is None else args.y
+        x0, y0, _ = DEFAULT_MULTIPLIERS
+        x = x0 if args.x is None else args.x
+        y = y0 if args.y is None else args.y
     rep = general_type_certificate(x, y, z)
     return rep.passed, rep.to_json_dict, _certificate_lines(rep)
 
@@ -323,6 +325,20 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+# Largest --r of the curve commands, whose matrices grow like a power of r.
+MAX_R = 40
+
+
+def _curve_r(text: str) -> int:
+    try:
+        r = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if r > MAX_R:
+        raise argparse.ArgumentTypeError(f"expected r <= {MAX_R}, got {r}")
+    return r
+
+
 def _check_name(text: str) -> str:
     if text != "all" and text not in CHECKS:
         raise argparse.ArgumentTypeError(
@@ -405,9 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certificate", parents=[common],
                        help="general-type decomposition check on (15, 9)")
-    p.add_argument("--x", type=_fraction, help="default 25/297")
-    p.add_argument("--y", type=_fraction, help="default 2/297")
-    p.add_argument("--z", type=_fraction, default=Fraction(13, 66))
+    x0, y0, z0 = DEFAULT_MULTIPLIERS
+    p.add_argument("--x", type=_fraction, help=f"default {x0}")
+    p.add_argument("--y", type=_fraction, help=f"default {y0}")
+    p.add_argument("--z", type=_fraction, default=z0)
     p.add_argument("--solve", action="store_true",
                    help="derive x and y from z instead of taking them as given")
     # argparse takes only integers and decimals such as -1 or -.5 for
@@ -417,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rnc-i2", parents=[common],
                        help="quadrics through the rational normal curve")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_curve_r, required=True)
     # --rational works over QQ; a given --prime would be dropped unseen.
     over = p.add_mutually_exclusive_group()
     over.add_argument("--rational", action="store_true",
@@ -428,13 +445,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank3-family", parents=[common],
                        help="sampled dimension of a rank-3 quadric family")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_curve_r, required=True)
     p.add_argument("--x", type=int, required=True,
                    help="degree of the residual factor")
 
     p = sub.add_parser("rank4-family", parents=[common],
                        help="sampled dimension of a rank-4 quadric family")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_curve_r, required=True)
     p.add_argument("--m1", type=int, required=True, help="degree of the first pencil")
     p.add_argument("--m2", type=int, required=True, help="degree of the second pencil")
     p.add_argument("--x", type=int, required=True,
@@ -442,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("secant", parents=[common],
                        help="codimension imposed by a chord on the quadric system")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_curve_r, required=True)
     p.add_argument("--t1", type=int, default=None)
     p.add_argument("--t2", type=int, default=None)
     p.add_argument("--repeat", type=_positive_int, default=1, help="chords to draw (default 1)")

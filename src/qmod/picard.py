@@ -81,9 +81,6 @@ class Coefficient:
         kind = EXACT if self.kind == other.kind == EXACT else AT_LEAST
         return Coefficient(kind, self.value + other.value)
 
-    def __add__(self, other):
-        return self.add(other)
-
     def scale(self, a) -> "Coefficient":
         a = _rational(a)
         if a == 0:
@@ -100,6 +97,13 @@ class Coefficient:
 
 
 ZERO = Coefficient.exact(0)
+
+# The multipliers (x, y, z) of the general-type certificate on (15, 9).
+DEFAULT_MULTIPLIERS = (Fraction(25, 297), Fraction(2, 297), Fraction(13, 66))
+
+
+def _coefficient(v) -> Coefficient:
+    return v if isinstance(v, Coefficient) else Coefficient.exact(v)
 
 
 def boundary_indices(g: int, n: int) -> list[tuple[int, int]]:
@@ -135,37 +139,28 @@ def canonical_pair(g: int, n: int, i: int, s: int) -> tuple[int, int]:
 
 
 class DivisorClass:
-    """An S_n-symmetric class on (g, n): one psi for all markings, ZERO if n = 0."""
+    """An S_n-symmetric class on (g, n): one psi for all markings, ZERO if
+    n = 0.  A coefficient is given as a ``Coefficient`` or an exact rational."""
 
     __slots__ = ("g", "n", "lam", "psi", "b_irr", "b")
 
-    def __init__(self, g: int, n: int, lam: Coefficient, psi: Coefficient,
-                 b_irr: Coefficient, b: dict):
+    def __init__(self, g: int, n: int, *, lam=0, psi=0, b_irr=0, b=None):
         if g < 2 or n < 0:
             raise DomainError("divisor classes are kept for g >= 2, n >= 0")
+        lam, psi, b_irr, b = _coefficient(lam), _coefficient(psi), _coefficient(b_irr), b or {}
         if not lam.is_exact or not psi.is_exact:
             raise DomainError("lower-bound kinds are only legal in boundary slots")
         slots = boundary_indices(g, n)
-        bb = {key: b.get(key, ZERO) for key in slots}
         extra = set(b) - set(slots)
         if extra:
             raise DomainError(f"coefficients at non-boundary slots: {sorted(extra)}")
+        bb = {key: _coefficient(b[key]) if key in b else ZERO for key in slots}
         self.g = g
         self.n = n
         self.lam = lam
         self.psi = psi if n else ZERO
         self.b_irr = b_irr
         self.b = bb
-
-    @classmethod
-    def build(cls, g: int, n: int, *, lam=0, psi=0, b_irr=ZERO, b=None) -> "DivisorClass":
-        """Convenience constructor: rationals become exact coefficients;
-        psi is the one coefficient of every marking."""
-        def coeff(v):
-            return v if isinstance(v, Coefficient) else Coefficient.exact(v)
-
-        bb = {key: coeff(v) for key, v in (b or {}).items()}
-        return cls(g, n, coeff(lam), coeff(psi), coeff(b_irr), bb)
 
     def _derived(self, lam, psi, b_irr, b) -> "DivisorClass":
         """A class on this (g, n) whose b has exactly the keys of self.b, so
@@ -174,21 +169,15 @@ class DivisorClass:
         out.g, out.n, out.lam, out.psi, out.b_irr, out.b = self.g, self.n, lam, psi, b_irr, b
         return out
 
-    def _require_same_space(self, other: "DivisorClass"):
+    def add(self, other: "DivisorClass") -> "DivisorClass":
         if (self.g, self.n) != (other.g, other.n):
             raise DomainError("divisor classes on different (g, n)")
-
-    def add(self, other: "DivisorClass") -> "DivisorClass":
-        self._require_same_space(other)
         return self._derived(
-            self.lam + other.lam,
-            self.psi + other.psi,
-            self.b_irr + other.b_irr,
-            {k: self.b[k] + other.b[k] for k in self.b},
+            self.lam.add(other.lam),
+            self.psi.add(other.psi),
+            self.b_irr.add(other.b_irr),
+            {k: self.b[k].add(other.b[k]) for k in self.b},
         )
-
-    def __add__(self, other):
-        return self.add(other)
 
     def scale(self, a) -> "DivisorClass":
         a = _rational(a)
@@ -212,9 +201,6 @@ class DivisorClass:
             times(self.b_irr),
             {k: times(v) for k, v in self.b.items()},
         )
-
-    def __rmul__(self, a):
-        return self.scale(a)
 
     def boundary_as_bounds(self) -> "DivisorClass":
         """Same class with every (i, s) slot downgraded to a lower bound."""
@@ -270,9 +256,9 @@ def chern_pair(g: int, n: int) -> ChernPair:
         raise DomainError("need at least one marked point")
     if g <= n:
         raise DomainError(f"need g > n for positive bundle rank, got g={g}, n={n}")
-    c1_e = DivisorClass.build(g, n, lam=1, psi=-1)
+    c1_e = DivisorClass(g, n, lam=1, psi=-1)
     ones = dict.fromkeys(boundary_indices(g, n), Coefficient.exact(1))
-    c1_f = DivisorClass.build(g, n, lam=13, psi=-5, b_irr=1, b=ones)
+    c1_f = DivisorClass(g, n, lam=13, psi=-5, b_irr=1, b=ones)
     return ChernPair(g, n, c1_e, c1_f, g - n, 3 * g - 3 - 2 * n)
 
 
@@ -352,8 +338,8 @@ def quad_class_unscaled(g: int, n: int, k: int) -> DivisorClass:
     for (i, s) in boundary_indices(g, n):
         kind = EXACT if k == 4 and i == 0 else AT_LEAST
         b[(i, s)] = Coefficient(kind, tilde_b(g, n, i, s)) if i < s else generic
-    return DivisorClass(g, n, base.lam.scale(unit), base.psi.scale(unit),
-                        Coefficient.exact(1), b)
+    return DivisorClass(g, n, lam=base.lam.scale(unit), psi=base.psi.scale(unit),
+                        b_irr=1, b=b)
 
 
 def _require_family_member(g: int, n: int, k: int):
@@ -386,10 +372,10 @@ def symmetrized_pullback_sum(c: DivisorClass) -> DivisorClass:
         for mult, s in ((t, t - 1), (n + 1 - t, t)):
             # (0, s < 2) names no divisor; i <= g/2 never meets the i = g rule
             if 0 <= s <= n and (i > 0 or s >= 2):
-                coeff = coeff + c.b[canonical_pair(g, n, i, s)].scale(mult)
+                coeff = coeff.add(c.b[canonical_pair(g, n, i, s)].scale(mult))
         b[(i, t)] = coeff
-    return DivisorClass(g, n + 1, c.lam.scale(n + 1), psi.scale(n),
-                        c.b_irr.scale(n + 1), b)
+    return DivisorClass(g, n + 1, lam=c.lam.scale(n + 1), psi=psi.scale(n),
+                        b_irr=c.b_irr.scale(n + 1), b=b)
 
 
 def z_class_15_9() -> DivisorClass:
@@ -408,7 +394,7 @@ def canonical_class(g: int, n: int) -> DivisorClass:
     b = {}
     for (i, s) in boundary_indices(g, n):
         b[(i, s)] = Coefficient.exact(3 if min(i, g - i) == 1 else 2)
-    return DivisorClass.build(g, n, lam=13, psi=1, b_irr=2, b=b)
+    return DivisorClass(g, n, lam=13, psi=1, b_irr=2, b=b)
 
 
 def bn_class_15() -> DivisorClass:
@@ -416,7 +402,7 @@ def bn_class_15() -> DivisorClass:
     unpointed moduli: 54 lambda - 8 delta_irr, with every other boundary
     coefficient carried as the trivial lower bound 0."""
     b = {key: Coefficient.at_least(0) for key in boundary_indices(15, 9)}
-    return DivisorClass.build(15, 9, lam=54, psi=0, b_irr=8, b=b)
+    return DivisorClass(15, 9, lam=54, psi=0, b_irr=8, b=b)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .binforms import BinaryForm
 from .errors import ConfigurationError, DomainError, GenericityError, InternalCheckError
 from .fields import PrimeField, derived_rng, require_sampling_prime
 from .linalg import _pack, _unpack, rows_kernel, slot_width
-from .quadlab import QuadricSystem, SymQuadric, _quadrics_through, form_matrix_det
+from .quadlab import QuadricSystem, _quadrics_through, form_matrix_det
 from .ternary import TernaryForm, _powers, monomials
 
 
@@ -352,11 +352,6 @@ def interpolation_basis(cfg: PointConfig, cls: NSClass) -> PlaneSystem:
     return sys_
 
 
-def pencil_discriminant(q1: SymQuadric, q2: SymQuadric) -> BinaryForm:
-    """det(s Q1 + t Q2) as a binary form of degree = matrix size."""
-    return form_matrix_det(BinaryForm, (q1, q2))
-
-
 @dataclass(frozen=True)
 class PencilReport:
     """Discriminant data for a pencil of quadrics."""
@@ -386,7 +381,7 @@ def pencil_nondegeneracy(sys: QuadricSystem) -> PencilReport:
     """
     if sys.dim != 2:
         raise DomainError("pencil needs exactly two independent quadrics")
-    disc = pencil_discriminant(sys.basis[0], sys.basis[1])
+    disc = form_matrix_det(BinaryForm, sys.basis)
     nonzero = not disc.is_zero()
     sf = disc.squarefree() if nonzero else False
     fmt = sys.field.format

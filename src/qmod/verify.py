@@ -19,6 +19,7 @@ from .invariants import (
     harris_tu_degree,
 )
 from .picard import (
+    DEFAULT_MULTIPLIERS,
     DivisorClass,
     boundary_indices,
     chern_pair,
@@ -142,7 +143,7 @@ def _check_closed_forms(field, seed):
 
 def _check_dp_class(field, seed):
     dp = fr_dp_class(chern_pair(15, 8))
-    expected = DivisorClass.build(
+    expected = DivisorClass(
         15, 8, lam=234, psi=102, b_irr=42,
         b={key: 42 for key in boundary_indices(15, 8)},
     )
@@ -164,8 +165,7 @@ def _check_dp_class(field, seed):
 
 
 def _check_certificate(field, seed):
-    report = general_type_certificate(
-        Fraction(25, 297), Fraction(2, 297), Fraction(13, 66))
+    report = general_type_certificate(*DEFAULT_MULTIPLIERS)
     bound_slots = [slot for slot in report.boundary
                    if slot.required_bound is not None]
     zero_slot_bounds = sorted(

@@ -26,7 +26,7 @@ entry.  Both packed producers hand their rows to the elimination as they
 are; ``packed_slots`` reads such rows back slot by slot, unreduced.
 
 ``linear_combination`` builds combinations of quadrics for tests, one
-``fields.combine`` per matrix row; no production path combines quadrics.
+exact sum per matrix entry; no production path combines quadrics.
 
 ``picard.quad_class`` is built at unit scale and scaled by alpha once;
 ``quad_class_by_slots`` is the route it replaced, which takes lam and psi
@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import comb
 
 from qmod import unipoly
-from qmod.fields import DEFAULT_PRIME, combine
+from qmod.fields import DEFAULT_PRIME
 from qmod.invariants import harris_tu_degree
 from qmod.picard import (
     Coefficient,
@@ -114,10 +114,13 @@ def packed_slots(rows, n: int, w: int) -> list[list]:
 
 
 def linear_combination(field, quadrics, coeffs) -> SymQuadric:
-    """sum_k coeffs[k] * quadrics[k]; each weight is coerced into the field."""
+    """sum_k coeffs[k] * quadrics[k]; each weight is coerced into the field
+    and each entry is summed exactly and reduced once."""
     weights = [field.coerce(c) for c in coeffs]
-    return SymQuadric(field, [combine(field, [q.entries[i] for q in quadrics], weights)
-                              for i in range(quadrics[0].size)], _skip_check=True)
+    n = quadrics[0].size
+    entries = [[field.coerce(sum(w * q.entries[i][j] for q, w in zip(quadrics, weights)))
+                for j in range(n)] for i in range(n)]
+    return SymQuadric(field, entries, _skip_check=True)
 
 
 def quad_class_by_slots(g: int, n: int, k: int) -> DivisorClass:
@@ -133,7 +136,7 @@ def quad_class_by_slots(g: int, n: int, k: int) -> DivisorClass:
             b[(i, s)] = Coefficient.exact(v) if k == 4 and i == 0 else Coefficient.at_least(v)
         else:
             b[(i, s)] = Coefficient.at_least(alpha)
-    return DivisorClass(g, n, base.lam, base.psi, Coefficient.exact(alpha), b)
+    return DivisorClass(g, n, lam=base.lam, psi=base.psi, b_irr=alpha, b=b)
 
 
 def quad_class_unscaled_by_slots(g: int, n: int, k: int) -> DivisorClass:

@@ -51,8 +51,7 @@ def test_criterion_03_closed_form_coefficients():
 def test_criterion_04_dp_and_pushforward_classes():
     result, elapsed = _timed("04-dp-class")
     slots = {key: 42 for key in boundary_indices(15, 8)}
-    expected = DivisorClass.build(15, 8, lam=6 * 39, psi=6 * 17,
-                                  b_irr=6 * 7, b=slots)
+    expected = DivisorClass(15, 8, lam=6 * 39, psi=6 * 17, b_irr=6 * 7, b=slots)
     zc = z_class_15_9()
     ok = (result.passed and elapsed < 1.0
           and fr_dp_class(chern_pair(15, 8)) == expected

@@ -112,9 +112,9 @@ def test_coprime_forms():
 def test_zero_form_and_scaling():
     z = BinaryForm.zero(FP, 3)
     f = BinaryForm(FP, 3, [1, 2, 3, 4])
-    assert f.add(z) == f
-    assert f.scale(0) == z
-    assert f.add(f.scale(-1)) == z
+    assert BinaryForm.combination([f, z], [1, 1]) == f
+    assert BinaryForm.combination([f], [0]) == z
+    assert BinaryForm.combination([f, f], [1, -1]) == z
 
 
 @st.composite
@@ -138,7 +138,8 @@ def test_arithmetic_agrees_with_pointwise_evaluation(pair, other, s, t):
     h = other[0]
     s, t = FP.coerce(s), FP.coerce(t)
     fv, gv, hv = f.evaluate(s, t), g.evaluate(s, t), h.evaluate(s, t)
-    total, diff, prod = f.add(g), f.add(g.scale(-1)), f.mul(h)
+    total, diff = (BinaryForm.combination([f, g], [1, c]) for c in (1, -1))
+    prod = f.mul(h)
     assert total.degree == diff.degree == f.degree
     assert prod.degree == f.degree + h.degree
     assert total.evaluate(s, t) == FP.coerce(fv + gv)

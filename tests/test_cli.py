@@ -131,6 +131,8 @@ def test_adjusted_rho_reads_the_ramification_list(capsys):
     ("certificate", "--x", "1/0"),
     ("certificate", "--y", "1/0", "--solve"),
     ("certificate", "--x", "one"),
+    ("rnc-i2", "--r", "1000000"),
+    ("rank4-family", "--r", "1000000", "--m1", "1", "--m2", "1", "--x", "999998"),
 ])
 def test_malformed_numbers_are_usage_errors(capsys, argv):
     rc, out, err = _run(capsys, *argv)
@@ -409,6 +411,20 @@ def test_small_prime_sampling_is_a_configuration_error(capsys):
     # An explicit chord samples nothing, so any prime serves it.
     rc, _, _ = _run(capsys, "secant", "--r", "3", "--t1", "1", "--t2", "2", "--prime", "5")
     assert rc == 0
+
+
+def test_curve_r_is_capped_by_the_parser(capsys):
+    # Every curve command takes r up to the cap; one more is a usage error
+    # before anything is built, and an r below 3 reaches the library's refusal.
+    for command in ("rnc-i2", "rank3-family", "rank4-family", "secant"):
+        action = next(a for a in _subparser(command)._actions if a.dest == "r")
+        assert action.type(str(cli.MAX_R)) == cli.MAX_R
+    rc, out, err = _run(capsys, "secant", "--r", str(cli.MAX_R + 1))
+    assert (rc, out) == (2, "")
+    assert err == _usage_error(
+        "secant", f"argument --r: expected r <= {cli.MAX_R}, got {cli.MAX_R + 1}")
+    rc, out, err = _run(capsys, "rnc-i2", "--r", "2")
+    assert (rc, out, err) == (2, "", "error: quadric systems need ambient dimension r >= 3\n")
 
 
 def test_json_output_is_deterministic(capsys):

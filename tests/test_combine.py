@@ -1,12 +1,10 @@
-"""The one linear-combination kernel, ``fields.combine``, and its callers.
+"""The one weighted sum of forms, ``Form.combination``.
 
-``Form.combination`` and the test helper
-``kernel_oracles.linear_combination`` sum exactly and reduce each entry
-once.  The oracles here are the step-by-step routes they replaced, written
-out on coefficient lists: scale one term and add it, reducing at every
-step, for forms; one reduced sum per matrix entry for quadrics.  Weights
-range over small values and over values far outside [0, p) on both sides,
-so every prime below sees negative weights and weights >= p.
+It sums exactly and reduces each coefficient once.  The oracle here is the
+step-by-step route it replaced, written out on coefficient lists: scale
+one term and add it, reducing at every step.  Weights range over small
+values and over values far outside [0, p) on both sides, so every prime
+below sees negative weights and weights >= p.
 """
 
 import pytest
@@ -15,11 +13,8 @@ from hypothesis import strategies as st
 
 from qmod.binforms import BinaryForm, Form
 from qmod.errors import DomainError, FieldMismatchError
-from qmod.fields import QQ, PrimeField, combine
-from qmod.quadlab import SymQuadric
+from qmod.fields import QQ, PrimeField
 from qmod.ternary import TernaryForm
-
-from kernel_oracles import linear_combination
 
 FIELDS = [QQ, PrimeField(7), PrimeField(65537), PrimeField((1 << 61) - 1)]
 
@@ -60,30 +55,15 @@ def test_form_combination_matches_the_step_by_step_fold(cls, data):
     assert type(got) is cls
     assert got == want
     assert all(got.field.is_element(c) for c in got.coeffs)
-    # add and scale are combinations too.
-    assert forms[0].scale(weights[0]).add(forms[-1].scale(weights[-1])) \
+    # A sum of two one-term combinations is the two-term combination.
+    ends = [cls.combination([f], [w]) for f, w in ((forms[0], weights[0]),
+                                                    (forms[-1], weights[-1]))]
+    assert cls.combination(ends, [1, 1]) \
         == _fold([forms[0], forms[-1]], [weights[0], weights[-1]])
 
 
-@given(field=st.sampled_from(FIELDS), size=st.integers(1, 4), count=st.integers(1, 3),
-       data=st.data())
-def test_linear_combination_matches_entrywise_oracle(field, size, count, data):
-    quadrics = []
-    for _ in range(count):
-        upper = data.draw(st.lists(raw, min_size=size * (size + 1) // 2,
-                                   max_size=size * (size + 1) // 2))
-        quadrics.append(SymQuadric.from_upper_coeffs(field, size, upper))
-    weights = data.draw(st.lists(raw, min_size=count, max_size=count))
-    got = linear_combination(field, quadrics, weights)
-    want = [[field.coerce(sum(field.coerce(w) * q.entries[i][j]
-                              for q, w in zip(quadrics, weights)))
-             for j in range(size)] for i in range(size)]
-    assert got.entries == want
-    assert got == SymQuadric(field, want)
-
-
 def test_form_container_methods_are_defined_once():
-    for name in ("__init__", "zero", "is_zero", "__eq__", "add", "scale", "combination"):
+    for name in ("__init__", "zero", "is_zero", "__eq__", "combination"):
         assert name in vars(Form), name
         for cls in (BinaryForm, TernaryForm):
             assert name not in vars(cls), f"{cls.__name__}.{name}"
@@ -100,6 +80,9 @@ def test_combination_refuses_mismatched_or_empty_input():
     with pytest.raises(FieldMismatchError):
         TernaryForm.combination([TernaryForm.zero(fp, 2), TernaryForm.zero(fq, 2)], [1, 1])
     with pytest.raises(DomainError):
-        combine(fp, [[1, 2], [3]], [1, 1])
+        TernaryForm.combination([TernaryForm.zero(fp, 1), TernaryForm.zero(fp, 2)], [1, 1])
+    # One weight per form: zip must not silently drop a weight or a form.
     with pytest.raises(DomainError):
-        combine(fp, [[1, 2]], [1, 1])
+        BinaryForm.combination([BinaryForm.zero(fp, 2)], [1, 1])
+    with pytest.raises(DomainError):
+        BinaryForm.combination([BinaryForm.zero(fp, 2)] * 2, [1])

@@ -4,6 +4,8 @@ import pkgutil
 import pytest
 
 import qmod
+from qmod.binforms import Form
+from qmod.picard import Coefficient, DivisorClass
 from qmod.quadlab import ParamCurve
 from qmod.surface import PlaneSystem
 
@@ -33,7 +35,9 @@ REMOVED = [
     # the largest value its slots reach.
     "packed_width", "_slot_width",
     # One discriminant entry: form_matrix_det takes the quadric family itself.
-    "_linear_family_det",
+    "_linear_family_det", "pencil_discriminant",
+    # One weighted sum of forms: Form.combination.
+    "combine",
 ]
 MODULES = sorted(m.name for m in pkgutil.iter_modules(qmod.__path__))
 
@@ -61,3 +65,11 @@ def test_param_curve_keeps_no_monomial_basis_test():
     # bounded_rank_quadric reads its size off the decomposition; the curve
     # it once took only to test for the monomial basis is gone.
     assert not hasattr(ParamCurve, "is_monomial_basis")
+
+
+def test_algebra_classes_keep_one_spelling_per_operation():
+    # Form.combination is the one weighted sum; the keyword constructor,
+    # add and scale are the one spelling of each divisor-class operation.
+    assert not any(hasattr(Form, name) for name in ("add", "scale"))
+    assert not any(hasattr(DivisorClass, name) for name in ("build", "__add__", "__rmul__"))
+    assert not hasattr(Coefficient, "__add__")

@@ -39,7 +39,6 @@ from qmod.quadlab import (
     secant_condition,
     upper_pairs,
 )
-from qmod.surface import pencil_discriminant
 from qmod.ternary import TernaryForm
 
 from kernel_oracles import (PACKED_PRIMES, combo_row, form_matrix_det_by_forms,
@@ -594,8 +593,9 @@ def _perturbation_jacobian_rows(field, r, pd):
             continue
         for j in range(form.degree + 1):
             step = BinaryForm.monomial(field, form.degree, j)
-            plus, minus = (bounded_rank_quadric(replace(pd, **{name: form.add(step.scale(t))}))
-                           .upper_coeffs() for t in (1, -1))
+            plus, minus = (bounded_rank_quadric(replace(
+                pd, **{name: BinaryForm.combination([form, step], [1, t])})).upper_coeffs()
+                for t in (1, -1))
             rows.append([field.coerce((x - y) * half) for x, y in zip(plus, minus)])
     return rows
 
@@ -812,7 +812,7 @@ def test_family_discriminants_reject_mismatched_members():
     q3, q4, other = zero(FP, 3), zero(FP, 4), zero(PrimeField(101), 3)
     for bad in ((q3, q4), (q3, other)):
         with pytest.raises(DomainError):
-            pencil_discriminant(*bad)
+            form_matrix_det(BinaryForm, bad)
         with pytest.raises(DomainError):
             net_discriminant(q3, *bad)
     # A family has one member per variable: zip must not silently drop one.

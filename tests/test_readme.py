@@ -1,4 +1,5 @@
-"""Every ``$ qmod ...`` example in README.md prints what the README shows.
+"""Every ``$ qmod ...`` example in README.md prints what the README shows,
+and its "Library layout" block names each module of the package once.
 
 An example is a ``$ qmod`` line inside a fenced block; its expected output
 is the lines after it, up to the next ``$`` line or the end of the block.
@@ -14,6 +15,7 @@ import pytest
 from qmod.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = README.parent / "src" / "qmod"
 
 
 def _examples():
@@ -48,3 +50,11 @@ def test_readme_example_prints_what_it_shows(capsys, command, shown):
     assert rc == 0
     assert shown, command
     assert re.fullmatch(_pattern(shown), out), out
+
+
+def test_library_layout_lists_each_module_once():
+    block = README.read_text().split("## Library layout", 1)[1].split("```")[1]
+    listed = re.findall(r"^  (\w+\.py) ", block, flags=re.M)
+    modules = [p.name for p in PACKAGE.glob("*.py")
+               if p.name not in ("__init__.py", "__main__.py")]
+    assert sorted(listed) == sorted(modules)

@@ -26,9 +26,9 @@ from hypothesis import strategies as st
 from qmod import unipoly as up
 from qmod.binforms import BinaryForm
 from qmod.fields import QQ, PrimeField, RationalField
-from qmod.quadlab import (ParamCurve, SymQuadric, i2_basis, secant_condition,
-                          upper_pairs)
-from qmod.surface import _det3, _normalize_point, pencil_discriminant
+from qmod.quadlab import (ParamCurve, SymQuadric, form_matrix_det, i2_basis,
+                          secant_condition, upper_pairs)
+from qmod.surface import _det3, _normalize_point
 from qmod.ternary import TernaryForm, _powers, monomials
 
 from kernel_oracles import linear_combination
@@ -98,12 +98,13 @@ def test_form_kernels_return_canonical_scalars(field, b1, b2, t1, t2, t3, xs):
     t2 = TernaryForm(field, 3, [c(v) for v in t2])
     t3 = TernaryForm(field, 2, [c(v) for v in t3])
     a, s, t, x, y, z = xs
-    outs = [b1.scale(a).coeffs, b1.add(b1.scale(a)).coeffs,
-            b1.add(b1.scale(a).scale(-1)).coeffs, b1.mul(b2).coeffs, [b1.evaluate(s, t)],
-            t1.add(t3).coeffs, t1.scale(a).coeffs, t1.mul(t2).coeffs,
+    B, T = BinaryForm.combination, TernaryForm.combination
+    outs = [B([b1], [a]).coeffs, B([b1, b1], [1, a]).coeffs,
+            B([b1, b1], [1, -a]).coeffs, b1.mul(b2).coeffs, [b1.evaluate(s, t)],
+            T([t1, t3], [1, 1]).coeffs, T([t1], [a]).coeffs, t1.mul(t2).coeffs,
             t2.partial(0).coeffs, t2.partial(2).coeffs, [t2.evaluate(x, y, z)],
             t2.coeffs_in(0, y, z), t2.coeffs_in(1, x, z), _powers(field, a, 4)]
-    zeros = (b1.scale(0).is_zero(), t2.scale(0).is_zero(), b1.add(b1.scale(-1)).is_zero())
+    zeros = (B([b1], [0]).is_zero(), T([t2], [0]).is_zero(), B([b1, b1], [1, -1]).is_zero())
     assert all(_canonical(field, out) for out in outs)
     assert zeros == (True, True, True)
 
@@ -120,7 +121,7 @@ def test_quadric_and_plane_kernels_return_canonical_scalars(field, u1, u2, pt, p
     outs = [*q1.entries, *linear_combination(field, [q1, q2], [1, 1]).entries,
             *linear_combination(field, [q1], [a]).entries,
             q1.upper_coeffs(), [q1.evaluate(pt)],
-            pencil_discriminant(q1, q2).coeffs,
+            form_matrix_det(BinaryForm, (q1, q2)).coeffs,
             _normalize_point(field, pts[:3]),
             [_det3(field, pts[:3], pts[3:6], pts[6:])]]
     zero = not any(map(any, linear_combination(field, [q1], [0]).entries))
@@ -176,7 +177,8 @@ def test_form_kernels_commute_with_reduction(pf, b1, b2, t1, t2, u1, u2, xs, pts
     tq2, tp2 = both(TernaryForm, 3, t2)
     s, t, z, a = xs
     assert _reduce(pf, bq1.mul(bq2).coeffs) == bp1.mul(bp2).coeffs
-    assert _reduce(pf, bq1.scale(a).coeffs) == bp1.scale(a).coeffs
+    assert (_reduce(pf, BinaryForm.combination([bq1], [a]).coeffs)
+            == BinaryForm.combination([bp1], [a]).coeffs)
     assert pf.from_rational(bq1.evaluate(s, t)) == bp1.evaluate(s, t)
     assert _reduce(pf, tq1.mul(tq2).coeffs) == tp1.mul(tp2).coeffs
     assert _reduce(pf, tq2.partial(1).coeffs) == tp2.partial(1).coeffs
@@ -187,8 +189,8 @@ def test_form_kernels_commute_with_reduction(pf, b1, b2, t1, t2, u1, u2, xs, pts
     assert [_reduce(pf, row) for row in qq1.entries] == qp1.entries
     assert _reduce(pf, qq1.upper_coeffs()) == qp1.upper_coeffs()
     assert pf.from_rational(qq1.evaluate(xs)) == qp1.evaluate(xs)
-    assert (_reduce(pf, pencil_discriminant(qq1, qq2).coeffs)
-            == pencil_discriminant(qp1, qp2).coeffs)
+    assert (_reduce(pf, form_matrix_det(BinaryForm, (qq1, qq2)).coeffs)
+            == form_matrix_det(BinaryForm, (qp1, qp2)).coeffs)
     assert (pf.from_rational(_det3(QQ, pts[:3], pts[3:6], pts[6:]))
             == _det3(pf, pts[:3], pts[3:6], pts[6:]))
 
@@ -259,12 +261,14 @@ def test_form_kernels_agree_with_plain_integers(pf, b1, b2, t1, t2, u1, u2, xs, 
     fb2 = BinaryForm(pf, 2, [pf.coerce(v) for v in b2])
     assert fb1.evaluate(s, t) == bval(b1, 3) % p
     assert fb1.mul(fb2).evaluate(s, t) == bval(b1, 3) * bval(b2, 2) % p
-    assert fb1.add(fb1.scale(a).scale(-1)).evaluate(s, t) == (1 - a) * bval(b1, 3) % p
+    assert (BinaryForm.combination([fb1, fb1], [1, -a]).evaluate(s, t)
+            == (1 - a) * bval(b1, 3) % p)
     ft1 = TernaryForm(pf, 2, [pf.coerce(v) for v in t1])
     ft2 = TernaryForm(pf, 3, [pf.coerce(v) for v in t2])
     assert ft2.evaluate(s, t, z) == tval(t2, 3) % p
     assert ft1.mul(ft2).evaluate(s, t, z) == tval(t1, 2) * tval(t2, 3) % p
-    assert ft1.add(ft1.scale(a)).evaluate(s, t, z) == (1 + a) * tval(t1, 2) % p
+    assert (TernaryForm.combination([ft1, ft1], [1, a]).evaluate(s, t, z)
+            == (1 + a) * tval(t1, 2) % p)
     for var in range(3):
         assert ft2.partial(var).evaluate(s, t, z) == tval(t2, 3, var) % p
     assert _plain(ft2.coeffs_in(1, s, z), t) % p == tval(t2, 3) % p
@@ -275,7 +279,7 @@ def test_form_kernels_agree_with_plain_integers(pf, b1, b2, t1, t2, u1, u2, xs, 
         assert q.upper_coeffs() == [v % p for v in u]
     combo = [[s * x + t * y for x, y in zip(r1, r2)]
              for r1, r2 in zip(quadrics[0].entries, quadrics[1].entries)]
-    assert pencil_discriminant(*quadrics).evaluate(s, t) == _plain_det(combo) % p
+    assert form_matrix_det(BinaryForm, quadrics).evaluate(s, t) == _plain_det(combo) % p
     rows = [pts[:3], pts[3:6], pts[6:]]
     assert _det3(pf, *rows) == _plain_det(rows) % p
     if any(v % p for v in pts[:3]):

@@ -10,12 +10,13 @@ from kernel_oracles import (PACKED_PRIMES, hasse_rows, linear_combination, packe
                             taylor_misses)
 from multiplicity_oracle import partials_accept, taylor_accept
 from qmod import linalg, quadlab, surface
+from qmod.binforms import BinaryForm
 from qmod.cli import main
 from qmod.errors import (ConfigurationError, DomainError, FieldMismatchError,
                          GenericityError, InternalCheckError)
 from qmod.fields import DEFAULT_PRIME, MIN_SAMPLING_PRIME, QQ, PrimeField, derived_rng
 from qmod.linalg import Matrix, _pack, _unpack, slot_width
-from qmod.quadlab import i2_basis, ParamCurve
+from qmod.quadlab import ParamCurve, form_matrix_det, i2_basis
 from qmod.surface import (
     NSClass,
     PlaneSystem,
@@ -29,7 +30,6 @@ from qmod.surface import (
     ns_canonical,
     ns_genus,
     ns_intersect,
-    pencil_discriminant,
     pencil_nondegeneracy,
     residual_class,
 )
@@ -563,18 +563,18 @@ def test_pencil_discriminant_of_proportional_pair_degenerates():
     q = SymQuadric.from_upper_coeffs(
         FP, 3, [FP.random_element(rng) for _ in range(6)])
     # det(s Q + 5 t Q) = (s + 5t)^3 det(Q): a triple root.
-    disc = pencil_discriminant(q, linear_combination(FP, [q], [5]))
+    disc = form_matrix_det(BinaryForm, (q, linear_combination(FP, [q], [5])))
     assert disc.degree == 3
     assert not disc.squarefree()
     singular = SymQuadric(FP, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
-    flat = pencil_discriminant(singular, linear_combination(FP, [singular], [2]))
+    flat = form_matrix_det(BinaryForm, (singular, linear_combination(FP, [singular], [2])))
     assert all(c == 0 for c in flat.coeffs)
 
 
 def test_pencil_discriminant_sees_forced_double_root():
     q1 = SymQuadric(FP, [[1, 0, 0], [0, 1, 0], [0, 0, 2]])
     q2 = SymQuadric(FP, [[3, 0, 0], [0, 3, 0], [0, 0, 5]])
-    disc = pencil_discriminant(q1, q2)
+    disc = form_matrix_det(BinaryForm, (q1, q2))
     # (s + 3t)^2 (2s + 5t): nonzero but with a repeated root.
     assert not all(c == 0 for c in disc.coeffs)
     assert not disc.squarefree()
@@ -586,7 +586,7 @@ def test_pencil_discriminant_matches_pointwise_determinant(size):
     q1, q2 = (SymQuadric.from_upper_coeffs(
         FP, size, [FP.random_element(rng) for _ in range(size * (size + 1) // 2)])
         for _ in range(2))
-    disc = pencil_discriminant(q1, q2)
+    disc = form_matrix_det(BinaryForm, (q1, q2))
     assert disc.degree == size
     for _ in range(5):
         s, t = FP.random_element(rng), FP.random_element(rng)
