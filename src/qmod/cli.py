@@ -31,7 +31,6 @@ from .invariants import (
 )
 from .picard import (
     DEFAULT_MULTIPLIERS,
-    boundary_indices,
     canonical_class,
     chern_pair,
     fr_dp_class,
@@ -65,8 +64,8 @@ def _class_lines(d):
     if d.n:
         yield f"psi: {_coeff_str(d.psi)} on each of {d.n} markings"
     yield f"b_irr: {_coeff_str(d.b_irr)}"
-    for key in boundary_indices(d.g, d.n):
-        yield f"b[{key[0]},{key[1]}]: {_coeff_str(d.b[key])}"
+    for (i, s), c in d.b.items():
+        yield f"b[{i},{s}]: {_coeff_str(c)}"
 
 
 def _class_result(cls):
@@ -327,16 +326,23 @@ def _positive_int(text: str) -> int:
 
 # Largest --r of the curve commands, whose matrices grow like a power of r.
 MAX_R = 40
+# Largest --g, --n, --e and --g-max of the class commands, whose work grows like a power
+# of them.
+MAX_SIZE = 200
 
 
-def _curve_r(text: str) -> int:
+def _int_at_most(cap: int, what: str, text: str) -> int:
     try:
-        r = int(text)
+        v = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if r > MAX_R:
-        raise argparse.ArgumentTypeError(f"expected r <= {MAX_R}, got {r}")
-    return r
+    if v > cap:
+        raise argparse.ArgumentTypeError(f"expected {what} <= {cap}, got {v}")
+    return v
+
+
+_curve_r = functools.partial(_int_at_most, MAX_R, "r")
+_size = functools.partial(_int_at_most, MAX_SIZE, "a value")
 
 
 def _check_name(text: str) -> str:
@@ -393,31 +399,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("harris-tu", parents=[common],
                        help="degree of the rank-<=k symmetric determinantal locus")
-    p.add_argument("--e", type=int, required=True)
+    p.add_argument("--e", type=_size, required=True)
     p.add_argument("--k", type=int, required=True)
 
     p = sub.add_parser("enumerate-cases", parents=[common],
                        help="list (g, n, k) with an expected divisor of quadric type")
-    p.add_argument("--g-max", type=int, default=40)
+    p.add_argument("--g-max", type=_size, default=40)
 
     p = sub.add_parser("quad-class", parents=[common],
                        help="divisor class of the rank-<=k locus closure")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--g", type=_size, required=True)
+    p.add_argument("--n", type=_size, required=True)
     p.add_argument("--k", type=int, required=True)
 
     p = sub.add_parser("dp-class", parents=[common],
                        help="divisor class of the du Val-type rank locus")
-    p.add_argument("--g", type=int, default=15)
-    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--g", type=_size, default=15)
+    p.add_argument("--n", type=_size, default=8)
 
     sub.add_parser("z-class", parents=[common],
                    help="pushed-forward quadric divisor on the (15, 9) space")
 
     p = sub.add_parser("canonical-class", parents=[common],
                        help="canonical class of the pointed moduli space")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--g", type=_size, required=True)
+    p.add_argument("--n", type=_size, required=True)
 
     p = sub.add_parser("certificate", parents=[common],
                        help="general-type decomposition check on (15, 9)")

@@ -3,14 +3,14 @@ Brill-Noether number and its ramification-adjusted variant, intersection
 degrees of symmetric rank loci, and the enumeration of the calibrated
 (g, n, k) family used by the divisor-class module.
 
-Everything here is integer arithmetic; rationals appear only inside the
-rank-locus degree product, which is asserted to clear to an integer.
+Everything here is integer arithmetic; the rank-locus degree is a
+quotient of two integer products, asserted to divide exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .errors import DomainError, InternalCheckError
 
@@ -106,12 +106,12 @@ def harris_tu_degree(e: int, k: int) -> int:
     _require_ints("e, k", e, k)
     if not 3 <= k <= e:
         raise DomainError(f"need 3 <= k <= e, got k={k}, e={e}")
-    acc = Fraction(1)
-    for t in range(e - k):
-        acc *= Fraction(binom(e + t, e - k - t), binom(2 * t + 1, t))
-    if acc.denominator != 1:
-        raise InternalCheckError(f"rank-locus degree ({e}, {k}) is non-integral: {acc}")
-    return acc.numerator
+    num = prod(binom(e + t, e - k - t) for t in range(e - k))
+    den = prod(binom(2 * t + 1, t) for t in range(e - k))
+    if num % den:
+        raise InternalCheckError(
+            f"rank-locus degree ({e}, {k}) is non-integral: {Fraction(num, den)}")
+    return num // den
 
 
 def enumerate_quad_cases(g_max: int) -> list[tuple[int, int, int]]:

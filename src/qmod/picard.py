@@ -140,7 +140,8 @@ def canonical_pair(g: int, n: int, i: int, s: int) -> tuple[int, int]:
 
 class DivisorClass:
     """An S_n-symmetric class on (g, n): one psi for all markings, ZERO if
-    n = 0.  A coefficient is given as a ``Coefficient`` or an exact rational."""
+    n = 0.  A coefficient is given as a ``Coefficient`` or an exact rational.
+    ``b`` holds every slot in ``boundary_indices`` order, which is sorted."""
 
     __slots__ = ("g", "n", "lam", "psi", "b_irr", "b")
 
@@ -150,11 +151,11 @@ class DivisorClass:
         lam, psi, b_irr, b = _coefficient(lam), _coefficient(psi), _coefficient(b_irr), b or {}
         if not lam.is_exact or not psi.is_exact:
             raise DomainError("lower-bound kinds are only legal in boundary slots")
-        slots = boundary_indices(g, n)
-        extra = set(b) - set(slots)
+        bb = dict.fromkeys(boundary_indices(g, n), ZERO)
+        extra = b.keys() - bb.keys()
         if extra:
             raise DomainError(f"coefficients at non-boundary slots: {sorted(extra)}")
-        bb = {key: _coefficient(b[key]) if key in b else ZERO for key in slots}
+        bb.update((key, _coefficient(v)) for key, v in b.items())
         self.g = g
         self.n = n
         self.lam = lam
@@ -230,8 +231,8 @@ class DivisorClass:
             "psi": [str(self.psi.value)] * self.n,
             "b_irr": self.b_irr.to_json_dict(),
             "b": [
-                {"i": i, "s": s, **self.b[(i, s)].to_json_dict()}
-                for (i, s) in sorted(self.b)
+                {"i": i, "s": s, "kind": c.kind, "value": str(c.value)}
+                for (i, s), c in self.b.items()
             ],
         }
 
@@ -257,8 +258,9 @@ def chern_pair(g: int, n: int) -> ChernPair:
     if g <= n:
         raise DomainError(f"need g > n for positive bundle rank, got g={g}, n={n}")
     c1_e = DivisorClass(g, n, lam=1, psi=-1)
-    ones = dict.fromkeys(boundary_indices(g, n), Coefficient.exact(1))
-    c1_f = DivisorClass(g, n, lam=13, psi=-5, b_irr=1, b=ones)
+    one = Coefficient.exact(1)
+    c1_f = c1_e._derived(Coefficient.exact(13), Coefficient.exact(-5), one,
+                         dict.fromkeys(c1_e.b, one))
     return ChernPair(g, n, c1_e, c1_f, g - n, 3 * g - 3 - 2 * n)
 
 
@@ -335,11 +337,10 @@ def quad_class_unscaled(g: int, n: int, k: int) -> DivisorClass:
     unit = Fraction(1, harris_tu_degree(g - n, k))
     generic = Coefficient.at_least(1)
     b = {}
-    for (i, s) in boundary_indices(g, n):
+    for (i, s) in base.b:
         kind = EXACT if k == 4 and i == 0 else AT_LEAST
         b[(i, s)] = Coefficient(kind, tilde_b(g, n, i, s)) if i < s else generic
-    return DivisorClass(g, n, lam=base.lam.scale(unit), psi=base.psi.scale(unit),
-                        b_irr=1, b=b)
+    return base._derived(base.lam.scale(unit), base.psi.scale(unit), Coefficient.exact(1), b)
 
 
 def _require_family_member(g: int, n: int, k: int):

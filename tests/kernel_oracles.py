@@ -1,4 +1,4 @@
-"""Test oracles for the packed kernels and one class builder.
+"""Test oracles for the packed kernels, one class builder and the rank-locus degree.
 
 ``unipoly.pow_mod`` multiplies residues packed into one int each, and
 ``quadlab._shifted_rows`` builds every quadric row of a member from one
@@ -27,6 +27,10 @@ are; ``packed_slots`` reads such rows back slot by slot, unreduced.
 
 ``linear_combination`` builds combinations of quadrics for tests, one
 exact sum per matrix entry; no production path combines quadrics.
+
+``invariants.harris_tu_degree`` divides one integer product by another
+once; ``harris_tu_degree_by_fractions`` is the route it replaced, a
+running ``Fraction`` product of the same binomial quotients.
 
 ``picard.quad_class`` is built at unit scale and scaled by alpha once;
 ``quad_class_by_slots`` is the route it replaced, which takes lam and psi
@@ -121,6 +125,13 @@ def linear_combination(field, quadrics, coeffs) -> SymQuadric:
     entries = [[field.coerce(sum(w * q.entries[i][j] for q, w in zip(quadrics, weights)))
                 for j in range(n)] for i in range(n)]
     return SymQuadric(field, entries, _skip_check=True)
+
+
+def harris_tu_degree_by_fractions(e: int, k: int) -> Fraction:
+    acc = Fraction(1)
+    for t in range(e - k):
+        acc *= Fraction(comb(e + t, e - k - t), comb(2 * t + 1, t))
+    return acc
 
 
 def quad_class_by_slots(g: int, n: int, k: int) -> DivisorClass:

@@ -133,6 +133,12 @@ def test_adjusted_rho_reads_the_ramification_list(capsys):
     ("certificate", "--x", "one"),
     ("rnc-i2", "--r", "1000000"),
     ("rank4-family", "--r", "1000000", "--m1", "1", "--m2", "1", "--x", "999998"),
+    ("canonical-class", "--g", "1000000", "--n", "1000000"),
+    ("canonical-class", "--g", "4", "--n", "1000000"),
+    ("dp-class", "--g", "1000000", "--n", "999999"),
+    ("quad-class", "--g", "1000000", "--n", "1", "--k", "4"),
+    ("harris-tu", "--e", "1000000", "--k", "3"),
+    ("enumerate-cases", "--g-max", "1000000"),
 ])
 def test_malformed_numbers_are_usage_errors(capsys, argv):
     rc, out, err = _run(capsys, *argv)
@@ -425,6 +431,25 @@ def test_curve_r_is_capped_by_the_parser(capsys):
         "secant", f"argument --r: expected r <= {cli.MAX_R}, got {cli.MAX_R + 1}")
     rc, out, err = _run(capsys, "rnc-i2", "--r", "2")
     assert (rc, out, err) == (2, "", "error: quadric systems need ambient dimension r >= 3\n")
+
+
+def test_class_sizes_are_capped_by_the_parser(capsys):
+    # Each size option of the class commands takes values up to the cap; one
+    # more is a usage error before any slot is built.
+    sizes = {"canonical-class": ("g", "n"), "dp-class": ("g", "n"), "quad-class": ("g", "n"),
+             "harris-tu": ("e",), "enumerate-cases": ("g_max",)}
+    for command, dests in sizes.items():
+        types = {action.dest: action.type for action in _subparser(command)._actions}
+        for dest in dests:
+            assert types[dest] is cli._size, (command, dest)
+    assert cli._size(str(cli.MAX_SIZE)) == cli.MAX_SIZE
+    rc, out, err = _run(capsys, "enumerate-cases", "--g-max", str(cli.MAX_SIZE + 1))
+    assert (rc, out) == (2, "")
+    assert err == _usage_error("enumerate-cases", "argument --g-max: expected a value "
+                               f"<= {cli.MAX_SIZE}, got {cli.MAX_SIZE + 1}")
+    rc, out, err = _run(capsys, "harris-tu", "--e", "x", "--k", "3")
+    assert (rc, out) == (2, "")
+    assert err == _usage_error("harris-tu", "argument --e: invalid int value: 'x'")
 
 
 def test_json_output_is_deterministic(capsys):

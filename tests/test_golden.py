@@ -5,18 +5,23 @@ the surface construction computes over F_p, of the quadric pencil that
 ``pencil-disc --dump`` reports, and of the quadrics through the rational
 normal quintic over F_p and over the rationals (``rnc-i2 --dump``), and
 of the table output of the divisor-class commands, the certificate, the
-seeded F_p checks and a ``verify`` subset.
+seeded F_p checks and a ``verify`` subset.  Every class of
+``enumerate_quad_cases(40)`` is pinned by the sha256 of its ``quad-class``
+JSON and table output in quad_class_cases_g40.json.
 
 The files under tests/data were written by the command named in GOLDEN
 or TABLES; any change to a coefficient, a slot kind or the serialization
 shows here.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 from qmod.cli import main
+from qmod.invariants import enumerate_quad_cases
 
 DATA = Path(__file__).parent / "data"
 
@@ -69,3 +74,16 @@ def test_table_output_matches_golden_file(capsys, name):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.encode() == (DATA / name).read_bytes()
+
+
+def test_every_calibrated_class_matches_its_digests(capsys):
+    digests = json.loads((DATA / "quad_class_cases_g40.json").read_text())
+    cases = enumerate_quad_cases(40)
+    assert sorted(digests) == sorted(f"g{g}_n{n}_k{k}" for g, n, k in cases)
+    for g, n, k in cases:
+        argv = ["quad-class", "--g", str(g), "--n", str(n), "--k", str(k)]
+        got = {}
+        for form, extra in (("json", ["--format", "json"]), ("table", [])):
+            assert main(argv + extra) == 0
+            got[form] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert got == digests[f"g{g}_n{n}_k{k}"], (g, n, k)

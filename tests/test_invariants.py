@@ -1,5 +1,6 @@
 import pytest
 
+from qmod import invariants
 from qmod.cli import main
 from qmod.errors import DomainError, InternalCheckError
 from qmod.invariants import (
@@ -12,6 +13,8 @@ from qmod.invariants import (
     fiber_dim_identity,
     harris_tu_degree,
 )
+
+from kernel_oracles import harris_tu_degree_by_fractions
 
 
 def test_binom_is_zero_outside_triangle():
@@ -87,6 +90,21 @@ def test_rank_locus_degree_endpoints():
     for e in range(5, 13):
         assert harris_tu_degree(e, e - 2) == e * (e * e - 1) // 6
         assert harris_tu_degree(e, e - 2) == binom(e + 1, 3)
+
+
+def test_rank_locus_degree_matches_the_fraction_product():
+    for e in range(3, 61):
+        for k in range(3, e + 1):
+            assert harris_tu_degree(e, k) == harris_tu_degree_by_fractions(e, k), (e, k)
+
+
+def test_rank_locus_degree_refuses_a_miswired_factor(monkeypatch):
+    # One numerator factor of (7, 4) off by one: 35 * 29 * 9 / 30 is not an integer.
+    real = invariants.binom
+    monkeypatch.setattr(invariants, "binom",
+                        lambda n, k: real(n, k) + ((n, k) == (8, 2)))
+    with pytest.raises(InternalCheckError, match="non-integral: 609/2"):
+        harris_tu_degree(7, 4)
 
 
 def test_rank_locus_degree_guards():

@@ -57,6 +57,28 @@ def test_boundary_indices_respect_symmetry():
         assert 2 * i <= 15
 
 
+def test_boundary_indices_are_strictly_increasing():
+    # to_json_dict and the table write slots in stored order, which is this one.
+    for g in range(2, 41):
+        for n in range(13):
+            idx = boundary_indices(g, n)
+            assert all(a < b for a, b in zip(idx, idx[1:])), (g, n)
+
+
+def test_every_class_keeps_its_slots_in_canonical_order():
+    given = {key: 1 for key in reversed(boundary_indices(9, 4)[::3])}
+    d = DivisorClass(9, 4, lam=1, b=given)
+    cp = chern_pair(15, 8)
+    classes = [
+        d, d.add(d), d.scale(3), d.scale(0), d.boundary_as_bounds(),
+        cp.c1_e, cp.c1_f, fr_sigma_class(chern_pair(11, 4), 4), fr_dp_class(cp),
+        quad_class_unscaled(11, 4, 4), quad_class(40, 27, 6),
+        symmetrized_pullback_sum(d), z_class_15_9(), canonical_class(7, 3), bn_class_15(),
+    ]
+    for c in classes:
+        assert list(c.b) == boundary_indices(c.g, c.n), c
+
+
 def test_divisor_class_build_and_algebra():
     d = DivisorClass(15, 2, lam=1, psi=2, b_irr=3, b={(0, 2): 4})
     assert d.psi == Coefficient.exact(2)
@@ -69,8 +91,9 @@ def test_divisor_class_build_and_algebra():
 
 
 def test_divisor_class_rejects_bad_slots():
-    with pytest.raises(DomainError):
-        DivisorClass(15, 2, lam=0, psi=0, b_irr=0, b={(0, 1): 1})
+    refusal = r"^coefficients at non-boundary slots: \[\(0, 1\), \(8, 0\)\]$"
+    with pytest.raises(DomainError, match=refusal):
+        DivisorClass(15, 2, lam=0, psi=0, b_irr=0, b={(8, 0): 1, (0, 2): 1, (0, 1): 1})
     with pytest.raises(DomainError):
         DivisorClass(15, 2, lam=0, psi=[1, 2, 3], b_irr=0, b={})
 
