@@ -2,6 +2,8 @@
 
 Every subcommand prints either a human-readable table or a JSON payload
 (--format json, keys sorted, deterministic for a fixed seed and prime).
+``build_parser`` declares each subcommand once, with its options and the
+handler that runs it.
 Each handler returns (passed, payload, lines): whether its check passed,
 a zero-argument callable that builds the JSON payload, and the table
 lines.  ``main`` alone prints, and it builds only the form it prints.
@@ -22,7 +24,6 @@ from fractions import Fraction
 from .errors import ConfigurationError, DomainError, GenericityError
 from .fields import DEFAULT_PRIME, QQ, PrimeField, derived_rng
 from .invariants import (
-    RamificationSequence,
     adjusted_rho,
     brill_noether_rho,
     enumerate_quad_cases,
@@ -83,10 +84,9 @@ def _cmd_rho(args):
 
 
 def _cmd_adjusted_rho(args):
-    alpha = RamificationSequence(args.alpha)
-    v = adjusted_rho(args.g, args.r, args.d, alpha)
+    v = adjusted_rho(args.g, args.r, args.d, args.alpha)
     return True, lambda: {"g": args.g, "r": args.r, "d": args.d,
-                          "alpha": list(alpha), "rho": v}, [str(v)]
+                          "alpha": args.alpha, "rho": v}, [str(v)]
 
 
 def _cmd_harris_tu(args):
@@ -287,29 +287,6 @@ def _cmd_verify(args):
             (f"{r.check}: {'pass' if r.passed else 'FAIL'}" for r in results))
 
 
-HANDLERS = {
-    "expected-dim": _cmd_expected_dim,
-    "rho": _cmd_rho,
-    "adjusted-rho": _cmd_adjusted_rho,
-    "harris-tu": _cmd_harris_tu,
-    "enumerate-cases": _cmd_enumerate_cases,
-    "quad-class": _cmd_quad_class,
-    "dp-class": _cmd_dp_class,
-    "z-class": _cmd_z_class,
-    "canonical-class": _cmd_canonical_class,
-    "certificate": _cmd_certificate,
-    "rnc-i2": _cmd_rnc_i2,
-    "rank3-family": _cmd_rank3_family,
-    "rank4-family": _cmd_rank4_family,
-    "secant": _cmd_secant,
-    "genus4": _cmd_genus4,
-    "genus5-net": _cmd_genus5_net,
-    "blowup-verify": _cmd_blowup_verify,
-    "pencil-disc": _cmd_pencil_disc,
-    "verify": _cmd_verify,
-}
-
-
 def _int_list(text: str) -> list:
     try:
         return [int(tok) for tok in text.split(",")]
@@ -318,31 +295,30 @@ def _int_list(text: str) -> list:
             f"expected comma-separated integers, got {text!r}") from None
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
-
-
 # Largest --r of the curve commands, whose matrices grow like a power of r.
 MAX_R = 40
 # Largest --g, --n, --e and --g-max of the class commands, whose work grows like a power
 # of them.
 MAX_SIZE = 200
+# Largest --repeat of genus4 and secant, whose seeds or chords are all held at once.
+MAX_REPEAT = 1000
 
 
-def _int_at_most(cap: int, what: str, text: str) -> int:
+def _capped_int(cap: int, what: str, text: str, floor=None) -> int:
     try:
         v = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if v > cap:
         raise argparse.ArgumentTypeError(f"expected {what} <= {cap}, got {v}")
+    if floor is not None and v < floor:
+        raise argparse.ArgumentTypeError(f"expected {what} >= {floor}, got {v}")
     return v
 
 
-_curve_r = functools.partial(_int_at_most, MAX_R, "r")
-_size = functools.partial(_int_at_most, MAX_SIZE, "a value")
+_curve_r = functools.partial(_capped_int, MAX_R, "r")
+_size = functools.partial(_capped_int, MAX_SIZE, "a value")
+_repeat = functools.partial(_capped_int, MAX_REPEAT, "a count", floor=1)
 
 
 def _check_name(text: str) -> str:
@@ -369,6 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="base seed for sampling (default 0)")
     common.add_argument("--format", choices=("table", "json"), default="table",
                         help="output format (default table)")
+    series = argparse.ArgumentParser(add_help=False)
+    for name in ("--g", "--r", "--d"):
+        series.add_argument(name, type=int, required=True)
+    # Only the commands that compute over F_p read a working prime.
     prime = {"type": int, "default": DEFAULT_PRIME,
              "help": "working prime (default 2^61-1)"}
 
@@ -377,56 +357,51 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact quadric-rank and moduli-divisor workbench.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("expected-dim", parents=[common],
-                       help="expected dimension of the rank-<=k quadric locus")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    def command(name, handler, help, *parents):
+        p = sub.add_parser(name, parents=[common, *parents], help=help)
+        # main reports a usage error that the parser cannot see through the
+        # subcommand's own parser, so it prints that subcommand's usage.
+        p.set_defaults(handler=handler, command_parser=p)
+        return p
+
+    p = command("expected-dim", _cmd_expected_dim,
+                "expected dimension of the rank-<=k quadric locus", series)
     p.add_argument("--k", type=int, required=True)
 
-    p = sub.add_parser("rho", parents=[common], help="Brill-Noether number")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    command("rho", _cmd_rho, "Brill-Noether number", series)
 
-    p = sub.add_parser("adjusted-rho", parents=[common],
-                       help="Brill-Noether number adjusted by ramification")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p = command("adjusted-rho", _cmd_adjusted_rho,
+                "Brill-Noether number adjusted by ramification", series)
     p.add_argument("--alpha", type=_int_list, required=True,
                    help="comma-separated ramification indices, r+1 entries")
 
-    p = sub.add_parser("harris-tu", parents=[common],
-                       help="degree of the rank-<=k symmetric determinantal locus")
+    p = command("harris-tu", _cmd_harris_tu,
+                "degree of the rank-<=k symmetric determinantal locus")
     p.add_argument("--e", type=_size, required=True)
     p.add_argument("--k", type=int, required=True)
 
-    p = sub.add_parser("enumerate-cases", parents=[common],
-                       help="list (g, n, k) with an expected divisor of quadric type")
+    p = command("enumerate-cases", _cmd_enumerate_cases,
+                "list (g, n, k) with an expected divisor of quadric type")
     p.add_argument("--g-max", type=_size, default=40)
 
-    p = sub.add_parser("quad-class", parents=[common],
-                       help="divisor class of the rank-<=k locus closure")
+    p = command("quad-class", _cmd_quad_class, "divisor class of the rank-<=k locus closure")
     p.add_argument("--g", type=_size, required=True)
     p.add_argument("--n", type=_size, required=True)
     p.add_argument("--k", type=int, required=True)
 
-    p = sub.add_parser("dp-class", parents=[common],
-                       help="divisor class of the du Val-type rank locus")
+    p = command("dp-class", _cmd_dp_class, "divisor class of the du Val-type rank locus")
     p.add_argument("--g", type=_size, default=15)
     p.add_argument("--n", type=_size, default=8)
 
-    sub.add_parser("z-class", parents=[common],
-                   help="pushed-forward quadric divisor on the (15, 9) space")
+    command("z-class", _cmd_z_class, "pushed-forward quadric divisor on the (15, 9) space")
 
-    p = sub.add_parser("canonical-class", parents=[common],
-                       help="canonical class of the pointed moduli space")
+    p = command("canonical-class", _cmd_canonical_class,
+                "canonical class of the pointed moduli space")
     p.add_argument("--g", type=_size, required=True)
     p.add_argument("--n", type=_size, required=True)
 
-    p = sub.add_parser("certificate", parents=[common],
-                       help="general-type decomposition check on (15, 9)")
+    p = command("certificate", _cmd_certificate,
+                "general-type decomposition check on (15, 9)")
     x0, y0, z0 = DEFAULT_MULTIPLIERS
     p.add_argument("--x", type=_fraction, help=f"default {x0}")
     p.add_argument("--y", type=_fraction, help=f"default {y0}")
@@ -438,8 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     # option here starts with "-" and a digit: let any such token be a value.
     p._negative_number_matcher = re.compile(r"-\.?\d")
 
-    p = sub.add_parser("rnc-i2", parents=[common],
-                       help="quadrics through the rational normal curve")
+    p = command("rnc-i2", _cmd_rnc_i2, "quadrics through the rational normal curve")
     p.add_argument("--r", type=_curve_r, required=True)
     # --rational works over QQ; a given --prime would be dropped unseen.
     over = p.add_mutually_exclusive_group()
@@ -449,57 +423,53 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", action="store_true",
                    help="include the basis matrices in the payload")
 
-    p = sub.add_parser("rank3-family", parents=[common],
-                       help="sampled dimension of a rank-3 quadric family")
+    p = command("rank3-family", _cmd_rank3_family,
+                "sampled dimension of a rank-3 quadric family")
     p.add_argument("--r", type=_curve_r, required=True)
     p.add_argument("--x", type=int, required=True,
                    help="degree of the residual factor")
+    p.add_argument("--prime", **prime)
 
-    p = sub.add_parser("rank4-family", parents=[common],
-                       help="sampled dimension of a rank-4 quadric family")
+    p = command("rank4-family", _cmd_rank4_family,
+                "sampled dimension of a rank-4 quadric family")
     p.add_argument("--r", type=_curve_r, required=True)
     p.add_argument("--m1", type=int, required=True, help="degree of the first pencil")
     p.add_argument("--m2", type=int, required=True, help="degree of the second pencil")
     p.add_argument("--x", type=int, required=True,
                    help="degree of the residual factor")
+    p.add_argument("--prime", **prime)
 
-    p = sub.add_parser("secant", parents=[common],
-                       help="codimension imposed by a chord on the quadric system")
+    p = command("secant", _cmd_secant,
+                "codimension imposed by a chord on the quadric system")
     p.add_argument("--r", type=_curve_r, required=True)
     p.add_argument("--t1", type=int, default=None)
     p.add_argument("--t2", type=int, default=None)
-    p.add_argument("--repeat", type=_positive_int, default=1, help="chords to draw (default 1)")
+    p.add_argument("--repeat", type=_repeat, default=1, help="chords to draw (default 1)")
+    p.add_argument("--prime", **prime)
 
-    p = sub.add_parser("genus4", parents=[common],
-                       help="rank of seeded random symmetric 4x4 matrices")
-    p.add_argument("--repeat", type=_positive_int, default=1, help="seeds to draw (default 1)")
+    p = command("genus4", _cmd_genus4, "rank of seeded random symmetric 4x4 matrices")
+    p.add_argument("--repeat", type=_repeat, default=1, help="seeds to draw (default 1)")
+    p.add_argument("--prime", **prime)
 
-    sub.add_parser("genus5-net", parents=[common],
-                   help="smoothness certificate of a random genus-5 quadric net")
+    p = command("genus5-net", _cmd_genus5_net,
+                "smoothness certificate of a random genus-5 quadric net")
+    p.add_argument("--prime", **prime)
 
-    p = sub.add_parser("blowup-verify", parents=[common],
-                       help="15-point blow-up surface construction check")
+    p = command("blowup-verify", _cmd_blowup_verify,
+                "15-point blow-up surface construction check")
     p.add_argument("--dump", action="store_true",
                    help="include the linear systems in the payload")
+    p.add_argument("--prime", **prime)
 
-    p = sub.add_parser("pencil-disc", parents=[common],
-                       help="discriminant of the surface quadric pencil")
+    p = command("pencil-disc", _cmd_pencil_disc, "discriminant of the surface quadric pencil")
     p.add_argument("--dump", action="store_true",
                    help="include the quadric pair in the payload")
+    p.add_argument("--prime", **prime)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run named verification checks")
+    p = command("verify", _cmd_verify, "run named verification checks")
     p.add_argument("checks", nargs="*", type=_check_name, default=["all"],
                    help="check names, or 'all' (default)")
-
-    # Only the commands that compute over F_p read a working prime.
-    for name in ("rank3-family", "rank4-family", "secant", "genus4",
-                 "genus5-net", "blowup-verify", "pencil-disc", "verify"):
-        sub.choices[name].add_argument("--prime", **prime)
-    # main reports a usage error that the parser cannot see through the
-    # subcommand's own parser, so it prints that subcommand's usage.
-    for p in sub.choices.values():
-        p.set_defaults(command_parser=p)
+    p.add_argument("--prime", **prime)
     return parser
 
 
@@ -509,7 +479,7 @@ def main(argv=None) -> int:
         if extras:
             args.command_parser.error(f"unrecognized arguments: {' '.join(extras)}")
         try:
-            passed, payload, lines = HANDLERS[args.command](args)
+            passed, payload, lines = args.handler(args)
         except argparse.ArgumentError as exc:
             args.command_parser.error(str(exc))
     except SystemExit as exc:

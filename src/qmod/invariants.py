@@ -55,44 +55,23 @@ def brill_noether_rho(g: int, r: int, d: int) -> int:
     return g - (r + 1) * (g - d + r)
 
 
-class RamificationSequence:
-    """Nondecreasing nonnegative integers, one per section of a series."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        values = tuple(values)
-        _require_ints("ramification indices", *values)
-        if any(v < 0 for v in values):
-            raise DomainError("ramification indices must be nonnegative")
-        if any(a > b for a, b in zip(values, values[1:])):
-            raise DomainError(f"ramification sequence must be nondecreasing: {values}")
-        self.values = values
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def total(self) -> int:
-        return sum(self.values)
-
-    def __repr__(self):
-        return f"RamificationSequence{self.values}"
-
-
 def adjusted_rho(g: int, r: int, d: int, alpha) -> int:
     """Brill-Noether number minus the total ramification at one point.
 
-    alpha must have exactly r+1 entries (one per section).
+    alpha lists the ramification indices, one per section: exactly r+1
+    nondecreasing nonnegative integers.
     """
-    seq = alpha if isinstance(alpha, RamificationSequence) else RamificationSequence(alpha)
-    if len(seq) != r + 1:
+    alpha = tuple(alpha)
+    _require_ints("ramification indices", *alpha)
+    if any(v < 0 for v in alpha):
+        raise DomainError("ramification indices must be nonnegative")
+    if any(a > b for a, b in zip(alpha, alpha[1:])):
+        raise DomainError(f"ramification sequence must be nondecreasing: {alpha}")
+    if len(alpha) != r + 1:
         raise DomainError(
-            f"ramification sequence has {len(seq)} entries, series needs {r + 1}"
+            f"ramification sequence has {len(alpha)} entries, series needs {r + 1}"
         )
-    return brill_noether_rho(g, r, d) - seq.total()
+    return brill_noether_rho(g, r, d) - sum(alpha)
 
 
 def harris_tu_degree(e: int, k: int) -> int:

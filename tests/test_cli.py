@@ -26,10 +26,14 @@ def _run_json(capsys, *argv):
     return rc, json.loads(out), err
 
 
-def _subparser(command) -> argparse.ArgumentParser:
+def _subparser_choices() -> dict:
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    return sub.choices[command]
+    return sub.choices
+
+
+def _subparser(command) -> argparse.ArgumentParser:
+    return _subparser_choices()[command]
 
 
 def _usage_error(command, message) -> str:
@@ -121,6 +125,13 @@ def test_adjusted_rho_reads_the_ramification_list(capsys):
                                "--d", "4", "--alpha", "0,1")
     assert rc == 0
     assert payload["alpha"] == [0, 1]
+
+
+def test_adjusted_rho_refuses_a_negative_index(capsys):
+    # "-1,0" must be joined to its option, or argparse reads it as one.
+    rc, out, err = _run(capsys, "adjusted-rho", "--g", "5", "--r", "1", "--d", "4",
+                        "--alpha=-1,0")
+    assert (rc, out, err) == (2, "", "error: ramification indices must be nonnegative\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -267,33 +278,53 @@ def test_zero_repeat_is_rejected(capsys):
     assert "repeat" in err
 
 
-def _options(command) -> set:
-    """The option strings that the command's subparser declares, less --help."""
-    return {opt for action in _subparser(command)._actions
-            for opt in action.option_strings} - {"-h", "--help"}
+def test_repeat_is_capped_by_the_parser(capsys):
+    # Both --repeat options take 1 up to the cap; one more, zero or a
+    # non-number is a usage error before any seed or chord is drawn.
+    for command in ("genus4", "secant"):
+        action = next(a for a in _subparser(command)._actions if a.dest == "repeat")
+        assert action.type is cli._repeat, command
+    assert cli._repeat(str(cli.MAX_REPEAT)) == cli.MAX_REPEAT
+    assert cli._repeat("1") == 1
+    for value, message in ((str(cli.MAX_REPEAT + 1),
+                            f"expected a count <= {cli.MAX_REPEAT}, got {cli.MAX_REPEAT + 1}"),
+                           ("0", "expected a count >= 1, got 0"),
+                           ("x", "invalid int value: 'x'")):
+        for command, argv in (("genus4", []), ("secant", ["--r", "3"])):
+            rc, out, err = _run(capsys, command, *argv, "--repeat", value)
+            assert (rc, out) == (2, ""), (command, value)
+            assert err == _usage_error(command, f"argument --repeat: {message}")
 
 
-# Each subcommand's options past the --seed and --format that all take.
+def _options(command) -> list:
+    """The option strings that the command's subparser declares, less --help,
+    in declaration order."""
+    return [opt for action in _subparser(command)._actions
+            for opt in action.option_strings if opt not in ("-h", "--help")]
+
+
+# Each subcommand's options past the --seed and --format that all take, in
+# the order its parser declares them, which is the order --help lists them.
 _OWN_OPTIONS = {
-    "expected-dim": {"--g", "--r", "--d", "--k"},
-    "rho": {"--g", "--r", "--d"},
-    "adjusted-rho": {"--g", "--r", "--d", "--alpha"},
-    "harris-tu": {"--e", "--k"},
-    "enumerate-cases": {"--g-max"},
-    "quad-class": {"--g", "--n", "--k"},
-    "dp-class": {"--g", "--n"},
-    "z-class": set(),
-    "canonical-class": {"--g", "--n"},
-    "certificate": {"--x", "--y", "--z", "--solve"},
-    "rnc-i2": {"--prime", "--r", "--rational", "--dump"},
-    "rank3-family": {"--prime", "--r", "--x"},
-    "rank4-family": {"--prime", "--r", "--m1", "--m2", "--x"},
-    "secant": {"--prime", "--repeat", "--r", "--t1", "--t2"},
-    "genus4": {"--prime", "--repeat"},
-    "genus5-net": {"--prime"},
-    "blowup-verify": {"--prime", "--dump"},
-    "pencil-disc": {"--prime", "--dump"},
-    "verify": {"--prime"},
+    "expected-dim": ("--g", "--r", "--d", "--k"),
+    "rho": ("--g", "--r", "--d"),
+    "adjusted-rho": ("--g", "--r", "--d", "--alpha"),
+    "harris-tu": ("--e", "--k"),
+    "enumerate-cases": ("--g-max",),
+    "quad-class": ("--g", "--n", "--k"),
+    "dp-class": ("--g", "--n"),
+    "z-class": (),
+    "canonical-class": ("--g", "--n"),
+    "certificate": ("--x", "--y", "--z", "--solve"),
+    "rnc-i2": ("--r", "--rational", "--prime", "--dump"),
+    "rank3-family": ("--r", "--x", "--prime"),
+    "rank4-family": ("--r", "--m1", "--m2", "--x", "--prime"),
+    "secant": ("--r", "--t1", "--t2", "--repeat", "--prime"),
+    "genus4": ("--repeat", "--prime"),
+    "genus5-net": ("--prime",),
+    "blowup-verify": ("--dump", "--prime"),
+    "pencil-disc": ("--dump", "--prime"),
+    "verify": ("--prime",),
 }
 
 # An argument list that each command in _UNREAD runs with, short of the
@@ -326,12 +357,25 @@ _UNREAD = [(command, option) for command in _OWN_OPTIONS
 
 
 def test_each_subcommand_declares_only_the_options_it_reads():
-    assert set(_OWN_OPTIONS) == set(cli.HANDLERS)
+    assert set(_OWN_OPTIONS) == set(_subparser_choices())
     for command, own in _OWN_OPTIONS.items():
-        assert _options(command) == own | {"--seed", "--format"}, command
+        assert set(_options(command)) == set(own) | {"--seed", "--format"}, command
     shared = ("--prime", "--seed", "--format", "--repeat")
-    assert sum(len(_options(c) & set(shared)) for c in cli.HANDLERS) == 49
+    assert sum(len(set(_options(c)) & set(shared)) for c in _OWN_OPTIONS) == 49
     assert len(_UNREAD) == 27
+
+
+def test_each_subcommand_declares_its_options_in_help_order():
+    # --help and the usage line list the options in declaration order.
+    for command, own in _OWN_OPTIONS.items():
+        assert _options(command) == ["--seed", "--format", *own], command
+
+
+def test_each_subcommand_carries_its_own_handler():
+    for command, sub in _subparser_choices().items():
+        handler = sub.get_default("handler")
+        assert handler is getattr(cli, "_cmd_" + command.replace("-", "_")), command
+        assert sub.get_default("command_parser") is sub, command
 
 
 @pytest.mark.parametrize("command, option", _UNREAD)

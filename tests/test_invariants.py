@@ -4,7 +4,6 @@ from qmod import invariants
 from qmod.cli import main
 from qmod.errors import DomainError, InternalCheckError
 from qmod.invariants import (
-    RamificationSequence,
     adjusted_rho,
     binom,
     brill_noether_rho,
@@ -75,11 +74,27 @@ def test_adjusted_rho_on_tail_ramification():
 
 def test_ramification_sequence_must_be_monotone():
     with pytest.raises(DomainError):
-        RamificationSequence([1, 0])
-    with pytest.raises(DomainError):
         adjusted_rho(5, 1, 6, [1, 0])
     with pytest.raises(DomainError):
         adjusted_rho(5, 2, 6, [0, 1])  # needs r+1 = 3 entries
+
+
+# One case per refusal of adjusted_rho, in the order it checks them: each
+# sequence breaks only its own rule and the ones checked after it.
+@pytest.mark.parametrize("alpha, message", [
+    ([0, 1.0], "ramification indices must be integers, got 1.0"),
+    ([-1, 0], "ramification indices must be nonnegative"),
+    ([2, 1], r"ramification sequence must be nondecreasing: \(2, 1\)"),
+    ([0, 0, 1], "ramification sequence has 3 entries, series needs 2"),
+    ([-1, 0.5], "ramification indices must be integers, got 0.5"),
+    ([-1, 2, 1], "ramification indices must be nonnegative"),
+    ([2, 1, 0], r"ramification sequence must be nondecreasing: \(2, 1, 0\)"),
+], ids=["non-integer", "negative", "decreasing", "wrong-length",
+        "non-integer-before-negative", "negative-before-decreasing",
+        "decreasing-before-length"])
+def test_adjusted_rho_refusals(alpha, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        adjusted_rho(5, 1, 4, alpha)
 
 
 def test_rank_locus_degree_endpoints():
@@ -161,8 +176,8 @@ def test_fiber_dimension_identity():
     lambda: expected_dim_q(15, 6, 20.0, 4),
     lambda: brill_noether_rho(15.5, 1, 8),
     lambda: brill_noether_rho(15, 1, False),
-    lambda: RamificationSequence([0.5, 1.9]),
-    lambda: RamificationSequence(["0", "1"]),
+    lambda: adjusted_rho(7, 1, 8, [0.5, 1.9]),
+    lambda: adjusted_rho(7, 1, 8, ["0", "1"]),
     lambda: adjusted_rho(7, 2, 8, [0, 0, 0.0]),
     lambda: adjusted_rho(7, 2.0, 8, [0, 0, 0]),
     lambda: harris_tu_degree(5.0, 3),

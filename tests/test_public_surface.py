@@ -4,6 +4,7 @@ import pkgutil
 import pytest
 
 import qmod
+from qmod import cli
 from qmod.binforms import Form
 from qmod.picard import Coefficient, DivisorClass
 from qmod.quadlab import ParamCurve
@@ -38,6 +39,8 @@ REMOVED = [
     "_linear_family_det", "pencil_discriminant",
     # One weighted sum of forms: Form.combination.
     "combine",
+    # adjusted_rho validates its ramification list itself.
+    "RamificationSequence",
 ]
 MODULES = sorted(m.name for m in pkgutil.iter_modules(qmod.__path__))
 
@@ -73,3 +76,9 @@ def test_algebra_classes_keep_one_spelling_per_operation():
     assert not any(hasattr(Form, name) for name in ("add", "scale"))
     assert not any(hasattr(DivisorClass, name) for name in ("build", "__add__", "__rmul__"))
     assert not hasattr(Coefficient, "__add__")
+
+
+def test_cli_declares_each_subcommand_once():
+    # build_parser sets each handler where it declares the subcommand, and
+    # --repeat reads through the one capped-int type.
+    assert not any(hasattr(cli, name) for name in ("HANDLERS", "_positive_int"))
