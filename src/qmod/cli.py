@@ -33,6 +33,7 @@ from .invariants import (
 from .picard import (
     DEFAULT_MULTIPLIERS,
     canonical_class,
+    certificate_classes,
     chern_pair,
     fr_dp_class,
     general_type_certificate,
@@ -138,11 +139,11 @@ def _certificate_lines(rep):
 
 
 def _cmd_certificate(args):
-    z = args.z
+    z, classes = args.z, certificate_classes()
     if args.solve:
         if args.x is not None or args.y is not None:
             raise argparse.ArgumentError(None, "--x and --y conflict with --solve")
-        x, y = solve_certificate_multipliers(z)
+        x, y = solve_certificate_multipliers(z, classes)
         # A negative z is the certificate's own refusal; a z >= 0 can
         # still solve to a negative x or y.
         for name, v in (("x", x), ("y", y)) if z >= 0 else ():
@@ -153,7 +154,7 @@ def _cmd_certificate(args):
         x0, y0, _ = DEFAULT_MULTIPLIERS
         x = x0 if args.x is None else args.x
         y = y0 if args.y is None else args.y
-    rep = general_type_certificate(x, y, z)
+    rep = general_type_certificate(x, y, z, classes)
     return rep.passed, rep.to_json_dict, _certificate_lines(rep)
 
 
@@ -356,9 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qmod",
         description="Exact quadric-rank and moduli-divisor workbench.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse's default takes only -1 or -.5 as values, not "--z -1/3" or
+    # "--alpha -1,0"; no option starts with "-" and a digit, so all may be.
+    number = re.compile(r"-\.?\d")
 
     def command(name, handler, help, *parents):
         p = sub.add_parser(name, parents=[common, *parents], help=help)
+        p._negative_number_matcher = number
         # main reports a usage error that the parser cannot see through the
         # subcommand's own parser, so it prints that subcommand's usage.
         p.set_defaults(handler=handler, command_parser=p)
@@ -408,10 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=_fraction, default=z0)
     p.add_argument("--solve", action="store_true",
                    help="derive x and y from z instead of taking them as given")
-    # argparse takes only integers and decimals such as -1 or -.5 for
-    # values, so "--z -1/3" would read -1/3 as an unknown option.  No
-    # option here starts with "-" and a digit: let any such token be a value.
-    p._negative_number_matcher = re.compile(r"-\.?\d")
 
     p = command("rnc-i2", _cmd_rnc_i2, "quadrics through the rational normal curve")
     p.add_argument("--r", type=_curve_r, required=True)

@@ -41,6 +41,11 @@ def _rational(v) -> Fraction:
     return Fraction(v)
 
 
+def _times(a, v: Fraction) -> Fraction:
+    """a * v (a an int or Fraction) as one normalising Fraction of integers."""
+    return Fraction(a.numerator * v.numerator, a.denominator * v.denominator)
+
+
 def _require_bound_kept(a: Fraction, coeffs):
     if a < 0 and any(c.kind == AT_LEAST for c in coeffs):
         raise InternalCheckError(
@@ -86,7 +91,7 @@ class Coefficient:
         if a == 0:
             return ZERO
         _require_bound_kept(a, (self,))
-        return Coefficient(self.kind, a * self.value)
+        return Coefficient(self.kind, _times(a, self.value))
 
     def as_bound(self) -> "Coefficient":
         """Forget exactness, keep the value as a lower bound."""
@@ -193,7 +198,7 @@ class DivisorClass:
         def times(c):
             out = done.get(id(c))
             if out is None:
-                out = done[id(c)] = c if not c.value else Coefficient(c.kind, a * c.value)
+                out = done[id(c)] = c if not c.value else Coefficient(c.kind, _times(a, c.value))
             return out
 
         return self._derived(
@@ -264,11 +269,27 @@ def chern_pair(g: int, n: int) -> ChernPair:
     return ChernPair(g, n, c1_e, c1_f, g - n, 3 * g - 3 - 2 * n)
 
 
-def fr_sigma_class(cp: ChernPair, k: int) -> DivisorClass:
-    """Virtual class of the rank-<=k locus as a combination of the Chern
-    data, scaled by the rank-locus degree:
+def _chern_combination(cp: ChernPair, a, b) -> DivisorClass:
+    """c1_f.scale(a).add(c1_e.scale(b)), bound rules included, in one walk that
+    works each distinct pair of coefficient objects (ids cp keeps alive) once."""
+    f_cls, e_cls, done = cp.c1_f, cp.c1_e, {}
 
-        A^k_e * (c1(F) - (2f/e) c1(E)).
+    def pair(cf, ce):
+        key = (id(cf), id(ce))
+        if key not in done:
+            done[key] = cf.scale(a).add(ce.scale(b))
+        return done[key]
+
+    return f_cls._derived(pair(f_cls.lam, e_cls.lam), pair(f_cls.psi, e_cls.psi),
+                          pair(f_cls.b_irr, e_cls.b_irr),
+                          {k: pair(c, e_cls.b[k]) for k, c in f_cls.b.items()})
+
+
+def fr_sigma_class(cp: ChernPair, k: int, alpha=None) -> DivisorClass:
+    """Virtual class of the rank-<=k locus as a combination of the Chern
+    data, scaled by an int alpha, by default the rank-locus degree A^k_e:
+
+        alpha * (c1(F) - (2f/e) c1(E)).
 
     Requires the codimension-one calibration f = binom(e+1,2) - binom(e-k+1,2).
     """
@@ -280,10 +301,8 @@ def fr_sigma_class(cp: ChernPair, k: int) -> DivisorClass:
         raise DomainError(
             f"calibration failed: f={f} but the rank-{k} locus needs {expected_f}"
         )
-    alpha = harris_tu_degree(e, k)
-    t = Fraction(2 * f, e)
-    combo = cp.c1_f.add(cp.c1_e.scale(-t))
-    return combo.scale(alpha)
+    alpha = harris_tu_degree(e, k) if alpha is None else alpha
+    return _chern_combination(cp, alpha, Fraction(-2 * f * alpha, e))
 
 
 def fr_dp_class(cp: ChernPair) -> DivisorClass:
@@ -300,8 +319,7 @@ def fr_dp_class(cp: ChernPair) -> DivisorClass:
         raise DomainError(
             f"calibration failed: f={f} but the pencil locus needs {binom(e + 1, 2) - 2}"
         )
-    combo = cp.c1_f.scale(e).add(cp.c1_e.scale(-(e * e + e - 4)))
-    return combo.scale(e - 1)
+    return _chern_combination(cp, e * (e - 1), -(e * e + e - 4) * (e - 1))
 
 
 def tilde_b(g: int, n: int, i: int, s: int) -> Fraction:
@@ -327,20 +345,19 @@ def quad_class(g: int, n: int, k: int) -> DivisorClass:
 def quad_class_unscaled(g: int, n: int, k: int) -> DivisorClass:
     """The rank-locus divisor class at unit scale (divided by alpha = A^k_e),
     built once; ``quad_class`` scales it by alpha.  It exposes the (a, c)
-    coefficients directly: lam and psi are those of ``fr_sigma_class``
-    times 1/alpha, b_irr is exactly 1, the slots with i < s carry tilde_b
-    (exact for k = 4 and i = 0, a lower bound otherwise), and the rest
-    share one generic lower bound 1.
+    coefficients directly: lam and psi are those of ``fr_sigma_class`` at
+    alpha = 1 (so alpha is not computed here), b_irr is exactly 1, the
+    slots with i < s carry tilde_b (exact for k = 4 and i = 0, a lower
+    bound otherwise), and the rest share one generic lower bound 1.
     """
     _require_family_member(g, n, k)
-    base = fr_sigma_class(chern_pair(g, n), k)
-    unit = Fraction(1, harris_tu_degree(g - n, k))
+    base = fr_sigma_class(chern_pair(g, n), k, 1)
     generic = Coefficient.at_least(1)
     b = {}
     for (i, s) in base.b:
         kind = EXACT if k == 4 and i == 0 else AT_LEAST
         b[(i, s)] = Coefficient(kind, tilde_b(g, n, i, s)) if i < s else generic
-    return base._derived(base.lam.scale(unit), base.psi.scale(unit), Coefficient.exact(1), b)
+    return base._derived(base.lam, base.psi, Coefficient.exact(1), b)
 
 
 def _require_family_member(g: int, n: int, k: int):
@@ -454,8 +471,13 @@ class CertificateReport:
         }
 
 
-def general_type_certificate(x, y, z) -> CertificateReport:
-    """Check the decomposition K = x sum(psi) + y Z + z BN + E on (15, 9).
+def certificate_classes() -> tuple[DivisorClass, DivisorClass, DivisorClass]:
+    """The classes (K, Z, BN) on (15, 9) that the certificate decomposes."""
+    return canonical_class(15, 9), z_class_15_9(), bn_class_15()
+
+
+def general_type_certificate(x, y, z, classes=None) -> CertificateReport:
+    """Check K = x sum(psi) + y Z + z BN + E on (15, 9), on ``classes`` if given.
 
     Reports the exact lambda and psi residuals, the delta_irr slack of E,
     and per boundary slot either a verified nonnegative slack or the
@@ -466,9 +488,7 @@ def general_type_certificate(x, y, z) -> CertificateReport:
     x, y, z = _rational(x), _rational(y), _rational(z)
     if x < 0 or y < 0 or z < 0:
         raise DomainError("certificate multipliers must be nonnegative")
-    K = canonical_class(15, 9)
-    Z = z_class_15_9()
-    BN = bn_class_15()
+    K, Z, BN = classes or certificate_classes()
 
     lambda_residual = K.lam.value - (y * Z.lam.value + z * BN.lam.value)
     psi_residual = K.psi.value - (x + y * Z.psi.value + z * BN.psi.value)
@@ -488,13 +508,11 @@ def general_type_certificate(x, y, z) -> CertificateReport:
     return CertificateReport(x, y, z, lambda_residual, psi_residual, e_irr, tuple(slots))
 
 
-def solve_certificate_multipliers(z) -> tuple[Fraction, Fraction]:
+def solve_certificate_multipliers(z, classes=None) -> tuple[Fraction, Fraction]:
     """Given z, solve the two exact coefficient equations
-    351 y + 54 z = 13 and x + 136 y = 1 for (x, y)."""
+    351 y + 54 z = 13 and x + 136 y = 1 for (x, y), on ``classes`` if given."""
     z = _rational(z)
-    Z = z_class_15_9()
-    BN = bn_class_15()
-    K = canonical_class(15, 9)
+    K, Z, BN = classes or certificate_classes()
     y = (K.lam.value - z * BN.lam.value) / Z.lam.value
     x = K.psi.value - y * Z.psi.value - z * BN.psi.value
     return x, y

@@ -1,4 +1,4 @@
-"""Test oracles for the packed kernels, one class builder and the rank-locus degree.
+"""Test oracles for the packed kernels, the class builders and the rank-locus degree.
 
 ``unipoly.pow_mod`` multiplies residues packed into one int each, and
 ``quadlab._shifted_rows`` builds every quadric row of a member from one
@@ -36,6 +36,16 @@ running ``Fraction`` product of the same binomial quotients.
 ``quad_class_by_slots`` is the route it replaced, which takes lam and psi
 from the alpha-scaled ``fr_sigma_class`` and scales every tilde-b slot by
 alpha on its own.
+
+``picard.fr_sigma_class`` and ``picard.fr_dp_class`` weigh the two Chern
+classes in one walk over the slots, one weighted sum per distinct pair
+of coefficient objects; ``fr_sigma_class_by_walks`` and
+``fr_dp_class_by_walks`` are the route they replaced, a scale, an add and
+another scale, each a walk of its own through ``DivisorClass`` arithmetic.
+``chern_combination_by_walks`` is the plain scale-and-add of any Chern
+pair, bound kinds included.  (``Coefficient.scale`` and
+``DivisorClass.scale`` form each product from integers; the tests hold
+them to the ``Fraction`` operator product directly.)
 """
 
 from fractions import Fraction
@@ -152,6 +162,23 @@ def quad_class_by_slots(g: int, n: int, k: int) -> DivisorClass:
 
 def quad_class_unscaled_by_slots(g: int, n: int, k: int) -> DivisorClass:
     return quad_class_by_slots(g, n, k).scale(Fraction(1, harris_tu_degree(g - n, k)))
+
+
+def chern_combination_by_walks(cp, a, b) -> DivisorClass:
+    """a c1(F) + b c1(E), one walk per operation."""
+    return cp.c1_f.scale(a).add(cp.c1_e.scale(b))
+
+
+def fr_sigma_class_by_walks(cp, k: int) -> DivisorClass:
+    e, f = cp.e, cp.f
+    combo = cp.c1_f.add(cp.c1_e.scale(-Fraction(2 * f, e)))
+    return combo.scale(harris_tu_degree(e, k))
+
+
+def fr_dp_class_by_walks(cp) -> DivisorClass:
+    e = cp.e
+    combo = cp.c1_f.scale(e).add(cp.c1_e.scale(-(e * e + e - 4)))
+    return combo.scale(e - 1)
 
 
 def taylor(coeffs, x0, n: int) -> list:

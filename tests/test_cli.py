@@ -70,25 +70,67 @@ def test_quad_class_json_payload(capsys):
     assert payload["class"]["g"] == 11
 
 
-def test_quad_class_builds_the_class_once(capsys, monkeypatch):
-    from qmod import picard
-
+def _count_calls(monkeypatch, name, *modules):
+    """Count the calls of ``name`` made through any of ``modules``, the
+    first of which defines it."""
     calls = []
-    build = picard.quad_class_unscaled
+    original = getattr(modules[0], name)
 
     def counted(*args):
         calls.append(args)
-        return build(*args)
+        return original(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_quad_class_builds_the_class_once(capsys, monkeypatch):
+    from qmod import picard
 
     # Both names: the CLI's own import and the one quad_class reads.
-    monkeypatch.setattr(cli, "quad_class_unscaled", counted)
-    monkeypatch.setattr(picard, "quad_class_unscaled", counted)
+    calls = _count_calls(monkeypatch, "quad_class_unscaled", picard, cli)
     for fmt in ("table", "json"):
         calls.clear()
         rc, _, _ = _run(capsys, "quad-class", "--g", "11", "--n", "4", "--k", "4",
                         "--format", fmt)
         assert rc == 0
         assert calls == [(11, 4, 4)]
+
+
+def test_quad_class_computes_alpha_once(capsys, monkeypatch):
+    from qmod import invariants, picard
+
+    calls = _count_calls(monkeypatch, "harris_tu_degree", invariants, picard, cli)
+    for fmt in ("table", "json"):
+        calls.clear()
+        rc, _, _ = _run(capsys, "quad-class", "--g", "11", "--n", "4", "--k", "4",
+                        "--format", fmt)
+        assert rc == 0
+        assert calls == [(7, 4)]
+
+
+def test_quad_class_reaches_fr_sigma_class(capsys, monkeypatch):
+    # The class path keeps its fr_sigma_class call, which the benchmark's
+    # picard layer times on the divisor workload.
+    from qmod import picard
+
+    calls = _count_calls(monkeypatch, "fr_sigma_class", picard)
+    rc, _, _ = _run(capsys, "quad-class", "--g", "11", "--n", "4", "--k", "4")
+    assert rc == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [["certificate"], ["certificate", "--solve", "--z", "13/66"]])
+def test_certificate_builds_the_z_class_once(capsys, monkeypatch, argv):
+    from qmod import picard
+
+    calls = _count_calls(monkeypatch, "z_class_15_9", picard, cli)
+    for fmt in ("table", "json"):
+        calls.clear()
+        rc, _, _ = _run(capsys, *argv, "--format", fmt)
+        assert rc == 0
+        assert calls == [()]
 
 
 def test_table_mode_builds_no_json_payload(capsys, monkeypatch):
@@ -128,10 +170,25 @@ def test_adjusted_rho_reads_the_ramification_list(capsys):
 
 
 def test_adjusted_rho_refuses_a_negative_index(capsys):
-    # "-1,0" must be joined to its option, or argparse reads it as one.
-    rc, out, err = _run(capsys, "adjusted-rho", "--g", "5", "--r", "1", "--d", "4",
-                        "--alpha=-1,0")
-    assert (rc, out, err) == (2, "", "error: ramification indices must be nonnegative\n")
+    # "-1,0" is a value in its own token as well as joined to its option.
+    for alpha in (["--alpha", "-1,0"], ["--alpha=-1,0"]):
+        rc, out, err = _run(capsys, "adjusted-rho", "--g", "4", "--r", "1", "--d", "3",
+                            *alpha)
+        assert (rc, out, err) == (2, "", "error: ramification indices must be nonnegative\n")
+
+
+def test_every_subcommand_reads_a_negative_number_as_a_value():
+    for name, p in _subparser_choices().items():
+        assert p._negative_number_matcher.match("-1,0"), name
+        assert p._negative_number_matcher.match("-1/3"), name
+        # No option of its own looks like a negative number.
+        assert not p._has_negative_number_optionals, name
+
+
+def test_secant_reads_a_negative_parameter(capsys):
+    rc, payload, _ = _run_json(capsys, "secant", "--r", "4", "--t1", "-1", "--t2", "2")
+    assert rc == 0
+    assert payload["codims"] == [1]
 
 
 @pytest.mark.parametrize("argv", [

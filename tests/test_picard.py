@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qmod.errors import DomainError, InternalCheckError
@@ -11,8 +11,10 @@ from qmod.picard import (
     AT_LEAST,
     EXACT,
     ZERO,
+    ChernPair,
     Coefficient,
     DivisorClass,
+    _chern_combination,
     bn_class_15,
     boundary_indices,
     canonical_class,
@@ -29,7 +31,13 @@ from qmod.picard import (
     z_class_15_9,
 )
 
-from kernel_oracles import quad_class_by_slots, quad_class_unscaled_by_slots
+from kernel_oracles import (
+    chern_combination_by_walks,
+    fr_dp_class_by_walks,
+    fr_sigma_class_by_walks,
+    quad_class_by_slots,
+    quad_class_unscaled_by_slots,
+)
 
 
 def test_coefficient_kind_mixing():
@@ -222,6 +230,37 @@ def test_sigma_class_calibration():
         fr_sigma_class(cp, 5)
 
 
+def _same_layout(c, d) -> bool:
+    """Equal values and kinds in every slot, and the same slot order."""
+    return c == d and list(c.b) == list(d.b)
+
+
+@pytest.mark.parametrize("g, n, k", enumerate_quad_cases(40))
+def test_sigma_class_matches_the_three_walk_route(g, n, k):
+    cp = chern_pair(g, n)
+    cls = fr_sigma_class(cp, k)
+    assert _same_layout(cls, fr_sigma_class_by_walks(cp, k))
+    # At alpha = 1 it is the same class at unit scale.
+    unit = fr_sigma_class(cp, k, 1)
+    assert _same_layout(unit.scale(harris_tu_degree(g - n, k)), cls)
+
+
+@given(st.sampled_from(enumerate_quad_cases(80)))
+def test_sigma_class_matches_the_three_walk_route_on_random_cases(case):
+    g, n, k = case
+    cp = chern_pair(g, n)
+    assert _same_layout(fr_sigma_class(cp, k), fr_sigma_class_by_walks(cp, k))
+
+
+@given(st.integers(5, 14))
+@example(7)  # (15, 8), the slice z_class_15_9 pulls back
+def test_dp_class_matches_the_three_walk_route(e):
+    # The pencil calibration f = binom(e+1, 2) - 2 fixes n = binom(e+1, 2) - 3e + 1.
+    n = binom(e + 1, 2) - 3 * e + 1
+    cp = chern_pair(e + n, n)
+    assert _same_layout(fr_dp_class(cp), fr_dp_class_by_walks(cp))
+
+
 def test_z_class_values():
     z = z_class_15_9()
     assert z.lam == Coefficient.exact(351)
@@ -345,10 +384,52 @@ def _slotwise(op, *cs):
 
 
 def _outcome(thunk):
+    """thunk's result, or the message of the InternalCheckError it raised."""
     try:
         return thunk()
-    except InternalCheckError:
-        return InternalCheckError
+    except InternalCheckError as exc:
+        return ("InternalCheckError", str(exc))
+
+
+@given(st.data(), scalar, scalar)
+def test_chern_combination_matches_scale_then_add(data, a, b):
+    # Bound kinds in every boundary slot of both classes, and weights of
+    # either sign: the one walk keeps every rule of scale-then-add.
+    f_cls = data.draw(symmetric_class())
+    e_cls = data.draw(symmetric_class(f_cls.g, f_cls.n))
+    cp = ChernPair(f_cls.g, f_cls.n, e_cls, f_cls, 0, 0)
+    got = _outcome(lambda: _chern_combination(cp, a, b))
+    want = _outcome(lambda: chern_combination_by_walks(cp, a, b))
+    if isinstance(want, DivisorClass):
+        assert _same_layout(got, want)
+    else:
+        assert got == want
+
+
+wide = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6)
+
+
+@given(st.one_of(st.just(Fraction(0)), wide), wide, st.sampled_from([EXACT, AT_LEAST]))
+def test_coefficient_scale_is_the_fraction_product(a, v, kind):
+    c = Coefficient(kind, v)
+    if a < 0 and kind == AT_LEAST:
+        with pytest.raises(InternalCheckError, match="loses the bound"):
+            c.scale(a)
+    else:
+        out = c.scale(a)
+        assert out.value == a * v and type(out.value) is Fraction
+        assert out.kind == (kind if a else EXACT)
+
+
+@given(symmetric_class(), st.one_of(st.just(Fraction(0)), wide))
+def test_class_scale_is_the_fraction_product(c, a):
+    if a < 0 and any(v.kind == AT_LEAST for v in (c.b_irr, *c.b.values())):
+        with pytest.raises(InternalCheckError, match="loses the bound"):
+            c.scale(a)
+        return
+    out = c.scale(a)
+    want = _slotwise(lambda v: Coefficient(v.kind, a * v.value) if a else ZERO, c)
+    assert _same_layout(out, want)
 
 
 @given(symmetric_class(), scalar)
