@@ -20,11 +20,13 @@ the new point is special - but the sum of the pullbacks along all n+1
 forgetful maps is, and it has a closed form in (i, s) storage built from
 the Arbarello-Cornalba pullback rules (Publ. IHES 88, 1998); see
 symmetrized_pullback_sum.
+
+Coefficients, classes, Chern pairs and certificate reports are
+``__slots__`` classes, immutable by convention.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InternalCheckError
@@ -53,12 +55,17 @@ def _require_bound_kept(a: Fraction, coeffs):
         )
 
 
-@dataclass(frozen=True)
 class Coefficient:
-    """An exact rational value, or a rational lower bound."""
+    """An exact rational value, or a rational lower bound.  Immutable by
+    convention; equal and hashed by (kind, value)."""
 
-    kind: str
-    value: Fraction
+    __slots__ = ("kind", "value")
+
+    def __init__(self, kind: str, value):
+        if kind not in (EXACT, AT_LEAST):
+            raise DomainError(f"unknown coefficient kind {kind!r}")
+        self.kind = kind
+        self.value = value if isinstance(value, Fraction) else _rational(value)
 
     @classmethod
     def exact(cls, v) -> "Coefficient":
@@ -67,12 +74,6 @@ class Coefficient:
     @classmethod
     def at_least(cls, v) -> "Coefficient":
         return cls(AT_LEAST, v)
-
-    def __post_init__(self):
-        if self.kind not in (EXACT, AT_LEAST):
-            raise DomainError(f"unknown coefficient kind {self.kind!r}")
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", _rational(self.value))
 
     @property
     def is_exact(self) -> bool:
@@ -96,6 +97,17 @@ class Coefficient:
     def as_bound(self) -> "Coefficient":
         """Forget exactness, keep the value as a lower bound."""
         return Coefficient(AT_LEAST, self.value)
+
+    def __eq__(self, other):
+        if not isinstance(other, Coefficient):
+            return NotImplemented
+        return self.kind == other.kind and self.value == other.value
+
+    def __hash__(self):
+        return hash((self.kind, self.value))
+
+    def __repr__(self):
+        return f"Coefficient({self.kind!r}, {self.value!r})"
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "value": str(self.value)}
@@ -242,19 +254,17 @@ class DivisorClass:
         }
 
 
-@dataclass(frozen=True)
 class ChernPair:
     """First Chern data of the two tautological bundles on (g, n):
     c1(E) = lambda - sum psi_j and c1(F) = 13 lambda - 5 sum psi_j - delta,
-    together with their ranks e = g - n and f = 3g - 3 - 2n.
+    together with their ranks e = g - n and f = 3g - 3 - 2n.  Immutable by
+    convention.
     """
 
-    g: int
-    n: int
-    c1_e: DivisorClass
-    c1_f: DivisorClass
-    e: int
-    f: int
+    __slots__ = ("g", "n", "c1_e", "c1_f", "e", "f")
+
+    def __init__(self, g: int, n: int, c1_e: DivisorClass, c1_f: DivisorClass, e: int, f: int):
+        self.g, self.n, self.c1_e, self.c1_f, self.e, self.f = g, n, c1_e, c1_f, e, f
 
 
 def chern_pair(g: int, n: int) -> ChernPair:
@@ -423,13 +433,17 @@ def bn_class_15() -> DivisorClass:
     return DivisorClass(15, 9, lam=54, psi=0, b_irr=8, b=b)
 
 
-@dataclass(frozen=True)
 class BoundarySlotReport:
-    i: int
-    s: int
-    slack_kind: str
-    slack_value: Fraction
-    required_bound: Fraction | None
+    """One boundary slot of a certificate: the slack of E there, and the
+    least Z coefficient that would make a negative slack zero.  Immutable
+    by convention."""
+
+    __slots__ = ("i", "s", "slack_kind", "slack_value", "required_bound")
+
+    def __init__(self, i: int, s: int, slack_kind: str, slack_value: Fraction,
+                 required_bound: Fraction | None):
+        self.i, self.s, self.slack_kind = i, s, slack_kind
+        self.slack_value, self.required_bound = slack_value, required_bound
 
     @property
     def status(self) -> str:
@@ -446,15 +460,18 @@ class BoundarySlotReport:
         return out
 
 
-@dataclass(frozen=True)
 class CertificateReport:
-    x: Fraction
-    y: Fraction
-    z: Fraction
-    lambda_residual: Fraction
-    psi_residual: Fraction
-    e_irr: Fraction
-    boundary: tuple[BoundarySlotReport, ...]
+    """Outcome of the general-type certificate at multipliers (x, y, z).
+    Immutable by convention."""
+
+    __slots__ = ("x", "y", "z", "lambda_residual", "psi_residual", "e_irr", "boundary")
+
+    def __init__(self, x: Fraction, y: Fraction, z: Fraction, lambda_residual: Fraction,
+                 psi_residual: Fraction, e_irr: Fraction,
+                 boundary: tuple[BoundarySlotReport, ...]):
+        self.x, self.y, self.z = x, y, z
+        self.lambda_residual, self.psi_residual = lambda_residual, psi_residual
+        self.e_irr, self.boundary = e_irr, boundary
 
     @property
     def passed(self) -> bool:

@@ -14,12 +14,13 @@ pairs; a slot sums at most width(d) products of at most (p-1)^2, which
 binary forms reach, so the rows are handed over at load width(d).  Over
 QQ each pair's column is one ``Form.mul``.  Randomness enters only where
 genericity is itself the question, as one draw per seed from a derived
-stream; a degenerate draw is reported, never redrawn.
+stream; a degenerate draw is reported, never redrawn.  Quadrics,
+systems, decompositions and reports are ``__slots__`` classes,
+immutable by convention.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import add
 
@@ -284,32 +285,30 @@ def rnc_i2_dim(r: int) -> int:
     return r * (r - 1) // 2
 
 
-@dataclass(frozen=True)
 class PencilDecomposition:
     """Input data for the bounded-rank quadric construction.
 
     One pencil (f, g) is always present; the second pencil (u, v) appears
-    only in the rank-4 shape; h is the residual common factor.
+    only in the rank-4 shape; h is the residual common factor.  Immutable
+    by convention.
     """
 
-    f: BinaryForm
-    g: BinaryForm
-    u: BinaryForm | None
-    v: BinaryForm | None
-    h: BinaryForm
+    __slots__ = ("f", "g", "u", "v", "h")
 
-    def __post_init__(self):
-        if self.f.degree != self.g.degree:
+    def __init__(self, f: BinaryForm, g: BinaryForm, u: BinaryForm | None,
+                 v: BinaryForm | None, h: BinaryForm):
+        if f.degree != g.degree:
             raise DomainError("pencil members f and g must share a degree")
-        if (self.u is None) != (self.v is None):
+        if (u is None) != (v is None):
             raise DomainError("second pencil needs both u and v or neither")
-        if self.u is not None and self.u.degree != self.v.degree:
+        if u is not None and u.degree != v.degree:
             raise DomainError("pencil members u and v must share a degree")
-        fields = {self.f.field, self.g.field, self.h.field}
-        if self.u is not None:
-            fields |= {self.u.field, self.v.field}
+        fields = {f.field, g.field, h.field}
+        if u is not None:
+            fields |= {u.field, v.field}
         if len(fields) != 1:
             raise DomainError("decomposition members must share the field")
+        self.f, self.g, self.u, self.v, self.h = f, g, u, v, h
 
     @property
     def kind(self) -> int:
@@ -604,17 +603,19 @@ def net_discriminant(q1: SymQuadric, q2: SymQuadric, q3: SymQuadric) -> TernaryF
     return form_matrix_det(TernaryForm, (q1, q2, q3))
 
 
-@dataclass(frozen=True)
 class Genus5Report:
-    """Outcome of the smoothness certificate on one seed's net of quadrics."""
+    """Outcome of the smoothness certificate on one seed's net of quadrics.
+    Immutable by convention."""
 
-    seed: int
-    prime: int
-    discriminant_nonzero: bool
-    chart_coprime: bool
-    line_coprime: bool
+    __slots__ = ("seed", "prime", "discriminant_nonzero", "chart_coprime", "line_coprime")
 
-    # One draw per seed; the benchmark's span tag reads this.
+    def __init__(self, seed: int, prime: int, discriminant_nonzero: bool,
+                 chart_coprime: bool, line_coprime: bool):
+        self.seed, self.prime = seed, prime
+        self.discriminant_nonzero = discriminant_nonzero
+        self.chart_coprime, self.line_coprime = chart_coprime, line_coprime
+
+    # One draw per seed; the benchmark's span tag reads this class attribute.
     attempts = 1
 
     @property

@@ -8,13 +8,12 @@ everything downstream (quadrics through the image, the discriminant of
 their pencil) is exact linear algebra over the same field, F_p: the lab
 takes no other.  Genericity of sampled data is the only probabilistic
 ingredient: each seed makes one draw, and a degenerate draw is reported
-for that seed, never redrawn.
+for that seed, never redrawn.  Configurations, systems, classes and
+reports are ``__slots__`` classes, immutable by convention.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 from operator import mul
@@ -352,14 +351,23 @@ def interpolation_basis(cfg: PointConfig, cls: NSClass) -> PlaneSystem:
     return sys_
 
 
-@dataclass(frozen=True)
 class PencilReport:
-    """Discriminant data for a pencil of quadrics."""
+    """Discriminant data for a pencil of quadrics.  Immutable by convention;
+    equal by all four fields."""
 
-    degree: int
-    nonzero: bool
-    squarefree: bool
-    coeffs: tuple
+    __slots__ = ("degree", "nonzero", "squarefree", "coeffs")
+
+    def __init__(self, degree: int, nonzero: bool, squarefree: bool, coeffs: tuple):
+        self.degree, self.nonzero = degree, nonzero
+        self.squarefree, self.coeffs = squarefree, coeffs
+
+    def _key(self):
+        return self.degree, self.nonzero, self.squarefree, self.coeffs
+
+    def __eq__(self, other):
+        if not isinstance(other, PencilReport):
+            return NotImplemented
+        return self._key() == other._key()
 
     @property
     def nondegenerate(self) -> bool:
@@ -389,31 +397,34 @@ def pencil_nondegeneracy(sys: QuadricSystem) -> PencilReport:
                         coeffs=tuple(fmt(c) for c in disc.coeffs))
 
 
-def _carried():
-    # A built object a report keeps for dumping, outside equality and repr.
-    return dataclasses.field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
 class SurfaceReport:
     """Outcome of the full blow-up verification chain for one seed.
 
-    The sampled points, the hyperplane system and the quadric system the
-    report judged ride along for dumping; they take no part in equality,
-    repr or the JSON payload.
+    Immutable by convention.  The sampled points, the hyperplane system and
+    the quadric system the report judged ride along for dumping; they take
+    no part in equality or the JSON payload.
     """
 
-    seed: int
-    prime: int
-    stage: str
-    h_dim: int | None
-    curve_dim: int | None
-    residual_dim: int | None
-    i2_dim: int | None
-    pencil: PencilReport | None
-    config: PointConfig | None = _carried()
-    hyperplane: PlaneSystem | None = _carried()
-    quadrics: QuadricSystem | None = _carried()
+    __slots__ = ("seed", "prime", "stage", "h_dim", "curve_dim", "residual_dim", "i2_dim",
+                 "pencil", "config", "hyperplane", "quadrics")
+
+    def __init__(self, seed: int, prime: int, stage: str, h_dim: int | None,
+                 curve_dim: int | None, residual_dim: int | None, i2_dim: int | None,
+                 pencil: PencilReport | None, config: PointConfig | None = None,
+                 hyperplane: PlaneSystem | None = None, quadrics: QuadricSystem | None = None):
+        self.seed, self.prime, self.stage = seed, prime, stage
+        self.h_dim, self.curve_dim, self.residual_dim = h_dim, curve_dim, residual_dim
+        self.i2_dim, self.pencil = i2_dim, pencil
+        self.config, self.hyperplane, self.quadrics = config, hyperplane, quadrics
+
+    def _key(self):
+        return (self.seed, self.prime, self.stage, self.h_dim, self.curve_dim,
+                self.residual_dim, self.i2_dim, self.pencil)
+
+    def __eq__(self, other):
+        if not isinstance(other, SurfaceReport):
+            return NotImplemented
+        return self._key() == other._key()
 
     @property
     def passed(self) -> bool:

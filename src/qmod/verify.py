@@ -3,10 +3,10 @@
 Each check re-derives one advertised property of the library from
 scratch and reports pass/fail plus a small data payload.  Checks are
 deterministic functions of (field, seed); the same arguments twice
-must produce identical output.
+must produce identical output.  A ``CheckResult`` is a ``__slots__``
+class, immutable by convention.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigurationError, DomainError, QmodError
@@ -46,15 +46,14 @@ from .quadlab import (
 from .surface import blowup_report, lattice_checks
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one named check."""
+    """Outcome of one named check.  Immutable by convention."""
 
-    check: str
-    seed: int
-    prime: int
-    passed: bool
-    data: dict
+    __slots__ = ("check", "seed", "prime", "passed", "data")
+
+    def __init__(self, check: str, seed: int, prime: int, passed: bool, data: dict):
+        self.check, self.seed, self.prime = check, seed, prime
+        self.passed, self.data = passed, data
 
     def to_json_dict(self) -> dict:
         return {

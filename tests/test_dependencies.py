@@ -6,9 +6,13 @@ slot-width rule, and the private ``linalg`` names other modules import
 are pinned, so the list can only shrink.  ``surface`` runs over F_p
 alone: one guard tests for ``PrimeField`` and nothing names QQ.  The
 caller names the field: no ``field`` parameter has a default, and only the
-CLI and the package's exports name ``DEFAULT_PRIME`` outside ``fields``."""
+CLI and the package's exports name ``DEFAULT_PRIME`` outside ``fields``.
+Starting a command loads none of the introspection modules that
+``dataclasses`` would pull in."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -121,3 +125,25 @@ def test_no_field_parameter_has_a_default():
     assert sorted((path.name, node.name) for path in SOURCES for node in ast.walk(_tree(path))
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                   and any(a.arg == "field" for a in _defaulted_params(node.args))) == []
+
+
+# What dataclasses pulls in; a command's start-up needs none of them.
+STARTUP_UNLOADED = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def _modules_after(code):
+    # The modules a fresh interpreter holds after running code, writing no
+    # bytecode cache.
+    path = [str(Path(qmod.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    out = subprocess.run([sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)"],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    return set(out.split())
+
+
+def test_command_start_up_loads_no_introspection_modules():
+    started = _modules_after("from qmod import cli\n"
+                             "from qmod.fields import DEFAULT_PRIME, PrimeField\n"
+                             "cli.build_parser()\nPrimeField(DEFAULT_PRIME)")
+    assert sorted(STARTUP_UNLOADED & (started - _modules_after("pass"))) == []

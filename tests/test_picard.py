@@ -444,6 +444,20 @@ def test_class_add_matches_slotwise_add(data):
     assert c.add(d) == _slotwise(Coefficient.add, c, d)
 
 
+def test_coefficient_equality_and_hash_agree():
+    # Equal and hashed by (kind, value), whatever spelling built the value.
+    a, b = Coefficient.exact(Fraction(4, 2)), Coefficient(EXACT, 2)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    bound = Coefficient.at_least(2)
+    assert bound != a and len({a, bound, Coefficient.exact(3)}) == 3
+    assert a != (EXACT, Fraction(2))
+
+
+def test_unknown_coefficient_kind_is_refused():
+    with pytest.raises(DomainError, match="^unknown coefficient kind 'upper'$"):
+        Coefficient("upper", 1)
+
+
 def test_negative_scale_refuses_a_zero_lower_bound():
     c = DivisorClass(4, 1, lam=1, b={(1, 0): Coefficient.at_least(0)})
     with pytest.raises(InternalCheckError):

@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -478,6 +477,21 @@ def test_quadric_system_membership():
     assert _coordinates(system, outsider) is None
 
 
+LINEAR, QUADRATIC = BinaryForm.monomial(FP, 1, 0), BinaryForm.monomial(FP, 2, 0)
+
+
+@pytest.mark.parametrize("members, message", [
+    ((LINEAR, QUADRATIC, None, None, LINEAR), "pencil members f and g must share a degree"),
+    ((LINEAR, LINEAR, LINEAR, None, LINEAR), "second pencil needs both u and v or neither"),
+    ((LINEAR, LINEAR, LINEAR, QUADRATIC, LINEAR), "pencil members u and v must share a degree"),
+    ((LINEAR, LINEAR, None, None, BinaryForm.monomial(QQ, 1, 0)),
+     "decomposition members must share the field"),
+], ids=["f-g-degree", "half-pencil", "u-v-degree", "field"])
+def test_pencil_decomposition_refusals(members, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        PencilDecomposition(*members)
+
+
 def test_rank3_construction_on_split_pencil():
     # f = s, g = t, h = s t on the rational normal quartic.
     c = ParamCurve.rational_normal(FP, 4)
@@ -586,15 +600,17 @@ def _perturbation_jacobian_rows(field, r, pd):
     # has degree at most 2 in t and its t-linear part is the central
     # difference (Q(1) - Q(-1)) / 2.
     half = field.inv(2)
+    names = ("f", "g", "u", "v", "h")
+    members = {name: getattr(pd, name) for name in names}
     rows = []
-    for name in ("f", "g", "u", "v", "h"):
-        form = getattr(pd, name)
+    for name in names:
+        form = members[name]
         if form is None:
             continue
         for j in range(form.degree + 1):
             step = BinaryForm.monomial(field, form.degree, j)
-            plus, minus = (bounded_rank_quadric(replace(
-                pd, **{name: BinaryForm.combination([form, step], [1, t])})).upper_coeffs()
+            plus, minus = (bounded_rank_quadric(PencilDecomposition(**{
+                **members, name: BinaryForm.combination([form, step], [1, t])})).upper_coeffs()
                 for t in (1, -1))
             rows.append([field.coerce((x - y) * half) for x, y in zip(plus, minus)])
     return rows

@@ -615,3 +615,18 @@ def test_blowup_verify_deterministic():
     b = blowup_report(3, field=FP)
     assert a.to_json_dict() == b.to_json_dict()
     assert a.passed
+
+
+def test_report_equality_ignores_the_carried_objects():
+    # The points and systems ride along for dumping only: a report equals
+    # one that carries nothing, and it differs when a judged figure does.
+    rep = blowup_report(3, field=FP)
+    judged = (rep.seed, rep.prime, rep.stage, rep.h_dim, rep.curve_dim,
+              rep.residual_dim, rep.i2_dim, rep.pencil)
+    bare = surface.SurfaceReport(*judged)
+    assert (bare.config, bare.hyperplane, bare.quadrics) == (None, None, None)
+    assert rep.config is not None and rep == bare
+    assert rep != surface.SurfaceReport(*judged[:-1], None, rep.config)
+    pencil = rep.pencil
+    assert pencil == surface.PencilReport(pencil.degree, pencil.nonzero,
+                                         pencil.squarefree, pencil.coeffs)

@@ -42,6 +42,13 @@ def test_small_prime_sampling_is_raised_not_reported_as_a_failure():
     assert run_check("01-identities", field=PrimeField(3)).passed
 
 
+def test_check_result_is_built_by_keyword():
+    result = verify.CheckResult(check="01-identities", seed=2, prime=7, passed=False,
+                                data={"failures": 1})
+    assert result.to_json_dict() == {"check": "01-identities", "seed": 2, "prime": 7,
+                                     "pass": False, "data": {"failures": 1}}
+
+
 def test_repeat_run_is_identical():
     first = run_check("05-certificate", seed=3, field=FP)
     second = run_check("05-certificate", seed=3, field=FP)
