@@ -1,134 +1,8 @@
 """Exact quadric-rank and moduli-divisor workbench.
 
 Everything runs over the rationals or a large prime field: no floats,
-no approximation. The re-exports below are the stable surface; the
-modules behind them can be imported directly for the finer-grained
-tools.
+no approximation.  The modules are the public surface: each name is
+imported from the module that defines it (``from qmod.picard import
+quad_class``), and the package root binds nothing but its submodules, so
+importing one layer loads only that layer and what it imports.
 """
-
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    GenericityError,
-    InternalCheckError,
-    QmodError,
-    ZeroPolynomialError,
-)
-from .fields import DEFAULT_PRIME, QQ, PrimeField, RationalField, derived_rng, is_prime
-from .invariants import (
-    adjusted_rho,
-    brill_noether_rho,
-    enumerate_quad_cases,
-    expected_dim_q,
-    fiber_dim_identity,
-    harris_tu_degree,
-)
-from .linalg import Matrix
-from .picard import (
-    Coefficient,
-    DivisorClass,
-    bn_class_15,
-    canonical_class,
-    chern_pair,
-    fr_dp_class,
-    fr_sigma_class,
-    general_type_certificate,
-    quad_class,
-    quad_class_unscaled,
-    solve_certificate_multipliers,
-    symmetrized_pullback_sum,
-    z_class_15_9,
-)
-from .quadlab import (
-    ParamCurve,
-    PencilDecomposition,
-    QuadricSystem,
-    SymQuadric,
-    bounded_rank_quadric,
-    expected_family_dim,
-    family_dimension,
-    genus4_check,
-    genus5_net_check,
-    i2_basis,
-    rank3_strata,
-    rank4_strata,
-    rnc_i2_dim,
-    secant_condition,
-)
-from .surface import (
-    NSClass,
-    PointConfig,
-    blowup_report,
-    curve_class,
-    hyperplane_class,
-    interpolation_basis,
-    ns_canonical,
-    ns_genus,
-    ns_intersect,
-    residual_class,
-)
-from .verify import CheckResult, check_names, run_check
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "CheckResult",
-    "Coefficient",
-    "ConfigurationError",
-    "DEFAULT_PRIME",
-    "DivisorClass",
-    "DomainError",
-    "GenericityError",
-    "InternalCheckError",
-    "Matrix",
-    "NSClass",
-    "ParamCurve",
-    "PencilDecomposition",
-    "PointConfig",
-    "PrimeField",
-    "QQ",
-    "QmodError",
-    "QuadricSystem",
-    "RationalField",
-    "SymQuadric",
-    "ZeroPolynomialError",
-    "adjusted_rho",
-    "blowup_report",
-    "bn_class_15",
-    "bounded_rank_quadric",
-    "brill_noether_rho",
-    "canonical_class",
-    "check_names",
-    "chern_pair",
-    "curve_class",
-    "derived_rng",
-    "enumerate_quad_cases",
-    "expected_dim_q",
-    "expected_family_dim",
-    "family_dimension",
-    "fiber_dim_identity",
-    "fr_dp_class",
-    "fr_sigma_class",
-    "general_type_certificate",
-    "genus4_check",
-    "genus5_net_check",
-    "harris_tu_degree",
-    "hyperplane_class",
-    "i2_basis",
-    "interpolation_basis",
-    "is_prime",
-    "ns_canonical",
-    "ns_genus",
-    "ns_intersect",
-    "quad_class",
-    "quad_class_unscaled",
-    "rank3_strata",
-    "rank4_strata",
-    "residual_class",
-    "rnc_i2_dim",
-    "run_check",
-    "secant_condition",
-    "solve_certificate_multipliers",
-    "symmetrized_pullback_sum",
-    "z_class_15_9",
-]

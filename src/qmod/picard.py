@@ -438,26 +438,19 @@ class BoundarySlotReport:
     least Z coefficient that would make a negative slack zero.  Immutable
     by convention."""
 
-    __slots__ = ("i", "s", "slack_kind", "slack_value", "required_bound")
+    __slots__ = ("i", "s", "slack", "required_bound")
 
-    def __init__(self, i: int, s: int, slack_kind: str, slack_value: Fraction,
-                 required_bound: Fraction | None):
-        self.i, self.s, self.slack_kind = i, s, slack_kind
-        self.slack_value, self.required_bound = slack_value, required_bound
+    def __init__(self, i: int, s: int, slack: Coefficient, required_bound: Fraction | None):
+        self.i, self.s, self.slack, self.required_bound = i, s, slack, required_bound
 
     @property
     def status(self) -> str:
-        return "nonnegative" if self.slack_value >= 0 else "requires_bound"
+        return "nonnegative" if self.slack.value >= 0 else "requires_bound"
 
     def to_json_dict(self) -> dict:
-        out = {
-            "i": self.i,
-            "s": self.s,
-            "status": self.status,
-            "slack": {"kind": self.slack_kind, "value": str(self.slack_value)},
-        }
-        out["required_bound"] = None if self.required_bound is None else str(self.required_bound)
-        return out
+        bound = None if self.required_bound is None else str(self.required_bound)
+        return {"i": self.i, "s": self.s, "status": self.status,
+                "slack": self.slack.to_json_dict(), "required_bound": bound}
 
 
 class CertificateReport:
@@ -517,10 +510,10 @@ def general_type_certificate(x, y, z, classes=None) -> CertificateReport:
     slots = []
     for (i, s) in boundary_indices(15, 9):
         kc, zc, bc = K.b[(i, s)], Z.b[(i, s)], BN.b[(i, s)]
-        slack_value = -kc.value + y * zc.value + z * bc.value
-        slack_kind = EXACT if (kc.is_exact and zc.is_exact and bc.is_exact) else AT_LEAST
-        required = (kc.value - z * bc.value) / y if slack_value < 0 and y > 0 else None
-        slots.append(BoundarySlotReport(i, s, slack_kind, slack_value, required))
+        slack = Coefficient(EXACT if kc.is_exact and zc.is_exact and bc.is_exact else AT_LEAST,
+                            -kc.value + y * zc.value + z * bc.value)
+        required = (kc.value - z * bc.value) / y if slack.value < 0 and y > 0 else None
+        slots.append(BoundarySlotReport(i, s, slack, required))
 
     return CertificateReport(x, y, z, lambda_residual, psi_residual, e_irr, tuple(slots))
 

@@ -111,8 +111,7 @@ class SymQuadric:
                                      for x, row in zip(point, self.entries)))
 
     def matrix(self) -> Matrix:
-        return Matrix(self.field, self.size, self.size,
-                      [row[:] for row in self.entries], _skip_check=True)
+        return Matrix(self.field, self.size, self.size, self.entries, _skip_check=True)
 
     def rank(self) -> int:
         if self._rank is None:

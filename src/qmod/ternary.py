@@ -2,9 +2,12 @@
 
 Coefficients are stored against the graded-lex monomial list (x > y > z)
 of the declared degree; the order is fixed so serialized coefficient
-matrices are reproducible bit for bit.  Only what the curve and surface
-labs need lives here: products, partials, evaluation and restriction to
-lines, and one common-zero certificate.  No Groebner machinery.
+matrices are reproducible bit for bit.  The curve and surface labs use
+the partials, the restriction to lines and the one common-zero
+certificate; no Groebner machinery.  ``TernaryForm.mul`` and
+``TernaryForm.evaluate`` have no production caller: they stay only as
+span targets of the benchmark's layer map and as test oracles, until that
+map changes.
 
 There is one evaluation kernel: ``coeffs_in`` substitutes two of the
 variables and leaves a univariate polynomial in the third, which

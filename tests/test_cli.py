@@ -639,6 +639,19 @@ def test_closed_stdout_pipe_exits_one_without_traceback(qmod_env, argv):
     assert b"Traceback" not in proc.stderr
 
 
+def test_reader_closing_mid_output_exits_one_silently(qmod_env):
+    # 20,203 lines (0.25 MB), more than a pipe buffer holds, so the command
+    # is still writing when the reader closes after the first line.
+    with subprocess.Popen([sys.executable, "-m", "qmod", "canonical-class", "--g", "200",
+                           "--n", "200"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=qmod_env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert first and stderr == b""
+
+
 # Edge values for the robustness sweep: ambient dimensions below and above
 # the legal range, the unit, composite and too-small moduli next to the two
 # working primes, a zero repeat count and chords with equal parameters.  The

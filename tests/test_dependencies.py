@@ -6,9 +6,9 @@ slot-width rule, and the private ``linalg`` names other modules import
 are pinned, so the list can only shrink.  ``surface`` runs over F_p
 alone: one guard tests for ``PrimeField`` and nothing names QQ.  The
 caller names the field: no ``field`` parameter has a default, and only the
-CLI and the package's exports name ``DEFAULT_PRIME`` outside ``fields``.
-Starting a command loads none of the introspection modules that
-``dataclasses`` would pull in."""
+CLI names ``DEFAULT_PRIME`` outside ``fields``.  Starting a command loads
+none of the introspection modules that ``dataclasses`` would pull in, and
+importing one layer loads no other layer than the ones it imports."""
 
 import ast
 import os
@@ -109,10 +109,9 @@ def test_surface_names_no_rational_field():
     assert list(_prime_field_tests(tree)) == ["PointConfig.__init__"]
 
 
-def test_default_prime_is_named_only_by_the_cli_and_the_exports():
+def test_default_prime_is_named_only_by_the_cli():
     assert sorted(path.name for path in SOURCES
-                  if "DEFAULT_PRIME" in _names(_tree(path))) == [
-        "__init__.py", "cli.py", "fields.py"]
+                  if "DEFAULT_PRIME" in _names(_tree(path))) == ["cli.py", "fields.py"]
 
 
 def _defaulted_params(args):
@@ -147,3 +146,11 @@ def test_command_start_up_loads_no_introspection_modules():
                              "from qmod.fields import DEFAULT_PRIME, PrimeField\n"
                              "cli.build_parser()\nPrimeField(DEFAULT_PRIME)")
     assert sorted(STARTUP_UNLOADED & (started - _modules_after("pass"))) == []
+
+
+def test_importing_fields_loads_no_other_layer():
+    # The package root imports nothing, so a layer costs only itself and
+    # what it imports: fields needs errors alone.
+    loaded = _modules_after("import qmod.fields")
+    assert sorted(m for m in loaded if m.split(".")[0] == "qmod") == [
+        "qmod", "qmod.errors", "qmod.fields"]
